@@ -10,13 +10,15 @@ separation checks."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import CartanDatum, CharacterPoly, RootSum, Weight, weyl_character
+from .cartan import (CartanDatum, CharacterPoly, RootSum, Weight, box,
+                     by_height, weyl_character)
 from .coordring import CoordElement, CoordRing
 from .errors import QflagError
 from .linalg import Matrix
+from .memo import Memo
 from .rmatrix import DrinfeldPairing, r_operator
 from .scalars import QScalar
 from .weightmod import weight_to_root
@@ -33,9 +35,8 @@ class EBimodule:
         self.mu = tuple(mu)
         self.cutoff = tuple(cutoff)
         self.vmod = ring.module(self.mu)
-        self.grades = [g for g in _dominant_grades(self.datum, self.cutoff)]
-        self._eta: Dict[Weight, Matrix] = {}
-        self._eta_inv: Dict[Weight, Matrix] = {}
+        self.grades = sorted(box(self.cutoff), key=by_height)
+        self.memo = Memo()
         # layer order: lowest weight first (deepest drop), refined arbitrarily
         order = sorted(range(self.vmod.dim),
                        key=lambda i: (-sum(self._drop(i)), self._drop(i), i))
@@ -59,20 +60,13 @@ class EBimodule:
     def eta(self, lam: Weight) -> Matrix:
         """R-check of A(lam) (x) V(mu) -> V(mu) (x) A(lam)."""
         lam = tuple(lam)
-        hit = self._eta.get(lam)
-        if hit is None:
-            amod = self.ring.module(lam)
-            hit = r_operator(self.pairing, amod, self.vmod, "R-check").matrix
-            self._eta[lam] = hit
-        return hit
+        return self.memo.get(("eta", lam), lambda: r_operator(
+            self.pairing, self.ring.module(lam), self.vmod, "R-check").matrix)
 
     def eta_inv(self, lam: Weight) -> Matrix:
         lam = tuple(lam)
-        hit = self._eta_inv.get(lam)
-        if hit is None:
-            hit = linalg.inverse(self.eta(lam))
-            self._eta_inv[lam] = hit
-        return hit
+        return self.memo.get(("eta_inv", lam),
+                             lambda: linalg.inverse(self.eta(lam)))
 
     def right_action(self, psi: CoordElement, lam: Weight) -> Matrix:
         """Right multiplication by psi on V (x) A(lam) -> V (x) A(lam+xi)."""
@@ -214,20 +208,6 @@ class EBimodule:
 
 def _within(w: Weight, cutoff: Weight) -> bool:
     return all(a <= b for a, b in zip(w, cutoff))
-
-
-def _dominant_grades(datum: CartanDatum, cutoff: Weight) -> List[Weight]:
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(cutoff[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda w: (sum(w), w))
 
 
 # ---------------------------------------------------------------------------

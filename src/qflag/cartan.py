@@ -13,11 +13,12 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
-from threading import RLock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DominanceError, ParseError, QflagError
+from .memo import Memo
 from .scalars import QScalar
 
 Weight = Tuple[int, ...]     # fundamental-weight coordinates
@@ -39,9 +40,31 @@ def _env_max_height() -> int:
     if raw is None:
         return DEFAULT_MAX_HEIGHT
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_HEIGHT
+        value = 0
+    if value < 1:
+        raise ParseError(
+            f"QFLAG_MAX_HEIGHT must be a positive integer, got {raw!r}")
+    return value
+
+
+def box(hi: Sequence[int], lo: Optional[Sequence[int]] = None,
+        height: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """The integer points g with lo <= g <= hi coordinatewise (lo defaults
+    to 0) and, when ``height`` is given, sum(g) <= height; in
+    ``itertools.product`` order (lexicographic)."""
+    if lo is None:
+        lo = (0,) * len(hi)
+    points = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    if height is None:
+        return list(points)
+    return [g for g in points if sum(g) <= height]
+
+
+def by_height(g: Sequence[int]):
+    """Sort key: by height sum(g), then lexicographically."""
+    return (sum(g), g)
 
 
 class CartanDatum:
@@ -77,8 +100,7 @@ class CartanDatum:
                 den = lcm(den, x.denominator)
         self.l0 = den
         self.max_height = max_height if max_height is not None else _env_max_height()
-        self._lock = RLock()
-        self._weyl: Optional[Dict[Tuple[Tuple[int, ...], ...], WeylWord]] = None
+        self.memo = Memo()
 
     # -- element constructors -------------------------------------------------
 
@@ -197,10 +219,6 @@ class CartanDatum:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def _apply_matrix(self, m, lam: Sequence[int]) -> Weight:
-        return tuple(sum(m[j][k] * lam[k] for k in range(self.rank))
-                     for j in range(self.rank))
-
     def reflect(self, i: int, lam: Sequence[int]) -> Weight:
         alpha_i = self.alpha(i)
         c = lam[i]
@@ -220,33 +238,32 @@ class CartanDatum:
 
     def weyl_elements(self) -> Dict[Tuple[Tuple[int, ...], ...], WeylWord]:
         """Matrix (on weight coords) -> canonical reduced word, via BFS."""
-        with self._lock:
-            if self._weyl is not None:
-                return self._weyl
-            n = self.rank
-            ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                          for i in range(n))
-            out: Dict[Tuple[Tuple[int, ...], ...], WeylWord] = {ident: ()}
-            frontier = [ident]
-            gens = [self._simple_reflection_matrix(i) for i in range(n)]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    w = out[m]
-                    for i in range(n):
-                        # right multiply: (w s_i) acts by m @ s_i
-                        prod = tuple(
-                            tuple(sum(m[r][k] * gens[i][k][c] for k in range(n))
-                                  for c in range(n))
-                            for r in range(n))
-                        if prod not in out:
-                            out[prod] = w + (i,)
-                            nxt.append(prod)
-                frontier = nxt
-                if len(out) > 10000:
-                    raise QflagError("Weyl group too large; not finite type?")
-            self._weyl = out
-            return out
+        return self.memo.get("weyl", self._weyl_bfs)
+
+    def _weyl_bfs(self) -> Dict[Tuple[Tuple[int, ...], ...], WeylWord]:
+        n = self.rank
+        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
+                      for i in range(n))
+        out: Dict[Tuple[Tuple[int, ...], ...], WeylWord] = {ident: ()}
+        frontier = [ident]
+        gens = [self._simple_reflection_matrix(i) for i in range(n)]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                w = out[m]
+                for i in range(n):
+                    # right multiply: (w s_i) acts by m @ s_i
+                    prod = tuple(
+                        tuple(sum(m[r][k] * gens[i][k][c] for k in range(n))
+                              for c in range(n))
+                        for r in range(n))
+                    if prod not in out:
+                        out[prod] = w + (i,)
+                        nxt.append(prod)
+            frontier = nxt
+            if len(out) > 10000:
+                raise QflagError("Weyl group too large; not finite type?")
+        return out
 
     def weyl_canonical(self, word: Sequence[int]) -> WeylWord:
         """Canonical reduced word of the element represented by ``word``."""
@@ -280,11 +297,9 @@ class CartanDatum:
 
     def positive_roots(self) -> List[RootSum]:
         """All positive roots in simple-root coordinates, sorted by height."""
-        return list(self._positive_roots_cached())
+        return list(self.memo.get("positive_roots", self._positive_roots))
 
-    @lru_cache(maxsize=None)
-    def _positive_roots_cached(self) -> Tuple[RootSum, ...]:
-        found = set()
+    def _positive_roots(self) -> Tuple[RootSum, ...]:
         frontier = [self.alpha_root(i) for i in range(self.rank)]
         allr = set()
         while frontier:
@@ -295,7 +310,6 @@ class CartanDatum:
                 allr.add(g)
                 wt = self.root_to_weight(g)
                 for i in range(self.rank):
-                    r = self.reflect(i, wt)
                     # convert back to root coordinates: gamma' = gamma - wt_i*alpha_i
                     gg = list(g)
                     gg[i] -= wt[i]
@@ -304,7 +318,7 @@ class CartanDatum:
                         nxt.append(gg)
             frontier = nxt
         pos = sorted((g for g in allr if all(c >= 0 for c in g) and any(g)),
-                     key=lambda g: (sum(g), g))
+                     key=by_height)
         return tuple(pos)
 
     def _check_finite_type(self) -> None:

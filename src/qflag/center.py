@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
-from .cartan import RootSum, Weight
-from .enveloping import MonoKey, UAlgebra, UElement
-from .linalg import Vector
+from .cartan import RootSum, Weight, box, by_height
+from .enveloping import MonoKey, UAlgebra, UElement, _content
 from .scalars import QScalar
 from .weightmod import verma
 
@@ -75,39 +74,18 @@ def _candidate_monomials(algebra: UAlgebra, max_height: int,
                          k_bound: Optional[int] = None) -> List[MonoKey]:
     """Weight-zero normal monomials y k_mu x with ht(deg) <= max_height and
     the torus weight inside a coordinate box."""
-    datum = algebra.datum
+    rank = algebra.datum.rank
     kb = 2 * max_height if k_bound is None else k_bound
-    gammas: List[RootSum] = []
-
-    def rec(prefix, i, left):
-        if i == datum.rank:
-            gammas.append(tuple(prefix))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], i + 1, left - c)
-
-    rec([], 0, max_height)
-    mus: List[Weight] = []
-
-    def recw(prefix, i):
-        if i == datum.rank:
-            mus.append(tuple(prefix))
-            return
-        for c in range(-kb, kb + 1):
-            recw(prefix + [c], i + 1)
-
-    recw([], 0)
+    gammas = box((max_height,) * rank, height=max_height)
+    mus = box((kb,) * rank, lo=(-kb,) * rank)
     out: List[MonoKey] = []
-    for gamma in sorted(gammas, key=lambda g: (sum(g), g)):
+    for gamma in sorted(gammas, key=by_height):
         words = algebra.basis(gamma).free_words
         for fw in words:
             for ew in words:
                 for mu in mus:
-                    out.append((fw, tuple(mu), ew))
+                    out.append((fw, mu, ew))
     return out
-
-
-_SOLVE_CACHE: "WeakKeyDictionary" = None
 
 
 def center_solve(algebra: UAlgebra, max_height: int,
@@ -115,15 +93,14 @@ def center_solve(algebra: UAlgebra, max_height: int,
     """Exact nullspace of the commutation equations [z, e_i] = [z, f_i] = 0
     over the monomial window (weight-zero monomials commute with the torus
     automatically).  Completeness at the given height is not claimed.
-    Memoized per algebra: the solve is the most expensive step at rank 2."""
-    global _SOLVE_CACHE
-    if _SOLVE_CACHE is None:
-        from weakref import WeakKeyDictionary
-        _SOLVE_CACHE = WeakKeyDictionary()
-    per_alg = _SOLVE_CACHE.setdefault(algebra, {})
-    cache_key = (max_height, k_bound)
-    if cache_key in per_alg:
-        return per_alg[cache_key]
+    Memoized in the algebra's memo: the solve is the most expensive step at
+    rank 2."""
+    return algebra.memo.get(("center", max_height, k_bound),
+                            lambda: _solve(algebra, max_height, k_bound))
+
+
+def _solve(algebra: UAlgebra, max_height: int,
+           k_bound: Optional[int]) -> List[CenterElement]:
     datum = algebra.datum
     cands = _candidate_monomials(algebra, max_height, k_bound)
     if not cands:
@@ -195,13 +172,6 @@ def center_solve(algebra: UAlgebra, max_height: int,
                 if not c.is_zero():
                     terms[cands[members[jj]]] = c
             out.append(CenterElement(algebra, UElement(algebra, terms)))
-    per_alg[cache_key] = out
-    return out
-
-
-def _unit_vec(n: int, j: int, l0: int) -> Vector:
-    out = [QScalar.zero(l0) for _ in range(n)]
-    out[j] = QScalar.one(l0)
     return out
 
 
@@ -215,59 +185,42 @@ def _shape_commutator(algebra: UAlgebra, shape, kind: str, i: int):
     (fw, nu, ew, coeff, twist) meaning the monomial fw k_{nu+mu} ew with
     coefficient coeff * q^{-(mu, twist)} once k_mu is inserted."""
     datum = algebra.datum
+    rank = datum.rank
     fw, ew = shape
     zero_root = datum.zero_root
     out = []
     if kind == "e":
         # right: y k_mu (x e_i) -- concatenation stays in the plus part
-        gp = _content_plus(datum, ew, i)
-        for xw, c in algebra.basis(gp).reduce_word(ew + (i,)).items():
+        for xw, c in _concat(algebra, ew, (i,)).items():
             out.append((fw, datum.zero_weight, xw, c, zero_root))
         # left: (e_i y) k_mu x, commuting k_mu through the raised tail
         word = (("e", i),) + tuple(("f", j) for j in fw)
         for (fw1, nu1, ew1), c in algebra.normal_form_word(word).items():
-            twist = _content_of(datum, ew1)
-            for xw, cx in _concat_plus(algebra, ew1, ew).items():
+            twist = _content(ew1, rank)
+            for xw, cx in _concat(algebra, ew1, ew).items():
                 out.append((fw1, nu1, xw, -(c * cx), twist))
     else:
         # right: y k_mu (x f_i), commuting k_mu through the lowered tail
         word = tuple(("e", j) for j in ew) + (("f", i),)
         for (fw2, nu2, ew2), c in algebra.normal_form_word(word).items():
-            twist = _content_of(datum, fw2)
-            for yw, cy in _concat_minus(algebra, fw, fw2).items():
+            twist = _content(fw2, rank)
+            for yw, cy in _concat(algebra, fw, fw2).items():
                 out.append((yw, nu2, ew2, c * cy, twist))
         # left: (f_i y) k_mu x -- concatenation stays in the minus part
-        gp = _content_plus(datum, fw, i)
-        for yw, c in algebra.basis(gp).reduce_word((i,) + fw).items():
+        for yw, c in _concat(algebra, (i,), fw).items():
             out.append((yw, datum.zero_weight, ew, -c, zero_root))
     return out
 
 
-def _content_of(datum, word):
-    out = [0] * datum.rank
-    for j in word:
-        out[j] += 1
-    return tuple(out)
-
-
-def _content_plus(datum, word, i):
-    out = list(_content_of(datum, word))
-    out[i] += 1
-    return tuple(out)
-
-
-def _concat_plus(algebra: UAlgebra, left, right):
+def _concat(algebra: UAlgebra, left, right):
+    """Basis coordinates of the concatenated word (the plus and minus parts
+    share their word bases)."""
     if not left:
         return {right: algebra.datum.one()}
     if not right:
         return {left: algebra.datum.one()}
-    gamma = tuple(a + b for a, b in zip(_content_of(algebra.datum, left),
-                                        _content_of(algebra.datum, right)))
-    return algebra.basis(gamma).reduce_word(left + right)
-
-
-def _concat_minus(algebra: UAlgebra, left, right):
-    return _concat_plus(algebra, left, right)
+    word = left + right
+    return algebra.basis(_content(word, algebra.datum.rank)).reduce_word(word)
 
 
 def commutes_with_generators(algebra: UAlgebra, z: UElement) -> bool:

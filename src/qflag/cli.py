@@ -8,7 +8,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .cartan import CartanDatum, preset
+from .cartan import CartanDatum, box, by_height, preset
 from .config import RunConfig
 from .coordring import CoordRing
 from .enveloping import UAlgebra
@@ -204,7 +204,7 @@ def _dispatch(args, as_json: bool) -> int:
         ring = CoordRing(alg)
         cutoff = datum.parse_weight(args.cutoff)
         grades = {}
-        for g in _grades(datum, cutoff):
+        for g in sorted(box(cutoff), key=by_height):
             grades[datum.weight_str(g)] = ring.grade_dim(g)
         lam = datum.fundamental(0)
         extremal = {}
@@ -249,20 +249,6 @@ def _dispatch(args, as_json: bool) -> int:
         return 0 if report["pass"] else 1
 
     return 2
-
-
-def _grades(datum: CartanDatum, cutoff):
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(cutoff[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda w: (sum(w), w))
 
 
 def _word_str(word, sign: str) -> str:

@@ -11,16 +11,16 @@ plus-part functionals, and Schubert-cell homomorphisms.
 
 from __future__ import annotations
 
-from threading import RLock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import CartanDatum, RootSum, Weight, kostant_dim
+from .cartan import RootSum, Weight, box, by_height, kostant_dim
 from .enveloping import UAlgebra, UElement
 from .errors import DominanceError, OreSearchError, QflagError
 from .linalg import Matrix, Vector
+from .memo import Memo
 from .scalars import QScalar, quantum_factorial
-from .weightmod import SimpleFactory, WeightModule, weight_to_root
+from .weightmod import SimpleFactory, WeightModule, braid_word, weight_to_root
 
 
 class CoordElement:
@@ -146,10 +146,7 @@ class CoordRing:
     def __init__(self, algebra: UAlgebra):
         self.algebra = algebra
         self.datum = algebra.datum
-        self._lock = RLock()
-        self._factories: Dict[Weight, SimpleFactory] = {}
-        self._eval_ech: Dict[Tuple[Weight, RootSum], tuple] = {}
-        self._modules: Dict[Weight, WeightModule] = {}
+        self.memo = Memo()
 
     # -- graded pieces ---------------------------------------------------------
 
@@ -157,23 +154,14 @@ class CoordRing:
         lam = tuple(lam)
         if not self.datum.is_dominant(lam):
             raise DominanceError(f"grade {lam} is not dominant")
-        with self._lock:
-            f = self._factories.get(lam)
-            if f is None:
-                f = SimpleFactory(self.algebra, lam)
-                self._factories[lam] = f
-            return f
+        return self.memo.get(("factory", lam),
+                             lambda: SimpleFactory(self.algebra, lam))
 
     def module(self, lam: Weight) -> WeightModule:
         """The full simple module of grade lam (for braid operators)."""
         lam = tuple(lam)
-        with self._lock:
-            m = self._modules.get(lam)
-        if m is None:
-            m = self.factory(lam).build()
-            with self._lock:
-                self._modules[lam] = m
-        return m
+        return self.memo.get(("module", lam),
+                             lambda: self.factory(lam).build())
 
     def grade_dim(self, lam: Weight) -> int:
         return self.factory(lam).char.total()
@@ -205,7 +193,7 @@ class CoordRing:
     def grade_basis(self, lam: Weight) -> List[CoordElement]:
         fac = self.factory(lam)
         out = []
-        for g in sorted(fac.drops, key=lambda g: (sum(g), g)):
+        for g in sorted(fac.drops, key=by_height):
             out.extend(self.slice_basis(lam, g))
         return out
 
@@ -220,10 +208,10 @@ class CoordRing:
         """Echelon data of the evaluation matrix of the drop-gamma slice of
         grade lam (rows: plus-part basis words; cols: slice basis)."""
         lam, gamma = tuple(lam), tuple(gamma)
-        with self._lock:
-            hit = self._eval_ech.get((lam, gamma))
-        if hit is not None:
-            return hit
+        return self.memo.get(("eval", lam, gamma),
+                             lambda: self._eval_matrix(lam, gamma))
+
+    def _eval_matrix(self, lam: Weight, gamma: RootSum) -> tuple:
         fac = self.factory(lam)
         words = self.algebra.basis(gamma).free_words
         d = fac.slice_dim(gamma)
@@ -233,10 +221,7 @@ class CoordRing:
             vec[r] = self.datum.one()
             cols.append([fac.top_coefficient(gamma, vec, w) for w in words])
         mat = linalg.from_columns(cols, self.datum.l0) if d else []
-        out = (mat, words, d)
-        with self._lock:
-            self._eval_ech[(lam, gamma)] = out
-        return out
+        return (mat, words, d)
 
     def from_evaluations(self, lam: Weight, gamma: RootSum,
                          values: List[QScalar]) -> CoordElement:
@@ -421,9 +406,8 @@ class CoordRing:
         datum = self.datum
         word = datum.weyl_canonical(word)
         s = self.extremal(word, s_grade)
-        candidates = sorted(
-            (g for g in _dominant_box(datum, max_steps)),
-            key=lambda g: (sum(g), g))
+        candidates = sorted(box((max_steps,) * datum.rank, height=max_steps),
+                            key=by_height)
         for mu in candidates:
             xi = datum.weight_sub(datum.weight_add(mu, phi.grade), s_grade)
             if not datum.is_dominant(xi):
@@ -523,7 +507,7 @@ class CoordRing:
         """Dims of the stabilized localized grade-lam piece at all drops
         gamma <= depth componentwise."""
         out: Dict[RootSum, int] = {}
-        for g in _box(self.datum, depth):
+        for g in sorted(box(depth), key=by_height):
             rep = self.localize(word, lam, g, max_level=max_level)
             if not rep.get("stabilized"):
                 raise QflagError(f"localization did not stabilize at {g}")
@@ -539,7 +523,7 @@ class CoordRing:
         datum = self.datum
         results = []
         ok = True
-        for g in _box(datum, depth):
+        for g in sorted(box(depth), key=by_height):
             target = len(self.algebra.basis(g).free_words)
             found = None
             mu = datum.zero_weight
@@ -572,12 +556,11 @@ class CoordRing:
         """epsilon_w(phi) and the functional table of Phi_w(phi) on the
         plus-part degree basis (tabulated on the unique contributing
         degree)."""
-        from .weightmod import braid_word
         datum = self.datum
         word = datum.weyl_canonical(word)
         mod = self.module(phi.grade)
         tw = self._braid_matrix(phi.grade, word)
-        vfull = self._embed(mod, phi)
+        vfull = self.embed_full(mod, phi)
         img = linalg.mat_vec(tw, vfull)
         eps = img[mod.distinguished["highest"]]
         # Phi_w(phi)(x) = <v*_lam, T_w(x v_phi)> on U^+_gamma,
@@ -596,26 +579,9 @@ class CoordRing:
         return {"epsilon": eps, "table": table}
 
     def _braid_matrix(self, lam: Weight, word) -> Matrix:
-        from .weightmod import braid_word
-        key = (tuple(lam), tuple(word))
-        with self._lock:
-            cache = getattr(self, "_braid_cache", None)
-            if cache is None:
-                cache = {}
-                self._braid_cache = cache
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-        m = braid_word(self.module(lam), word)
-        with self._lock:
-            self._braid_cache[key] = m
-        return m
-
-    def _embed(self, mod: WeightModule, phi: CoordElement) -> Vector:
-        out = mod.zero_vector()
-        for r, c in enumerate(phi.vec):
-            out[mod.slot[(phi.gamma, r)]] = c
-        return out
+        lam, word = tuple(lam), tuple(word)
+        return self.memo.get(("braid", lam, word),
+                             lambda: braid_word(self.module(lam), word))
 
     def schubert_kernel_dim(self, word: Sequence[int], lam: Weight) -> int:
         """dim of the grade-lam piece of Ker(Phi_w): vectors v in V(lam)
@@ -639,31 +605,3 @@ class CoordRing:
         if not rows:
             return mod.dim
         return mod.dim - linalg.rank(rows)
-
-
-def _box(datum: CartanDatum, depth: RootSum) -> List[RootSum]:
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(depth[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda g: (sum(g), g))
-
-
-def _dominant_box(datum: CartanDatum, height: int) -> List[Weight]:
-    out = []
-
-    def rec(prefix, i, left):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], i + 1, left - c)
-
-    rec([], 0, height)
-    return out

@@ -13,28 +13,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import CartanDatum, RootSum, Weight
+from .cartan import Weight, box, by_height
 from .coordring import CoordElement, CoordRing
 from .enveloping import UAlgebra, UElement
 from .errors import QflagError
 from .linalg import Matrix, Vector
+from .memo import Memo
 from .rmatrix import DrinfeldPairing
 from .scalars import QScalar, exp_t_coefficient
 from .weightmod import WeightModule, braid_on_module, weight_to_root
-
-
-def _grade_box(datum: CartanDatum, cutoff: Weight) -> List[Weight]:
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(cutoff[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda w: (sum(w), w))
 
 
 class DWindow:
@@ -47,8 +34,9 @@ class DWindow:
         self.algebra = ring.algebra
         self.datum = ring.datum
         self.cutoff = tuple(cutoff)
-        self.grades = _grade_box(self.datum, self.cutoff)
+        self.grades = sorted(box(self.cutoff), key=by_height)
         self.grade_set = set(self.grades)
+        self.memo = Memo()
         for g in self.grades:
             ring.module(g)
 
@@ -102,17 +90,9 @@ class DWindow:
         return DOperator(self, self.datum.zero_weight, blocks)
 
     def braid_blocks(self, i: int, inverse: bool = False) -> Dict[Weight, Matrix]:
-        key = ("braid", i, inverse)
-        cache = getattr(self, "_braid_cache", None)
-        if cache is None:
-            cache = {}
-            self._braid_cache = cache
-        hit = cache.get(key)
-        if hit is None:
-            hit = {g: braid_on_module(self.module(g), i, inverse=inverse)
-                   for g in self.grades}
-            cache[key] = hit
-        return hit
+        return self.memo.get(("braid", i, inverse), lambda: {
+            g: braid_on_module(self.module(g), i, inverse=inverse)
+            for g in self.grades})
 
 
 class DOperator:
@@ -306,7 +286,7 @@ def lemma_rl_check(window: DWindow, psi: CoordElement) -> dict:
     # r_psi = sum_p l_{x_p psi} partial_{y_p k_eta} sigma_{-mu}
     rhs = window.op_zero(mu)
     k_eta = alg.k(eta)
-    for beta in _sub_box(psi.gamma):
+    for beta in sorted(box(psi.gamma), key=by_height):
         for x_p, y_p in pairing.inverse_components(beta):
             act = ring.u_action(x_p, psi)
             if act.is_zero():
@@ -326,7 +306,7 @@ def lemma_rl_check(window: DWindow, psi: CoordElement) -> dict:
     betas = sorted({tuple(a - b for a, b in zip(target, psi.gamma))
                     for target in fac.drops
                     if all(a >= b for a, b in zip(target, psi.gamma))},
-                   key=lambda g: (sum(g), g))
+                   key=by_height)
     for beta in betas:
         for x_p, y_p in pairing.inverse_components(beta):
             act = ring.u_action(y_p, psi)
@@ -341,20 +321,6 @@ def lemma_rl_check(window: DWindow, psi: CoordElement) -> dict:
         entry2["counterexample"] = cex2
     results.append(entry2)
     return {"suite": "lemma-rl", "pass": ok and ok2, "results": results}
-
-
-def _sub_box(gamma: RootSum) -> List[RootSum]:
-    out = []
-
-    def rec(prefix, i):
-        if i == len(gamma):
-            out.append(tuple(prefix))
-            return
-        for c in range(gamma[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda g: (sum(g), g))
 
 
 # ---------------------------------------------------------------------------

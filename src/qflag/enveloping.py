@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from itertools import product as iter_product
-from threading import RLock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 if sys.getrecursionlimit() < 40000:
@@ -23,6 +22,7 @@ if sys.getrecursionlimit() < 40000:
 from . import linalg
 from .cartan import CartanDatum, RootSum, Weight, kostant_dim
 from .errors import BorelError, DegreeCapError, ParseError, QflagError
+from .memo import Memo
 from .scalars import QScalar, quantum_factorial
 
 Letter = Tuple[str, object]
@@ -79,7 +79,7 @@ class GradedBasis:
                 f"basis dimension {len(self.free_words)} at degree {self.degree} "
                 f"!= partition count {expected}")
         self.free_pos = {w: i for i, w in enumerate(self.free_words)}
-        self._reduce_cache: Dict[Tuple[int, ...], Dict[Tuple[int, ...], QScalar]] = {}
+        self.memo = Memo()
 
     @property
     def dim(self) -> int:
@@ -87,9 +87,9 @@ class GradedBasis:
 
     def reduce_word(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
         """Coordinates of a raw degree-gamma word in the free-word basis."""
-        hit = self._reduce_cache.get(word)
-        if hit is not None:
-            return hit
+        return self.memo.get(word, lambda: self._reduce(word))
+
+    def _reduce(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
         datum = self.algebra.datum
         vec = {self.word_pos[word]: datum.one()}
         for row, pc in zip(self._echelon, self._pivots):
@@ -105,9 +105,7 @@ class GradedBasis:
                     vec.pop(k, None)
                 else:
                     vec[k] = s
-        out = {self.words[k]: c for k, c in vec.items() if not c.is_zero()}
-        self._reduce_cache[word] = out
-        return out
+        return {self.words[k]: c for k, c in vec.items() if not c.is_zero()}
 
 
 def _words_of_content(gamma: RootSum) -> List[Tuple[int, ...]]:
@@ -328,12 +326,7 @@ class UAlgebra:
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
-        self._lock = RLock()
-        self._nf_cache: Dict[Word, Tuple[Tuple[MonoKey, QScalar], ...]] = {}
-        self._raw_nf_cache: Dict[Word, object] = {}
-        self._bases: Dict[RootSum, GradedBasis] = {}
-        self._serre: Optional[Dict[Tuple[int, int], tuple]] = None
-        self._braid_inv: Dict[Tuple[int, str, int], UElement] = {}
+        self.memo = Memo()
 
     # -- scalar shortcuts ---------------------------------------------------
 
@@ -396,39 +389,34 @@ class UAlgebra:
     # -- Serre data ---------------------------------------------------------
 
     def serre_elements(self) -> Dict[Tuple[int, int], tuple]:
-        with self._lock:
-            if self._serre is not None:
-                return self._serre
-            out = {}
-            rank = self.datum.rank
-            for i in range(rank):
-                for j in range(rank):
-                    if i == j:
-                        continue
-                    m = 1 - self.datum.cartan[i][j]
-                    words = []
-                    coeffs = []
-                    for n in range(m + 1):
-                        w = (i,) * (m - n) + (j,) + (i,) * n
-                        c = (quantum_factorial(m - n, self.datum.d(i), self.datum.l0)
-                             * quantum_factorial(n, self.datum.d(i), self.datum.l0))
-                        coeff = c.inverse()
-                        if n % 2:
-                            coeff = -coeff
-                        words.append(w)
-                        coeffs.append(coeff)
-                    out[(i, j)] = (tuple(words), tuple(coeffs))
-            self._serre = out
-            return out
+        return self.memo.get("serre", self._serre_elements)
+
+    def _serre_elements(self) -> Dict[Tuple[int, int], tuple]:
+        out = {}
+        rank = self.datum.rank
+        for i in range(rank):
+            for j in range(rank):
+                if i == j:
+                    continue
+                m = 1 - self.datum.cartan[i][j]
+                words = []
+                coeffs = []
+                for n in range(m + 1):
+                    w = (i,) * (m - n) + (j,) + (i,) * n
+                    c = (quantum_factorial(m - n, self.datum.d(i), self.datum.l0)
+                         * quantum_factorial(n, self.datum.d(i), self.datum.l0))
+                    coeff = c.inverse()
+                    if n % 2:
+                        coeff = -coeff
+                    words.append(w)
+                    coeffs.append(coeff)
+                out[(i, j)] = (tuple(words), tuple(coeffs))
+        return out
 
     def basis(self, gamma: RootSum) -> GradedBasis:
         gamma = tuple(gamma)
-        with self._lock:
-            b = self._bases.get(gamma)
-            if b is None:
-                b = GradedBasis(self, gamma)
-                self._bases[gamma] = b
-            return b
+        return self.memo.get(("basis", gamma),
+                             lambda: GradedBasis(self, gamma))
 
     def uplus_basis_words(self, gamma: RootSum) -> List[Tuple[int, ...]]:
         return list(self.basis(gamma).free_words)
@@ -476,11 +464,14 @@ class UAlgebra:
                 "(set QFLAG_MAX_HEIGHT or CartanDatum.max_height to raise)")
 
     def _raw_normal(self, word: Word, strategy: str) -> Dict[Tuple, QScalar]:
-        use_cache = strategy == "first"
-        if use_cache:
-            hit = self._raw_nf_cache.get(word)
-            if hit is not None:
-                return hit
+        if strategy == "first":
+            return self.memo.get(("raw_nf", word),
+                                 lambda: self._straighten(word, strategy))
+        return self._straighten(word, strategy)
+
+    def _straighten(self, word: Word, strategy: str) -> Dict[Tuple, QScalar]:
+        """One elementary swap at the first (or last) out-of-order pair,
+        then recursion on the resulting words."""
         datum = self.datum
         pos = None
         rng = range(len(word) - 1)
@@ -538,9 +529,6 @@ class UAlgebra:
                 add_all(self._raw_normal(pre + merged + post, strategy),
                         datum.one())
             res = {k: v for k, v in acc.items() if not v.is_zero()}
-        if use_cache:
-            with self._lock:
-                self._raw_nf_cache[word] = res
         return res
 
     # -- Hopf structure ------------------------------------------------------
@@ -679,11 +667,11 @@ class UAlgebra:
         datum = self.datum
         if kind == "k":
             return self.k(datum.weyl_act((i,), v))
-        key = (i, kind, v if kind != "k" else -1)
-        with self._lock:
-            hit = self._braid_inv.get(key)
-        if hit is not None:
-            return hit
+        return self.memo.get(("braid_inv", i, kind, v),
+                             lambda: self._braid_inverse_solve(i, kind, v))
+
+    def _braid_inverse_solve(self, i: int, kind: str, v: int) -> UElement:
+        datum = self.datum
         target = self.e(v) if kind == "e" else self.f(v)
         if kind == "e" and v == i:
             candidates = [self.k_alpha(i, -1) * self.f(i)]
@@ -704,12 +692,11 @@ class UAlgebra:
         b = [target.terms.get(k, datum.zero()) for k in keys]
         sol = linalg.solve(a, b)
         if sol is None:
-            raise QflagError(f"no braid inverse image for T_{i}^-1 of {letter}")
+            raise QflagError(
+                f"no braid inverse image for T_{i}^-1 of {(kind, v)}")
         out = self.zero()
         for c, cand in zip(sol, candidates):
             out = out + cand.scale(c)
-        with self._lock:
-            self._braid_inv[key] = out
         return out
 
     def braid_on_element(self, i: int, u: UElement,

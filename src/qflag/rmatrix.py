@@ -9,14 +9,14 @@ contributing degrees into exact block matrices.
 
 from __future__ import annotations
 
-from threading import RLock
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import linalg
-from .cartan import RootSum, Weight
+from .cartan import RootSum, by_height
 from .enveloping import UAlgebra, UElement, _content
 from .errors import BorelError, QflagError, TruncationError
 from .linalg import Matrix
+from .memo import Memo
 from .scalars import QScalar
 from .weightmod import WeightModule, tensor, weight_to_root
 
@@ -27,10 +27,7 @@ class DrinfeldPairing:
     def __init__(self, algebra: UAlgebra):
         self.algebra = algebra
         self.datum = algebra.datum
-        self._lock = RLock()
-        self._word_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], QScalar] = {}
-        self._tables: Dict[RootSum, Matrix] = {}
-        self._xi: Dict[RootSum, Matrix] = {}
+        self.memo = Memo()
 
     # -- word-level recursion ----------------------------------------------------
 
@@ -42,11 +39,12 @@ class DrinfeldPairing:
             return datum.zero()
         if not eword:
             return datum.one()
-        key = (eword, fword)
-        with self._lock:
-            hit = self._word_cache.get(key)
-        if hit is not None:
-            return hit
+        return self.memo.get(("word", eword, fword),
+                             lambda: self._pair_words(eword, fword))
+
+    def _pair_words(self, eword: Tuple[int, ...],
+                    fword: Tuple[int, ...]) -> QScalar:
+        datum = self.datum
         i, rest = eword[0], eword[1:]
         out = datum.zero()
         base = (self.algebra.qi(i, -1) - self.algebra.qi(i)).inverse()
@@ -60,8 +58,6 @@ class DrinfeldPairing:
                 scal = datum.q_pair(datum.root_to_weight(gamma), datum.alpha(i))
             sub = self.pair_words(rest, pre + fword[t + 1:])
             out = out + scal * base * sub
-        with self._lock:
-            self._word_cache[key] = out
         return out
 
     def pair(self, x: UElement, y: UElement) -> QScalar:
@@ -85,36 +81,27 @@ class DrinfeldPairing:
 
     def table(self, beta: RootSum) -> Matrix:
         beta = tuple(beta)
-        with self._lock:
-            hit = self._tables.get(beta)
-        if hit is not None:
-            return hit
+        return self.memo.get(("table", beta), lambda: self._table(beta))
+
+    def _table(self, beta: RootSum) -> Matrix:
         words = self.algebra.basis(beta).free_words
-        mat = [[self.pair_words(ew, fw) for fw in words] for ew in words]
-        with self._lock:
-            self._tables[beta] = mat
-        return mat
+        return [[self.pair_words(ew, fw) for fw in words] for ew in words]
 
     def xi_coefficients(self, beta: RootSum) -> Matrix:
         """Coefficient matrix C of Xi_beta = sum C[a][b] x_a (x) y_b, the
         inverse transpose of the pairing table."""
         beta = tuple(beta)
-        with self._lock:
-            hit = self._xi.get(beta)
-        if hit is not None:
-            return hit
+        return self.memo.get(("xi", beta), lambda: self._xi(beta))
+
+    def _xi(self, beta: RootSum) -> Matrix:
         mat = self.table(beta)
         if not mat:
-            out: Matrix = []
-        else:
-            try:
-                out = linalg.transpose(linalg.inverse(mat))
-            except ArithmeticError as exc:
-                raise QflagError(
-                    f"pairing matrix singular at degree {beta}") from exc
-        with self._lock:
-            self._xi[beta] = out
-        return out
+            return []
+        try:
+            return linalg.transpose(linalg.inverse(mat))
+        except ArithmeticError as exc:
+            raise QflagError(
+                f"pairing matrix singular at degree {beta}") from exc
 
     def xi_element(self, beta: RootSum) -> List[Tuple[UElement, UElement, QScalar]]:
         """Xi_beta as a list of (x_a, y_b, coefficient) triples."""
@@ -156,7 +143,7 @@ def contributing_degrees(datum, m1: WeightModule, m2: WeightModule) -> List[Root
             g = weight_to_root(datum, datum.weight_sub(w2, w1))
             if g is not None and all(c >= 0 for c in g):
                 out.add(g)
-    return sorted(out, key=lambda g: (sum(g), g))
+    return sorted(out, key=by_height)
 
 
 class ROperator:

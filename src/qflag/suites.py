@@ -9,7 +9,8 @@ from typing import Callable, Dict, List
 
 from . import linalg
 from .bimodule import EBimodule, key_lemma_characters
-from .cartan import CartanDatum, kostant_dim, verma_character, weyl_character
+from .cartan import (CartanDatum, box, by_height, kostant_dim,
+                     verma_character, weyl_character)
 from .center import (annihilator_check, center_solve,
                      commutes_with_generators, partial_z_is_sigma_zeta,
                      zeta_separation_scan)
@@ -19,6 +20,7 @@ from .diffops import (DWindow, extremal_transport_check, lemma_rl_check,
                       relations_check, z_w_check)
 from .enveloping import UAlgebra
 from .errors import QflagError
+from .memo import Memo
 from .rmatrix import DrinfeldPairing, hexagon_check, r_operator
 from .thetarep import theta_build, theta_faithfulness_probe
 from .weightmod import (WeightModule, braid_on_module, braid_word,
@@ -26,21 +28,22 @@ from .weightmod import (WeightModule, braid_on_module, braid_word,
                         restricted_dual, simple, tensor, verma)
 
 
-_CTX_CACHE: Dict[tuple, tuple] = {}
+# Process-wide on purpose: suites run against the same datum share one
+# algebra, ring and pairing, and so their memos (normal forms, bases,
+# pairing tables, the center solve that `annihilator` and `center` both
+# use).  Results are deterministic either way.
+_CONTEXTS = Memo()
 
 
 def _ctx(config: RunConfig):
-    """Construction caches (normal forms, bases, pairings) are shared
-    between suites run against the same datum; results are deterministic
-    either way, this only avoids rebuilding the memo tables."""
-    key = (config.type, config.cartan_matrix, config.max_height)
-    hit = _CTX_CACHE.get(key)
-    if hit is None:
-        datum = config.datum()
-        alg = UAlgebra(datum)
-        hit = (datum, alg, CoordRing(alg), DrinfeldPairing(alg))
-        _CTX_CACHE[key] = hit
-    return hit
+    return _CONTEXTS.get((config.type, config.cartan_matrix,
+                          config.max_height), lambda: _new_ctx(config))
+
+
+def _new_ctx(config: RunConfig):
+    datum = config.datum()
+    alg = UAlgebra(datum)
+    return (datum, alg, CoordRing(alg), DrinfeldPairing(alg))
 
 
 def _report(suite: str, config: RunConfig, results: List[dict]) -> dict:
@@ -71,19 +74,10 @@ def suite_weyl_character(config: RunConfig) -> dict:
 
 def _dominant_weights(datum: CartanDatum, bound: int):
     if datum.rank == 1:
-        return [(n,) for n in range(bound + 1)]
-    out = []
-
-    def rec(prefix, i, left):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], i + 1, left - c)
-
-    rec([], 0, min(bound, 3))
-    return sorted((w for w in out if _constructible(datum, w)),
-                  key=lambda w: (sum(w), w))
+        return box((bound,))
+    ht = min(bound, 3)
+    return sorted((w for w in box((ht,) * datum.rank, height=ht)
+                   if _constructible(datum, w)), key=by_height)
 
 
 def _constructible(datum: CartanDatum, lam) -> bool:
@@ -100,7 +94,8 @@ def suite_pbw(config: RunConfig) -> dict:
     datum, alg, _ring, _p = _ctx(config)
     max_ht = {"A1": 6, "A2": 6, "B2": 5, "G2": 4}.get(config.type, 4)
     results = []
-    for gamma in _degrees(datum, max_ht):
+    for gamma in sorted(box((max_ht,) * datum.rank, height=max_ht),
+                        key=by_height):
         dim = alg.basis(gamma).dim
         expected = kostant_dim(datum, gamma)
         results.append({
@@ -108,20 +103,6 @@ def suite_pbw(config: RunConfig) -> dict:
             "pass": dim == expected,
             "dim": dim, "partition_count": expected})
     return _report("pbw", config, results)
-
-
-def _degrees(datum: CartanDatum, ht: int):
-    out = []
-
-    def rec(prefix, i, left):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], i + 1, left - c)
-
-    rec([], 0, ht)
-    return sorted(out, key=lambda g: (sum(g), g))
 
 
 def suite_presentation(config: RunConfig) -> dict:
@@ -147,7 +128,8 @@ def suite_rmatrix(config: RunConfig) -> dict:
     datum, alg, ring, pairing = _ctx(config)
     results = []
     max_ht = 4
-    for beta in _degrees(datum, max_ht):
+    for beta in sorted(box((max_ht,) * datum.rank, height=max_ht),
+                        key=by_height):
         if not any(beta):
             continue
         mat = pairing.table(beta)
@@ -320,7 +302,7 @@ def suite_coord(config: RunConfig) -> dict:
     rng = random.Random(config.seed)
     results = []
     cutoff = config.cutoff or ((3,) if datum.rank == 1 else (1,) * datum.rank)
-    grades = [g for g in _grade_box(datum, cutoff) if any(g)]
+    grades = [g for g in sorted(box(cutoff), key=by_height) if any(g)]
     # associativity on basis triples within the window
     ok = True
     cex = None
@@ -390,7 +372,7 @@ def suite_coord(config: RunConfig) -> dict:
                     "pass": ok, "trials": 20, "seed": config.seed})
     # covering rank: sum_w A(lam) c^w_mu = A(lam+mu)
     mu = datum.fundamental(0)
-    lam_opts = [w for w in _grade_box(datum, cutoff)
+    lam_opts = [w for w in sorted(box(cutoff), key=by_height)
                 if any(w) and all(a + b <= c for a, b, c
                                   in zip(w, mu, cutoff))]
     found = None
@@ -420,20 +402,6 @@ def suite_coord(config: RunConfig) -> dict:
                     "pass": found is not None,
                     "threshold": datum.weight_str(found) if found else None})
     return _report("coord", config, results)
-
-
-def _grade_box(datum: CartanDatum, cutoff):
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(cutoff[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda w: (sum(w), w))
 
 
 def suite_ore(config: RunConfig) -> dict:
@@ -575,7 +543,7 @@ def suite_center(config: RunConfig) -> dict:
         results.append({"instance": f"z{idx} partial_z = sigma.zeta(z)",
                         "pass": partial_z_is_sigma_zeta(window, zc)})
     lams = [(n,) for n in range(-3, 4)] if datum.rank == 1 else \
-        [w for w in _signed_box(datum, 1)]
+        box((1,) * datum.rank, lo=(-1,) * datum.rank)
     if nontrivial:
         scan = zeta_separation_scan(alg, centers, lams)
         results.append({"instance": "central character linkage scan",
@@ -585,20 +553,6 @@ def suite_center(config: RunConfig) -> dict:
                         "pass": True,
                         "note": "skipped: no separating family in window"})
     return _report("center", config, results)
-
-
-def _signed_box(datum: CartanDatum, bound: int):
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(-bound, bound + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return out
 
 
 def suite_annihilator(config: RunConfig) -> dict:

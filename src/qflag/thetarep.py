@@ -14,11 +14,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import RootSum, Weight, kostant_dim
+from .cartan import RootSum, Weight, box, by_height, kostant_dim
 from .coordring import CoordElement, CoordRing
 from .enveloping import UAlgebra, _content
 from .errors import QflagError
 from .linalg import Matrix, Vector
+from .memo import Memo
 from .rmatrix import DrinfeldPairing
 from .scalars import QScalar
 
@@ -30,8 +31,8 @@ class UPlusTruncation:
         self.algebra = algebra
         self.datum = algebra.datum
         self.depth_ht = depth_ht
-        self.degrees: List[RootSum] = [
-            g for g in _degrees_up_to(self.datum.rank, depth_ht)]
+        self.degrees: List[RootSum] = sorted(
+            box((depth_ht,) * self.datum.rank, height=depth_ht), key=by_height)
         self.words: Dict[RootSum, List[Tuple[int, ...]]] = {
             g: algebra.basis(g).free_words for g in self.degrees}
         self.offsets: Dict[RootSum, int] = {}
@@ -53,20 +54,6 @@ class UPlusTruncation:
         pos = {w: i for i, w in enumerate(self.words[gamma])}
         for w, c in coords.items():
             mat[off + pos[w]][col] = mat[off + pos[w]][col] + c
-
-
-def _degrees_up_to(rank: int, ht: int) -> List[RootSum]:
-    out = []
-
-    def rec(prefix, i, left):
-        if i == rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], i + 1, left - c)
-
-    rec([], 0, ht)
-    return sorted(out, key=lambda g: (sum(g), g))
 
 
 class ThetaFormula:
@@ -209,8 +196,7 @@ class ThetaDirect:
         self.datum = ring.datum
         self.probe = tuple(probe)
         self.level = self._stabilize(max_level)
-        self._gram_inv: Dict[RootSum, Matrix] = {}
-        self._ore: Dict[int, tuple] = {}
+        self.memo = Memo()
 
     def _stabilize(self, max_level: int) -> Weight:
         datum = self.datum
@@ -266,20 +252,16 @@ class ThetaDirect:
         return (mu, res.scale(c))
 
     def _ore_data(self, i: int):
-        hit = self._ore.get(i)
-        if hit is not None or i in self._ore:
-            return hit
-        datum = self.datum
+        return self.memo.get(("ore", i), lambda: self._ore_witness(i))
+
+    def _ore_witness(self, i: int):
         mu = self.level
         c_mu = self.ring.extremal((), mu)
         f_c = self.ring.u_action(self.ring.algebra.f(i), c_mu)
         if f_c.is_zero():
-            out = None
-        else:
-            t, chi = self.ring.ore_witness(f_c, (), mu, side="left")
-            out = (t.grade, chi)
-        self._ore[i] = out
-        return out
+            return None
+        t, chi = self.ring.ore_witness(f_c, (), mu, side="left")
+        return (t.grade, chi)
 
     def act_f(self, i: int, frac) -> Tuple[Weight, CoordElement]:
         """partial_{f_i}(c_mu^{-1} psi) = c_mu^{-1}(f_i psi)
@@ -304,12 +286,8 @@ class ThetaDirect:
 
     def gram_inverse(self, gamma: RootSum) -> Matrix:
         gamma = tuple(gamma)
-        hit = self._gram_inv.get(gamma)
-        if hit is None:
-            rows = [self.functional_vector(fr) for fr in self.model_basis(gamma)]
-            hit = linalg.inverse(rows)
-            self._gram_inv[gamma] = hit
-        return hit
+        return self.memo.get(("gram_inv", gamma), lambda: linalg.inverse(
+            [self.functional_vector(fr) for fr in self.model_basis(gamma)]))
 
     def theta(self, kind: str, arg) -> Matrix:
         """The transpose matrix on the full plus-part truncation, computed

@@ -11,14 +11,15 @@ lets relation checks restrict themselves to the exact region.
 from __future__ import annotations
 
 from fractions import Fraction
-from threading import RLock
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import CartanDatum, CharacterPoly, RootSum, Weight, weyl_character
+from .cartan import (CartanDatum, CharacterPoly, RootSum, Weight, box,
+                     by_height, weyl_character)
 from .enveloping import UAlgebra, UElement, _content
 from .errors import DominanceError, QflagError, SideMismatchError, TruncationError
 from .linalg import Matrix, Vector
+from .memo import Memo
 from .scalars import QScalar, exp_t_coefficient
 
 
@@ -46,6 +47,7 @@ class WeightModule:
         self.distinguished = distinguished or {}
         self.name = name
         self._weight_set = set(self.index_weights)
+        self.memo = Memo()
 
     # -- basic structure ---------------------------------------------------
 
@@ -166,27 +168,13 @@ class WeightModule:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _drop_candidates(datum: CartanDatum, depth: RootSum) -> List[RootSum]:
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(depth[i] + 1):
-            rec(prefix + [c], i + 1)
-
-    rec([], 0)
-    return sorted(out, key=lambda g: (sum(g), g))
-
-
 def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
           side: str = "left") -> WeightModule:
     """Verma module truncated to weight drops gamma <= depth componentwise."""
     datum = algebra.datum
     lam = tuple(lam)
     depth = tuple(depth)
-    drops = _drop_candidates(datum, depth)
+    drops = sorted(box(depth), key=by_height)
     index_weights: List[Weight] = []
     labels: List[str] = []
     slots: Dict[Tuple[RootSum, Tuple[int, ...]], int] = {}
@@ -298,19 +286,17 @@ class SimpleFactory:
             g = weight_to_root(datum, datum.weight_sub(lam, w))
             assert g is not None and all(c >= 0 for c in g)
             self.drops[g] = self.char.terms[w]
-        self._lock = RLock()
-        self._slices: Dict[RootSum, dict] = {}
-        self._steps: Dict[tuple, Optional[Matrix]] = {}
+        self.memo = Memo()
 
     def _free_estep(self, gamma: RootSum, i: int) -> Matrix:
         """Raising action on the free (pre-quotient) drop-gamma space, with
         the torus tail evaluated at the highest weight.  Single-letter
         straightening only, so this stays cheap at large drops."""
-        key = ("free-e", tuple(gamma), i)
-        with self._lock:
-            hit = self._steps.get(key)
-        if hit is not None:
-            return hit
+        gamma = tuple(gamma)
+        return self.memo.get(("free-e", gamma, i),
+                             lambda: self._free_estep_matrix(gamma, i))
+
+    def _free_estep_matrix(self, gamma: RootSum, i: int) -> Matrix:
         alg, datum, lam = self.algebra, self.datum, self.lam
         src = alg.basis(gamma).free_words
         gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
@@ -324,20 +310,17 @@ class SimpleFactory:
                     continue
                 out[tgt[fw]][col] = out[tgt[fw]][col] + \
                     c * datum.q_pair(lam, nu)
-        with self._lock:
-            self._steps[key] = out
         return out
 
     def slice(self, gamma: RootSum) -> Optional[dict]:
         """Class data of the weight space at drop gamma, or None if zero.
-        Memoized under a lock so concurrent readers see one table."""
+        Memoized, so concurrent readers see one table."""
         gamma = tuple(gamma)
         if gamma not in self.drops:
             return None
-        with self._lock:
-            hit = self._slices.get(gamma)
-        if hit is not None:
-            return hit
+        return self.memo.get(("slice", gamma), lambda: self._slice(gamma))
+
+    def _slice(self, gamma: RootSum) -> dict:
         alg, datum, lam = self.algebra, self.datum, self.lam
         basis = alg.basis(gamma)
         words = basis.free_words
@@ -363,15 +346,12 @@ class SimpleFactory:
         # class coordinates of the b-th basis word = column b of the echelon
         reduce_cols = [[ech[r][b] for r in range(len(pivots))]
                        for b in range(m)]
-        data = {
+        return {
             "gamma": gamma,
             "words": words,
             "pivots": pivots,          # representative word positions
             "reduce_cols": reduce_cols,
         }
-        with self._lock:
-            self._slices[gamma] = data
-        return data
 
     def reduce_uminus(self, gamma: RootSum,
                       coords: Dict[Tuple[int, ...], QScalar]) -> Optional[Vector]:
@@ -396,10 +376,9 @@ class SimpleFactory:
     def f_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         """Matrix of f_i from the drop-gamma slice to drop gamma+alpha_i."""
         gamma = tuple(gamma)
-        key = ("f", gamma, i)
-        with self._lock:
-            if key in self._steps:
-                return self._steps[key]
+        return self.memo.get(("f", gamma, i), lambda: self._f_step(gamma, i))
+
+    def _f_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         datum, alg = self.datum, self.algebra
         src = self.slice(gamma)
         gp = tuple(a + b for a, b in zip(gamma, datum.alpha_root(i)))
@@ -411,17 +390,14 @@ class SimpleFactory:
                 red = alg.basis(gp).reduce_word((i,) + wrep)
                 cols.append(self.reduce_uminus(gp, red))
             out = linalg.from_columns(cols, datum.l0)
-        with self._lock:
-            self._steps[key] = out
         return out
 
     def e_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         """Matrix of e_i from the drop-gamma slice to drop gamma-alpha_i."""
         gamma = tuple(gamma)
-        key = ("e", gamma, i)
-        with self._lock:
-            if key in self._steps:
-                return self._steps[key]
+        return self.memo.get(("e", gamma, i), lambda: self._e_step(gamma, i))
+
+    def _e_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         datum, alg = self.datum, self.algebra
         src = self.slice(gamma)
         gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
@@ -440,8 +416,6 @@ class SimpleFactory:
                     acc[fw] = v if s is None else s + v
                 cols.append(self.reduce_uminus(gm, acc))
             out = linalg.from_columns(cols, datum.l0)
-        with self._lock:
-            self._steps[key] = out
         return out
 
     def apply_eword(self, gamma: RootSum, vec: Vector,
@@ -474,7 +448,7 @@ class SimpleFactory:
         cap = self.full_depth_ht if max_drop_ht is None else min(
             max_drop_ht, self.full_depth_ht)
         drops = sorted((g for g in self.drops if sum(g) <= cap),
-                       key=lambda g: (sum(g), g))
+                       key=by_height)
         full = cap >= self.full_depth_ht
         index_weights: List[Weight] = []
         labels: List[str] = []
@@ -632,13 +606,11 @@ def braid_on_module(mod: WeightModule, i: int,
     if mod.side != "left":
         raise SideMismatchError("braid_on_module acts on left modules; use "
                                 "transpose_braid for right modules")
-    cache = getattr(mod, "_braid_cache", None)
-    if cache is None:
-        cache = {}
-        mod._braid_cache = cache
-    hit = cache.get((i, inverse))
-    if hit is not None:
-        return hit
+    return mod.memo.get(("braid", i, inverse),
+                        lambda: _braid_operator(mod, i, inverse))
+
+
+def _braid_operator(mod: WeightModule, i: int, inverse: bool) -> Matrix:
     alg = mod.algebra
     datum = mod.datum
     di = datum.d(i)
@@ -664,9 +636,7 @@ def braid_on_module(mod: WeightModule, i: int,
                 _exp_matrix(mod, -(ki * e_i).scale(qi.inverse()), -di), h)))
     if not linalg.mat_eq(form1, form2):
         raise QflagError("the two triple-exponential forms of T_i disagree")
-    out = linalg.inverse(form1) if inverse else form1
-    cache[(i, inverse)] = out
-    return out
+    return linalg.inverse(form1) if inverse else form1
 
 
 def braid_word(mod: WeightModule, word: Sequence[int],

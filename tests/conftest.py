@@ -1,9 +1,23 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import qflag
 from qflag.cartan import preset
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
 from qflag.rmatrix import DrinfeldPairing
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_qflag():
+    """Child processes (`python -m qflag ...`) import the qflag under test,
+    also when only pytest's `pythonpath` setting put it on the path."""
+    src = str(Path(qflag.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

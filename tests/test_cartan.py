@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qflag.cartan import CharacterPoly, kostant_dim, preset, verma_character, \
-    weyl_character
+from qflag.cartan import CharacterPoly, box, by_height, kostant_dim, preset, \
+    verma_character, weyl_character
 from qflag.errors import DominanceError, ParseError
 
 
@@ -117,3 +117,27 @@ def test_character_arithmetic(a1):
     e2 = CharacterPoly.monomial(a1, (2,))
     assert (e0 + e2) * e2 == CharacterPoly(a1, {(2,): 1, (4,): 1})
     assert (e2 - e2).terms == {}
+
+
+def _nested_loops(hi, lo):
+    points = [()]
+    for a, b in zip(lo, hi):
+        points = [p + (c,) for p in points for c in range(a, b + 1)]
+    return points
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_box_matches_nested_loops(rank):
+    hi = (3, 2, 1)[:rank]
+    for lo in [None, (0, 0, 0)[:rank], (-1, 1, -2)[:rank], (4, 0, 0)[:rank]]:
+        for height in [None, -1, 0, 2, 5]:
+            expected = [g for g in _nested_loops(hi, lo or (0,) * rank)
+                        if height is None or sum(g) <= height]
+            assert box(hi, lo=lo, height=height) == expected
+
+
+def test_by_height_orders_by_sum_then_lexicographically():
+    points = box((2, 2))
+    assert sorted(points, key=by_height) == [
+        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
+        (2, 2)]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qflag
 from qflag.cli import main
 
@@ -143,6 +145,13 @@ def test_max_height_env(monkeypatch):
     assert preset("A1").max_height == 3
     monkeypatch.delenv("QFLAG_MAX_HEIGHT")
     assert preset("A1").max_height == 8
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3"])
+def test_max_height_env_rejects_bad_values(monkeypatch, capsys, raw):
+    monkeypatch.setenv("QFLAG_MAX_HEIGHT", raw)
+    assert main(["cartan", "--type", "A1"]) == 2
+    assert "QFLAG_MAX_HEIGHT" in capsys.readouterr().err
 
 
 def test_text_output_mode(capsys):

@@ -228,6 +228,8 @@ def test_pairing_tables_concurrent(alg2):
     assert {k: len(v) for k, v in by_kind.items()} == {"xi": 4, "table": 4}
     for values in by_kind.values():
         assert all(la.mat_eq(v, values[0]) for v in values)
+        # the first stored value wins: every thread gets that one object
+        assert all(v is values[0] for v in values)
     # a race that caches a wrong matrix must not agree with a cold
     # single-threaded computation
     fresh = DrinfeldPairing(alg2)
