@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -83,10 +84,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    _pretty(payload)
+    try:
+        if as_json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            _pretty(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``qflag ... | head``): drop the rest of the
+        # output, also at interpreter exit, and keep the command's status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _pretty(payload: dict, indent: int = 0) -> None:

@@ -2,7 +2,8 @@
 
 Matrices are lists of lists of QScalar.  Everything works by fraction
 arithmetic; there is no pivoting heuristic beyond "first nonzero", which
-keeps results deterministic.
+keeps results deterministic.  Elimination skips zero cells, which is most
+of them in the sparse systems qflag solves.
 """
 
 from __future__ import annotations
@@ -130,31 +131,42 @@ def first_mismatch(a: Matrix, b: Matrix) -> Optional[Tuple[int, int, QScalar, QS
 
 
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form (copy); returns (echelon, pivot columns)."""
+    """Reduced row echelon form (copy); returns (echelon, pivot columns).
+
+    The pivot row is scaled once, and every other row is updated in place
+    on the pivot row's nonzero columns only: a zero cell costs nothing."""
     if not rows:
         return [], []
     mat = [list(r) for r in rows]
-    ncols = len(mat[0])
+    nrows, ncols = len(mat), len(mat[0])
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if not mat[i][c].is_zero()),
+                  None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        # left of c the pivot row is zero: earlier columns are pivots
+        # cleared by elimination or have no nonzero entry at row r or below
+        nz = [j for j in range(c + 1, ncols) if not prow[j].is_zero()]
+        inv = prow[c].inverse()
+        for j in nz:
+            prow[j] = prow[j] * inv
+        prow[c] = QScalar.one(inv.l0)
+        zero = QScalar.zero(inv.l0)
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i == r or f.is_zero():
+                continue
+            f = -f
+            for j in nz:
+                row[j] = row[j] + f * prow[j]
+            row[c] = zero
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
     return mat[:r], pivots
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ParseError, ScalarDivisionError, ScalarMixError
 
@@ -88,30 +88,6 @@ def lp_shift(a: Lp, s: int) -> Lp:
     return {e + s: c for e, c in a.items()}
 
 
-def _lp_divmod_poly(a: Lp, b: Lp) -> Tuple[Lp, Lp]:
-    """Polynomial division with Fraction arithmetic; inputs must have
-    nonnegative exponents and b nonzero."""
-    rem: Dict[int, Fraction] = {e: Fraction(c) for e, c in a.items()}
-    quo: Dict[int, Fraction] = {}
-    db = max(b)
-    lb = Fraction(b[db])
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        coeff = rem[dr] / lb
-        quo[dr - db] = quo.get(dr - db, Fraction(0)) + coeff
-        for e, c in b.items():
-            k = dr - db + e
-            v = rem.get(k, Fraction(0)) - coeff * c
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return ({e: c for e, c in quo.items() if c},
-            {e: c for e, c in rem.items() if c})
-
-
 def _lp_primitive(a: Lp) -> Lp:
     """Divide out integer content and normalize lowest exponent to 0."""
     if not a:
@@ -121,50 +97,125 @@ def _lp_primitive(a: Lp) -> Lp:
     return {e - m: c // g for e, c in a.items()}
 
 
-def lp_gcd(a: Lp, b: Lp) -> Lp:
-    """Monic-free gcd of Laurent polynomials: a primitive ordinary
-    polynomial with constant term, positive lowest coefficient."""
-    if not a:
-        return _lp_positive_lowest(_lp_primitive(b))
-    if not b:
-        return _lp_positive_lowest(_lp_primitive(a))
-    x = _lp_primitive(a)
-    y = _lp_primitive(b)
-    while y:
-        _, r = _lp_divmod_poly(x, y)
-        # clear Fraction denominators back to integers
-        if r:
-            den = 1
-            for c in r.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            ri: Lp = {e: int(c * den) for e, c in r.items()}
-            ri = _lp_primitive(ri)
-        else:
-            ri = {}
-        x, y = y, ri
-    return _lp_positive_lowest(x)
-
-
 def _lp_positive_lowest(a: Lp) -> Lp:
     if a and a[lp_min_exp(a)] < 0:
         return lp_neg(a)
     return a
 
 
+# Dense integer kernel.  Both Laurent polynomials are shifted so that their
+# lowest exponent is 0 and written as coefficient lists, lowest degree
+# first, in the variable q^(step/l0), where ``step`` is the gcd of all
+# shifted exponents of both inputs (t -> t^step commutes with division and
+# with gcd, so nothing is lost).
+
+def _dense(a: Lp, lo: int, step: int) -> List[int]:
+    out = [0] * ((max(a) - lo) // step + 1)
+    for e, c in a.items():
+        out[(e - lo) // step] = c
+    return out
+
+
+def _step(a: Lp, ma: int, b: Lp, mb: int) -> int:
+    """gcd of the exponents of a and b above their lowest; 0 when both are
+    monomials."""
+    return gcd(*[e - ma for e in a], *[e - mb for e in b])
+
+
+def _dense_primitive(p: List[int]) -> List[int]:
+    """Primitive part with the zero low coefficients dropped (a power of q
+    is a unit of the Laurent ring)."""
+    lo = 0
+    while not p[lo]:
+        lo += 1
+    g = 0
+    for c in p:
+        g = gcd(g, c)
+        if g == 1:
+            return p[lo:] if lo else p
+    return [c // g for c in p[lo:]]
+
+
+def _dense_prem(x: List[int], y: List[int]) -> List[int]:
+    """A nonzero integer multiple of the remainder of x by y (deg x >= deg
+    y), top zeros stripped.  Each step cancels the top term of x with the
+    smallest integer multiples that do it."""
+    r = list(x)
+    m = len(y) - 1
+    lc = y[m]
+    for i in range(len(r) - 1, m - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(c, lc)
+        a, b = lc // g, c // g  # r := a*r - b*y*q^(i-m)
+        if a != 1:
+            for j in range(i):
+                r[j] *= a
+        s = i - m
+        for j in range(m):
+            r[s + j] -= b * y[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def lp_gcd(a: Lp, b: Lp) -> Lp:
+    """Monic-free gcd of Laurent polynomials: a primitive ordinary
+    polynomial with constant term, positive lowest coefficient.  Computed
+    by the primitive polynomial remainder sequence over Z (Collins 1967,
+    Brown 1971): integer pseudo-remainders, each reduced to its primitive
+    part."""
+    if not a or not b:
+        return _lp_positive_lowest(_lp_primitive(a or b))
+    ma, mb = lp_min_exp(a), lp_min_exp(b)
+    step = _step(a, ma, b, mb)
+    if not step:
+        return {0: 1}
+    x = _dense_primitive(_dense(a, ma, step))
+    y = _dense_primitive(_dense(b, mb, step))
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _dense_prem(x, y)
+        if not r:
+            break
+        x, y = y, _dense_primitive(r)
+    if len(y) == 1:
+        return {0: 1}
+    sign = -1 if y[0] < 0 else 1
+    return {k * step: sign * c for k, c in enumerate(y) if c}
+
+
 def lp_exact_div(a: Lp, b: Lp) -> Lp:
-    """Exact division a/b; raises if not exact (internal use)."""
+    """Exact division a/b over Z[q^(+-1/l0)] by integer long division;
+    raises ArithmeticError if b does not divide a there, also when the
+    quotient exists over Q but not over Z (internal use)."""
+    if not b:
+        raise ZeroDivisionError("Laurent division by zero")
     if not a:
         return {}
     ma, mb = lp_min_exp(a), lp_min_exp(b)
-    q, r = _lp_divmod_poly(lp_shift(a, -ma), lp_shift(b, -mb))
-    if r:
-        raise ArithmeticError("inexact Laurent division")
-    out: Lp = {}
-    for e, c in q.items():
-        if c.denominator != 1:
+    step = _step(a, ma, b, mb) or 1
+    r = _dense(a, ma, step)
+    y = _dense(b, mb, step)
+    m = len(y) - 1
+    lc = y[m]
+    quo: Lp = {}
+    for i in range(len(r) - 1, m - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        k, rem = divmod(c, lc)
+        if rem:
             raise ArithmeticError("inexact Laurent division")
-        out[e + ma - mb] = int(c)
-    return out
+        quo[ma - mb + (i - m) * step] = k
+        s = i - m
+        for j in range(m):
+            r[s + j] -= k * y[j]
+    if any(r[:m]):
+        raise ArithmeticError("inexact Laurent division")
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +285,14 @@ class QScalar:
 
     def __add__(self, other: "QScalar") -> "QScalar":
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
+            if self.den == {0: 1}:  # a sum of polynomials is canonical
+                return QScalar(lp_add(self.num, other.num), {0: 1}, self.l0,
+                               _canonical=True)
             return QScalar(lp_add(self.num, other.num), dict(self.den), self.l0)
         num = lp_add(lp_mul(self.num, other.den), lp_mul(other.num, self.den))
         return QScalar(num, lp_mul(self.den, other.den), self.l0)
@@ -247,25 +305,34 @@ class QScalar:
 
     def __mul__(self, other: "QScalar") -> "QScalar":
         self._check(other)
-        if not self.num or not other.num:
-            return QScalar.zero(self.l0)
+        if not self.num:
+            return self
+        if not other.num:
+            return other
         if self.is_polynomial() and other.is_polynomial():
             return QScalar(lp_mul(self.num, other.num), {0: 1}, self.l0,
                            _canonical=True)
-        return QScalar(lp_mul(self.num, other.num),
-                       lp_mul(self.den, other.den), self.l0)
+        # for coprime pairs gcd(a*c, b*d) = gcd(a, d) * gcd(c, b)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return QScalar(*_normalize(lp_mul(a, c), lp_mul(b, d)), self.l0,
+                       _canonical=True)
 
     def inverse(self) -> "QScalar":
         if not self.num:
             raise ScalarDivisionError("inverting zero")
-        return QScalar(dict(self.den), dict(self.num), self.l0)
+        # num and den stay coprime: only units need normalizing
+        return QScalar(*_normalize(self.den, self.num), self.l0,
+                       _canonical=True)
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         self._check(other)
         if not other.num:
             raise ScalarDivisionError("division by zero")
-        return QScalar(lp_mul(self.num, other.den),
-                       lp_mul(self.den, other.num), self.l0)
+        a, c = _cancel(self.num, other.num)
+        d, b = _cancel(other.den, self.den)
+        return QScalar(*_normalize(lp_mul(a, d), lp_mul(b, c)), self.l0,
+                       _canonical=True)
 
     def __pow__(self, n: int) -> "QScalar":
         if n < 0:
@@ -281,8 +348,11 @@ class QScalar:
 
     def bar(self) -> "QScalar":
         """The field automorphism q -> q**-1."""
-        return QScalar({-e: c for e, c in self.num.items()},
-                       {-e: c for e, c in self.den.items()}, self.l0)
+        # an automorphism keeps num and den coprime: only units need
+        # normalizing
+        return QScalar(*_normalize({-e: c for e, c in self.num.items()},
+                                   {-e: c for e, c in self.den.items()}),
+                       self.l0, _canonical=True)
 
     # -- comparison ----------------------------------------------------------
 
@@ -320,12 +390,24 @@ class QScalar:
 
 
 def _canonicalize(num: Lp, den: Lp) -> Tuple[Lp, Lp]:
+    return _normalize(*_cancel(num, den))
+
+
+def _cancel(x: Lp, y: Lp) -> Tuple[Lp, Lp]:
+    """x and y divided by their polynomial gcd."""
+    # a monomial c*q^k has no nonconstant factor: its gcd with anything is 1
+    if len(x) > 1 and len(y) > 1:
+        g = lp_gcd(x, y)
+        if g != {0: 1}:
+            return lp_exact_div(x, g), lp_exact_div(y, g)
+    return x, y
+
+
+def _normalize(num: Lp, den: Lp) -> Tuple[Lp, Lp]:
+    """Normalize the units of a coprime pair: lowest exponent of den 0,
+    coprime integer contents, lowest coefficient of den positive."""
     if not num:
         return {}, {0: 1}
-    g = lp_gcd(num, den)
-    if g != {0: 1}:
-        num = lp_exact_div(num, g)
-        den = lp_exact_div(den, g)
     # exponent normalization: pull q-power out of den so its lowest exp is 0
     md = lp_min_exp(den)
     if md:

@@ -600,17 +600,20 @@ def braid_on_module(mod: WeightModule, i: int,
                     inverse: bool = False) -> Matrix:
     """The braid operator T_i on a finite-dimensional exact module; both
     triple-exponential forms are computed and must agree.  Memoized on the
-    module (the exponentials dominate everything else at larger ranks)."""
+    module (the exponentials dominate everything else at larger ranks);
+    the inverse is the matrix inverse of the memoized forward operator."""
     if not mod.exact:
         raise TruncationError("braid operators require an exact module")
     if mod.side != "left":
         raise SideMismatchError("braid_on_module acts on left modules; use "
                                 "transpose_braid for right modules")
-    return mod.memo.get(("braid", i, inverse),
-                        lambda: _braid_operator(mod, i, inverse))
+    if inverse:
+        return mod.memo.get(("braid", i, True), lambda: linalg.inverse(
+            braid_on_module(mod, i)))
+    return mod.memo.get(("braid", i, False), lambda: _braid_operator(mod, i))
 
 
-def _braid_operator(mod: WeightModule, i: int, inverse: bool) -> Matrix:
+def _braid_operator(mod: WeightModule, i: int) -> Matrix:
     alg = mod.algebra
     datum = mod.datum
     di = datum.d(i)
@@ -636,7 +639,7 @@ def _braid_operator(mod: WeightModule, i: int, inverse: bool) -> Matrix:
                 _exp_matrix(mod, -(ki * e_i).scale(qi.inverse()), -di), h)))
     if not linalg.mat_eq(form1, form2):
         raise QflagError("the two triple-exponential forms of T_i disagree")
-    return linalg.inverse(form1) if inverse else form1
+    return form1
 
 
 def braid_word(mod: WeightModule, word: Sequence[int],
@@ -660,7 +663,9 @@ def transpose_braid(mod: WeightModule, word: Sequence[int],
     the dual left module: <tT_w(v), v*> = <v, T_w(v*)>."""
     if mod.side != "right":
         raise SideMismatchError("transpose_braid acts on right modules")
-    dual = restricted_dual(mod)  # left module with the transposed matrices
+    # left module with the transposed matrices, kept so that its braid memo
+    # serves later calls
+    dual = mod.memo.get("dual", lambda: restricted_dual(mod))
     return linalg.transpose(braid_word(dual, word, inverse=inverse))
 
 

@@ -177,3 +177,26 @@ def test_console_script_entry_point():
     script = shutil.which("qflag")
     if script is not None:
         _run_entry_point([script])
+
+
+@pytest.mark.parametrize("args, status", [
+    (["cartan", "--type", "A1", "--json"], 0),
+    (["verify", "pbw", "--type", "A1"], 0),
+    (["verify", "relations", "--type", "A1", "--cutoff", "[2]",
+      "--corrupt", "--json"], 1),
+])
+def test_closed_stdout_exits_quietly_with_status(args, status):
+    # `qflag ... | head`: the reader is gone before the first write
+    src = Path(qflag.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qflag"] + args,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == status, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

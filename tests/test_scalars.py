@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflag.errors import ScalarDivisionError, ScalarMixError
-from qflag.scalars import QScalar, exp_t_coefficient, quantum_factorial, \
-    quantum_integer
+from qflag.scalars import QScalar, exp_t_coefficient, lp_exact_div, lp_gcd, \
+    lp_mul, quantum_factorial, quantum_integer
 
 L0 = 2
 
@@ -141,3 +142,113 @@ def test_canonical_form_means_equality():
     b = q(1) + q(-1)
     assert a == b
     assert a.to_str() == b.to_str()
+
+
+# -- an oracle independent of the gcd kernel: evaluation at rational points --
+#
+# A scalar is a function of t = q^(1/L0); evaluating numerator and
+# denominator at a rational t with Fraction arithmetic must commute with
+# every field operation.  Nothing here calls lp_gcd or lp_exact_div.
+
+laurent = st.dictionaries(st.integers(-6, 6),
+                          st.integers(-5, 5).filter(bool),
+                          min_size=1, max_size=4)
+oracle_scalars = st.builds(lambda n, d: QScalar(n, d, L0),
+                           st.one_of(st.just({}), laurent), laurent)
+points = st.lists(
+    st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 5)),
+    min_size=3, max_size=3)
+
+
+def _eval_lp(p, t):
+    return sum((c * t ** e for e, c in p.items()), Fraction(0))
+
+
+def _eval(x, t):
+    """x at t, or None where its denominator vanishes."""
+    den = _eval_lp(x.den, t)
+    return None if den == 0 else _eval_lp(x.num, t) / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_scalars, oracle_scalars, points)
+def test_field_operations_match_evaluation(a, b, ts):
+    for t in ts:
+        va, vb = _eval(a, t), _eval(b, t)
+        if va is None or vb is None:
+            continue
+        assert _eval(a + b, t) == va + vb
+        assert _eval(a - b, t) == va - vb
+        assert _eval(a * b, t) == va * vb
+        assert _eval(a.bar(), 1 / t) == va
+        if not b.is_zero() and vb != 0:
+            assert _eval(a / b, t) == va / vb
+            assert _eval(b.inverse(), t) == 1 / vb
+
+
+# coprime building blocks for gcds with a known answer: distinct
+# irreducible polynomials over Z in the variable t = q^(1/L0)
+_IRREDUCIBLE = [{0: 1, 1: 1}, {0: 1, 1: -1}, {0: 1, 2: 1}, {0: 2, 1: 1},
+                {0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 2: 1}, {0: 3, 1: -1},
+                {0: 1, 1: 1, 3: 1}]
+
+
+def _normal(p):
+    """The gcd normal form: lowest exponent 0, content 1, lowest
+    coefficient positive."""
+    lo = min(p)
+    g = 0
+    for c in p.values():
+        g = gcd(g, c)
+    g = g if p[lo] > 0 else -g
+    return {e - lo: c // g for e, c in p.items()}
+
+
+def _product(factors):
+    out = {0: 1}
+    for f in factors:
+        out = lp_mul(out, f)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(range(len(_IRREDUCIBLE))), max_size=4,
+                unique=True), st.integers(1, 3), laurent, laurent,
+       st.integers(-4, 4))
+def test_gcd_and_exact_division(picks, split, c, x, shift):
+    # a and b share no factor, so gcd(a*c, b*c) is c up to a unit
+    a = _product(_IRREDUCIBLE[i] for i in picks[:split])
+    b = {shift: 1} if split >= len(picks) else \
+        _product(_IRREDUCIBLE[i] for i in picks[split:])
+    ac, bc = lp_mul(a, c), lp_mul(b, c)
+    assert lp_gcd(ac, bc) == _normal(c)
+    assert lp_exact_div(ac, c) == a
+    assert lp_exact_div(lp_mul(x, c), c) == x
+    # a common divisor in general: g divides both, checked by multiplication
+    g = lp_gcd(x, c)
+    assert lp_mul(lp_exact_div(x, g), g) == x
+    assert lp_mul(lp_exact_div(c, g), g) == c
+
+
+def test_exact_division_rejects_inexact_inputs():
+    one_plus_q = {0: 1, L0: 1}
+    with pytest.raises(ArithmeticError):
+        lp_exact_div({0: 1, 2 * L0: 1}, one_plus_q)  # (1+q^2)/(1+q)
+    with pytest.raises(ArithmeticError):
+        lp_exact_div(one_plus_q, {0: 2})  # exact over Q, not over Z
+    with pytest.raises(ArithmeticError):
+        lp_exact_div({0: 1}, one_plus_q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent, laurent, st.integers(-6, 6), st.integers(-3, 3).filter(bool))
+def test_exact_division_rejects_a_remainder(x, y, e, c):
+    # y divides x*y + c*q^(e/L0) only if it divides c*q^(e/L0), that is if
+    # y is a monomial whose coefficient divides c
+    if len(y) == 1 and c % next(iter(y.values())) == 0:
+        return
+    p = lp_mul(x, y)
+    p[e] = p.get(e, 0) + c
+    p = {k: v for k, v in p.items() if v}
+    with pytest.raises(ArithmeticError):
+        lp_exact_div(p, y)

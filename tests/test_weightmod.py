@@ -1,6 +1,7 @@
 import pytest
 
 from qflag import linalg as la
+from qflag import weightmod
 from qflag.cartan import kostant_dim, verma_character, weyl_character
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
 from qflag.weightmod import (braid_on_module, braid_word,
@@ -166,6 +167,39 @@ def test_transpose_braid_pairing_convention(alg1):
     t_mod = braid_word(v, (0,))
     t_dual = transpose_braid(vr, (0,))
     assert la.mat_eq(t_dual, la.transpose(t_mod))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(weightmod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(weightmod, name, counted)
+    return calls
+
+
+def test_inverse_braid_reuses_forward_operator(monkeypatch, alg2):
+    exps = _count_calls(monkeypatch, "_exp_matrix")
+    # a double dual is a fresh left module with an empty memo
+    mod = restricted_dual(restricted_dual(simple(alg2, (1, 0))))
+    tinv = braid_on_module(mod, 0, inverse=True)
+    assert len(exps) == 6  # both triple-exponential forms of T_0, once
+    t = braid_on_module(mod, 0)
+    tinv_again = braid_on_module(mod, 0, inverse=True)
+    assert len(exps) == 6
+    assert tinv_again is tinv
+    assert la.mat_eq(tinv, la.inverse(t))
+
+
+def test_transpose_braid_memoizes_dual(monkeypatch, alg2):
+    builds = _count_calls(monkeypatch, "_braid_operator")
+    vr = restricted_dual(simple(alg2, (1, 0)))
+    first = transpose_braid(vr, (0,))
+    for _ in range(2):
+        assert la.mat_eq(transpose_braid(vr, (0,)), first)
+    assert len(builds) == 1
 
 
 def test_sufficiently_large_bijectivity(alg1):
