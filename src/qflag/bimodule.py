@@ -10,18 +10,17 @@ separation checks."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import linalg
-from .cartan import (CartanDatum, CharacterPoly, RootSum, Weight, box,
-                     by_height, weyl_character)
+from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
+                     weyl_character)
 from .coordring import CoordElement, CoordRing
 from .errors import QflagError
 from .linalg import Matrix
 from .memo import Memo
 from .rmatrix import DrinfeldPairing, r_operator
 from .scalars import QScalar
-from .weightmod import weight_to_root
 
 
 class EBimodule:
@@ -50,7 +49,7 @@ class EBimodule:
         self.multiplicities = [self.layer_weights.count(w) for w in self.nu]
 
     def _drop(self, idx: int) -> RootSum:
-        g = weight_to_root(self.datum, self.datum.weight_sub(
+        g = self.datum.weight_to_root(self.datum.weight_sub(
             self.mu, self.vmod.index_weights[idx]))
         assert g is not None
         return g
@@ -214,14 +213,6 @@ def _within(w: Weight, cutoff: Weight) -> bool:
 # central character linkage (the key separation lemma)
 # ---------------------------------------------------------------------------
 
-def linked(datum: CartanDatum, xi1: Weight, xi2: Weight) -> Optional[Tuple[int, ...]]:
-    """A Weyl word w with w(xi1 + rho) - rho = xi2, or None."""
-    for word in datum.all_weyl_words():
-        if datum.weyl_act(word, xi1, shifted=True) == tuple(xi2):
-            return word
-    return None
-
-
 def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
                          lam: Weight, mu: Weight,
                          cutoff: Optional[Weight] = None) -> dict:
@@ -246,7 +237,7 @@ def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
     key2_ok = True
     for k in range(r):
         xi = datum.weight_sub(datum.weight_add(lam, nu[k]), mu_low)
-        wit = linked(datum, lam, xi)
+        wit = datum.linked(lam, xi)
         is_linked = wit is not None
         key2_layers.append({
             "nu_k": datum.weight_str(nu[k]),
@@ -260,7 +251,7 @@ def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
     top = datum.weight_add(lam, mu)
     for k in range(r):
         xi = datum.weight_add(lam, nu[k])
-        wit = linked(datum, top, xi)
+        wit = datum.linked(top, xi)
         is_linked = wit is not None
         key3_layers.append({
             "nu_k": datum.weight_str(nu[k]),

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DominanceError, ParseError, QflagError
@@ -99,6 +99,11 @@ class CartanDatum:
             for x in row:
                 den = lcm(den, x.denominator)
         self.l0 = den
+        # integer adjugate A^-1 * det(A): root coordinates of a weight w
+        # are adj(A) w / det(A)
+        self._det = int(_det(a))
+        self._adj = tuple(tuple(int(x * self._det) for x in row)
+                          for row in inv)
         self.max_height = max_height if max_height is not None else _env_max_height()
         self.memo = Memo()
 
@@ -146,6 +151,17 @@ class CartanDatum:
     def root_to_weight(self, gamma: Sequence[int]) -> Weight:
         return tuple(sum(self.cartan[j][i] * gamma[i] for i in range(self.rank))
                      for j in range(self.rank))
+
+    def weight_to_root(self, w: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """Simple-root coordinates of a weight in the root lattice; None
+        otherwise.  Coordinates may be negative."""
+        out = []
+        for row in self._adj:
+            c, r = divmod(sum(a * b for a, b in zip(row, w)), self._det)
+            if r:
+                return None
+            out.append(c)
+        return tuple(out)
 
     def weight_sub_root(self, lam: Weight, gamma: Sequence[int]) -> Weight:
         g = self.root_to_weight(gamma)
@@ -293,6 +309,21 @@ class CartanDatum:
     def weyl_det(self, word: Sequence[int]) -> int:
         return -1 if self.weyl_length(word) % 2 else 1
 
+    def linked(self, a: Sequence[int], b: Sequence[int]) -> Optional[WeylWord]:
+        """The first Weyl word w (by length, then lexicographically) with
+        w(a + rho) - rho = b, or None."""
+        b = tuple(b)
+        for word in self.all_weyl_words():
+            if self.weyl_act(word, a, shifted=True) == b:
+                return word
+        return None
+
+    def lowest_drop(self, lam: Sequence[int]) -> RootSum:
+        """Root coordinates of lam - w0 lam, the drop from the highest to
+        the lowest weight of V(lam) when lam is dominant."""
+        return self.weight_to_root(self.weight_sub(
+            lam, self.weyl_act(self.longest_word(), lam)))
+
     # -- roots -------------------------------------------------------------
 
     def positive_roots(self) -> List[RootSum]:
@@ -419,16 +450,8 @@ def _minimal_symmetrizers(a) -> Tuple[int, ...]:
     for x in d:
         den = lcm(den, x.denominator)
     ints = [x * den for x in d]
-    g = 0
-    for x in ints:
-        g = gcd_int(g, int(x))
+    g = gcd(*(int(x) for x in ints))
     return tuple(int(x) // g for x in ints)
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 def preset(name: str, max_height: Optional[int] = None) -> CartanDatum:
@@ -561,34 +584,20 @@ def verma_character(datum: CartanDatum, lam: Weight, depth: RootSum) -> Characte
 
 
 def weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
-    """Character of the simple module of highest weight lam via the
-    alternating-sum formula, with exact long division by the Weyl
-    denominator (zero remainder asserted)."""
+    """Character of the simple module of highest weight lam by Kostant's
+    form of the Weyl formula, ch V(lam) = sum_w det(w) ch M(w.lam), each
+    Verma character cut to the drops of V(lam) (all <= lam - w0 lam)."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise DominanceError(f"{lam} is not dominant")
-    num = CharacterPoly(datum)
+    low = datum.lowest_drop(lam)
+    out = CharacterPoly(datum)
     for word in datum.all_weyl_words():
         w_lam = datum.weyl_act(word, lam, shifted=True)
-        num = num + CharacterPoly.monomial(datum, w_lam, datum.weyl_det(word))
-    den = CharacterPoly.monomial(datum, datum.zero_weight, 1)
-    for alpha in datum.positive_roots():
-        den = den * (CharacterPoly.monomial(datum, datum.zero_weight, 1)
-                     - CharacterPoly.monomial(
-                         datum, datum.weight_neg(datum.root_to_weight(alpha)), 1))
-
-    def order_key(w: Weight):
-        return (datum.pair_ww(w, datum.rho), w)
-
-    quot: Dict[Weight, int] = {}
-    rem = num
-    guard = 0
-    while rem.terms:
-        guard += 1
-        if guard > 100000:
-            raise QflagError("character division did not terminate")
-        lead = max(rem.terms, key=order_key)
-        c = rem.terms[lead]
-        quot[lead] = quot.get(lead, 0) + c
-        rem = rem - CharacterPoly.monomial(datum, lead, c) * den
-    return CharacterPoly(datum, quot)
+        drop = datum.weight_to_root(datum.weight_sub(lam, w_lam))
+        window = tuple(a - b for a, b in zip(low, drop))
+        if any(c < 0 for c in window):
+            continue
+        out = out + verma_character(datum, w_lam, window).scale(
+            datum.weyl_det(word))
+    return out

@@ -253,8 +253,7 @@ def zeta_linkage_scan(algebra: UAlgebra, zc: CenterElement,
     for l1 in lams:
         for l2 in lams:
             eq = zc.zeta_at(tuple(l1)) == zc.zeta_at(tuple(l2))
-            orb = any(datum.weyl_act(w, tuple(l1), shifted=True) == tuple(l2)
-                      for w in datum.all_weyl_words())
+            orb = datum.linked(l1, l2) is not None
             # equality must hold whenever linked; a single element may fail
             # to separate unlinked weights, which the caller aggregates
             results.append({"l1": datum.weight_str(tuple(l1)),
@@ -276,8 +275,7 @@ def zeta_separation_scan(algebra: UAlgebra, centers: Sequence[CenterElement],
         for l2 in lams:
             eq = all(zc.zeta_at(tuple(l1)) == zc.zeta_at(tuple(l2))
                      for zc in centers)
-            orb = any(datum.weyl_act(w, tuple(l1), shifted=True) == tuple(l2)
-                      for w in datum.all_weyl_words())
+            orb = datum.linked(l1, l2) is not None
             if eq != orb:
                 ok = False
             results.append({"l1": datum.weight_str(tuple(l1)),
@@ -307,6 +305,5 @@ def annihilator_check(algebra: UAlgebra, zc: CenterElement, lam: Weight,
         "character_at": datum.weight_str(mu),
         "zeta": zeta.to_str(),
         "annihilates": annihilates,
-        "linked": any(datum.weyl_act(w, mu, shifted=True) == tuple(lam)
-                      for w in datum.all_weyl_words()),
+        "linked": datum.linked(mu, lam) is not None,
     }

@@ -13,7 +13,7 @@ from .cartan import CartanDatum, box, by_height, preset
 from .config import RunConfig
 from .coordring import CoordRing
 from .enveloping import UAlgebra
-from .errors import ParseError, QflagError
+from .errors import DegreeCapError, ParseError, QflagError
 from .rmatrix import DrinfeldPairing, r_operator
 from .suites import SUITES, run_suite
 from .weightmod import restricted_dual, simple, verma
@@ -137,6 +137,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DegreeCapError as exc:
+        print(f"error: height cap: {exc}", file=sys.stderr)
+        return 3
     except QflagError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1

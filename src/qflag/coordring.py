@@ -20,7 +20,7 @@ from .errors import DominanceError, OreSearchError, QflagError
 from .linalg import Matrix, Vector
 from .memo import Memo
 from .scalars import QScalar, quantum_factorial
-from .weightmod import SimpleFactory, WeightModule, braid_word, weight_to_root
+from .weightmod import SimpleFactory, WeightModule, braid_word
 
 
 class CoordElement:
@@ -488,7 +488,7 @@ class CoordRing:
         datum = self.datum
         winv = tuple(reversed(datum.weyl_canonical(word)))
         w = datum.weyl_act(winv, datum.weight_sub_root(grade, gamma))
-        g = weight_to_root(datum, datum.weight_sub(grade, w))
+        g = datum.weight_to_root(datum.weight_sub(grade, w))
         if g is None or any(c < 0 for c in g):
             return None
         return g
@@ -568,7 +568,7 @@ class CoordRing:
         table: Dict[str, List[str]] = {}
         winv = tuple(reversed(word))
         target = datum.weyl_act(winv, phi.grade)
-        g = weight_to_root(datum, datum.weight_sub(target, phi.weight))
+        g = datum.weight_to_root(datum.weight_sub(target, phi.weight))
         if g is not None and all(c >= 0 for c in g):
             words = self.algebra.basis(g).free_words
             vals = []
@@ -595,7 +595,7 @@ class CoordRing:
         winv = tuple(reversed(word))
         target = datum.weyl_act(winv, tuple(lam))
         for w in mod.weights():
-            g = weight_to_root(datum, datum.weight_sub(target, w))
+            g = datum.weight_to_root(datum.weight_sub(target, w))
             if g is None or any(c < 0 for c in g):
                 continue
             for xw in self.algebra.basis(g).free_words:

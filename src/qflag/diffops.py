@@ -21,7 +21,7 @@ from .linalg import Matrix, Vector
 from .memo import Memo
 from .rmatrix import DrinfeldPairing
 from .scalars import QScalar, exp_t_coefficient
-from .weightmod import WeightModule, braid_on_module, weight_to_root
+from .weightmod import WeightModule, braid_on_module
 
 
 class DWindow:
@@ -381,9 +381,7 @@ def z_w_check(window: DWindow, i: int) -> dict:
         record(f"Z(partial {u.to_str()[:10]})",
                z_conjugate(window, i, window.op_partial(u)),
                window.op_partial(alg.braid_on_element(i, u, inverse=True)))
-    bound = max(sum(weight_to_root(datum, datum.weight_sub(
-        g, datum.weyl_act(datum.longest_word(), g))) or (0,))
-        for g in window.grades) + 1
+    bound = max(sum(datum.lowest_drop(g)) for g in window.grades) + 1
     comps = _exp_tensor_components(alg, i, bound)
     for g in window.grades:
         if not any(g):
@@ -413,7 +411,7 @@ def _apply_braid_to_element(window: DWindow, i: int, phi: CoordElement,
     mat = window.braid_blocks(i, inverse=inverse)[tuple(phi.grade)]
     vec = linalg.mat_vec(mat, ring.embed_full(mod, phi))
     target = datum.weyl_act((i,), phi.weight)
-    g = weight_to_root(datum, datum.weight_sub(phi.grade, target))
+    g = datum.weight_to_root(datum.weight_sub(phi.grade, target))
     out = [datum.zero()] * ring.factory(phi.grade).slice_dim(g)
     for idx, c in enumerate(vec):
         if c.is_zero():
@@ -434,7 +432,7 @@ def extremal_transport_check(window: DWindow, word: Sequence[int],
     datum = window.datum
     word = datum.weyl_canonical(word)
     alpha_i_img = datum.weyl_act(word, datum.alpha(i))
-    gr = weight_to_root(datum, alpha_i_img)
+    gr = datum.weight_to_root(alpha_i_img)
     positive = gr is not None and all(c >= 0 for c in gr) and any(gr)
     c_w = ring.extremal(word, lam)
     z_img = z_conjugate(window, i, window.op_left(c_w))

@@ -12,7 +12,6 @@ Letters of raw words are ('f', i), ('k', weight-tuple) or ('e', i).
 from __future__ import annotations
 
 import sys
-from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 if sys.getrecursionlimit() < 40000:
@@ -20,7 +19,7 @@ if sys.getrecursionlimit() < 40000:
     sys.setrecursionlimit(40000)
 
 from . import linalg
-from .cartan import CartanDatum, RootSum, Weight, kostant_dim
+from .cartan import CartanDatum, RootSum, Weight, box, kostant_dim
 from .errors import BorelError, DegreeCapError, ParseError, QflagError
 from .memo import Memo
 from .scalars import QScalar, quantum_factorial
@@ -56,7 +55,7 @@ class GradedBasis:
             rest = tuple(g - s for g, s in zip(self.degree, sdeg))
             if any(c < 0 for c in rest):
                 continue
-            for left_c in _sub_contents(rest):
+            for left_c in box(rest):
                 right_c = tuple(a - b for a, b in zip(rest, left_c))
                 for u in _words_of_content(left_c):
                     for v in _words_of_content(right_c):
@@ -130,11 +129,6 @@ def _words_of_content(gamma: RootSum) -> List[Tuple[int, ...]]:
 
     rec((), gamma)
     return sorted(out)
-
-
-def _sub_contents(bound: RootSum) -> List[RootSum]:
-    ranges = [range(b + 1) for b in bound]
-    return [tuple(t) for t in iter_product(*ranges)]
 
 
 class UElement:

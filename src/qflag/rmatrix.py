@@ -18,7 +18,7 @@ from .errors import BorelError, QflagError, TruncationError
 from .linalg import Matrix
 from .memo import Memo
 from .scalars import QScalar
-from .weightmod import WeightModule, tensor, weight_to_root
+from .weightmod import WeightModule, tensor
 
 
 class DrinfeldPairing:
@@ -140,7 +140,7 @@ def contributing_degrees(datum, m1: WeightModule, m2: WeightModule) -> List[Root
     out = set()
     for w1 in ws:
         for w2 in ws:
-            g = weight_to_root(datum, datum.weight_sub(w2, w1))
+            g = datum.weight_to_root(datum.weight_sub(w2, w1))
             if g is not None and all(c >= 0 for c in g):
                 out.add(g)
     return sorted(out, key=by_height)

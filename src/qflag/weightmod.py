@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import (CartanDatum, CharacterPoly, RootSum, Weight, box,
-                     by_height, weyl_character)
+from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
+                     weyl_character)
 from .enveloping import UAlgebra, UElement, _content
 from .errors import DominanceError, QflagError, SideMismatchError, TruncationError
 from .linalg import Matrix, Vector
@@ -224,7 +224,7 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
 
     def missing_exact(w: Weight) -> bool:
         g = datum.weight_sub(lam, w)
-        gr = weight_to_root(datum, g)
+        gr = datum.weight_to_root(g)
         if gr is None:
             return True
         if any(c < 0 for c in gr):
@@ -241,29 +241,6 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
     return mod
 
 
-def weight_to_root(datum: CartanDatum, w: Weight) -> Optional[RootSum]:
-    """Express a weight in simple-root coordinates if it lies in the root
-    lattice; None otherwise.  Coordinates may be negative."""
-    n = datum.rank
-    aug = [[Fraction(datum.cartan[j][i]) for i in range(n)] + [Fraction(w[j])]
-           for j in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    coords = [aug[r][n] for r in range(n)]
-    if any(x.denominator != 1 for x in coords):
-        return None
-    return tuple(int(x) for x in coords)
-
-
 class SimpleFactory:
     """Per-weight-space construction of the simple module V(lam)."""
 
@@ -276,14 +253,10 @@ class SimpleFactory:
         self.datum = datum
         self.lam = lam
         self.char = weyl_character(datum, lam)
-        w0 = datum.longest_word()
-        low = datum.weyl_act(w0, lam)
-        full = weight_to_root(datum, datum.weight_sub(lam, low))
-        assert full is not None
-        self.full_depth_ht = sum(full)
+        self.full_depth_ht = sum(datum.lowest_drop(lam))
         self.drops: Dict[RootSum, int] = {}
         for w in self.char.terms:
-            g = weight_to_root(datum, datum.weight_sub(lam, w))
+            g = datum.weight_to_root(datum.weight_sub(lam, w))
             assert g is not None and all(c >= 0 for c in g)
             self.drops[g] = self.char.terms[w]
         self.memo = Memo()
@@ -486,7 +459,7 @@ class SimpleFactory:
         char = self.char
 
         def missing_exact(w: Weight) -> bool:
-            g = weight_to_root(datum, datum.weight_sub(lam, w))
+            g = datum.weight_to_root(datum.weight_sub(lam, w))
             if g is None or any(c < 0 for c in g):
                 return True
             if g not in self.drops:
@@ -575,23 +548,22 @@ def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
 # braid operators on modules
 # ---------------------------------------------------------------------------
 
-def _exp_matrix(mod: WeightModule, x: UElement, t_scale: int) -> Matrix:
-    """exp_t of the action of x, with t = q**t_scale; terminates by
+def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
+    """exp_t of a nilpotent matrix, with t = q**t_scale; terminates by
     nilpotence."""
-    datum = mod.datum
-    m = mod.act(x)
-    out = linalg.identity(mod.dim, datum.l0)
-    power = linalg.identity(mod.dim, datum.l0)
+    dim = len(m)
+    out = linalg.identity(dim, l0)
+    power = linalg.identity(dim, l0)
     n = 0
     while True:
         n += 1
         power = linalg.mat_mul(m, power)
         if linalg.is_zero_matrix(power):
             break
-        if n > mod.dim + 2:
+        if n > dim + 2:
             raise TruncationError("exponential series does not terminate; "
-                                  "module is not exact")
-        coeff = exp_t_coefficient(n, t_scale, datum.l0)
+                                  "the matrix is not nilpotent")
+        coeff = exp_t_coefficient(n, t_scale, l0)
         out = linalg.mat_add(out, linalg.mat_scale(power, coeff))
     return out
 
@@ -625,18 +597,20 @@ def _braid_operator(mod: WeightModule, i: int) -> Matrix:
         h[a][a] = datum.q_power(Fraction(di * mcoef * (mcoef + 1), 2))
     e_i, f_i = alg.e(i), alg.f(i)
     ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
+
+    def exp(x: UElement) -> Matrix:
+        return _exp_matrix(mod.act(x), -di, datum.l0)
+
     form1 = linalg.mat_mul(
-        _exp_matrix(mod, (ki * f_i).scale(qi), -di),
+        exp((ki * f_i).scale(qi)),
         linalg.mat_mul(
-            _exp_matrix(mod, -e_i, -di),
-            linalg.mat_mul(
-                _exp_matrix(mod, (kiv * f_i).scale(qi.inverse()), -di), h)))
+            exp(-e_i),
+            linalg.mat_mul(exp((kiv * f_i).scale(qi.inverse())), h)))
     form2 = linalg.mat_mul(
-        _exp_matrix(mod, -(kiv * e_i).scale(qi), -di),
+        exp(-(kiv * e_i).scale(qi)),
         linalg.mat_mul(
-            _exp_matrix(mod, f_i, -di),
-            linalg.mat_mul(
-                _exp_matrix(mod, -(ki * e_i).scale(qi.inverse()), -di), h)))
+            exp(f_i),
+            linalg.mat_mul(exp(-(ki * e_i).scale(qi.inverse())), h)))
     if not linalg.mat_eq(form1, form2):
         raise QflagError("the two triple-exponential forms of T_i disagree")
     return form1

@@ -1,6 +1,6 @@
 import pytest
 
-from qflag.bimodule import EBimodule, key_lemma_characters, linked
+from qflag.bimodule import EBimodule, key_lemma_characters
 from qflag.cartan import weyl_character
 from qflag.errors import QflagError
 
@@ -126,12 +126,6 @@ def test_layer_characters(e1, e2):
     assert e2.total_character_check((1, 1))
     with pytest.raises(QflagError):
         e2.layer_character(0, (0, 0))  # below the dominance shift
-
-
-def test_linkage_helper(a1):
-    assert linked(a1, (0,), (0,)) == ()
-    assert linked(a1, (0,), (-2,)) is not None
-    assert linked(a1, (2,), (0,)) is None
 
 
 def test_key_lemma_instances(ring1, ring2, pairing1, pairing2):

@@ -48,8 +48,7 @@ def test_weyl_group_structure(a2, g2):
             img = a2.weyl_act(w, a2.root_to_weight(gamma))
             coords = [img[i] for i in range(2)]
             # negative root iff all alpha-coordinates of the image <= 0
-            from qflag.weightmod import weight_to_root
-            g = weight_to_root(a2, img)
+            g = a2.weight_to_root(img)
             if all(c <= 0 for c in g):
                 neg += 1
         assert neg == len(w)
@@ -141,3 +140,95 @@ def test_by_height_orders_by_sum_then_lexicographically():
     assert sorted(points, key=by_height) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
         (2, 2)]
+
+
+PRESETS = ("A1", "A2", "B2", "G2")
+
+
+def _weyl_character_by_division(datum, lam):
+    """The alternating sum over the Weyl group divided by the Weyl
+    denominator, by exact long division led by the (rho, w)-largest term."""
+    num = CharacterPoly(datum)
+    for word in datum.all_weyl_words():
+        w_lam = datum.weyl_act(word, lam, shifted=True)
+        num = num + CharacterPoly.monomial(datum, w_lam, datum.weyl_det(word))
+    one = CharacterPoly.monomial(datum, datum.zero_weight)
+    den = one
+    for alpha in datum.positive_roots():
+        den = den * (one - CharacterPoly.monomial(
+            datum, datum.weight_neg(datum.root_to_weight(alpha))))
+    quot = CharacterPoly(datum)
+    rem = num
+    while rem.terms:
+        lead = max(rem.terms, key=lambda w: (datum.pair_ww(w, datum.rho), w))
+        c = CharacterPoly.monomial(datum, lead, rem.terms[lead])
+        quot = quot + c
+        rem = rem - c * den
+    return quot
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_weyl_character_matches_long_division(name):
+    datum = preset(name)
+    bound = {"A1": (6,), "A2": (3, 3), "B2": (3, 3), "G2": (2, 2)}[name]
+    for lam in box(bound):
+        assert weyl_character(datum, lam) == \
+            _weyl_character_by_division(datum, lam), lam
+
+
+def test_weight_to_root(a1, a2, g2):
+    assert a2.weight_to_root((2, -1)) == (1, 0)
+    assert a2.weight_to_root((0, 0)) == (0, 0)
+    # outside the root lattice
+    assert a2.weight_to_root((1, 0)) is None
+    assert a1.weight_to_root((1,)) is None
+    assert preset("B2").weight_to_root((0, 1)) is None
+    # G2: the root lattice is the weight lattice
+    assert g2.weight_to_root((1, 0)) == (2, 3)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_weight_to_root_round_trip(name):
+    datum = preset(name)
+    n = datum.rank
+    for gamma in box((3,) * n, lo=(-3,) * n):
+        assert datum.weight_to_root(datum.root_to_weight(gamma)) == gamma
+    # a weight is in the root lattice iff it has root coordinates (those
+    # of |w| <= 2 are at most 10 in size on every preset)
+    lattice = {datum.root_to_weight(g) for g in box((10,) * n, lo=(-10,) * n)}
+    for w in box((2,) * n, lo=(-2,) * n):
+        assert (datum.weight_to_root(w) is not None) == (w in lattice), w
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_lowest_drop(name):
+    datum = preset(name)
+    w0 = datum.longest_word()
+    for lam in box((2,) * datum.rank):
+        low = datum.lowest_drop(lam)
+        assert low == datum.weight_to_root(
+            datum.weight_sub(lam, datum.weyl_act(w0, lam)))
+        # the deepest drop among the weights of V(lam)
+        drops = [datum.weight_to_root(datum.weight_sub(lam, w))
+                 for w in weyl_character(datum, lam).terms]
+        assert low == max(drops, key=sum)
+        assert all(a <= b for d in drops for a, b in zip(d, low))
+    assert preset("A1").lowest_drop((4,)) == (4,)
+    assert preset("G2").lowest_drop((0, 1)) == (2, 4)
+
+
+def test_linked(a1, a2):
+    assert a1.linked((0,), (0,)) == ()
+    assert a1.linked((0,), (-2,)) == (0,)
+    assert a1.linked((2,), (0,)) is None
+    # the first word by length, then lexicographically, with w.a = b
+    for a in box((1, 1), lo=(-1, -1)):
+        for b in box((1, 1), lo=(-2, -2)):
+            word = a2.linked(a, b)
+            hits = [w for w in a2.all_weyl_words()
+                    if a2.weyl_act(w, a, shifted=True) == b]
+            assert word == (hits[0] if hits else None)
+    # rho-shifted orbit of the dominant weight (1,0): six distinct weights
+    orbit = {a2.weyl_act(w, (1, 0), shifted=True) for w in a2.all_weyl_words()}
+    assert len(orbit) == 6
+    assert all(a2.linked((1, 0), b) is not None for b in orbit)

@@ -154,6 +154,12 @@ def test_max_height_env_rejects_bad_values(monkeypatch, capsys, raw):
     assert "QFLAG_MAX_HEIGHT" in capsys.readouterr().err
 
 
+def test_height_cap_exits_three(monkeypatch, capsys):
+    monkeypatch.setenv("QFLAG_MAX_HEIGHT", "2")
+    assert main(["module", "--type", "A2", "--hw", "[2,2]"]) == 3
+    assert "error: height cap:" in capsys.readouterr().err
+
+
 def test_text_output_mode(capsys):
     code, out = run_cli(["verify", "pbw", "--type", "A1"], capsys)
     assert code == 0

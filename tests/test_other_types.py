@@ -2,10 +2,13 @@
 any finite type, the acceptance desk scale just concentrates on ranks with
 cheap module sizes."""
 
+import json
+
 import pytest
 
 from qflag import linalg as la
 from qflag.cartan import kostant_dim, preset, weyl_character
+from qflag.cli import main
 from qflag.coordring import CoordRing
 from qflag.diffops import DWindow, lemma_rl_check, relations_check, z_w_check
 from qflag.enveloping import UAlgebra
@@ -90,3 +93,17 @@ def test_g2_operator_window(g2):
     assert relations_check(window)["pass"]
     for psi in ring.grade_basis((0, 1)):
         assert lemma_rl_check(window, psi)["pass"]
+
+
+@pytest.mark.parametrize("suite", ["braid", "bimodule"])
+def test_g2_suites_reach_a_verdict(suite, capsys):
+    # V(w1) of G2 is above the default height cap: the suites use V(w2)
+    # and report what would need a larger module as skipped
+    assert main(["verify", suite, "--type", "G2", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results and all(r["pass"] is True for r in results)
+    for r in results:
+        assert r.get("note", "skipped: above height cap") == \
+            "skipped: above height cap"
+    if suite == "braid":
+        assert not any("note" in r for r in results)

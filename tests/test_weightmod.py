@@ -6,7 +6,7 @@ from qflag.cartan import kostant_dim, verma_character, weyl_character
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
 from qflag.weightmod import (braid_on_module, braid_word,
                              check_module_relations, restricted_dual, simple,
-                             tensor, transpose_braid, verma, weight_to_root)
+                             tensor, transpose_braid, verma)
 
 
 def test_verma_character_and_relations(alg1):
@@ -244,8 +244,3 @@ def test_module_json_description(alg2):
     assert desc["dim"] == 3
     assert desc["weights"]["[1,0]"] == 1
     assert "highest" in desc["distinguished"]
-
-
-def test_weight_to_root(a2):
-    assert weight_to_root(a2, (2, -1)) == (1, 0)
-    assert weight_to_root(a2, (1, 0)) is None
