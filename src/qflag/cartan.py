@@ -370,16 +370,20 @@ class CartanDatum:
         return "<" + ",".join(str(c) for c in gamma) + ">"
 
     def parse_weight(self, text: str) -> Weight:
-        t = text.strip()
-        if not (t.startswith("[") and t.endswith("]")):
-            raise ParseError(f"weight must look like [a,b]: {text!r}")
-        return self.weight(*[int(x) for x in t[1:-1].split(",")])
+        return self._parse(text, "[]", self.weight, "weight")
 
     def parse_root(self, text: str) -> RootSum:
+        return self._parse(text, "<>", self.root_sum, "root sum")
+
+    def _parse(self, text: str, brackets: str, make, what: str):
         t = text.strip()
-        if not (t.startswith("<") and t.endswith(">")):
-            raise ParseError(f"root sum must look like <a,b>: {text!r}")
-        return self.root_sum(*[int(x) for x in t[1:-1].split(",")])
+        try:
+            if t[:1] + t[-1:] != brackets:
+                raise ValueError("missing brackets")
+            return make(*[int(x) for x in t[1:-1].split(",")])
+        except ValueError as exc:
+            raise ParseError(f"{what} must look like {brackets[0]}a,b"
+                             f"{brackets[1]}: {text!r} ({exc})") from exc
 
     def describe(self) -> dict:
         return {

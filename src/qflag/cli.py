@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import List, Optional
 
 from .cartan import CartanDatum, box, by_height, preset
@@ -115,10 +116,20 @@ def _pretty(payload: dict, indent: int = 0) -> None:
 
 
 def _datum_from_args(args) -> CartanDatum:
-    if args.cartan_matrix:
-        rows = json.loads(args.cartan_matrix)
-        return CartanDatum(rows, name="custom")
-    return preset(args.type)
+    if not args.cartan_matrix:
+        return preset(args.type)
+    try:
+        return CartanDatum(json.loads(args.cartan_matrix), name="custom")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad --cartan-matrix {args.cartan_matrix!r}: "
+                         f"{exc}") from exc
+
+
+def _highest_weight(datum: CartanDatum, text: str):
+    lam = datum.parse_weight(text)
+    if any(c < 0 for c in lam):
+        raise ParseError(f"highest weight must be dominant: {text!r}")
+    return lam
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -132,9 +143,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     as_json = bool(getattr(args, "json", False)
                    or getattr(args, "json_sub", False))
+    # input is checked where it is parsed: any other non-qflag error is a bug
     try:
         return _dispatch(args, as_json)
-    except (ParseError, ValueError, KeyError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegreeCapError as exc:
@@ -143,6 +155,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QflagError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args, as_json: bool) -> int:
@@ -186,8 +202,8 @@ def _dispatch(args, as_json: bool) -> int:
         datum = _datum_from_args(args)
         alg = UAlgebra(datum)
         pairing = DrinfeldPairing(alg)
-        hw = datum.parse_weight(args.hw)
-        hw2 = datum.parse_weight(args.hw2) if args.hw2 else hw
+        hw = _highest_weight(datum, args.hw)
+        hw2 = _highest_weight(datum, args.hw2) if args.hw2 else hw
         op = r_operator(pairing, simple(alg, hw), simple(alg, hw2),
                         args.flavor)
         _emit({"schema": 1, **op.describe()}, as_json)
@@ -196,13 +212,13 @@ def _dispatch(args, as_json: bool) -> int:
     if args.command == "module":
         datum = _datum_from_args(args)
         alg = UAlgebra(datum)
-        hw = datum.parse_weight(args.hw)
         if args.verma:
             depth = datum.parse_root(args.depth) if args.depth \
                 else (2,) * datum.rank
-            mod = verma(alg, hw, depth, side=args.side)
+            mod = verma(alg, datum.parse_weight(args.hw), depth,
+                        side=args.side)
         else:
-            mod = simple(alg, hw)
+            mod = simple(alg, _highest_weight(datum, args.hw))
         if args.dual:
             mod = restricted_dual(mod)
         _emit({"schema": 1, **mod.describe()}, as_json)
@@ -241,15 +257,12 @@ def _dispatch(args, as_json: bool) -> int:
             print("error: no suite given (positional or --suite)",
                   file=sys.stderr)
             return 2
+        datum = _datum_from_args(args)
         config = RunConfig(
             type=args.type,
-            cartan_matrix=tuple(tuple(r) for r in
-                                json.loads(args.cartan_matrix))
-            if args.cartan_matrix else None,
-            cutoff=tuple(_datum_from_args(args).parse_weight(args.cutoff))
-            if args.cutoff else None,
-            depth=tuple(_datum_from_args(args).parse_root(args.depth))
-            if args.depth else None,
+            cartan_matrix=datum.cartan if args.cartan_matrix else None,
+            cutoff=datum.parse_weight(args.cutoff) if args.cutoff else None,
+            depth=datum.parse_root(args.depth) if args.depth else None,
             seed=args.seed,
             max=args.max,
             corrupt=args.corrupt,

@@ -204,12 +204,6 @@ class UElement:
                 return None
         return wt if wt is not None else datum.zero_weight
 
-    def in_plus_borel(self) -> bool:
-        return all(not fw for (fw, _l, _e) in self.terms)
-
-    def in_minus_borel(self) -> bool:
-        return all(not ew for (_f, _l, ew) in self.terms)
-
     def __repr__(self) -> str:
         return self.to_str()
 
@@ -289,9 +283,6 @@ class HopfTensor:
         return (isinstance(other, HopfTensor) and self.arity == other.arity
                 and self.terms == other.terms)
 
-    def legs_as_elements(self, key: Tuple[MonoKey, ...]) -> List[UElement]:
-        return [self.algebra.mono_element(m) for m in key]
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -323,10 +314,6 @@ class UAlgebra:
         self.memo = Memo()
 
     # -- scalar shortcuts ---------------------------------------------------
-
-    def q_int(self, n: int, i: int) -> QScalar:
-        from .scalars import quantum_integer
-        return quantum_integer(n, self.datum.d(i), self.datum.l0)
 
     def qi(self, i: int, power: int = 1) -> QScalar:
         return self.datum.q_power(self.datum.d(i) * power)
@@ -411,13 +398,6 @@ class UAlgebra:
         gamma = tuple(gamma)
         return self.memo.get(("basis", gamma),
                              lambda: GradedBasis(self, gamma))
-
-    def uplus_basis_words(self, gamma: RootSum) -> List[Tuple[int, ...]]:
-        return list(self.basis(gamma).free_words)
-
-    def basis_element(self, gamma: RootSum, idx: int, sign: str) -> UElement:
-        word = self.basis(gamma).free_words[idx]
-        return self.e_word(word) if sign == "plus" else self.f_word(word)
 
     # -- normal form -----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """The Drinfeld pairing, canonical elements, and R-operators.
 
 The pairing is computed by structural recursion on the plus-side word via
-the coproduct axiom (x1 x2, y) = (x2 (x) x1, Delta(y)).  Per degree the
-pairing matrix is inverted to produce the canonical element; R-operators
-on tensor products of exact modules assemble the finitely many
-contributing degrees into exact block matrices.
+the coproduct axiom (x1 x2, y) = (x2 (x) x1, Delta(y)); inverting its
+degree tables gives the canonical elements behind R-inverse.  R itself is
+R = Theta o kappa^-1 on the module, with Theta the ordered product of
+q-exponentials of root vectors E_beta (x) F_beta along a reduced word of
+w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import BorelError, QflagError, TruncationError
 from .linalg import Matrix
 from .memo import Memo
 from .scalars import QScalar
-from .weightmod import WeightModule, tensor
+from .weightmod import WeightModule, _exp_matrix, braid_on_module, tensor
 
 
 class DrinfeldPairing:
@@ -166,49 +167,45 @@ class ROperator:
         }
 
 
+def _kappa_diagonal(m1: WeightModule, m2: WeightModule) -> List[QScalar]:
+    """q^{(mu, nu)} on the basis vectors v_mu (x) w_nu of m1 (x) m2."""
+    return [m1.datum.q_pair(w1, w2) for w1 in m1.index_weights
+            for w2 in m2.index_weights]
+
+
 def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    datum = m1.datum
-    n1, n2 = m1.dim, m2.dim
-    out = linalg.zeros(n1 * n2, n1 * n2, datum.l0)
-    for a in range(n1):
-        for b in range(n2):
-            idx = a * n2 + b
-            out[idx][idx] = datum.q_pair(m1.index_weights[a],
-                                         m2.index_weights[b])
+    diag = _kappa_diagonal(m1, m2)
+    zero = m1.datum.zero()
+    return [[c if a == b else zero for b in range(len(diag))]
+            for a, c in enumerate(diag)]
+
+
+def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
+    """The root vectors E_{beta_k} (kind "e") or F_{beta_k} (kind "f") on
+    mod, one per letter of the reduced word w0 = (i_1 ... i_N): the
+    generator of index i_k conjugated by T = T_{i_1} ... T_{i_{k-1}}."""
+    word = mod.datum.longest_word()
+    t = tinv = linalg.identity(mod.dim, mod.datum.l0)
+    out = [mod.gen_matrix(kind, word[0])]
+    for prev, i in zip(word, word[1:]):
+        t = linalg.mat_mul(t, braid_on_module(mod, prev))
+        tinv = linalg.mat_mul(braid_on_module(mod, prev, inverse=True), tinv)
+        out.append(linalg.mat_mul(t, linalg.mat_mul(mod.gen_matrix(kind, i),
+                                                    tinv)))
     return out
 
 
-def _flip_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    """Permutation matrix of v (x) v' -> v' (x) v from m1 (x) m2 to m2 (x) m1."""
+def theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
+    """The quasi-R-matrix on m1 (x) m2 as the ordered product
+    Theta = X_N ... X_1, X_k = exp_{q_i^-1}((q_i^-1 - q_i) E_{beta_k} (x)
+    F_{beta_k}) with i = i_k; later roots multiply on the left."""
     datum = m1.datum
-    n1, n2 = m1.dim, m2.dim
-    out = linalg.zeros(n1 * n2, n1 * n2, datum.l0)
-    one = datum.one()
-    for a in range(n1):
-        for b in range(n2):
-            out[b * n1 + a][a * n2 + b] = one
-    return out
-
-
-def xi_operator(pairing: DrinfeldPairing, m1: WeightModule,
-                m2: WeightModule) -> Matrix:
-    """sum_beta q^{(beta,beta)} (k_beta^{-1} (x) k_beta) Xi_beta on m1 (x) m2."""
-    datum = pairing.datum
-    alg = pairing.algebra
-    n = m1.dim * m2.dim
-    out = linalg.identity(n, datum.l0)  # beta = 0 term
-    for beta in contributing_degrees(datum, m1, m2):
-        if not any(beta):
-            continue
-        tw = datum.q_power(datum.root_pair(beta, beta))
-        kb = datum.root_to_weight(beta)
-        kminus = alg.k(tuple(-x for x in kb))
-        kplus = alg.k(kb)
-        for x, y, c in pairing.xi_element(beta):
-            left = m1.act(kminus * x)
-            right = m2.act(kplus * y)
-            out = linalg.mat_add(out, linalg.mat_scale(
-                linalg.kron(left, right), tw * c))
+    out = linalg.identity(m1.dim * m2.dim, datum.l0)
+    for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
+                       root_vectors(m2, "f")):
+        qi = datum.q_power(datum.d(i))
+        x = linalg.kron(linalg.mat_scale(e, qi.inverse() - qi), f)
+        out = linalg.mat_mul(_exp_matrix(x, -datum.d(i), datum.l0), out)
     return out
 
 
@@ -238,15 +235,19 @@ def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
     if flavor == "kappa":
         return ROperator(carrier, carrier, kappa_matrix(m1, m2), flavor)
     if flavor == "R":
-        mat = linalg.mat_mul(linalg.inverse(kappa_matrix(m1, m2)),
-                             xi_operator(pairing, m1, m2))
+        # kappa^-1 is diagonal: scale the columns of Theta
+        kinv = [c.inverse() for c in _kappa_diagonal(m1, m2)]
+        mat = [[x * c for x, c in zip(row, kinv)]
+               for row in theta_matrix(m1, m2)]
         return ROperator(carrier, carrier, mat, flavor)
     if flavor == "R-inverse":
         return ROperator(carrier, carrier,
                          r_inverse_matrix(pairing, m1, m2), flavor)
     if flavor == "R-check":
-        r = r_operator(pairing, m1, m2, "R")
-        mat = linalg.mat_mul(_flip_matrix(m1, m2), r.matrix)
+        # the flip v (x) v' -> v' (x) v permutes the rows of R
+        r = r_operator(pairing, m1, m2, "R").matrix
+        mat = [list(r[a * m2.dim + b]) for b in range(m2.dim)
+               for a in range(m1.dim)]
         return ROperator(carrier, tensor(m2, m1), mat, flavor)
     raise ValueError(f"unknown flavor {flavor!r}")
 

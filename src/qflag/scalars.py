@@ -25,16 +25,8 @@ Lp = Dict[int, int]  # sparse Laurent polynomial, exponent (1/l0 units) -> coeff
 # Laurent polynomial helpers (plain dicts, integer coefficients)
 # ---------------------------------------------------------------------------
 
-def lp_zero() -> Lp:
-    return {}
-
-
 def lp_const(c: int) -> Lp:
     return {0: c} if c else {}
-
-
-def lp_monomial(exp: int, c: int = 1) -> Lp:
-    return {exp: c} if c else {}
 
 
 def lp_add(a: Lp, b: Lp) -> Lp:
@@ -65,12 +57,6 @@ def lp_mul(a: Lp, b: Lp) -> Lp:
             else:
                 out.pop(e, None)
     return out
-
-
-def lp_scale(a: Lp, c: int) -> Lp:
-    if c == 0:
-        return {}
-    return {e: k * c for e, k in a.items()}
 
 
 def lp_content(a: Lp) -> int:
@@ -593,8 +579,3 @@ def _maybe_power(tok: _Tok, base: QScalar, l0: int) -> QScalar:
         neg = True
     n = tok.number()
     return base ** (-n if neg else n)
-
-
-def scalar_matrix_str(rows) -> list:
-    """Render a matrix of QScalars as nested lists of grammar strings."""
-    return [[s.to_str() for s in row] for row in rows]

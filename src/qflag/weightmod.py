@@ -564,7 +564,12 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
             raise TruncationError("exponential series does not terminate; "
                                   "the matrix is not nilpotent")
         coeff = exp_t_coefficient(n, t_scale, l0)
-        out = linalg.mat_add(out, linalg.mat_scale(power, coeff))
+        # the powers of a nilpotent weight operator are sparse: add only
+        # their nonzero cells
+        for orow, prow in zip(out, power):
+            for j, x in enumerate(prow):
+                if not x.is_zero():
+                    orow[j] = orow[j] + coeff * x
     return out
 
 

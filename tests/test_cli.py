@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qflag
+from qflag import cli
 from qflag.cli import main
 
 
@@ -129,6 +130,35 @@ def test_invalid_inputs_exit_2(capsys):
     # non-dominant highest weight is invalid input
     assert main(["rmatrix", "--type", "A1", "--hw", "[-1]"]) == 2
     assert main(["verify", "--type", "A1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--type", "A2", "--hw", "[1]"],        # too few coordinates
+    ["rmatrix", "--type", "A2", "--hw", "[1,x]"],      # not an integer
+    ["module", "--type", "A2", "--hw", "[0,-1]"],      # not dominant
+    ["basis", "--type", "A2", "--degree", "<1,-1>"],   # not in Q^+
+    ["cartan", "--cartan-matrix", "[[2,-1],[-1"],       # not JSON
+    ["verify", "no-such-suite", "--type", "A2"],
+])
+def test_bad_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [KeyError("injected"),
+                                 ArithmeticError("injected"),
+                                 ValueError("injected")])
+def test_internal_error_exits_4(monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    # a bug deep inside a suite, not an input error
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert main(["verify", "pbw", "--type", "A1"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert f"internal error: {type(exc).__name__}" in err
 
 
 def test_determinism_byte_identical():

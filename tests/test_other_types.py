@@ -95,7 +95,7 @@ def test_g2_operator_window(g2):
         assert lemma_rl_check(window, psi)["pass"]
 
 
-@pytest.mark.parametrize("suite", ["braid", "bimodule"])
+@pytest.mark.parametrize("suite", ["braid", "bimodule", "rmatrix"])
 def test_g2_suites_reach_a_verdict(suite, capsys):
     # V(w1) of G2 is above the default height cap: the suites use V(w2)
     # and report what would need a larger module as skipped

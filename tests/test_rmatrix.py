@@ -1,10 +1,38 @@
 import pytest
 
 from qflag import linalg as la
+from qflag.cartan import preset
+from qflag.enveloping import UAlgebra
 from qflag.errors import BorelError, TruncationError
-from qflag.rmatrix import (DrinfeldPairing, hexagon_check, kappa_matrix,
-                           r_operator, xi_operator)
+from qflag.rmatrix import (DrinfeldPairing, contributing_degrees,
+                           hexagon_check, kappa_matrix, r_operator)
 from qflag.weightmod import module_map_commutes, simple, tensor, verma
+
+
+def xi_operator(pairing, m1, m2):
+    """sum_beta q^{(beta,beta)} (k_beta^{-1} (x) k_beta) Xi_beta on m1 (x) m2,
+    summed degree by degree from the inverted pairing tables: an oracle
+    for kappa R that shares no step with the root-vector product."""
+    datum = pairing.datum
+    alg = pairing.algebra
+    out = la.identity(m1.dim * m2.dim, datum.l0)  # beta = 0 term
+    for beta in contributing_degrees(datum, m1, m2):
+        if not any(beta):
+            continue
+        tw = datum.q_power(datum.root_pair(beta, beta))
+        kb = datum.root_to_weight(beta)
+        kminus = alg.k(tuple(-x for x in kb))
+        kplus = alg.k(kb)
+        for x, y, c in pairing.xi_element(beta):
+            left = m1.act(kminus * x)
+            right = m2.act(kplus * y)
+            out = la.mat_add(out, la.mat_scale(la.kron(left, right), tw * c))
+    return out
+
+
+def table_route_r(pairing, m1, m2):
+    return la.mat_mul(la.inverse(kappa_matrix(m1, m2)),
+                      xi_operator(pairing, m1, m2))
 
 
 def test_pairing_generator_values(alg1, pairing1):
@@ -235,3 +263,54 @@ def test_pairing_tables_concurrent(alg2):
     fresh = DrinfeldPairing(alg2)
     assert la.mat_eq(by_kind["xi"][0], fresh.xi_coefficients((1, 1)))
     assert la.mat_eq(by_kind["table"][0], fresh.table((2, 1)))
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2"])
+def test_r_matches_table_route_on_fundamentals(typ):
+    datum = preset(typ)
+    alg = UAlgebra(datum)
+    pairing = DrinfeldPairing(alg)
+    mods = [simple(alg, datum.fundamental(i)) for i in range(datum.rank)]
+    for a in mods:
+        for b in mods:
+            r = r_operator(pairing, a, b, "R").matrix
+            assert la.mat_eq(r, table_route_r(pairing, a, b)), (a.name, b.name)
+
+
+def test_r_matches_table_route_on_tensor_carrier(alg2, pairing2):
+    v = simple(alg2, (1, 0))
+    vv = tensor(v, v)
+    r = r_operator(pairing2, vv, v, "R").matrix
+    assert la.mat_eq(r, table_route_r(pairing2, vv, v))
+
+
+def test_r_matches_table_route_on_g2(g2):
+    alg = UAlgebra(g2)
+    pairing = DrinfeldPairing(alg)
+    v = simple(alg, g2.fundamental(1))
+    r = r_operator(pairing, v, v, "R").matrix
+    assert la.mat_eq(r, table_route_r(pairing, v, v))
+
+
+def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, alg2):
+    def refuse(self, beta):
+        raise AssertionError(f"pairing table read at {beta}")
+
+    sizes = []
+    inverse = la.inverse
+
+    def spy(mat):
+        sizes.append(len(mat))
+        return inverse(mat)
+
+    monkeypatch.setattr(DrinfeldPairing, "xi_coefficients", refuse)
+    monkeypatch.setattr(DrinfeldPairing, "table", refuse)
+    monkeypatch.setattr(la, "inverse", spy)
+    pairing = DrinfeldPairing(alg2)
+    # fresh modules: nothing memoized on them yet
+    v1, v2 = simple(alg2, (1, 0)), simple(alg2, (0, 1))
+    r_operator(pairing, v1, v2, "R")
+    rc = r_operator(pairing, v1, v2, "R-check")
+    assert module_map_commutes(rc.source, rc.target, rc.matrix)
+    # only the braid inverses T_i^-1 on the factors, never the carrier
+    assert sizes and max(sizes) <= max(v1.dim, v2.dim)
