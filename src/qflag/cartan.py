@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,16 +88,14 @@ class CartanDatum:
         self.cartan = a
         self.symmetrizers = _minimal_symmetrizers(a)
         self._check_finite_type()
-        # (omega_i, omega_j) table; l0 clears all of them
+        # (omega_i, omega_j) = inv[j][i] d_j; l0 clears all of them, and
+        # the form is kept as the integer table l0 (omega_i, omega_j)
         inv = _rational_inverse(a)
-        self._omega_pair = tuple(
-            tuple(inv[j][i] * self.symmetrizers[j] for j in range(n))
-            for i in range(n))
-        den = 1
-        for row in self._omega_pair:
-            for x in row:
-                den = lcm(den, x.denominator)
-        self.l0 = den
+        omega_pair = [[inv[j][i] * self.symmetrizers[j] for j in range(n)]
+                      for i in range(n)]
+        self.l0 = lcm(*(x.denominator for row in omega_pair for x in row))
+        self._omega_l0 = tuple(tuple(int(x * self.l0) for x in row)
+                               for row in omega_pair)
         # integer adjugate A^-1 * det(A): root coordinates of a weight w
         # are adj(A) w / det(A)
         self._det = int(_det(a))
@@ -184,21 +181,14 @@ class CartanDatum:
 
     # -- bilinear form -----------------------------------------------------
 
+    def pair_l0(self, lam: Sequence[int], mu: Sequence[int]) -> int:
+        """The integer l0 * (lam, mu) for weights in fundamental coordinates."""
+        return sum(a * sum(b * x for b, x in zip(mu, row))
+                   for a, row in zip(lam, self._omega_l0) if a)
+
     def pair_ww(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """(lam, mu) for two weights in fundamental coordinates."""
-        out = Fraction(0)
-        for i, a in enumerate(lam):
-            if not a:
-                continue
-            for j, b in enumerate(mu):
-                if b:
-                    out += Fraction(a * b) * self._omega_pair[i][j]
-        return out
-
-    def pair_wr(self, lam: Sequence[int], gamma: Sequence[int]) -> Fraction:
-        """(lam, gamma) for a weight and a root-lattice element: integral
-        multiple of 1/1? -- in general a Fraction in (1/l0)Z."""
-        return self.pair_ww(lam, self.root_to_weight(gamma))
+        return Fraction(self.pair_l0(lam, mu), self.l0)
 
     def d(self, i: int) -> int:
         return self.symmetrizers[i]
@@ -211,7 +201,7 @@ class CartanDatum:
 
     def q_pair(self, lam: Sequence[int], mu: Sequence[int]) -> QScalar:
         """q**(lam,mu) for weights in fundamental coordinates."""
-        return QScalar.q_power(self.pair_ww(lam, mu), self.l0)
+        return QScalar.q_l0(self.pair_l0(lam, mu), self.l0)
 
     def one(self) -> QScalar:
         return QScalar.one(self.l0)
@@ -539,69 +529,71 @@ class CharacterPoly:
         return {self.datum.weight_str(w): c for w, c in sorted(self.terms.items())}
 
 
+def kostant_table(datum: CartanDatum, depth: RootSum) -> Dict[RootSum, int]:
+    """Kostant partition counts P(g), the number of multisets of positive
+    roots summing to g, for every g in box(depth); memoized per depth."""
+    depth = tuple(depth)
+    return datum.memo.get(("kostant", depth),
+                          lambda: _kostant_counts(datum, depth))
+
+
+def _kostant_counts(datum: CartanDatum, depth: RootSum) -> Dict[RootSum, int]:
+    # coin change, one positive root at a time: P(g) += P(g - alpha) in
+    # lexicographic order, so P(g - alpha) already counts alpha itself
+    points = box(depth)
+    table = dict.fromkeys(points, 0)
+    table[datum.zero_root] = 1
+    for alpha in datum.positive_roots():
+        for g in points:
+            rest = tuple(a - b for a, b in zip(g, alpha))
+            if all(c >= 0 for c in rest):
+                table[g] += table[rest]
+    return table
+
+
 def kostant_dim(datum: CartanDatum, gamma: RootSum) -> int:
     """Number of multisets of positive roots summing to gamma."""
     gamma = tuple(gamma)
     if any(c < 0 for c in gamma):
         raise ValueError("gamma must lie in Q^+")
-    roots = datum.positive_roots()
-
-    @lru_cache(maxsize=None)
-    def count(rest: RootSum, idx: int) -> int:
-        if not any(rest):
-            return 1
-        if idx >= len(roots):
-            return 0
-        total = 0
-        r = roots[idx]
-        cur = rest
-        while True:
-            total += count(cur, idx + 1)
-            nxt = tuple(a - b for a, b in zip(cur, r))
-            if any(c < 0 for c in nxt):
-                break
-            cur = nxt
-        return total
-
-    return count(gamma, 0)
+    return kostant_table(datum, gamma)[gamma]
 
 
 def verma_character(datum: CartanDatum, lam: Weight, depth: RootSum) -> CharacterPoly:
     """Truncation of e^lam / prod_{alpha>0} (1 - e^-alpha) to drops <= depth
     (componentwise in simple-root coordinates)."""
-    depth = tuple(depth)
-    # expand prod (1 + e^-a + e^-2a + ...) over Q^+ coordinates <= depth
-    series: Dict[RootSum, int] = {datum.zero_root: 1}
-    for alpha in datum.positive_roots():
-        new: Dict[RootSum, int] = {}
-        for g, c in series.items():
-            k = 0
-            while True:
-                gg = tuple(a + k * b for a, b in zip(g, alpha))
-                if any(x > d for x, d in zip(gg, depth)):
-                    break
-                new[gg] = new.get(gg, 0) + c
-                k += 1
-        series = new
-    terms = {datum.weight_sub_root(lam, g): c for g, c in series.items()}
-    return CharacterPoly(datum, terms)
+    return CharacterPoly(datum, {
+        datum.weight_sub_root(lam, g): c
+        for g, c in kostant_table(datum, depth).items()})
 
 
 def weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
     """Character of the simple module of highest weight lam by Kostant's
     form of the Weyl formula, ch V(lam) = sum_w det(w) ch M(w.lam), each
-    Verma character cut to the drops of V(lam) (all <= lam - w0 lam)."""
+    Verma character cut to the drops of V(lam) (all <= lam - w0 lam).
+    Memoized per lam: callers share the result and must not mutate it."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise DominanceError(f"{lam} is not dominant")
+    return datum.memo.get(("weyl_character", lam),
+                          lambda: _weyl_character(datum, lam))
+
+
+def _weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
+    # one Kostant table for the box of lam - w0 lam; the Verma character
+    # of w.lam = lam - drop contributes P(g) at drop + g for g <= low - drop
     low = datum.lowest_drop(lam)
-    out = CharacterPoly(datum)
+    table = kostant_table(datum, low)
+    by_drop: Dict[RootSum, int] = {}
     for word in datum.all_weyl_words():
         w_lam = datum.weyl_act(word, lam, shifted=True)
         drop = datum.weight_to_root(datum.weight_sub(lam, w_lam))
         window = tuple(a - b for a, b in zip(low, drop))
         if any(c < 0 for c in window):
             continue
-        out = out + verma_character(datum, w_lam, window).scale(
-            datum.weyl_det(word))
-    return out
+        sign = datum.weyl_det(word)
+        for g in box(window):
+            d = tuple(a + b for a, b in zip(drop, g))
+            by_drop[d] = by_drop.get(d, 0) + sign * table[g]
+    return CharacterPoly(datum, {datum.weight_sub_root(lam, d): c
+                                 for d, c in by_drop.items()})

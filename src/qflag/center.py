@@ -123,7 +123,8 @@ def _solve(algebra: UAlgebra, max_height: int,
             for (fw2, nu2, ew2, coeff, twist) in shape_comms[((fw, ew), gi)]:
                 c = coeff
                 if any(twist):
-                    c = c * datum.q_power(-datum.pair_wr(mu, twist))
+                    c = c * datum.q_pair(datum.weight_neg(mu),
+                                         datum.root_to_weight(twist))
                 rk = (gi, (fw2, datum.weight_add(nu2, mu), ew2))
                 idx = rows_index.setdefault(rk, len(rows_index))
                 col[idx] = col.get(idx, datum.zero()) + c

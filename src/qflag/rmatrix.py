@@ -126,8 +126,9 @@ class DrinfeldPairing:
         alg = self.algebra
         datum = self.datum
         beta = tuple(beta)
-        tw = datum.q_power(datum.root_pair(beta, beta))
-        kbeta = alg.k(datum.root_to_weight(beta))
+        bw = datum.root_to_weight(beta)
+        tw = datum.q_pair(bw, bw)
+        kbeta = alg.k(bw)
         out = []
         for x, y, c in self.xi_element(beta):
             out.append((alg.antipode(x).scale(tw * c), kbeta * y))

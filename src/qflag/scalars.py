@@ -246,7 +246,12 @@ class QScalar:
         scaled = f * l0
         if scaled.denominator != 1:
             raise ValueError(f"exponent {f} not in (1/{l0})Z")
-        return cls({int(scaled): 1}, {0: 1}, l0, _canonical=True)
+        return cls.q_l0(int(scaled), l0)
+
+    @classmethod
+    def q_l0(cls, n: int, l0: int) -> "QScalar":
+        """The monomial q**(n/l0) for an integer n."""
+        return cls({n: 1}, {0: 1}, l0, _canonical=True)
 
     @classmethod
     def from_poly(cls, num: Lp, l0: int) -> "QScalar":

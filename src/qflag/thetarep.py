@@ -178,8 +178,8 @@ class ThetaFormula:
             ai = datum.alpha(i)
             t1 = linalg.mat_scale(
                 linalg.mat_mul(self.p_conv(i), self.n_conj(ai)),
-                datum.q_power(-datum.pair_ww(ai, ai))
-                * datum.q_pair(tuple(-x for x in ai), probe))
+                datum.q_pair(datum.weight_neg(ai),
+                             datum.weight_add(ai, probe)))
             t2 = linalg.mat_scale(self.q_conv(i), datum.q_pair(ai, probe))
             return linalg.mat_sub(t1, t2)
         raise ValueError(f"unknown generator kind {kind!r}")

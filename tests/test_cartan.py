@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from qflag.cartan import CharacterPoly, box, by_height, kostant_dim, preset, \
-    verma_character, weyl_character
+from qflag import cartan
+from qflag.cartan import CartanDatum, CharacterPoly, box, by_height, \
+    kostant_dim, kostant_table, preset, verma_character, weyl_character
 from qflag.errors import DominanceError, ParseError
+from qflag.scalars import QScalar
 
 
 def test_presets_and_l0(a1, a2, g2):
@@ -232,3 +235,155 @@ def test_linked(a1, a2):
     orbit = {a2.weyl_act(w, (1, 0), shifted=True) for w in a2.all_weyl_words()}
     assert len(orbit) == 6
     assert all(a2.linked((1, 0), b) is not None for b in orbit)
+
+
+# -- the Kostant table against the expansions it replaced ------------------
+
+def _series_expansion(datum, depth):
+    """prod_{alpha>0} (1 + e^-alpha + e^-2alpha + ...) cut to drops <= depth,
+    as a map drop -> coefficient, expanded one geometric series at a time."""
+    series = {datum.zero_root: 1}
+    for alpha in datum.positive_roots():
+        new = {}
+        for g, c in series.items():
+            k = 0
+            while True:
+                gg = tuple(a + k * b for a, b in zip(g, alpha))
+                if any(x > d for x, d in zip(gg, depth)):
+                    break
+                new[gg] = new.get(gg, 0) + c
+                k += 1
+        series = new
+    return series
+
+
+def _kostant_by_recursion(datum, gamma):
+    """Multisets of positive roots summing to gamma, counted by the number
+    of copies of each root in turn."""
+    roots = datum.positive_roots()
+
+    @lru_cache(maxsize=None)
+    def count(rest, idx):
+        if not any(rest):
+            return 1
+        if idx >= len(roots):
+            return 0
+        total = 0
+        while all(c >= 0 for c in rest):
+            total += count(rest, idx + 1)
+            rest = tuple(a - b for a, b in zip(rest, roots[idx]))
+        return total
+
+    return count(tuple(gamma), 0)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_kostant_table_matches_series_expansion(name):
+    datum = preset(name)
+    lam = datum.rho
+    for depth in box((4,) * datum.rank):
+        series = _series_expansion(datum, depth)
+        assert kostant_table(datum, depth) == series
+        expected = {datum.weight_sub_root(lam, g): c
+                    for g, c in series.items()}
+        assert verma_character(datum, lam, depth).terms == expected
+        assert kostant_dim(datum, depth) == _kostant_by_recursion(datum, depth)
+
+
+def test_kostant_table_matches_series_expansion_g2_largest_window(g2):
+    # lowest_drop((6,3)): the largest Kostant box that suite-sweep builds
+    depth = (30, 48)
+    assert g2.lowest_drop((6, 3)) == depth
+    assert kostant_table(g2, depth) == _series_expansion(g2, depth)
+
+
+def test_weyl_character_expands_once_per_lam(monkeypatch):
+    datum = preset("B2")
+    built = []
+    counts = cartan._kostant_counts
+
+    def counting(d, depth):
+        built.append(depth)
+        return counts(d, depth)
+
+    monkeypatch.setattr(cartan, "_kostant_counts", counting)
+    first = weyl_character(datum, (2, 1))
+    assert built == [datum.lowest_drop((2, 1))]
+    assert weyl_character(datum, (2, 1)) is first
+    assert built == [datum.lowest_drop((2, 1))]
+
+
+# -- the Weyl dimension formula, an oracle independent of Kostant ----------
+
+def _weyl_dimension(datum, lam):
+    """dim V(lam) = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
+    shifted = datum.weight_add(lam, datum.rho)
+    out = Fraction(1)
+    for alpha in datum.positive_roots():
+        a = datum.root_to_weight(alpha)
+        out *= datum.pair_ww(shifted, a) / datum.pair_ww(datum.rho, a)
+    assert out.denominator == 1
+    return int(out)
+
+
+# the G2 highest weights whose characters suite-sweep builds
+_G2_SWEEP_WEIGHTS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
+                     (3, 1), (2, 3), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3),
+                     (4, 4), (5, 3), (5, 4), (6, 3)]
+
+
+@pytest.mark.parametrize("name,weights", [
+    ("A2", box((3, 3))), ("B2", box((3, 3))), ("G2", _G2_SWEEP_WEIGHTS)])
+def test_weyl_character_matches_weyl_dimension_formula(name, weights):
+    datum = preset(name)
+    for lam in weights:
+        assert weyl_character(datum, lam).total() == \
+            _weyl_dimension(datum, lam), lam
+
+
+def test_weyl_dimension_examples(a2, g2):
+    assert _weyl_dimension(a2, (1, 1)) == 8
+    assert _weyl_dimension(g2, (0, 1)) == 7
+    assert _weyl_dimension(g2, (1, 0)) == 14
+
+
+# -- the integer form table against the form on simple roots ---------------
+
+# a B3-type symmetrizable matrix: rank 3, symmetrizers (2, 2, 1), l0 = 2
+_CUSTOM = ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
+
+
+def test_custom_datum_has_l0_above_one():
+    datum = CartanDatum(_CUSTOM)
+    assert datum.symmetrizers == (2, 2, 1) and datum.l0 == 2
+
+
+def _reference_form(datum, lam, mu):
+    """(lam, mu) = sum_j d_j lam_j c_j with mu = sum_j c_j alpha_j, since
+    (lam, alpha_j) = d_j lam_j; c solves A c = mu over Q."""
+    n = datum.rank
+    aug = [[Fraction(datum.cartan[r][j]) for j in range(n)] + [Fraction(mu[r])]
+           for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    c = [aug[j][n] / aug[j][j] for j in range(n)]
+    return sum(datum.d(j) * lam[j] * c[j] for j in range(n))
+
+
+@pytest.mark.parametrize("datum", [preset(n) for n in PRESETS]
+                         + [CartanDatum(_CUSTOM)], ids=PRESETS + ("B3",))
+def test_pair_l0_and_q_pair_match_rational_form(datum):
+    n = datum.rank
+    weights = box((2,) * n, lo=(-2,) * n) if n < 3 else \
+        box((1,) * n, lo=(-1,) * n)
+    for lam in weights:
+        for mu in weights:
+            form = _reference_form(datum, lam, mu)
+            assert datum.pair_l0(lam, mu) == datum.l0 * form
+            assert datum.pair_ww(lam, mu) == form
+            assert datum.q_pair(lam, mu) == QScalar.q_power(form, datum.l0)

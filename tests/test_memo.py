@@ -1,6 +1,10 @@
 import gc
+import re
 import threading
 import weakref
+from pathlib import Path
+
+import qflag
 
 from qflag.cartan import preset
 from qflag.center import center_solve
@@ -62,3 +66,27 @@ def test_caches_do_not_keep_owners_alive():
     del datum, alg
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# every cache in the package is a Memo; only memo.py takes a lock
+_FORBIDDEN = re.compile(
+    r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b"
+    r"|^\s*from functools import .*\bcache\b|\bR?Lock\b", re.M)
+
+
+def test_forbidden_pattern_catches_other_caches_and_locks():
+    for line in ["@functools.lru_cache(maxsize=None)", "@functools.cache",
+                 "@cache", "from functools import partial, cache",
+                 "self._lock = threading.RLock()", "from threading import Lock"]:
+        assert _FORBIDDEN.search(line), line
+    for line in ["self.memo = Memo()", "# cached per depth", "cached_value = 1"]:
+        assert not _FORBIDDEN.search(line), line
+
+
+def test_memo_is_the_only_cache_and_lock_in_the_package():
+    src = Path(qflag.__file__).parent
+    hits = [f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group()}"
+            for path in sorted(src.glob("*.py")) if path.name != "memo.py"
+            for text in [path.read_text()]
+            for m in _FORBIDDEN.finditer(text)]
+    assert hits == []
