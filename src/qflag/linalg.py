@@ -1,14 +1,17 @@
 """Exact dense linear algebra over Q(q^(1/l0)).
 
-Matrices are lists of lists of QScalar.  Everything works by fraction
-arithmetic; there is no pivoting heuristic beyond "first nonzero", which
-keeps results deterministic.  Elimination skips zero cells, which is most
-of them in the sparse systems qflag solves.
+Matrices are lists of lists of QScalar.  Every answer comes from exact
+fraction arithmetic; there is no pivoting heuristic beyond "first nonzero",
+which keeps results deterministic.  Elimination skips zero cells, which is
+most of them in the sparse systems qflag solves.  For a matrix with more
+rows than columns, a rank pass over a prime field (q^(1/l0) evaluated at a
+fixed point) first picks independent rows; it only decides which rows
+enter the exact elimination, never the answer (see ``rref``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import QScalar
 
@@ -133,6 +136,32 @@ def first_mismatch(a: Matrix, b: Matrix) -> Optional[Tuple[int, int, QScalar, QS
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form (copy); returns (echelon, pivot columns).
 
+    A matrix with more rows than columns first goes through a rank pass
+    mod P (``_rows_independent_mod_p``).  Full column rank there means full
+    column rank exactly, and the answer is the identity.  Otherwise only the
+    rows kept by the pass are eliminated, and every other row is checked
+    exactly to lie in their row space; since the reduced echelon form of a
+    row space is unique, the answer is the same as eliminating every row,
+    which is what happens when a check fails or the pass cannot run."""
+    if not rows or not rows[0]:
+        return [], []
+    ncols = len(rows[0])
+    if len(rows) > ncols:
+        keep = _rows_independent_mod_p(rows)
+        if keep is not None:
+            if len(keep) == ncols:
+                return identity(ncols, rows[0][0].l0), list(range(ncols))
+            ech, pivots = _eliminate([rows[i] for i in keep])
+            kept = set(keep)
+            if all(_in_row_space(row, ech, pivots)
+                   for i, row in enumerate(rows) if i not in kept):
+                return ech, pivots
+    return _eliminate(rows)
+
+
+def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
+    """Exact Gauss-Jordan elimination of every row (copy).
+
     The pivot row is scaled once, and every other row is updated in place
     on the pivot row's nonzero columns only: a zero cell costs nothing."""
     if not rows:
@@ -171,6 +200,76 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     return mat[:r], pivots
 
 
+# The rank pass evaluates q^(1/l0) at the fixed point _T of the field of
+# _P elements.  Both are constants, so every run makes the same choices;
+# a point where the pass is unlucky only costs the full elimination.
+_P = (1 << 61) - 1
+_T = 1234567890123456789
+
+
+def _rows_independent_mod_p(rows: Matrix) -> Optional[List[int]]:
+    """Indices of rows, greedy in order, that are independent after
+    evaluation at q^(1/l0) = _T mod _P; None if a denominator vanishes.
+
+    Evaluation is a ring homomorphism on entries whose denominators do not
+    vanish at the point, so it can only lower rank: a nonzero minor mod P
+    is a nonzero minor exactly, and the kept rows are independent over
+    Q(q^(1/l0)).  Stops once the rows kept span every column."""
+    ncols = len(rows[0])
+
+    def at_t(p) -> int:
+        return sum(c * pow(_T, e, _P) for e, c in p.items()) % _P
+
+    basis: Dict[int, Dict[int, int]] = {}  # leading column -> row, lead 1
+    keep: List[int] = []
+    for i, row in enumerate(rows):
+        v: Dict[int, int] = {}
+        for j, x in enumerate(row):
+            if x.is_zero():
+                continue
+            den = at_t(x.den)
+            if not den:
+                return None
+            val = at_t(x.num) * pow(den, -1, _P) % _P
+            if val:
+                v[j] = val
+        while v:
+            c = min(v)
+            b = basis.get(c)
+            if b is None:
+                inv = pow(v[c], -1, _P)
+                basis[c] = {j: y * inv % _P for j, y in v.items()}
+                keep.append(i)
+                break
+            f = v[c]
+            for j, y in b.items():
+                z = (v.get(j, 0) - f * y) % _P
+                if z:
+                    v[j] = z
+                else:
+                    v.pop(j, None)
+        if len(keep) == ncols:
+            break
+    return keep
+
+
+def _in_row_space(row: Vector, ech: Matrix, pivots: List[int]) -> bool:
+    """Whether row reduces to zero by the reduced echelon rows: subtracting
+    row[p]·(echelon row of pivot p) for every pivot p is the whole
+    reduction, so the row lies in their span iff what is left is zero."""
+    terms = [(row[p], e) for p, e in zip(pivots, ech) if not row[p].is_zero()]
+    pivot_set = set(pivots)
+    for j, x in enumerate(row):
+        if j in pivot_set:
+            continue
+        for f, e in terms:
+            if not e[j].is_zero():
+                x = x - f * e[j]
+        if not x.is_zero():
+            return False
+    return True
+
+
 def rank(a: Matrix) -> int:
     return len(rref(a)[0])
 
@@ -196,7 +295,6 @@ def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
     if not a:
         if ncols is None:
             return []
-        l0 = 1
         raise ValueError("nullspace of empty matrix needs explicit scalars")
     m = len(a[0])
     l0 = a[0][0].l0
@@ -216,8 +314,8 @@ def inverse(a: Matrix) -> Matrix:
     n = len(a)
     if n == 0:
         return []
-    l0 = a[0][0].l0
-    aug = [list(a[i]) + identity(n, l0)[i] for i in range(n)]
+    ident = identity(n, a[0][0].l0)
+    aug = [list(row) + ident_row for row, ident_row in zip(a, ident)]
     ech, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ArithmeticError("matrix not invertible")

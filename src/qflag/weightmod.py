@@ -100,14 +100,14 @@ class WeightModule:
     def word_matrix(self, word) -> Matrix:
         """Matrix of a raw letter word acting on this module.  For a left
         module the word l1...ln acts by l1(l2(...(ln v))); for a right
-        module v.(l1...ln) applies l1 first."""
-        out = linalg.identity(self.dim, self.datum.l0)
-        if self.side == "left":
-            for letter in reversed(word):
-                out = linalg.mat_mul(self.letter_matrix(letter), out)
-        else:
-            for letter in word:
-                out = linalg.mat_mul(self.letter_matrix(letter), out)
+        module v.(l1...ln) applies l1 first.  The result is a new matrix,
+        never a generator matrix of the module itself."""
+        if not word:
+            return linalg.identity(self.dim, self.datum.l0)
+        letters = reversed(word) if self.side == "left" else iter(word)
+        out = [list(row) for row in self.letter_matrix(next(letters))]
+        for letter in letters:
+            out = linalg.mat_mul(self.letter_matrix(letter), out)
         return out
 
     def act(self, u: UElement) -> Matrix:

@@ -85,23 +85,26 @@ def _same(x, y):
     return x == y
 
 
+def _assert_matches_reference(mat, rnd):
+    ech, piv = la.rref(mat)
+    ref_ech, ref_piv = dense_rref(mat)
+    assert piv == ref_piv and la.mat_eq(ech, ref_ech)
+    assert _same(_production(la.nullspace, mat),
+                 _reference(la.nullspace, mat))
+    x = [rnd.choice(_POOL) for _ in range(len(mat[0]))]
+    for b in (la.mat_vec(mat, x), [rnd.choice(_POOL) for _ in mat]):
+        assert _same(_production(la.solve, mat, b),
+                     _reference(la.solve, mat, b))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 2 ** 32))
 def test_rref_matches_dense_reference(nrows, ncols, seed):
     rnd = random.Random(seed)
     mat = _sparse_matrix(rnd, nrows, ncols)
     before = [list(r) for r in mat]
-    ech, piv = la.rref(mat)
-    ref_ech, ref_piv = dense_rref(mat)
-    assert piv == ref_piv
-    assert la.mat_eq(ech, ref_ech)
+    _assert_matches_reference(mat, rnd)
     assert mat == before  # the input is not touched
-    assert _same(_production(la.nullspace, mat),
-                 _reference(la.nullspace, mat))
-    x = [rnd.choice(_POOL) for _ in range(ncols)]
-    for b in (la.mat_vec(mat, x), [rnd.choice(_POOL) for _ in range(nrows)]):
-        assert _same(_production(la.solve, mat, b),
-                     _reference(la.solve, mat, b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,3 +128,115 @@ def test_rref_of_zero_matrix_and_empty_rows():
     assert la.rref([]) == ([], [])
     with pytest.raises(ArithmeticError):
         la.inverse([[zero]])
+
+
+# -- the rank pass mod P in front of the exact elimination -------------------
+
+def _tall_planted(rnd, ncols, nullity, extra):
+    """A tall matrix of rank ncols - nullity: rows [I | R] with random sparse
+    R, columns shuffled, plus `extra` combinations of two of them, every row
+    in shuffled order."""
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    k = ncols - nullity
+    gens = [[one if j == i else zero for j in range(k)]
+            + [rnd.choice(_POOL) if rnd.random() < 0.4 else zero
+               for _ in range(nullity)] for i in range(k)]
+    perm = list(range(ncols))
+    rnd.shuffle(perm)
+    gens = [[row[p] for p in perm] for row in gens]
+    rows = list(gens)
+    for _ in range(extra):
+        a, b = rnd.sample(range(k), 2) if k > 1 else (0, 0)
+        x, y = rnd.choice(_POOL), rnd.choice(_POOL)
+        rows.append([x * u + y * v for u, v in zip(gens[a], gens[b])])
+    rnd.shuffle(rows)
+    return rows
+
+
+def _count_eliminations(monkeypatch):
+    """Row counts of the exact eliminations that run from now on."""
+    calls = []
+    real = la._eliminate
+    monkeypatch.setattr(la, "_eliminate",
+                        lambda rows: calls.append(len(rows)) or real(rows))
+    return calls
+
+
+@pytest.mark.parametrize("nullity", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_tall_planted_rank_matches_dense_reference(monkeypatch, nullity,
+                                                   seed):
+    rnd = random.Random(100 * nullity + seed)
+    ncols = 3 + seed
+    mat = _tall_planted(rnd, ncols, nullity, extra=ncols + 2)
+    calls = _count_eliminations(monkeypatch)
+    ech, piv = la.rref(mat)
+    # full column rank needs no exact step; otherwise only the kept rows
+    assert calls == ([] if nullity == 0 else [ncols - nullity])
+    assert len(piv) == ncols - nullity
+    assert len(la.nullspace(mat)) == nullity
+    _assert_matches_reference(mat, rnd)
+
+
+def test_vanishing_denominator_skips_the_pass(monkeypatch):
+    rnd = random.Random(7)
+    pole = QScalar({0: 1}, {1: 1, 0: -la._T}, L0)  # 1/(q^(1/2) - T)
+    mat = _tall_planted(rnd, 3, 1, extra=3)
+    mat[2] = [pole] + mat[2][1:]
+    assert la._rows_independent_mod_p(mat) is None
+    calls = _count_eliminations(monkeypatch)
+    la.rref(mat)
+    assert calls == [len(mat)]
+    _assert_matches_reference(mat, rnd)
+
+
+def test_rank_drop_at_the_point_falls_back(monkeypatch):
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    root = QScalar({1: 1, 0: -la._T}, {0: 1}, L0)  # q^(1/2) - T
+    two = QScalar.integer(2, L0)
+    mat = [[root, zero], [zero, one], [zero, two]]
+    assert la._rows_independent_mod_p(mat) == [1]
+    calls = _count_eliminations(monkeypatch)
+    assert la.rref(mat) == (la.identity(2, L0), [0, 1])
+    # the kept row alone misses row 0 exactly: eliminate every row instead
+    assert calls == [1, 3]
+    _assert_matches_reference(mat, random.Random(8))
+
+
+def test_tall_inconsistent_solve():
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    q = QScalar.parse("q", L0)
+    a = [[one, zero], [zero, q], [one, q], [q, one]]
+    assert la.solve(a, [one, one, one, one]) is None
+    assert _reference(la.solve, a, [one, one, one, one]) is None
+    b = la.mat_vec(a, [q, one])
+    assert la.solve(a, b) == [q, one]
+
+
+def test_tall_zero_and_zero_column_matrices():
+    zero = QScalar.zero(L0)
+    assert la.rref([[], [], []]) == ([], [])
+    assert la.rref([[zero] * 2] * 5) == ([], [])
+    assert la.nullspace([[zero] * 2] * 5) == \
+        [[QScalar.one(L0), zero], [zero, QScalar.one(L0)]]
+
+
+def test_largest_full_rank_center_block_needs_no_elimination(monkeypatch,
+                                                             a2):
+    from qflag import center
+    from qflag.enveloping import UAlgebra
+    blocks = []
+    real = la.nullspace
+    monkeypatch.setattr(la, "nullspace",
+                        lambda a, ncols=None: blocks.append(a) or real(a))
+    center.center_solve(UAlgebra(a2), 2)
+    monkeypatch.undo()
+    block = max(blocks, key=lambda b: (len(b), len(b[0])))
+    assert (len(block), len(block[0])) == (364, 61)
+    calls = _count_eliminations(monkeypatch)
+    ech, piv = la.rref(block)
+    assert calls == []
+    assert piv == list(range(61)) and la.mat_eq(ech, la.identity(61, a2.l0))
+    assert la.nullspace(block) == []
+    # the full exact elimination agrees
+    assert la._eliminate(block) == (ech, piv)

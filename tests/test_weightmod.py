@@ -244,3 +244,29 @@ def test_module_json_description(alg2):
     assert desc["dim"] == 3
     assert desc["weights"]["[1,0]"] == 1
     assert "highest" in desc["distinguished"]
+
+
+def test_word_matrix_multiplies_no_identity(monkeypatch, alg2):
+    for side in ("left", "right"):
+        mod = verma(alg2, (1, 0), (2, 2), side=side)
+        word = (("f", 0), ("k", (1, 0)), ("f", 1))
+        ordered = reversed(word) if side == "left" else word
+        expected = la.identity(mod.dim, alg2.datum.l0)
+        for letter in ordered:
+            expected = la.mat_mul(mod.letter_matrix(letter), expected)
+        calls = []
+        real = la.mat_mul
+        monkeypatch.setattr(la, "mat_mul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert la.mat_eq(mod.word_matrix(word), expected)
+        assert len(calls) == 2
+        monkeypatch.undo()
+    # a one-letter word is a copy: changing it leaves the generator alone
+    mod = simple(alg2, (1, 0))
+    gen = mod.gen_matrix("f", 0)
+    before = [list(row) for row in gen]
+    one = mod.word_matrix((("f", 0),))
+    assert la.mat_eq(one, gen) and one is not gen
+    one[0][0] = alg2.datum.one()
+    assert gen == before
+    assert la.mat_eq(mod.word_matrix(()), la.identity(mod.dim, alg2.datum.l0))
