@@ -214,8 +214,7 @@ def _within(w: Weight, cutoff: Weight) -> bool:
 # ---------------------------------------------------------------------------
 
 def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
-                         lam: Weight, mu: Weight,
-                         cutoff: Optional[Weight] = None) -> dict:
+                         lam: Weight, mu: Weight) -> dict:
     """Decide the two central-character separations along the layer
     weights of V(mu):
 
@@ -227,7 +226,7 @@ def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
     datum = ring.datum
     lam = tuple(lam)
     mu = tuple(mu)
-    e = EBimodule(ring, pairing, mu, cutoff or mu)
+    e = EBimodule(ring, pairing, mu, mu)
     nu = e.nu
     r = len(nu)
     mu_low = nu[0]

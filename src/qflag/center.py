@@ -70,12 +70,12 @@ class CenterElement:
         }
 
 
-def _candidate_monomials(algebra: UAlgebra, max_height: int,
-                         k_bound: Optional[int] = None) -> List[MonoKey]:
+def _candidate_monomials(algebra: UAlgebra,
+                         max_height: int) -> List[MonoKey]:
     """Weight-zero normal monomials y k_mu x with ht(deg) <= max_height and
-    the torus weight inside a coordinate box."""
+    the torus weight in the coordinate box |mu_i| <= 2 max_height."""
     rank = algebra.datum.rank
-    kb = 2 * max_height if k_bound is None else k_bound
+    kb = 2 * max_height
     gammas = box((max_height,) * rank, height=max_height)
     mus = box((kb,) * rank, lo=(-kb,) * rank)
     out: List[MonoKey] = []
@@ -88,21 +88,19 @@ def _candidate_monomials(algebra: UAlgebra, max_height: int,
     return out
 
 
-def center_solve(algebra: UAlgebra, max_height: int,
-                 k_bound: Optional[int] = None) -> List[CenterElement]:
+def center_solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
     """Exact nullspace of the commutation equations [z, e_i] = [z, f_i] = 0
     over the monomial window (weight-zero monomials commute with the torus
     automatically).  Completeness at the given height is not claimed.
     Memoized in the algebra's memo: the solve is the most expensive step at
     rank 2."""
-    return algebra.memo.get(("center", max_height, k_bound),
-                            lambda: _solve(algebra, max_height, k_bound))
+    return algebra.memo.get(("center", max_height),
+                            lambda: _solve(algebra, max_height))
 
 
-def _solve(algebra: UAlgebra, max_height: int,
-           k_bound: Optional[int]) -> List[CenterElement]:
+def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
     datum = algebra.datum
-    cands = _candidate_monomials(algebra, max_height, k_bound)
+    cands = _candidate_monomials(algebra, max_height)
     if not cands:
         return []
     # The straightenings in [y k_mu x, g] do not involve the torus part:

@@ -1,12 +1,17 @@
 """The graded coordinate ring of the quantized flag manifold.
 
-A(lam) is the simple module V(lam) carried through the matrix-coefficient
-identification: an element of grade lam is determined by its evaluations
-against the plus-part degree bases, and products are computed by solving
-that evaluation system exactly (the graded pieces are only ever built down
-to the weight drop actually needed).  On top of the ring sit extremal
-elements, Ore witnesses, stabilized localizations, the evaluation map onto
-plus-part functionals, and Schubert-cell homomorphisms.
+The grade-lam piece A(lam) is the simple module V(lam) carried through the
+matrix-coefficient identification: an element of grade lam and drop gamma
+is a coordinate vector in the drop-gamma weight space of V(lam), and it is
+determined by its evaluations <v*_lam, x v> against the plus-part words x
+of degree gamma.  The ring reads V(lam) from the algebra's one
+``weightmod.simple_factory``, whose weight spaces are built one drop at a
+time, only as far as they are asked for.  The evaluation matrix of a
+weight space is the contravariant-form Gram matrix the factory builds it
+from, on its pivot columns; products are computed by solving that
+evaluation system exactly.  On top of the ring sit extremal elements, Ore
+witnesses, stabilized localizations, the evaluation map onto plus-part
+functionals, and Schubert-cell homomorphisms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from .errors import DominanceError, OreSearchError, QflagError
 from .linalg import Matrix, Vector
 from .memo import Memo
 from .scalars import QScalar, quantum_factorial
-from .weightmod import SimpleFactory, WeightModule, braid_word
+from .weightmod import SimpleFactory, WeightModule, braid_word, simple_factory
+
+# auxiliary grades of height at most this are tried for Ore witnesses
+ORE_SEARCH_HEIGHT = 6
 
 
 class CoordElement:
@@ -154,14 +162,12 @@ class CoordRing:
         lam = tuple(lam)
         if not self.datum.is_dominant(lam):
             raise DominanceError(f"grade {lam} is not dominant")
-        return self.memo.get(("factory", lam),
-                             lambda: SimpleFactory(self.algebra, lam))
+        return simple_factory(self.algebra, lam)
 
     def module(self, lam: Weight) -> WeightModule:
-        """The full simple module of grade lam (for braid operators)."""
-        lam = tuple(lam)
-        return self.memo.get(("module", lam),
-                             lambda: self.factory(lam).build())
+        """The full simple module of grade lam (for braid operators): the
+        algebra's one V(lam), the module ``weightmod.simple`` returns."""
+        return self.factory(lam).build()
 
     def grade_dim(self, lam: Weight) -> int:
         return self.factory(lam).char.total()
@@ -200,28 +206,21 @@ class CoordRing:
     # -- evaluations and multiplication -----------------------------------------
 
     def evaluations(self, a: CoordElement) -> List[QScalar]:
-        fac = self.factory(a.grade)
-        words = self.algebra.basis(a.gamma).free_words
-        return [fac.top_coefficient(a.gamma, a.vec, w) for w in words]
+        mat, words, d = self.eval_solver(a.grade, a.gamma)
+        if d == 0:
+            return [self.datum.zero() for _ in words]
+        return linalg.mat_vec(mat, a.vec)
 
     def eval_solver(self, lam: Weight, gamma: RootSum) -> tuple:
-        """Echelon data of the evaluation matrix of the drop-gamma slice of
-        grade lam (rows: plus-part basis words; cols: slice basis)."""
-        lam, gamma = tuple(lam), tuple(gamma)
-        return self.memo.get(("eval", lam, gamma),
-                             lambda: self._eval_matrix(lam, gamma))
-
-    def _eval_matrix(self, lam: Weight, gamma: RootSum) -> tuple:
-        fac = self.factory(lam)
-        words = self.algebra.basis(gamma).free_words
-        d = fac.slice_dim(gamma)
-        cols = []
-        for r in range(d):
-            vec = [self.datum.zero()] * d
-            vec[r] = self.datum.one()
-            cols.append([fac.top_coefficient(gamma, vec, w) for w in words])
-        mat = linalg.from_columns(cols, self.datum.l0) if d else []
-        return (mat, words, d)
+        """(matrix, words, d): the evaluation matrix of the drop-gamma slice
+        of grade lam (rows: plus-part basis words; cols: the d slice basis
+        vectors; [] when d is 0).  It is the slice's contravariant Gram on
+        its pivot columns, kept by the factory; callers must not mutate it."""
+        gamma = tuple(gamma)
+        data = self.factory(lam).slice(gamma)
+        if data is None:
+            return ([], self.algebra.basis(gamma).free_words, 0)
+        return (data["eval"], data["words"], len(data["pivots"]))
 
     def from_evaluations(self, lam: Weight, gamma: RootSum,
                          values: List[QScalar]) -> CoordElement:
@@ -399,15 +398,15 @@ class CoordRing:
         return (linalg.from_columns(cols, self.datum.l0), tgt_grade, tgt_gamma)
 
     def ore_witness(self, phi: CoordElement, word: Sequence[int],
-                    s_grade: Weight, side: str = "left",
-                    max_steps: int = 6) -> Tuple[CoordElement, CoordElement]:
+                    s_grade: Weight,
+                    side: str = "left") -> Tuple[CoordElement, CoordElement]:
         """For s = c^w_{s_grade}: find (t, psi), t = c^w_mu, with
         t*phi = psi*s (left) or phi*t = s*psi (right), exactly."""
         datum = self.datum
         word = datum.weyl_canonical(word)
         s = self.extremal(word, s_grade)
-        candidates = sorted(box((max_steps,) * datum.rank, height=max_steps),
-                            key=by_height)
+        ht = ORE_SEARCH_HEIGHT
+        candidates = sorted(box((ht,) * datum.rank, height=ht), key=by_height)
         for mu in candidates:
             xi = datum.weight_sub(datum.weight_add(mu, phi.grade), s_grade)
             if not datum.is_dominant(xi):
@@ -441,7 +440,7 @@ class CoordRing:
                         return t, psi
         raise OreSearchError(
             f"no {side} Ore witness within auxiliary grades of height "
-            f"{max_steps} for drop {phi.gamma} against {s_grade}")
+            f"{ORE_SEARCH_HEIGHT} for drop {phi.gamma} against {s_grade}")
 
     # -- localization ---------------------------------------------------------
 

@@ -297,6 +297,8 @@ def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
             return []
         raise ValueError("nullspace of empty matrix needs explicit scalars")
     m = len(a[0])
+    if m == 0:
+        return []
     l0 = a[0][0].l0
     ech, pivots = rref(a)
     free = [c for c in range(m) if c not in pivots]

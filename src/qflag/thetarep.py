@@ -57,18 +57,24 @@ class UPlusTruncation:
 
 
 class ThetaFormula:
-    """The generator images built from the displayed structural operators."""
+    """The generator images built from the displayed structural operators.
+    Use ``theta_formula``: it keeps one per pairing and truncation depth, so
+    that every probe reads the same memoized operators."""
 
     def __init__(self, trunc: UPlusTruncation, pairing: DrinfeldPairing):
         self.trunc = trunc
         self.pairing = pairing
         self.algebra = trunc.algebra
         self.datum = trunc.datum
+        self.memo = Memo()
 
-    # -- structural operators on the plus part ------------------------------------
+    # -- structural operators on the plus part (memoized; do not mutate) ----------
 
     def m_right(self, i: int) -> Matrix:
         """Right multiplication by the i-th raising generator."""
+        return self.memo.get(("m", i), lambda: self._m_right(i))
+
+    def _m_right(self, i: int) -> Matrix:
         trunc = self.trunc
         alg = self.algebra
         out = trunc.zero_matrix()
@@ -85,6 +91,10 @@ class ThetaFormula:
 
     def n_conj(self, mu: Weight) -> Matrix:
         """Torus conjugation u -> k_mu u k_mu^{-1}: diagonal q^{(mu, deg)}."""
+        mu = tuple(mu)
+        return self.memo.get(("n", mu), lambda: self._n_conj(mu))
+
+    def _n_conj(self, mu: Weight) -> Matrix:
         trunc = self.trunc
         out = trunc.zero_matrix()
         for g in trunc.degrees:
@@ -94,69 +104,43 @@ class ThetaFormula:
                 out[idx][idx] = c
         return out
 
-    def _phi_value(self, i: int, eword: Tuple[int, ...],
-                   gamma: RootSum) -> QScalar:
-        """The pairing-defined functional of index i on a plus-part word."""
-        if gamma != self.datum.alpha_root(i):
-            return self.datum.zero()
-        return self.pairing.pair_words(eword, (i,))
+    def conv(self, i: int, leg: int) -> Matrix:
+        """The convolution u -> sum phi_i(u_(leg)) u_(other leg), where the
+        pairing functional phi_i of index i eats one k-stripped coproduct
+        leg: leg 0 gives the operator p_i, leg 1 the operator q_i (whose
+        k^{-1} shift cancels).  Both legs come from one coproduct pass."""
+        return self.memo.get(("conv", i), lambda: self._convs(i))[leg]
 
-    def p_conv(self, i: int) -> Matrix:
-        """u -> sum phi_i(u_(0)) u_(1) (the functional eats the k-stripped
-        first coproduct leg)."""
+    def _convs(self, i: int) -> Tuple[Matrix, Matrix]:
         trunc = self.trunc
         alg = self.algebra
-        out = trunc.zero_matrix()
+        rank = self.datum.rank
         ai = self.datum.alpha_root(i)
+        out = (trunc.zero_matrix(), trunc.zero_matrix())
         for g in trunc.degrees:
             gp = tuple(a - b for a, b in zip(g, ai))
             if any(c < 0 for c in gp):
                 continue
             for w in trunc.words[g]:
                 col = trunc.index(g, w)
-                delta = alg.coproduct(alg.e_word(w), 1)
-                acc: Dict[Tuple[int, ...], QScalar] = {}
-                for (m0, m1), c in delta.terms.items():
-                    ew0 = m0[2]
-                    val = self._phi_value(i, ew0, _content(ew0, self.datum.rank))
-                    if val.is_zero():
-                        continue
-                    ew1 = m1[2]
-                    s = acc.get(ew1)
-                    v = c * val
-                    acc[ew1] = v if s is None else s + v
-                trunc.reduce_into(out, col, gp,
-                                  {w1: c for w1, c in acc.items()
-                                   if not c.is_zero()})
-        return out
-
-    def q_conv(self, i: int) -> Matrix:
-        """u -> sum phi_i(u_(1)) k^{-1}-shifted u_(0)."""
-        trunc = self.trunc
-        alg = self.algebra
-        out = trunc.zero_matrix()
-        ai = self.datum.alpha_root(i)
-        for g in trunc.degrees:
-            gp = tuple(a - b for a, b in zip(g, ai))
-            if any(c < 0 for c in gp):
-                continue
-            for w in trunc.words[g]:
-                col = trunc.index(g, w)
-                delta = alg.coproduct(alg.e_word(w), 1)
-                acc: Dict[Tuple[int, ...], QScalar] = {}
-                for (m0, m1), c in delta.terms.items():
-                    ew1 = m1[2]
-                    val = self._phi_value(i, ew1, _content(ew1, self.datum.rank))
-                    if val.is_zero():
-                        continue
-                    # m0 = k_{deg ew1} * (plus-part word); the shift cancels
-                    ew0 = m0[2]
-                    s = acc.get(ew0)
-                    v = c * val
-                    acc[ew0] = v if s is None else s + v
-                trunc.reduce_into(out, col, gp,
-                                  {w0: c for w0, c in acc.items()
-                                   if not c.is_zero()})
+                accs: Tuple[Dict, Dict] = ({}, {})
+                for monos, c in alg.coproduct(alg.e_word(w), 1).terms.items():
+                    ews = (monos[0][2], monos[1][2])
+                    for leg, acc in enumerate(accs):
+                        ew = ews[leg]
+                        if _content(ew, rank) != ai:
+                            continue
+                        val = self.pairing.pair_words(ew, (i,))
+                        if val.is_zero():
+                            continue
+                        rest = ews[1 - leg]
+                        s = acc.get(rest)
+                        v = c * val
+                        acc[rest] = v if s is None else s + v
+                for mat, acc in zip(out, accs):
+                    trunc.reduce_into(mat, col, gp,
+                                      {w1: c for w1, c in acc.items()
+                                       if not c.is_zero()})
         return out
 
     # -- generator images -----------------------------------------------------------
@@ -165,9 +149,10 @@ class ThetaFormula:
         """Theta_probe of sigma_mu, partial_{e_i}, partial_{f_i} or
         partial_{k_mu} per the displayed formulas."""
         datum = self.datum
-        ident = linalg.identity(self.trunc.dim, datum.l0)
         if kind == "sigma":
-            return linalg.mat_scale(ident, datum.q_pair(arg, probe))
+            return linalg.mat_scale(
+                linalg.identity(self.trunc.dim, datum.l0),
+                datum.q_pair(arg, probe))
         if kind == "de":
             return self.m_right(arg)
         if kind == "dk":
@@ -177,12 +162,21 @@ class ThetaFormula:
             i = arg
             ai = datum.alpha(i)
             t1 = linalg.mat_scale(
-                linalg.mat_mul(self.p_conv(i), self.n_conj(ai)),
+                linalg.mat_mul(self.conv(i, 0), self.n_conj(ai)),
                 datum.q_pair(datum.weight_neg(ai),
                              datum.weight_add(ai, probe)))
-            t2 = linalg.mat_scale(self.q_conv(i), datum.q_pair(ai, probe))
+            t2 = linalg.mat_scale(self.conv(i, 1), datum.q_pair(ai, probe))
             return linalg.mat_sub(t1, t2)
         raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def theta_formula(pairing: DrinfeldPairing, depth_ht: int) -> ThetaFormula:
+    """The formula route on the plus part up to height depth_ht: one per
+    pairing and depth (memoized on the pairing)."""
+    return pairing.memo.get(
+        ("theta-formula", depth_ht),
+        lambda: ThetaFormula(UPlusTruncation(pairing.algebra, depth_ht),
+                             pairing))
 
 
 class ThetaDirect:
@@ -337,10 +331,9 @@ class ThetaDirect:
 def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
                 probes: Sequence[Weight], max_level: int = 8) -> dict:
     """Build the generator family both ways and compare exactly."""
-    alg = ring.algebra
     datum = ring.datum
-    trunc = UPlusTruncation(alg, depth_ht)
-    formula = ThetaFormula(trunc, pairing)
+    formula = theta_formula(pairing, depth_ht)
+    trunc = formula.trunc
     results = []
     gens: List[Tuple[str, object]] = []
     for i in range(datum.rank):
@@ -391,9 +384,8 @@ def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,
     """Rank certificate: stack the formula-built family over the probes and
     measure the joint rank against the span size (linear independence on
     the window, not a proof of injectivity)."""
-    alg = ring.algebra
-    trunc = UPlusTruncation(alg, depth_ht)
-    formula = ThetaFormula(trunc, pairing)
+    formula = theta_formula(pairing, depth_ht)
+    trunc = formula.trunc
     rows: List[Vector] = []
     for word in span:
         vec: Vector = []

@@ -1,11 +1,13 @@
 """Weight modules with exact generator matrices.
 
-Verma modules are truncated to a weight-drop window; simple modules are
-built weight space by weight space as quotients of the Verma by the radical
-of the contravariant form (the anti-automorphism swapping E and F), so a
-module can be constructed only down to the drop actually needed.  Missing
-weight spaces are flagged as either genuinely zero or truncated away, which
-lets relation checks restrict themselves to the exact region.
+Verma modules are truncated to a weight-drop window; missing weight spaces
+are flagged as either genuinely zero or truncated away, which lets relation
+checks restrict themselves to the exact region.  The simple module V(lam)
+is the Verma module modulo the radical of its contravariant form (the
+anti-automorphism swapping E and F).  One ``SimpleFactory`` per algebra and
+lam builds it weight space by weight space, each from one Gram matrix of
+that form on free words, and the module it builds is the one V(lam) of the
+algebra.
 """
 
 from __future__ import annotations
@@ -168,6 +170,34 @@ class WeightModule:
 # constructors
 # ---------------------------------------------------------------------------
 
+def free_e_matrix(algebra: UAlgebra, lam: Weight, gamma: RootSum,
+                  i: int) -> Matrix:
+    """e_i on the free words f^w v_lam of drop gamma, as a matrix from the
+    free words of gamma to those of gamma - alpha_i, with the torus tail of
+    each normal form evaluated at lam.  The one normal-form kernel for e_i
+    on free words: Verma e-matrices, contravariant Grams and the e-steps of
+    simple modules all read it.  Memoized on the algebra."""
+    key = ("free-e", tuple(lam), tuple(gamma), i)
+    return algebra.memo.get(key, lambda: _free_e_matrix(algebra, *key[1:]))
+
+
+def _free_e_matrix(algebra: UAlgebra, lam: Weight, gamma: RootSum,
+                   i: int) -> Matrix:
+    datum = algebra.datum
+    src = algebra.basis(gamma).free_words
+    gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
+    tgt = {w: r for r, w in enumerate(algebra.basis(gm).free_words)} \
+        if all(c >= 0 for c in gm) else {}
+    out = linalg.zeros(len(tgt), len(src), datum.l0)
+    for col, w in enumerate(src):
+        word = (("e", i),) + tuple(("f", j) for j in w)
+        for (fw, nu, ew), c in algebra.normal_form_word(word).items():
+            if ew:
+                continue
+            out[tgt[fw]][col] = out[tgt[fw]][col] + c * datum.q_pair(lam, nu)
+    return out
+
+
 def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
           side: str = "left") -> WeightModule:
     """Verma module truncated to weight drops gamma <= depth componentwise."""
@@ -187,38 +217,38 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
                 index_weights[-1]))
     n = len(index_weights)
     gen: Dict[Tuple[str, int], Matrix] = {}
-    zero = datum.zero()
     for i in range(datum.rank):
+        ai = datum.alpha_root(i)
         fm = linalg.zeros(n, n, datum.l0)
         em = linalg.zeros(n, n, datum.l0)
+        # the letter that deepens the drop: f_i on the left, e_i on the right
+        deepen = fm if side == "left" else em
         for g in drops:
-            basis = algebra.basis(g)
-            for w in basis.free_words:
-                col = slots[(g, w)]
-                if side == "left":
-                    gp = tuple(a + b for a, b in zip(g, datum.alpha_root(i)))
-                    if all(x <= d for x, d in zip(gp, depth)):
-                        for wb, c in algebra.basis(gp).reduce_word((i,) + w).items():
-                            fm[slots[(gp, wb)]][col] = c
-                    word = (("e", i),) + tuple(("f", j) for j in w)
-                    for (fw, nu, ew), c in algebra.normal_form_word(word).items():
-                        if ew:
-                            continue
-                        val = c * datum.q_pair(lam, nu)
-                        gm = _content(fw, datum.rank)
-                        em[slots[(gm, fw)]][col] = em[slots[(gm, fw)]][col] + val
-                else:
-                    gp = tuple(a + b for a, b in zip(g, datum.alpha_root(i)))
-                    if all(x <= d for x, d in zip(gp, depth)):
-                        for wb, c in algebra.basis(gp).reduce_word(w + (i,)).items():
-                            em[slots[(gp, wb)]][col] = c
+            words = algebra.basis(g).free_words
+            gp = tuple(a + b for a, b in zip(g, ai))
+            if all(x <= d for x, d in zip(gp, depth)):
+                for w in words:
+                    word = (i,) + w if side == "left" else w + (i,)
+                    for wb, c in algebra.basis(gp).reduce_word(word).items():
+                        deepen[slots[(gp, wb)]][slots[(g, w)]] = c
+            if side == "left":
+                gm = tuple(a - b for a, b in zip(g, ai))
+                step = free_e_matrix(algebra, lam, g, i)
+                tgt = algebra.basis(gm).free_words if step else []
+                for wb, srow in zip(tgt, step):
+                    for w, x in zip(words, srow):
+                        em[slots[(gm, wb)]][slots[(g, w)]] = x
+            else:
+                for w in words:
                     word = tuple(("e", j) for j in w) + (("f", i),)
-                    for (fw, nu, ew), c in algebra.normal_form_word(word).items():
+                    for (fw, nu, ew), c in \
+                            algebra.normal_form_word(word).items():
                         if fw:
                             continue
                         val = c * datum.q_pair(lam, nu)
-                        gm = _content(ew, datum.rank)
-                        fm[slots[(gm, ew)]][col] = fm[slots[(gm, ew)]][col] + val
+                        row = slots[(_content(ew, datum.rank), ew)]
+                        col = slots[(g, w)]
+                        fm[row][col] = fm[row][col] + val
         gen[("f", i)] = fm
         gen[("e", i)] = em
 
@@ -242,7 +272,8 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
 
 
 class SimpleFactory:
-    """Per-weight-space construction of the simple module V(lam)."""
+    """Per-weight-space construction of the simple module V(lam).  Use
+    ``simple_factory``: it keeps one factory per algebra and lam."""
 
     def __init__(self, algebra: UAlgebra, lam: Weight):
         datum = algebra.datum
@@ -253,37 +284,12 @@ class SimpleFactory:
         self.datum = datum
         self.lam = lam
         self.char = weyl_character(datum, lam)
-        self.full_depth_ht = sum(datum.lowest_drop(lam))
         self.drops: Dict[RootSum, int] = {}
         for w in self.char.terms:
             g = datum.weight_to_root(datum.weight_sub(lam, w))
             assert g is not None and all(c >= 0 for c in g)
             self.drops[g] = self.char.terms[w]
         self.memo = Memo()
-
-    def _free_estep(self, gamma: RootSum, i: int) -> Matrix:
-        """Raising action on the free (pre-quotient) drop-gamma space, with
-        the torus tail evaluated at the highest weight.  Single-letter
-        straightening only, so this stays cheap at large drops."""
-        gamma = tuple(gamma)
-        return self.memo.get(("free-e", gamma, i),
-                             lambda: self._free_estep_matrix(gamma, i))
-
-    def _free_estep_matrix(self, gamma: RootSum, i: int) -> Matrix:
-        alg, datum, lam = self.algebra, self.datum, self.lam
-        src = alg.basis(gamma).free_words
-        gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
-        tgt = {w: r for r, w in enumerate(alg.basis(gm).free_words)} \
-            if all(c >= 0 for c in gm) else {}
-        out = linalg.zeros(len(tgt), len(src), datum.l0)
-        for col, w in enumerate(src):
-            word = (("e", i),) + tuple(("f", j) for j in w)
-            for (fw, nu, ew), c in alg.normal_form_word(word).items():
-                if ew:
-                    continue
-                out[tgt[fw]][col] = out[tgt[fw]][col] + \
-                    c * datum.q_pair(lam, nu)
-        return out
 
     def slice(self, gamma: RootSum) -> Optional[dict]:
         """Class data of the weight space at drop gamma, or None if zero.
@@ -295,9 +301,7 @@ class SimpleFactory:
 
     def _slice(self, gamma: RootSum) -> dict:
         alg, datum, lam = self.algebra, self.datum, self.lam
-        basis = alg.basis(gamma)
-        words = basis.free_words
-        m = len(words)
+        words = alg.basis(gamma).free_words
         # contravariant Gram: row a is the top coefficient of the raising
         # word of a applied across the free space, built by row propagation
         gram = []
@@ -307,7 +311,7 @@ class SimpleFactory:
             for i in wa:
                 drop = tuple(x + y for x, y in
                              zip(drop, datum.alpha_root(i)))
-                step = self._free_estep(drop, i)
+                step = free_e_matrix(alg, lam, drop, i)
                 row = [linalg.row_dot(row, linalg.column(step, c))
                        for c in range(len(step[0]) if step else 0)]
             gram.append(row)
@@ -318,12 +322,16 @@ class SimpleFactory:
                 f"!= Weyl character dimension {self.drops[gamma]}")
         # class coordinates of the b-th basis word = column b of the echelon
         reduce_cols = [[ech[r][b] for r in range(len(pivots))]
-                       for b in range(m)]
+                       for b in range(len(words))]
         return {
             "gamma": gamma,
             "words": words,
             "pivots": pivots,          # representative word positions
             "reduce_cols": reduce_cols,
+            # <v*_lam, e_wa f^{w_p} v_lam>: the slice basis vector r is the
+            # class of the pivot word p = pivots[r], so the Gram on the
+            # pivot columns is the slice's evaluation matrix
+            "eval": [[row[p] for p in pivots] for row in gram],
         }
 
     def reduce_uminus(self, gamma: RootSum,
@@ -371,25 +379,18 @@ class SimpleFactory:
         return self.memo.get(("e", gamma, i), lambda: self._e_step(gamma, i))
 
     def _e_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
-        datum, alg = self.datum, self.algebra
         src = self.slice(gamma)
-        gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
-        out: Optional[Matrix] = None
-        if src is not None and all(c >= 0 for c in gm) and gm in self.drops:
-            cols = []
-            for prep in src["pivots"]:
-                wrep = src["words"][prep]
-                word = (("e", i),) + tuple(("f", j) for j in wrep)
-                acc: Dict[Tuple[int, ...], QScalar] = {}
-                for (fw, nu, ew), c in alg.normal_form_word(word).items():
-                    if ew:
-                        continue
-                    v = c * datum.q_pair(self.lam, nu)
-                    s = acc.get(fw)
-                    acc[fw] = v if s is None else s + v
-                cols.append(self.reduce_uminus(gm, acc))
-            out = linalg.from_columns(cols, datum.l0)
-        return out
+        gm = tuple(a - b for a, b in zip(gamma, self.datum.alpha_root(i)))
+        if src is None or gm not in self.drops:
+            return None
+        # e_i of each pivot word in free coordinates, reduced to classes
+        free = free_e_matrix(self.algebra, self.lam, gamma, i)
+        words = self.slice(gm)["words"]
+        cols = [self.reduce_uminus(gm, {w: row[p]
+                                        for w, row in zip(words, free)
+                                        if not row[p].is_zero()})
+                for p in src["pivots"]]
+        return linalg.from_columns(cols, self.datum.l0)
 
     def apply_eword(self, gamma: RootSum, vec: Vector,
                     eword: Tuple[int, ...]) -> Optional[Tuple[RootSum, Vector]]:
@@ -405,30 +406,18 @@ class SimpleFactory:
             v = linalg.mat_vec(m, v)
         return g, v
 
-    def top_coefficient(self, gamma: RootSum, vec: Vector,
-                        eword: Tuple[int, ...]) -> QScalar:
-        """<v*_lam, e_word . v> for a drop-gamma slice vector."""
-        res = self.apply_eword(gamma, vec, eword)
-        if res is None:
-            return self.datum.zero()
-        g, v = res
-        if any(g):
-            return self.datum.zero()
-        return v[0]
+    def build(self) -> WeightModule:
+        """The full module V(lam), built once per factory."""
+        return self.memo.get("module", self._build)
 
-    def build(self, max_drop_ht: Optional[int] = None) -> WeightModule:
+    def _build(self) -> WeightModule:
         datum, alg, lam = self.datum, self.algebra, self.lam
-        cap = self.full_depth_ht if max_drop_ht is None else min(
-            max_drop_ht, self.full_depth_ht)
-        drops = sorted((g for g in self.drops if sum(g) <= cap),
-                       key=by_height)
-        full = cap >= self.full_depth_ht
+        drops = sorted(self.drops, key=by_height)
         index_weights: List[Weight] = []
         labels: List[str] = []
         slot: Dict[Tuple[RootSum, int], int] = {}
         for g in drops:
-            data = self.slice(g)
-            for r in range(len(data["pivots"])):
+            for r in range(self.slice_dim(g)):
                 slot[(g, r)] = len(index_weights)
                 w = datum.weight_sub_root(lam, g)
                 index_weights.append(w)
@@ -439,11 +428,10 @@ class SimpleFactory:
             fm = linalg.zeros(n, n, datum.l0)
             em = linalg.zeros(n, n, datum.l0)
             for g in drops:
-                data = self.slice(g)
-                nloc = len(data["pivots"])
+                nloc = self.slice_dim(g)
                 gp = tuple(a + b for a, b in zip(g, datum.alpha_root(i)))
                 step = self.f_step(g, i)
-                if step is not None and sum(gp) <= cap:
+                if step is not None:
                     for r in range(nloc):
                         for rr in range(len(step)):
                             fm[slot[(gp, rr)]][slot[(g, r)]] = step[rr][r]
@@ -456,30 +444,29 @@ class SimpleFactory:
             gen[("f", i)] = fm
             gen[("e", i)] = em
 
-        char = self.char
-
-        def missing_exact(w: Weight) -> bool:
-            g = datum.weight_to_root(datum.weight_sub(lam, w))
-            if g is None or any(c < 0 for c in g):
-                return True
-            if g not in self.drops:
-                return True        # zero weight space of the simple module
-            return sum(g) <= cap   # inside cap but absent => genuinely zero
-
-        mod = WeightModule(alg, "left", index_weights, gen, missing_exact,
-                           exact=full, labels=labels,
+        # every weight space is built: an absent weight is genuinely zero
+        mod = WeightModule(alg, "left", index_weights, gen,
+                           lambda _w: True, exact=True, labels=labels,
                            distinguished={"highest": 0},
-                           name=f"V({datum.weight_str(lam)})"
-                                + ("" if full else f"|ht<={cap}"))
+                           name=f"V({datum.weight_str(lam)})")
         mod.highest_weight = lam
         mod.factory = self
         mod.slot = dict(slot)
         return mod
 
 
-def simple(algebra: UAlgebra, lam: Weight,
-           max_drop_ht: Optional[int] = None) -> WeightModule:
-    return SimpleFactory(algebra, lam).build(max_drop_ht)
+def simple_factory(algebra: UAlgebra, lam: Weight) -> SimpleFactory:
+    """The one factory of V(lam) on this algebra (memoized on it)."""
+    lam = tuple(lam)
+    return algebra.memo.get(("simple", lam),
+                            lambda: SimpleFactory(algebra, lam))
+
+
+def simple(algebra: UAlgebra, lam: Weight) -> WeightModule:
+    """The simple module V(lam): one module per algebra and lam, shared by
+    every caller (the coordinate ring's graded pieces included), so callers
+    must not mutate it."""
+    return simple_factory(algebra, lam).build()
 
 
 def trivial(algebra: UAlgebra, side: str = "left") -> WeightModule:
@@ -553,13 +540,9 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
     nilpotence."""
     dim = len(m)
     out = linalg.identity(dim, l0)
-    power = linalg.identity(dim, l0)
-    n = 0
-    while True:
-        n += 1
-        power = linalg.mat_mul(m, power)
-        if linalg.is_zero_matrix(power):
-            break
+    power = m   # m**n; only read, so m itself is never written to
+    n = 1
+    while not linalg.is_zero_matrix(power):
         if n > dim + 2:
             raise TruncationError("exponential series does not terminate; "
                                   "the matrix is not nilpotent")
@@ -570,6 +553,8 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
             for j, x in enumerate(prow):
                 if not x.is_zero():
                     orow[j] = orow[j] + coeff * x
+        n += 1
+        power = linalg.mat_mul(m, power)
     return out
 
 

@@ -26,7 +26,9 @@ def test_product_weights_and_functional_identity(ring1, alg1):
     assert len(evs) == len(words)
     fac = ring1.factory(ab.grade)
     for w, e in zip(words, evs):
-        assert fac.top_coefficient(ab.gamma, ab.vec, w) == e
+        # the top coefficient <v*, e_w . ab>: e_w lands on the top weight
+        g, top = fac.apply_eword(ab.gamma, ab.vec, w)
+        assert not any(g) and top[0] == e
 
 
 def test_q_commutation_on_projective_line(ring1):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from qflag import linalg as la
@@ -6,8 +8,10 @@ from qflag.center import (annihilator_check, center_solve,
                           zeta_linkage_scan, zeta_separation_scan)
 from qflag.diffops import (DWindow, extremal_transport_check, lemma_rl_check,
                            relations_check, z_conjugate, z_w_check)
+from qflag.enveloping import _content
+from qflag.rmatrix import DrinfeldPairing
 from qflag.thetarep import (ThetaFormula, UPlusTruncation, theta_build,
-                            theta_faithfulness_probe)
+                            theta_faithfulness_probe, theta_formula)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +152,58 @@ def test_theta_anti_compatible(ring2, pairing2, alg2):
     # partial_{e1 e2} = partial_{e1} o partial_{e2}; Theta flips the order
     assert la.mat_eq(prod, la.mat_mul(m2, m1))
     assert not la.mat_eq(la.mat_mul(m2, m1), la.mat_mul(m1, m2))
+
+
+def old_conv(formula, i, eaten):
+    """The convolution by its own coproduct loop per leg: the functional
+    eats leg 0 (the operator p_i) or leg 1 (q_i)."""
+    trunc, alg = formula.trunc, formula.algebra
+    rank = alg.datum.rank
+    ai = alg.datum.alpha_root(i)
+    out = trunc.zero_matrix()
+    for g in trunc.degrees:
+        gp = tuple(a - b for a, b in zip(g, ai))
+        if any(c < 0 for c in gp):
+            continue
+        for w in trunc.words[g]:
+            acc = {}
+            for monos, c in alg.coproduct(alg.e_word(w), 1).terms.items():
+                ew, rest = monos[eaten][2], monos[1 - eaten][2]
+                if _content(ew, rank) != ai:
+                    continue
+                val = formula.pairing.pair_words(ew, (i,))
+                if not val.is_zero():
+                    acc[rest] = acc[rest] + c * val if rest in acc \
+                        else c * val
+            trunc.reduce_into(out, trunc.index(g, w), gp,
+                              {r: c for r, c in acc.items()
+                               if not c.is_zero()})
+    return out
+
+
+@pytest.mark.parametrize("which,depth", [(1, 4), (2, 3)])
+def test_theta_convolutions_match_their_leg_loops(which, depth, pairing1,
+                                                  pairing2):
+    formula = theta_formula(pairing1 if which == 1 else pairing2, depth)
+    for i in range(formula.datum.rank):
+        for leg in (0, 1):
+            assert la.mat_eq(formula.conv(i, leg), old_conv(formula, i, leg))
+
+
+def test_theta_operators_built_once_per_depth(monkeypatch, ring1, alg1):
+    built = Counter()
+    for name in ("_m_right", "_n_conj", "_convs"):
+        def spy(self, arg, _real=getattr(ThetaFormula, name), _name=name):
+            built[(_name, arg)] += 1
+            return _real(self, arg)
+        monkeypatch.setattr(ThetaFormula, name, spy)
+    pairing = DrinfeldPairing(alg1)
+    probes = [(0,), (1,), (2,)]
+    assert theta_build(ring1, pairing, 3, probes)["pass"]
+    span = [[("de", 0)], [("df", 0)], [("dk", (2,))], []]
+    assert theta_faithfulness_probe(ring1, pairing, 3, probes, span)["pass"]
+    assert theta_formula(pairing, 3) is theta_formula(pairing, 3)
+    assert ("_convs", 0) in built and set(built.values()) == {1}
 
 
 def test_theta_faithfulness(ring1, pairing1):

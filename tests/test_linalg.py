@@ -219,6 +219,9 @@ def test_tall_zero_and_zero_column_matrices():
     assert la.rref([[zero] * 2] * 5) == ([], [])
     assert la.nullspace([[zero] * 2] * 5) == \
         [[QScalar.one(L0), zero], [zero, QScalar.one(L0)]]
+    # rows with no columns: a map from the zero space has an empty kernel
+    assert la.nullspace([[], []]) == []
+    assert la.nullspace([[]]) == []
 
 
 def test_largest_full_rank_center_block_needs_no_elimination(monkeypatch,

@@ -292,7 +292,7 @@ def test_r_matches_table_route_on_g2(g2):
     assert la.mat_eq(r, table_route_r(pairing, v, v))
 
 
-def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, alg2):
+def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, a2):
     def refuse(self, beta):
         raise AssertionError(f"pairing table read at {beta}")
 
@@ -306,8 +306,9 @@ def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, alg2):
     monkeypatch.setattr(DrinfeldPairing, "xi_coefficients", refuse)
     monkeypatch.setattr(DrinfeldPairing, "table", refuse)
     monkeypatch.setattr(la, "inverse", spy)
+    # fresh modules on a fresh algebra: nothing memoized on them yet
+    alg2 = UAlgebra(a2)
     pairing = DrinfeldPairing(alg2)
-    # fresh modules: nothing memoized on them yet
     v1, v2 = simple(alg2, (1, 0)), simple(alg2, (0, 1))
     r_operator(pairing, v1, v2, "R")
     rc = r_operator(pairing, v1, v2, "R-check")

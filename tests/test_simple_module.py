@@ -1,0 +1,203 @@
+"""One V(lam) per algebra, read off one contravariant-form table per weight
+space.  The routes the production code replaced live on here as oracles:
+the normal-form loop of e_i on the pivot words of a slice, the chain of
+top coefficients that built the evaluation matrix, and the left Verma
+module's own e-loop."""
+
+from collections import Counter
+
+import pytest
+
+from qflag import linalg as la
+from qflag import weightmod
+from qflag.cartan import box, by_height, preset
+from qflag.coordring import CoordRing
+from qflag.enveloping import UAlgebra, _content
+from qflag.errors import DominanceError
+from qflag.weightmod import SimpleFactory, simple, simple_factory, verma
+
+# every module whose slices the evaluation oracle covers
+EVAL_CASES = {
+    "A1": [(1,), (2,), (3,), (5,)],
+    "A2": list(box((2, 2))) + [(3, 0)],
+    "B2": [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)],
+    "G2": [(0, 1)],
+}
+
+
+@pytest.fixture(scope="module")
+def rings(alg1, alg2):
+    out = {"A1": CoordRing(alg1), "A2": CoordRing(alg2)}
+    for typ in ("B2", "G2"):
+        out[typ] = CoordRing(UAlgebra(preset(typ)))
+    return out
+
+
+def old_e_step(fac, gamma, i):
+    """e_i on the drop-gamma slice: straighten e_i f^w for each pivot word
+    w, evaluate the torus tail at lam, reduce to classes."""
+    datum, alg = fac.datum, fac.algebra
+    src = fac.slice(gamma)
+    gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
+    if src is None or gm not in fac.drops:
+        return None
+    cols = []
+    for p in src["pivots"]:
+        word = (("e", i),) + tuple(("f", j) for j in src["words"][p])
+        acc = {}
+        for (fw, nu, ew), c in alg.normal_form_word(word).items():
+            if ew:
+                continue
+            v = c * datum.q_pair(fac.lam, nu)
+            acc[fw] = acc[fw] + v if fw in acc else v
+        cols.append(fac.reduce_uminus(gm, acc))
+    return la.from_columns(cols, datum.l0)
+
+
+def old_top_coefficient(fac, gamma, vec, eword, steps):
+    """<v*_lam, e_word . v> along the oracle e-steps (memoized in steps)."""
+    datum = fac.datum
+    g, v = tuple(gamma), list(vec)
+    for i in reversed(eword):
+        if (g, i) not in steps:
+            steps[(g, i)] = old_e_step(fac, g, i)
+        m = steps[(g, i)]
+        if m is None:
+            return datum.zero()
+        g = tuple(a - b for a, b in zip(g, datum.alpha_root(i)))
+        v = la.mat_vec(m, v)
+    return datum.zero() if any(g) else v[0]
+
+
+def old_eval_matrix(fac, gamma, steps):
+    """The evaluation matrix column by column: the top coefficient of every
+    plus-part word on every slice basis vector."""
+    datum = fac.datum
+    words = fac.algebra.basis(gamma).free_words
+    d = fac.slice_dim(gamma)
+    cols = []
+    for r in range(d):
+        vec = [datum.zero()] * d
+        vec[r] = datum.one()
+        cols.append([old_top_coefficient(fac, gamma, vec, w, steps)
+                     for w in words])
+    return (la.from_columns(cols, datum.l0) if d else [], words, d)
+
+
+@pytest.mark.parametrize("typ", sorted(EVAL_CASES))
+def test_eval_solver_is_the_gram_on_pivot_columns(rings, typ):
+    ring = rings[typ]
+    datum = ring.datum
+    slices = 0
+    for lam in EVAL_CASES[typ]:
+        fac = ring.factory(lam)
+        steps = {}
+        for g in sorted(fac.drops, key=by_height):
+            mat, words, d = ring.eval_solver(lam, g)
+            assert (mat, words, d) == old_eval_matrix(fac, g, steps)
+            # evaluations of a vector that mixes every basis vector
+            vec = [datum.q_power(r) for r in range(d)]
+            expected = [old_top_coefficient(fac, g, vec, w, steps)
+                        for w in words]
+            assert ring.evaluations(ring.element(lam, g, vec)) == expected
+            slices += 1
+    assert slices == {"A1": 15, "A2": 79, "B2": 43, "G2": 7}[typ]
+
+
+def test_evaluations_of_a_zero_weight_space(ring1):
+    phi = ring1.element((1,), (2,), [])
+    assert ring1.eval_solver((1,), (2,)) == ([], [(0, 0)], 0)
+    assert phi.evaluations() == [ring1.datum.zero()]
+
+
+@pytest.mark.parametrize("typ,lams", [
+    ("A2", [(1, 0), (1, 1), (2, 1)]),
+    ("B2", [(1, 0), (0, 1), (1, 1)]),
+    ("G2", [(0, 1)]),
+])
+def test_e_step_matches_the_normal_form_loop(rings, typ, lams):
+    ring = rings[typ]
+    for lam in lams:
+        fac = ring.factory(lam)
+        for g in fac.drops:
+            for i in range(ring.datum.rank):
+                new, old = fac.e_step(g, i), old_e_step(fac, g, i)
+                assert (new is None) == (old is None)
+                assert new is None or la.mat_eq(new, old)
+
+
+def old_left_verma_e(alg, lam, depth, i):
+    """The left Verma module's e_i by its own normal-form loop."""
+    datum = alg.datum
+    drops = sorted(box(depth), key=by_height)
+    slots = {}
+    for g in drops:
+        for w in alg.basis(g).free_words:
+            slots[(g, w)] = len(slots)
+    em = la.zeros(len(slots), len(slots), datum.l0)
+    for (g, w), col in slots.items():
+        word = (("e", i),) + tuple(("f", j) for j in w)
+        for (fw, nu, ew), c in alg.normal_form_word(word).items():
+            if ew:
+                continue
+            row = slots[(_content(fw, datum.rank), fw)]
+            em[row][col] = em[row][col] + c * datum.q_pair(lam, nu)
+    return em
+
+
+@pytest.mark.parametrize("case", [
+    ("A1", (0,), (4,)), ("A1", (3,), (4,)), ("A1", (-2,), (3,)),
+    ("A2", (1, 0), (2, 2)), ("A2", (-1, 2), (2, 1)), ("A2", (0, -3), (1, 2)),
+])
+def test_left_verma_e_matches_its_normal_form_loop(alg1, alg2, case):
+    typ, lam, depth = case
+    alg = alg1 if typ == "A1" else alg2
+    mod = verma(alg, lam, depth)
+    for i in range(alg.datum.rank):
+        assert la.mat_eq(mod.gen_matrix("e", i),
+                         old_left_verma_e(alg, lam, depth, i))
+
+
+def test_one_module_per_algebra_and_weight(a2, alg2, ring2):
+    for lam in [(0, 0), (1, 0), (1, 1)]:
+        mod = simple(alg2, lam)
+        assert simple(alg2, list(lam)) is mod
+        assert ring2.module(lam) is mod
+        assert CoordRing(alg2).module(lam) is mod
+        assert ring2.factory(lam) is simple_factory(alg2, lam) is mod.factory
+    assert simple(UAlgebra(a2), (1, 0)) is not simple(alg2, (1, 0))
+    with pytest.raises(DominanceError, match="grade"):
+        ring2.module((1, -1))
+    with pytest.raises(DominanceError):
+        simple(alg2, (1, -1))
+
+
+def test_one_gram_per_algebra_weight_and_drop(monkeypatch, a2):
+    grams, kernels = Counter(), Counter()
+    real_slice, real_kernel = SimpleFactory._slice, weightmod._free_e_matrix
+
+    def count_slice(self, gamma):
+        grams[(id(self.algebra), self.lam, gamma)] += 1
+        return real_slice(self, gamma)
+
+    def count_kernel(algebra, lam, gamma, i):
+        kernels[(id(algebra), lam, gamma, i)] += 1
+        return real_kernel(algebra, lam, gamma, i)
+
+    monkeypatch.setattr(SimpleFactory, "_slice", count_slice)
+    monkeypatch.setattr(weightmod, "_free_e_matrix", count_kernel)
+    alg = UAlgebra(a2)
+    r1, r2 = CoordRing(alg), CoordRing(alg)
+    lams = [(1, 0), (0, 1), (1, 1)]
+    for lam in lams:
+        for ring in (r1, r2):
+            for g in ring.factory(lam).drops:
+                ring.eval_solver(lam, g)
+            ring.module(lam)
+        simple(alg, lam)
+    r2.mult(*r1.grade_basis((1, 0))[:2])
+    verma(alg, (1, 0), (1, 1))
+    # every slice of every module was read, and each Gram built once
+    assert {(id(alg), lam, g) for lam in lams
+            for g in simple_factory(alg, lam).drops} <= set(grams)
+    assert set(grams.values()) == {1} and set(kernels.values()) == {1}

@@ -4,6 +4,7 @@ from qflag import linalg as la
 from qflag import weightmod
 from qflag.cartan import kostant_dim, verma_character, weyl_character
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
+from qflag.scalars import exp_t_coefficient
 from qflag.weightmod import (braid_on_module, braid_word,
                              check_module_relations, restricted_dual, simple,
                              tensor, transpose_braid, verma)
@@ -270,3 +271,27 @@ def test_word_matrix_multiplies_no_identity(monkeypatch, alg2):
     one[0][0] = alg2.datum.one()
     assert gen == before
     assert la.mat_eq(mod.word_matrix(()), la.identity(mod.dim, alg2.datum.l0))
+
+
+def test_exp_matrix_multiplies_no_identity(monkeypatch, alg1):
+    l0 = alg1.datum.l0
+    m = simple(alg1, (2,)).gen_matrix("f", 0)   # f**2 != 0, f**3 = 0
+    before = [list(row) for row in m]
+    # the series summed from the identity power by power
+    expected = la.identity(3, l0)
+    power = la.identity(3, l0)
+    for n in (1, 2):
+        power = la.mat_mul(m, power)
+        expected = la.mat_add(expected, la.mat_scale(
+            power, exp_t_coefficient(n, -1, l0)))
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append(b) or real(a, b))
+    assert la.mat_eq(weightmod._exp_matrix(m, -1, l0), expected)
+    assert len(calls) == 2          # m**2 and m**3 = 0, never m·identity
+    assert m == before
+    calls.clear()
+    zero = la.zeros(3, 3, l0)
+    assert la.mat_eq(weightmod._exp_matrix(zero, -1, l0), la.identity(3, l0))
+    assert calls == []
