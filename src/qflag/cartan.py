@@ -34,7 +34,9 @@ _PRESETS: Dict[str, Tuple[Tuple[Tuple[int, ...], ...]]] = {
 DEFAULT_MAX_HEIGHT = 8
 
 
-def _env_max_height() -> int:
+def max_height_in_force() -> int:
+    """The height cap a datum built now gets: ``QFLAG_MAX_HEIGHT`` or the
+    default."""
     raw = os.environ.get("QFLAG_MAX_HEIGHT")
     if raw is None:
         return DEFAULT_MAX_HEIGHT
@@ -101,7 +103,7 @@ class CartanDatum:
         self._det = int(_det(a))
         self._adj = tuple(tuple(int(x * self._det) for x in row)
                           for row in inv)
-        self.max_height = max_height if max_height is not None else _env_max_height()
+        self.max_height = max_height if max_height is not None else max_height_in_force()
         self.memo = Memo()
 
     # -- element constructors -------------------------------------------------

@@ -20,13 +20,11 @@ class RunConfig:
     seed: int = 0
     max: int = 4
     corrupt: bool = False
-    max_height: Optional[int] = None
 
     def datum(self) -> CartanDatum:
         if self.cartan_matrix is not None:
-            return CartanDatum(self.cartan_matrix, name="custom",
-                               max_height=self.max_height)
-        return preset(self.type, max_height=self.max_height)
+            return CartanDatum(self.cartan_matrix, name="custom")
+        return preset(self.type)
 
     def describe(self) -> dict:
         return {

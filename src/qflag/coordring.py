@@ -355,13 +355,10 @@ class CoordRing:
     def slice_element(self, mod: WeightModule, idx: int) -> CoordElement:
         """The coordinate-ring element carried by a full-module basis index."""
         lam = mod.highest_weight
-        for (g, r), slot in mod.slot.items():
-            if slot == idx:
-                d = self.factory(lam).slice_dim(g)
-                vec = [self.datum.zero()] * d
-                vec[r] = self.datum.one()
-                return CoordElement(self, lam, g, vec)
-        raise KeyError(idx)
+        g, r = mod.slot_keys[idx]
+        vec = [self.datum.zero()] * self.factory(lam).slice_dim(g)
+        vec[r] = self.datum.one()
+        return CoordElement(self, lam, g, vec)
 
     def embed_full(self, mod: WeightModule, phi: CoordElement) -> Vector:
         out = mod.zero_vector()

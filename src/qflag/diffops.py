@@ -167,12 +167,8 @@ class DOperator:
 # ---------------------------------------------------------------------------
 
 def sweedler_pairs(algebra: UAlgebra, u: UElement) -> List[Tuple[UElement, UElement]]:
-    delta = algebra.coproduct(u, 1)
-    out = []
-    for (m0, m1), c in delta.terms.items():
-        out.append((algebra.mono_element(m0).scale(c),
-                    algebra.mono_element(m1)))
-    return out
+    return [(algebra.mono_element(m0).scale(c), algebra.mono_element(m1))
+            for (m0, m1), c in algebra.coproduct(u).items()]
 
 
 def relations_check(window: DWindow, corrupt: bool = False) -> dict:
@@ -418,9 +414,7 @@ def _apply_braid_to_element(window: DWindow, i: int, phi: CoordElement,
             continue
         if mod.index_weights[idx] != target:
             raise QflagError("braid image is not weight-homogeneous")
-        for (gg, r), slot in mod.slot.items():
-            if slot == idx:
-                out[r] = c
+        out[mod.slot_keys[idx][1]] = c
     return CoordElement(ring, phi.grade, g, out)
 
 

@@ -11,12 +11,7 @@ Letters of raw words are ('f', i), ('k', weight-tuple) or ('e', i).
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
-
-if sys.getrecursionlimit() < 40000:
-    # word straightening recurses once per elementary swap
-    sys.setrecursionlimit(40000)
 
 from . import linalg
 from .cartan import CartanDatum, RootSum, Weight, box, kostant_dim
@@ -27,6 +22,22 @@ from .scalars import QScalar, quantum_factorial
 Letter = Tuple[str, object]
 Word = Tuple[Letter, ...]
 MonoKey = Tuple[Tuple[int, ...], Weight, Tuple[int, ...]]  # (fword, k-weight, eword)
+
+
+def _add_term(out: Dict, key, c: QScalar) -> None:
+    s = out.get(key)
+    out[key] = c if s is None else s + c
+
+
+def _add_tensor(out: Dict, left: Dict, right: Dict) -> None:
+    """Accumulate left (x) right, keyed by pairs of keys, into out."""
+    for k0, c0 in left.items():
+        for k1, c1 in right.items():
+            _add_term(out, (k0, k1), c0 * c1)
+
+
+def _nonzero(terms: Dict) -> Dict:
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def _content(indices: Sequence[int], rank: int) -> RootSum:
@@ -145,8 +156,7 @@ class UElement:
     def __add__(self, other: "UElement") -> "UElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
+            _add_term(out, k, c)
         return UElement(self.algebra, out)
 
     def __sub__(self, other: "UElement") -> "UElement":
@@ -165,9 +175,7 @@ class UElement:
             for (f2, l2, e2), c2 in other.terms.items():
                 word = alg.monomial_word(f1, l1, e1) + alg.monomial_word(f2, l2, e2)
                 for key, c in alg.normal_form_word(word).items():
-                    v = c1 * c2 * c
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
+                    _add_term(out, key, c1 * c2 * c)
         return UElement(alg, out)
 
     def __pow__(self, n: int) -> "UElement":
@@ -235,77 +243,6 @@ def _mono_sort_key(key: MonoKey):
     return (len(fw), fw, lam, len(ew), ew)
 
 
-class HopfTensor:
-    """Finitely supported tensor of normal monomials (fixed arity)."""
-
-    __slots__ = ("algebra", "arity", "terms")
-
-    def __init__(self, algebra: "UAlgebra", arity: int,
-                 terms: Dict[Tuple[MonoKey, ...], QScalar]):
-        self.algebra = algebra
-        self.arity = arity
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-
-    def __add__(self, other: "HopfTensor") -> "HopfTensor":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return HopfTensor(self.algebra, self.arity, out)
-
-    def scale(self, c: QScalar) -> "HopfTensor":
-        return HopfTensor(self.algebra, self.arity,
-                          {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "HopfTensor") -> "HopfTensor":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        alg = self.algebra
-        out: Dict[Tuple[MonoKey, ...], QScalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                legs = []
-                for m1, m2 in zip(k1, k2):
-                    legs.append(alg.mono_element(m1) * alg.mono_element(m2))
-                base = c1 * c2
-                for combo in _expand_legs(legs):
-                    keys, cs = combo
-                    v = base
-                    for c in cs:
-                        v = v * c
-                    s = out.get(keys)
-                    out[keys] = v if s is None else s + v
-        return HopfTensor(alg, self.arity, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HopfTensor) and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms,
-                          key=lambda ms: tuple(_mono_sort_key(m) for m in ms)):
-            c = self.terms[key]
-            legs = " (x) ".join(self.algebra.mono_element(m).to_str() for m in key)
-            parts.append(f"({c.to_str()})*[{legs}]")
-        return " + ".join(parts)
-
-
-def _expand_legs(legs: List[UElement]):
-    combos = [((), ())]
-    for el in legs:
-        new = []
-        for keys, cs in combos:
-            for k, c in el.terms.items():
-                new.append((keys + (k,), cs + (c,)))
-        combos = new
-    return combos
-
-
 class UAlgebra:
     """Factory/cache object binding a CartanDatum to algebra operations."""
 
@@ -346,18 +283,12 @@ class UAlgebra:
         return UElement(self, {((), self.datum.zero_weight, ()): c})
 
     def e_word(self, word: Sequence[int]) -> UElement:
-        word = tuple(word)
-        red = self.basis(_content(word, self.datum.rank)).reduce_word(word) \
-            if word else {(): self.datum.one()}
         return UElement(self, {((), self.datum.zero_weight, w): c
-                               for w, c in red.items()})
+                               for w, c in self._in_basis(tuple(word)).items()})
 
     def f_word(self, word: Sequence[int]) -> UElement:
-        word = tuple(word)
-        red = self.basis(_content(word, self.datum.rank)).reduce_word(word) \
-            if word else {(): self.datum.one()}
         return UElement(self, {(w, self.datum.zero_weight, ()): c
-                               for w, c in red.items()})
+                               for w, c in self._in_basis(tuple(word)).items()})
 
     def divided_e(self, i: int, n: int) -> UElement:
         fact = quantum_factorial(n, self.datum.d(i), self.datum.l0)
@@ -409,24 +340,10 @@ class UAlgebra:
         word.extend(("e", i) for i in ew)
         return tuple(word)
 
-    def normal_form_word(self, word: Word,
-                         strategy: str = "first") -> Dict[MonoKey, QScalar]:
-        """Canonical terms of an arbitrary word; cached for 'first'."""
+    def normal_form_word(self, word: Word) -> Dict[MonoKey, QScalar]:
+        """Canonical terms of an arbitrary word."""
         self._check_cap(word)
-        raw = self._raw_normal(word, strategy)
-        out: Dict[MonoKey, QScalar] = {}
-        for (fw, lam, ew), c in raw.items():
-            fred = self.basis(_content(fw, self.datum.rank)).reduce_word(fw) \
-                if fw else {(): self.datum.one()}
-            ered = self.basis(_content(ew, self.datum.rank)).reduce_word(ew) \
-                if ew else {(): self.datum.one()}
-            for fwb, cf in fred.items():
-                for ewb, ce in ered.items():
-                    key = (fwb, lam, ewb)
-                    v = c * cf * ce
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
-        return {k: c for k, c in out.items() if not c.is_zero()}
+        return self._reduce_raw(self._raw_normal(word))
 
     def _check_cap(self, word: Word) -> None:
         cap = self.datum.max_height
@@ -437,120 +354,106 @@ class UAlgebra:
                 f"word has e-height {ne}, f-height {nf}; cap is {cap} "
                 "(set QFLAG_MAX_HEIGHT or CartanDatum.max_height to raise)")
 
-    def _raw_normal(self, word: Word, strategy: str) -> Dict[Tuple, QScalar]:
-        if strategy == "first":
-            return self.memo.get(("raw_nf", word),
-                                 lambda: self._straighten(word, strategy))
-        return self._straighten(word, strategy)
+    def _in_basis(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
+        """Coordinates of an F- or E-word in the free words of its degree."""
+        if not word:
+            return {(): self.datum.one()}
+        return self.basis(_content(word, self.datum.rank)).reduce_word(word)
 
-    def _straighten(self, word: Word, strategy: str) -> Dict[Tuple, QScalar]:
-        """One elementary swap at the first (or last) out-of-order pair,
-        then recursion on the resulting words."""
+    def _reduce_raw(self, raw: Dict[MonoKey, QScalar]) -> Dict[MonoKey, QScalar]:
+        """Raw F*K*E terms with their F- and E-words in the graded bases."""
+        out: Dict[MonoKey, QScalar] = {}
+        for (fw, lam, ew), c in raw.items():
+            ered = self._in_basis(ew)
+            for fwb, cf in self._in_basis(fw).items():
+                for ewb, ce in ered.items():
+                    _add_term(out, (fwb, lam, ewb), c * cf * ce)
+        return _nonzero(out)
+
+    def _raw_normal(self, word: Word) -> Dict[MonoKey, QScalar]:
+        """Raw F*K*E terms of a word: those of its prefix times its last
+        letter, memoized per word."""
+        if not word:
+            return {((), self.datum.zero_weight, ()): self.datum.one()}
+        return self.memo.get(("raw_nf", word), lambda: self._times_letter(
+            self._raw_normal(word[:-1]), word[-1]))
+
+    def _times_letter(self, terms: Dict[MonoKey, QScalar],
+                      letter: Letter) -> Dict[MonoKey, QScalar]:
+        """Right product of raw F*K*E terms with one letter (Jantzen,
+        *Lectures on Quantum Groups*, ch. 4).  e_j joins E.  k_mu passes E
+        with q^{-(mu, wt E)} and joins K.  f_j passes K with q^{-(K, a_j)};
+        passing E, each e_j of E at position t leaves
+        [e_j, f_j] = (k_j - k_j^-1)/(q_j - q_j^-1), whose k_{+-a_j} passes
+        E_{<t} with q^{-+(a_j, wt E_{<t})} and joins K."""
         datum = self.datum
-        pos = None
-        rng = range(len(word) - 1)
-        if strategy == "last":
-            rng = reversed(rng)
-        for p in rng:
-            a, b = word[p], word[p + 1]
-            if a[0] == "e" and b[0] in ("f", "k"):
-                pos = p
-                break
-            if a[0] == "k" and b[0] in ("f", "k"):
-                pos = p
-                break
-        if pos is None:
-            fw = tuple(i for t, i in word if t == "f")
-            lam = datum.zero_weight
-            for t, v in word:
-                if t == "k":
-                    lam = datum.weight_add(lam, v)
-            ew = tuple(i for t, i in word if t == "e")
-            res = {(fw, lam, ew): datum.one()}
-        else:
-            a, b = word[pos], word[pos + 1]
-            pre, post = word[:pos], word[pos + 2:]
-            acc: Dict[Tuple, QScalar] = {}
-
-            def add_all(terms: Dict[Tuple, QScalar], c: QScalar):
-                for k, v in terms.items():
-                    x = v * c
-                    s = acc.get(k)
-                    acc[k] = x if s is None else s + x
-
-            if a[0] == "e" and b[0] == "f":
-                i, j = a[1], b[1]
-                add_all(self._raw_normal(pre + (b, a) + post, strategy),
-                        datum.one())
-                if i == j:
-                    den = self.qi(i) - self.qi(i, -1)
-                    c = den.inverse()
-                    kp = ("k", datum.alpha(i))
-                    km = ("k", tuple(-x for x in datum.alpha(i)))
-                    add_all(self._raw_normal(pre + (kp,) + post, strategy), c)
-                    add_all(self._raw_normal(pre + (km,) + post, strategy), -c)
-            elif a[0] == "e" and b[0] == "k":
-                lam = b[1]
-                c = datum.q_pair(tuple(-x for x in lam), datum.alpha(a[1]))
-                add_all(self._raw_normal(pre + (b, a) + post, strategy), c)
-            elif a[0] == "k" and b[0] == "f":
-                lam = a[1]
-                c = datum.q_pair(tuple(-x for x in lam), datum.alpha(b[1]))
-                add_all(self._raw_normal(pre + (b, a) + post, strategy), c)
-            else:  # k, k -> merge
-                lam = datum.weight_add(a[1], b[1])
-                merged = (("k", lam),) if any(lam) else ()
-                add_all(self._raw_normal(pre + merged + post, strategy),
-                        datum.one())
-            res = {k: v for k, v in acc.items() if not v.is_zero()}
-        return res
+        kind, v = letter
+        out: Dict[MonoKey, QScalar] = {}
+        if kind == "f":
+            alpha = datum.alpha(v)
+            neg_alpha = datum.weight_neg(alpha)
+            den = (self.qi(v) - self.qi(v, -1)).inverse()
+        for (fw, lam, ew), c in terms.items():
+            if kind == "e":
+                _add_term(out, (fw, lam, ew + (v,)), c)
+            elif kind == "k":
+                wt_e = datum.root_to_weight(_content(ew, datum.rank))
+                _add_term(out, (fw, datum.weight_add(lam, v), ew),
+                          c * datum.q_pair(datum.weight_neg(v), wt_e))
+            else:
+                _add_term(out, (fw + (v,), lam, ew),
+                          c * datum.q_pair(datum.weight_neg(lam), alpha))
+                wt_pre = datum.zero_weight
+                for t, i in enumerate(ew):
+                    if i == v:
+                        rest = ew[:t] + ew[t + 1:]
+                        _add_term(out, (fw, datum.weight_add(lam, alpha), rest),
+                                  c * den * datum.q_pair(neg_alpha, wt_pre))
+                        _add_term(out, (fw, datum.weight_add(lam, neg_alpha),
+                                        rest),
+                                  -c * den * datum.q_pair(alpha, wt_pre))
+                    wt_pre = datum.weight_add(wt_pre, datum.alpha(i))
+        return _nonzero(out)
 
     # -- Hopf structure ------------------------------------------------------
 
-    def _delta_letter(self, letter: Letter) -> HopfTensor:
-        one = self.datum.one()
-        unit = ((), self.datum.zero_weight, ())
-        if letter[0] == "k":
-            lam = letter[1]
-            key = ((), tuple(lam), ())
-            return HopfTensor(self, 1, {(key, key): one})
-        if letter[0] == "e":
-            i = letter[1]
-            ei = ((), self.datum.zero_weight, (i,))
-            ki = ((), self.datum.alpha(i), ())
-            return HopfTensor(self, 1, {(ei, unit): one, (ki, ei): one})
-        i = letter[1]
-        fi = ((i,), self.datum.zero_weight, ())
-        kim = ((), tuple(-x for x in self.datum.alpha(i)), ())
-        return HopfTensor(self, 1, {(fi, kim): one, (unit, fi): one})
-
-    def coproduct(self, u: UElement, arity: int = 1) -> HopfTensor:
-        """Delta_arity(u): a tensor with arity+1 legs."""
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        unit = ((), self.datum.zero_weight, ())
-        out = HopfTensor(self, 1, {})
-        for key, c in u.terms.items():
-            fw, lam, ew = key
+    def coproduct(self, u: UElement) -> Dict[Tuple[MonoKey, MonoKey], QScalar]:
+        """Delta(u) as {(leg0, leg1): c} over normal monomials.  Each letter's
+        Delta (k (x) k, e_i (x) 1 + k_i (x) e_i, f_i (x) k_i^-1 + 1 (x) f_i)
+        is pushed through both legs by the straightening kernel, and each
+        leg is reduced to the bases once at the end."""
+        datum = self.datum
+        one = datum.one()
+        unit = ((), datum.zero_weight, ())
+        raw: Dict[Tuple[MonoKey, MonoKey], QScalar] = {}
+        for (fw, lam, ew), c in u.terms.items():
             word = self.monomial_word(fw, lam, ew)
-            t = HopfTensor(self, 1, {(unit, unit): self.datum.one()})
+            self._check_cap(word)
+            legs = {(unit, unit): c}
             for letter in word:
-                t = t * self._delta_letter(letter)
-            out = out + t.scale(c)
-        for _ in range(arity - 1):
-            out = self._delta_leg0(out)
-        return out
-
-    def _delta_leg0(self, t: HopfTensor) -> HopfTensor:
-        out: Dict[Tuple[MonoKey, ...], QScalar] = {}
-        for key, c in t.terms.items():
-            first = self.coproduct(self.mono_element(key[0]), 1)
-            for k2, c2 in first.terms.items():
-                nk = k2 + key[1:]
-                v = c * c2
-                s = out.get(nk)
-                out[nk] = v if s is None else s + v
-        return HopfTensor(self, t.arity + 1, out)
+                kind, v = letter
+                if kind == "k":
+                    pairs = ((letter, letter),)
+                elif kind == "e":
+                    pairs = ((letter, None), (("k", datum.alpha(v)), letter))
+                else:
+                    pairs = ((letter, ("k", datum.weight_neg(datum.alpha(v)))),
+                             (None, letter))
+                step: Dict[Tuple[MonoKey, MonoKey], QScalar] = {}
+                for (m0, m1), cm in legs.items():
+                    for x, y in pairs:
+                        _add_tensor(
+                            step,
+                            self._times_letter({m0: cm}, x) if x else {m0: cm},
+                            self._times_letter({m1: one}, y) if y else {m1: one})
+                legs = _nonzero(step)
+            for key, cm in legs.items():
+                _add_term(raw, key, cm)
+        out: Dict[Tuple[MonoKey, MonoKey], QScalar] = {}
+        for (m0, m1), c in raw.items():
+            _add_tensor(out, self._reduce_raw({m0: c}),
+                        self._reduce_raw({m1: one}))
+        return _nonzero(out)
 
     def counit(self, u: UElement) -> QScalar:
         out = self.datum.zero()

@@ -290,12 +290,10 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     return x
 
 
-def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
+def nullspace(a: Matrix) -> List[Vector]:
     """Basis of the right kernel of a."""
     if not a:
-        if ncols is None:
-            return []
-        raise ValueError("nullspace of empty matrix needs explicit scalars")
+        return []
     m = len(a[0])
     if m == 0:
         return []

@@ -10,7 +10,7 @@ from typing import Callable, Dict, List
 from . import linalg
 from .bimodule import EBimodule, key_lemma_characters
 from .cartan import (CartanDatum, box, by_height, kostant_dim,
-                     verma_character, weyl_character)
+                     max_height_in_force, verma_character, weyl_character)
 from .center import (annihilator_check, center_solve,
                      commutes_with_generators, partial_z_is_sigma_zeta,
                      zeta_separation_scan)
@@ -37,8 +37,9 @@ _CONTEXTS = Memo()
 
 
 def _ctx(config: RunConfig):
+    # keyed on the height cap in force: the datum reads it when it is built
     return _CONTEXTS.get((config.type, config.cartan_matrix,
-                          config.max_height), lambda: _new_ctx(config))
+                          max_height_in_force()), lambda: _new_ctx(config))
 
 
 def _new_ctx(config: RunConfig):

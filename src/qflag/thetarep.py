@@ -124,7 +124,7 @@ class ThetaFormula:
             for w in trunc.words[g]:
                 col = trunc.index(g, w)
                 accs: Tuple[Dict, Dict] = ({}, {})
-                for monos, c in alg.coproduct(alg.e_word(w), 1).terms.items():
+                for monos, c in alg.coproduct(alg.e_word(w)).items():
                     ews = (monos[0][2], monos[1][2])
                     for leg, acc in enumerate(accs):
                         ew = ews[leg]
@@ -390,11 +390,13 @@ def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,
     for word in span:
         vec: Vector = []
         for probe in probes:
-            mat = linalg.identity(trunc.dim, ring.datum.l0)
             # op-algebra: Theta(d1 d2) = Theta(d2) Theta(d1)
-            for kind, arg in word:
-                mat = linalg.mat_mul(formula.theta(tuple(probe), kind, arg),
-                                     mat)
+            mats = [formula.theta(tuple(probe), kind, arg)
+                    for kind, arg in word]
+            mat = mats[0] if mats else linalg.identity(trunc.dim,
+                                                       ring.datum.l0)
+            for m in mats[1:]:
+                mat = linalg.mat_mul(m, mat)
             for r in mat:
                 vec.extend(r)
         rows.append(vec)

@@ -267,7 +267,6 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
                        name=f"T{'r' if side == 'right' else ''}"
                             f"({datum.weight_str(lam)})|{depth}")
     mod.highest_weight = lam
-    mod.depth = depth
     return mod
 
 
@@ -452,6 +451,7 @@ class SimpleFactory:
         mod.highest_weight = lam
         mod.factory = self
         mod.slot = dict(slot)
+        mod.slot_keys = list(slot)   # inverse of slot: index -> (drop, r)
         return mod
 
 
@@ -484,7 +484,6 @@ def restricted_dual(mod: WeightModule) -> WeightModule:
                         labels=[lb + "*" for lb in mod.labels],
                         distinguished=dict(mod.distinguished),
                         name=mod.name + "*")
-    dual.dual_of = mod
     if hasattr(mod, "highest_weight"):
         dual.highest_weight = mod.highest_weight
     return dual
@@ -527,7 +526,6 @@ def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
     mod = WeightModule(alg, m1.side, index_weights, gen, missing_exact,
                        exact=m1.exact and m2.exact, labels=labels,
                        name=f"({m1.name})(x)({m2.name})")
-    mod.factors = (m1, m2)
     return mod
 
 

@@ -190,6 +190,20 @@ def test_height_cap_exits_three(monkeypatch, capsys):
     assert "error: height cap:" in capsys.readouterr().err
 
 
+def test_suite_context_follows_height_cap(monkeypatch):
+    """The suites' shared context is keyed on the cap in force: after
+    QFLAG_MAX_HEIGHT changes, a suite gets a datum with the new cap."""
+    from qflag import suites
+    from qflag.config import RunConfig
+    config = RunConfig(type="A2")
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
+    assert suites._ctx(config)[0].max_height == 8
+    monkeypatch.setenv("QFLAG_MAX_HEIGHT", "2")
+    assert suites._ctx(config)[0].max_height == 2
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT")
+    assert suites._ctx(config)[0].max_height == 8
+
+
 def test_text_output_mode(capsys):
     code, out = run_cli(["verify", "pbw", "--type", "A1"], capsys)
     assert code == 0

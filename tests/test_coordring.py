@@ -67,7 +67,7 @@ def test_u_action_derivation_rule(ring2, alg2):
     for u in [alg2.e(0), alg2.f(1), alg2.k((1, 1))]:
         lhs = ring2.u_action(u, ring2.mult(a, b))
         total = None
-        for (m0, m1), c in alg2.coproduct(u).terms.items():
+        for (m0, m1), c in alg2.coproduct(u).items():
             ua = ring2.u_action(alg2.mono_element(m0).scale(c), a)
             ub = ring2.u_action(alg2.mono_element(m1), b)
             if ua.is_zero() or ub.is_zero():

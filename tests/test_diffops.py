@@ -167,7 +167,7 @@ def old_conv(formula, i, eaten):
             continue
         for w in trunc.words[g]:
             acc = {}
-            for monos, c in alg.coproduct(alg.e_word(w), 1).terms.items():
+            for monos, c in alg.coproduct(alg.e_word(w)).items():
                 ew, rest = monos[eaten][2], monos[1 - eaten][2]
                 if _content(ew, rank) != ai:
                     continue
@@ -214,6 +214,33 @@ def test_theta_faithfulness(ring1, pairing1):
     dup = theta_faithfulness_probe(ring1, pairing1, 3, [(0,), (1,)],
                                    [[("de", 0)], [("de", 0)]])
     assert not dup["pass"]
+
+
+def test_theta_faithfulness_multiplies_no_identity(monkeypatch, ring1,
+                                                   pairing1):
+    """Each probe's product starts at its first factor; only the empty
+    word is the identity."""
+    probes = [(0,), (1,)]
+    span = [[("de", 0), ("dk", (2,))], [("de", 0)], []]
+    formula = theta_formula(pairing1, 3)
+    ident = la.identity(formula.trunc.dim, ring1.datum.l0)
+    rows = []   # the same rows with every product started at the identity
+    for word in span:
+        vec = []
+        for probe in probes:
+            mat = ident
+            for kind, arg in word:
+                mat = la.mat_mul(formula.theta(probe, kind, arg), mat)
+            vec.extend(x for r in mat for x in r)
+        rows.append(vec)
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append(b) or real(a, b))
+    rep = theta_faithfulness_probe(ring1, pairing1, 3, probes, span)
+    assert rep["pass"] and rep["rank"] == la.rank(rows) == 3
+    assert len(calls) == 2          # one per probe, for the two-letter word
+    assert not any(la.mat_eq(b, ident) for b in calls)
 
 
 def test_center_solve_a1(alg1, w1):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -72,16 +74,99 @@ def test_serre_element_vanishes(alg2):
     assert total.is_zero()  # the basis reduction kills the Serre element
 
 
-def test_normal_form_diamond(alg2):
+def _add(out, key, c):
+    out[key] = out[key] + c if key in out else c
+
+
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+def _swap_straighten(alg, word, last, memo):
+    """Oracle: one elementary swap at the first (or last) out-of-order pair
+    of the word, then recursion on the resulting words; raw F*K*E terms."""
+    key = (word, last)
+    if key in memo:
+        return memo[key]
+    datum = alg.datum
+    pairs = range(len(word) - 1)
+    pos = next((p for p in (reversed(pairs) if last else pairs)
+                if word[p][0] in ("e", "k") and word[p + 1][0] in ("f", "k")),
+               None)
+    acc = {}
+
+    def add_all(w, c):
+        for k, v in _swap_straighten(alg, w, last, memo).items():
+            _add(acc, k, v * c)
+
+    if pos is None:
+        lam = datum.zero_weight
+        for t, v in word:
+            if t == "k":
+                lam = datum.weight_add(lam, v)
+        acc[(tuple(i for t, i in word if t == "f"), lam,
+             tuple(i for t, i in word if t == "e"))] = datum.one()
+    else:
+        a, b = word[pos], word[pos + 1]
+        pre, post = word[:pos], word[pos + 2:]
+        if a[0] == "k" and b[0] == "k":
+            lam = datum.weight_add(a[1], b[1])
+            add_all(pre + ((("k", lam),) if any(lam) else ()) + post,
+                    datum.one())
+        elif a[0] == "e" and b[0] == "f":
+            add_all(pre + (b, a) + post, datum.one())
+            if a[1] == b[1]:
+                i = a[1]
+                c = (alg.qi(i) - alg.qi(i, -1)).inverse()
+                add_all(pre + (("k", datum.alpha(i)),) + post, c)
+                add_all(pre + (("k", datum.weight_neg(datum.alpha(i))),)
+                        + post, -c)
+        else:   # e k or k f: the torus letter moves with its q-factor
+            lam, i = (b[1], a[1]) if a[0] == "e" else (a[1], b[1])
+            add_all(pre + (b, a) + post,
+                    datum.q_pair(datum.weight_neg(lam), datum.alpha(i)))
+    memo[key] = _nonzero(acc)
+    return memo[key]
+
+
+def _in_bases(alg, raw):
+    """Raw F*K*E terms with both words reduced to the graded bases."""
+    def red(w):
+        if not w:
+            return {(): alg.datum.one()}
+        return alg.basis(tuple(w.count(i) for i in range(alg.datum.rank))
+                         ).reduce_word(w)
+    out = {}
+    for (fw, lam, ew), c in raw.items():
+        for fb, cf in red(fw).items():
+            for eb, ce in red(ew).items():
+                _add(out, (fb, lam, eb), c * cf * ce)
+    return _nonzero(out)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_normal_form_matches_swap_oracle(name):
+    """Letter-at-a-time straightening agrees with elementary swaps at the
+    first and at the last out-of-order pair, on random words up to the
+    height cap."""
+    datum = preset(name)
+    alg = UAlgebra(datum)
+    cap = datum.max_height
     rng = random.Random(7)
-    letters = [("e", 0), ("e", 1), ("f", 0), ("f", 1),
-               ("k", (1, 0)), ("k", (0, -1))]
-    for _ in range(25):
-        word = tuple(letters[rng.randrange(len(letters))]
-                     for _ in range(rng.randrange(1, 7)))
-        first = alg2.normal_form_word(word, strategy="first")
-        last = alg2.normal_form_word(word, strategy="last")
-        assert first == last
+    torus = [("k", datum.alpha(0)), ("k", tuple([1] + [-1] * (datum.rank - 1)))]
+    memo = {}
+    for n in range(12):
+        ne, nf = (cap, cap) if n == 0 else (rng.randrange(cap + 1),
+                                           rng.randrange(cap + 1))
+        word = [("e", rng.randrange(datum.rank)) for _ in range(ne)] \
+            + [("f", rng.randrange(datum.rank)) for _ in range(nf)] \
+            + [torus[rng.randrange(2)] for _ in range(rng.randrange(3))]
+        rng.shuffle(word)
+        word = tuple(word)
+        expected = _in_bases(alg, _swap_straighten(alg, word, False, memo))
+        assert alg.normal_form_word(word) == expected
+        assert _in_bases(alg, _swap_straighten(alg, word, True, memo)) \
+            == expected
 
 
 def test_multiplication_association_order(alg2):
@@ -102,20 +187,113 @@ def test_degree_cap_is_explicit(a1):
         alg.e(0) ** 4
 
 
-def test_coproduct_examples(alg1, alg2):
+def _legwise(alg, a, b):
+    """Product of two two-leg tensors, leg by leg, by UElement products."""
+    out = {}
+    for (a0, a1), ca in a.items():
+        for (b0, b1), cb in b.items():
+            left = alg.mono_element(a0) * alg.mono_element(b0)
+            right = alg.mono_element(a1) * alg.mono_element(b1)
+            for k0, c0 in left.terms.items():
+                for k1, c1 in right.terms.items():
+                    _add(out, (k0, k1), ca * cb * c0 * c1)
+    return _nonzero(out)
+
+
+def _letter_coproduct(alg, letter):
+    datum = alg.datum
+    one, unit = datum.one(), ((), datum.zero_weight, ())
+    kind, v = letter
+    if kind == "k":
+        key = ((), tuple(v), ())
+        return {(key, key): one}
+    if kind == "e":
+        ei = ((), datum.zero_weight, (v,))
+        return {(ei, unit): one, (((), datum.alpha(v), ()), ei): one}
+    fi = ((v,), datum.zero_weight, ())
+    kinv = ((), datum.weight_neg(datum.alpha(v)), ())
+    return {(fi, kinv): one, (unit, fi): one}
+
+
+def _coproduct_oracle(alg, u):
+    """Delta(u) as the legwise product of its letters' coproducts."""
+    unit = ((), alg.datum.zero_weight, ())
+    out = {}
+    for (fw, lam, ew), c in u.terms.items():
+        t = {(unit, unit): c}
+        for letter in alg.monomial_word(fw, lam, ew):
+            t = _legwise(alg, t, _letter_coproduct(alg, letter))
+        for key, x in t.items():
+            _add(out, key, x)
+    return _nonzero(out)
+
+
+_DEEP_WORD_CHILD = """
+import sys
+before = sys.getrecursionlimit()
+import qflag, qflag.cli
+assert sys.getrecursionlimit() == before, sys.getrecursionlimit()
+sys.setrecursionlimit(1000)
+from qflag.cartan import preset
+from qflag.enveloping import UAlgebra
+alg = UAlgebra(preset("G2"))
+word = (tuple(("e", i) for i in (0, 0, 0, 0, 1, 1, 1, 1)) + (("k", (1, -1)),)
+        + tuple(("f", i) for i in (0, 0, 0, 0, 1, 1, 1, 1)) + (("k", (0, 1)),))
+print(len(alg.normal_form_word(word)))
+"""
+
+
+def test_import_keeps_recursion_limit_and_deep_word_normalizes():
+    """Importing qflag leaves the interpreter's recursion limit alone, and
+    a G2 word at the height cap (8 e-, 8 f- and two k-letters) normalizes
+    under the default limit of 1000: the straightening recursion is one
+    frame chain per letter."""
+    done = subprocess.run([sys.executable, "-c", _DEEP_WORD_CHILD],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
+
+
+def test_coproduct_examples(alg1):
     d1 = alg1.coproduct(alg1.k((1,)))
     key = ((), (1,), ())
-    assert d1.terms == {(key, key): alg1.datum.one()}
+    assert d1 == {(key, key): alg1.datum.one()}
     # Delta(f) = f (x) k^{-1} + 1 (x) f
     df = alg1.coproduct(alg1.f(0))
     f_key = ((0,), (0,), ())
     unit = ((), (0,), ())
     kinv = ((), (-2,), ())
-    assert df.terms == {(f_key, kinv): alg1.datum.one(),
-                        (unit, f_key): alg1.datum.one()}
+    assert df == {(f_key, kinv): alg1.datum.one(),
+                  (unit, f_key): alg1.datum.one()}
     # Delta is an algebra map: Delta(e)Delta(f) = Delta(ef)
-    prod = alg1.coproduct(alg1.e(0)) * alg1.coproduct(alg1.f(0))
+    prod = _legwise(alg1, alg1.coproduct(alg1.e(0)), df)
     assert prod == alg1.coproduct(alg1.e(0) * alg1.f(0))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_coproduct_matches_legwise_oracle(name):
+    datum = preset(name)
+    alg = UAlgebra(datum)
+    rng = random.Random(5)
+    gens = [alg.e(i) for i in range(datum.rank)] \
+        + [alg.f(i) for i in range(datum.rank)] \
+        + [alg.k(datum.alpha(0)), alg.k(datum.weight_neg(datum.alpha(datum.rank - 1)))]
+    for _ in range(8):
+        u = alg.one()
+        for _ in range(rng.randrange(1, 5)):
+            u = u * gens[rng.randrange(len(gens))]
+        u = u + gens[rng.randrange(len(gens))]
+        assert alg.coproduct(u) == _coproduct_oracle(alg, u)
+
+
+def _expand_leg(alg, delta, leg):
+    """(Delta (x) id) Delta (leg 0) or (id (x) Delta) Delta (leg 1)."""
+    out = {}
+    for (m0, m1), c in delta.items():
+        inner = alg.coproduct(alg.mono_element((m0, m1)[leg]))
+        for (n0, n1), c2 in inner.items():
+            _add(out, (n0, n1, m1) if leg == 0 else (m0, n0, n1), c * c2)
+    return _nonzero(out)
 
 
 def test_coassociativity(alg2):
@@ -128,18 +306,8 @@ def test_coassociativity(alg2):
         b = gens[rng.randrange(len(gens))]
         elements.append(a * b)
     for u in elements:
-        lhs = alg2.coproduct(u, 2)
-        # (id (x) Delta) Delta: expand leg 1 of Delta(u)
-        rhs_terms = {}
-        for (m0, m1), c in alg2.coproduct(u, 1).terms.items():
-            inner = alg2.coproduct(alg2.mono_element(m1), 1)
-            for (n0, n1), c2 in inner.terms.items():
-                key = (m0, n0, n1)
-                v = c * c2
-                s = rhs_terms.get(key)
-                rhs_terms[key] = v if s is None else s + v
-        rhs_terms = {k: v for k, v in rhs_terms.items() if not v.is_zero()}
-        assert lhs.terms == rhs_terms
+        delta = alg2.coproduct(u)
+        assert _expand_leg(alg2, delta, 0) == _expand_leg(alg2, delta, 1)
 
 
 def test_antipode_examples(alg1):
@@ -160,7 +328,7 @@ def test_hopf_axiom(alg2):
         elements.append(gens[rng.randrange(5)] * gens[rng.randrange(5)])
     for u in elements:
         total = alg2.zero()
-        for (m0, m1), c in alg2.coproduct(u).terms.items():
+        for (m0, m1), c in alg2.coproduct(u).items():
             total = total + (alg2.mono_element(m0)
                              * alg2.antipode(alg2.mono_element(m1))).scale(c)
         expected = alg2.from_scalar(alg2.counit(u))
