@@ -533,24 +533,28 @@ class CharacterPoly:
 
 def kostant_table(datum: CartanDatum, depth: RootSum) -> Dict[RootSum, int]:
     """Kostant partition counts P(g), the number of multisets of positive
-    roots summing to g, for every g in box(depth); memoized per depth."""
-    depth = tuple(depth)
-    return datum.memo.get(("kostant", depth),
-                          lambda: _kostant_counts(datum, depth))
+    roots summing to g, for every g in box(depth).  Each count is memoized
+    on the datum under ("kostant", g), so a datum computes it once whatever
+    the depths asked for; box order fills every smaller drop first."""
+    return {g: datum.memo.get(("kostant", g),
+                              lambda g=g: _kostant_count(datum, g))
+            for g in box(depth)}
 
 
-def _kostant_counts(datum: CartanDatum, depth: RootSum) -> Dict[RootSum, int]:
-    # coin change, one positive root at a time: P(g) += P(g - alpha) in
-    # lexicographic order, so P(g - alpha) already counts alpha itself
-    points = box(depth)
-    table = dict.fromkeys(points, 0)
-    table[datum.zero_root] = 1
-    for alpha in datum.positive_roots():
-        for g in points:
-            rest = tuple(a - b for a, b in zip(g, alpha))
-            if all(c >= 0 for c in rest):
-                table[g] += table[rest]
-    return table
+def _kostant_count(datum: CartanDatum, gamma: RootSum) -> int:
+    # prod_{alpha>0} (1 - e^-alpha) = sum_w det(w) e^{w rho - rho} inverts
+    # sum_g P(g) e^-g, so P(gamma) = [gamma = 0] - sum_{w != 1} det(w)
+    # P(gamma - (rho - w rho)), every term at a smaller drop
+    out = 0 if any(gamma) else 1
+    for sign, shift in datum.memo.get("kostant-shifts", lambda: [
+            (datum.weyl_det(w), datum.weight_to_root(datum.weight_sub(
+                datum.zero_weight, datum.weyl_act(w, datum.zero_weight,
+                                                  shifted=True))))
+            for w in datum.all_weyl_words() if w]):
+        rest = tuple(a - b for a, b in zip(gamma, shift))
+        if all(c >= 0 for c in rest):
+            out -= sign * kostant_dim(datum, rest)
+    return out
 
 
 def kostant_dim(datum: CartanDatum, gamma: RootSum) -> int:
@@ -558,7 +562,8 @@ def kostant_dim(datum: CartanDatum, gamma: RootSum) -> int:
     gamma = tuple(gamma)
     if any(c < 0 for c in gamma):
         raise ValueError("gamma must lie in Q^+")
-    return kostant_table(datum, gamma)[gamma]
+    return datum.memo.get(("kostant", gamma),
+                          lambda: kostant_table(datum, gamma)[gamma])
 
 
 def verma_character(datum: CartanDatum, lam: Weight, depth: RootSum) -> CharacterPoly:

@@ -377,7 +377,7 @@ class CoordRing:
             x = self.slice_element(src, idx)
             prod = self.mult(phi, x) if side == "left" else self.mult(x, phi)
             cols.append(self.embed_full(tgt, prod))
-        return linalg.from_columns(cols, self.datum.l0)
+        return linalg.transpose(cols)
 
     def right_mult_matrix(self, lam: Weight, gamma: RootSum,
                           s: CoordElement) -> Tuple[Matrix, Weight, RootSum]:
@@ -385,14 +385,14 @@ class CoordRing:
         cols = [self.mult(phi, s).vec for phi in self.slice_basis(lam, gamma)]
         tgt_grade = self.datum.weight_add(lam, s.grade)
         tgt_gamma = tuple(x + y for x, y in zip(gamma, s.gamma))
-        return (linalg.from_columns(cols, self.datum.l0), tgt_grade, tgt_gamma)
+        return (linalg.transpose(cols), tgt_grade, tgt_gamma)
 
     def left_mult_matrix(self, lam: Weight, gamma: RootSum,
                          s: CoordElement) -> Tuple[Matrix, Weight, RootSum]:
         cols = [self.mult(s, phi).vec for phi in self.slice_basis(lam, gamma)]
         tgt_grade = self.datum.weight_add(lam, s.grade)
         tgt_gamma = tuple(x + y for x, y in zip(gamma, s.gamma))
-        return (linalg.from_columns(cols, self.datum.l0), tgt_grade, tgt_gamma)
+        return (linalg.transpose(cols), tgt_grade, tgt_gamma)
 
     def ore_witness(self, phi: CoordElement, word: Sequence[int],
                     s_grade: Weight,

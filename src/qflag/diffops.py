@@ -59,7 +59,7 @@ class DWindow:
     def op_identity(self) -> "DOperator":
         blocks = {g: linalg.identity(self.module(g).dim, self.datum.l0)
                   for g in self.grades}
-        return DOperator(self, self.datum.zero_weight, blocks)
+        return DOperator(self, self.datum.zero_weight, blocks, unit=True)
 
     def op_left(self, phi: CoordElement) -> "DOperator":
         blocks = {}
@@ -78,6 +78,8 @@ class DWindow:
         return DOperator(self, phi.grade, blocks)
 
     def op_partial(self, u: UElement) -> "DOperator":
+        if u == self.algebra.one():
+            return self.op_identity()
         blocks = {g: self.module(g).act(u) for g in self.grades}
         return DOperator(self, self.datum.zero_weight, blocks)
 
@@ -98,13 +100,14 @@ class DWindow:
 class DOperator:
     """Degreewise realization of a graded operator on the window."""
 
-    __slots__ = ("window", "grade", "blocks")
+    __slots__ = ("window", "grade", "blocks", "unit")
 
     def __init__(self, window: DWindow, grade: Weight,
-                 blocks: Dict[Weight, Optional[Matrix]]):
+                 blocks: Dict[Weight, Optional[Matrix]], unit: bool = False):
         self.window = window
         self.grade = tuple(grade)
         self.blocks = blocks
+        self.unit = unit   # the identity operator: composing with it is free
 
     def __add__(self, other: "DOperator") -> "DOperator":
         if self.grade != other.grade:
@@ -124,7 +127,13 @@ class DOperator:
             for g, m in self.blocks.items()})
 
     def compose(self, other: "DOperator") -> "DOperator":
-        """self o other (apply other first)."""
+        """self o other (apply other first).  A block is defined only where
+        its target grade is in the window, so the unit composes to the
+        other operator."""
+        if other.unit:
+            return self
+        if self.unit:
+            return other
         datum = self.window.datum
         grade = datum.weight_add(self.grade, other.grade)
         blocks: Dict[Weight, Optional[Matrix]] = {}

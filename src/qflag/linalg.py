@@ -11,7 +11,7 @@ enter the exact elimination, never the answer (see ``rref``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import QScalar
 
@@ -53,6 +53,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if not bt[j].is_zero():
                     oi[j] = oi[j] + c * bt[j]
     return out
+
+
+def running_products(factors: Iterable[Matrix],
+                     left: bool = False) -> Iterator[Matrix]:
+    """New matrices f0, f0·f1, f0·f1·f2, ... (f0, f1·f0, ... when later
+    factors multiply on the left): no identity factor, ever."""
+    out = None
+    for f in factors:
+        out = [list(row) for row in f] if out is None else \
+            mat_mul(f, out) if left else mat_mul(out, f)
+        yield out
+
+
+def ordered_product(factors: Iterable[Matrix], n: int, l0: int,
+                    left: bool = False) -> Matrix:
+    """The last running product; the n x n identity for no factors."""
+    out = None
+    for out in running_products(factors, left):
+        pass
+    return identity(n, l0) if out is None else out
+
+
+def set_block(mat: Matrix, row: int, col: int, block: Matrix) -> None:
+    """Write block into mat with its top-left cell at (row, col)."""
+    for r, brow in enumerate(block, row):
+        mat[r][col:col + len(brow)] = brow
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -320,18 +346,3 @@ def inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ArithmeticError("matrix not invertible")
     return [row[n:] for row in ech]
-
-
-def column(mat: Matrix, j: int) -> Vector:
-    return [row[j] for row in mat]
-
-
-def from_columns(cols: List[Vector], l0: int) -> Matrix:
-    if not cols:
-        return []
-    n = len(cols[0])
-    out = zeros(n, len(cols), l0)
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            out[i][j] = x
-    return out

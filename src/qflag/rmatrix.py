@@ -174,6 +174,11 @@ def _kappa_diagonal(m1: WeightModule, m2: WeightModule) -> List[QScalar]:
             for w2 in m2.index_weights]
 
 
+def _scale_columns(mat: Matrix, diag: List[QScalar]) -> Matrix:
+    """mat composed with the diagonal operator diag (applied first)."""
+    return [[x * c for x, c in zip(row, diag)] for row in mat]
+
+
 def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
     diag = _kappa_diagonal(m1, m2)
     zero = m1.datum.zero()
@@ -186,11 +191,11 @@ def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
     mod, one per letter of the reduced word w0 = (i_1 ... i_N): the
     generator of index i_k conjugated by T = T_{i_1} ... T_{i_{k-1}}."""
     word = mod.datum.longest_word()
-    t = tinv = linalg.identity(mod.dim, mod.datum.l0)
+    ts = linalg.running_products(braid_on_module(mod, i) for i in word)
+    tinvs = linalg.running_products(
+        (braid_on_module(mod, i, inverse=True) for i in word), left=True)
     out = [mod.gen_matrix(kind, word[0])]
-    for prev, i in zip(word, word[1:]):
-        t = linalg.mat_mul(t, braid_on_module(mod, prev))
-        tinv = linalg.mat_mul(braid_on_module(mod, prev, inverse=True), tinv)
+    for i, t, tinv in zip(word[1:], ts, tinvs):
         out.append(linalg.mat_mul(t, linalg.mat_mul(mod.gen_matrix(kind, i),
                                                     tinv)))
     return out
@@ -201,19 +206,24 @@ def theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
     Theta = X_N ... X_1, X_k = exp_{q_i^-1}((q_i^-1 - q_i) E_{beta_k} (x)
     F_{beta_k}) with i = i_k; later roots multiply on the left."""
     datum = m1.datum
-    out = linalg.identity(m1.dim * m2.dim, datum.l0)
-    for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
-                       root_vectors(m2, "f")):
-        qi = datum.q_power(datum.d(i))
-        x = linalg.kron(linalg.mat_scale(e, qi.inverse() - qi), f)
-        out = linalg.mat_mul(_exp_matrix(x, -datum.d(i), datum.l0), out)
-    return out
+
+    def factors():
+        for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
+                           root_vectors(m2, "f")):
+            qi = datum.q_power(datum.d(i))
+            x = linalg.kron(linalg.mat_scale(e, qi.inverse() - qi), f)
+            if not linalg.is_zero_matrix(x):   # exp of zero is the identity
+                yield _exp_matrix(x, -datum.d(i), datum.l0)
+
+    return linalg.ordered_product(factors(), m1.dim * m2.dim, datum.l0,
+                                  left=True)
 
 
 def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
                      m2: WeightModule) -> Matrix:
     """The closed-form inverse: (sum_beta q^{(beta,beta)}(1 (x) k_beta)
-    (S (x) id)(Xi_beta)) o kappa."""
+    (S (x) id)(Xi_beta)) o kappa, with the diagonal kappa applied as a
+    column scaling, as for R."""
     datum = pairing.datum
     n = m1.dim * m2.dim
     acc = linalg.identity(n, datum.l0)
@@ -222,7 +232,7 @@ def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
             continue
         for x, y in pairing.inverse_components(beta):
             acc = linalg.mat_add(acc, linalg.kron(m1.act(x), m2.act(y)))
-    return linalg.mat_mul(acc, kappa_matrix(m1, m2))
+    return _scale_columns(acc, _kappa_diagonal(m1, m2))
 
 
 def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
@@ -237,10 +247,9 @@ def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
         return ROperator(carrier, carrier, kappa_matrix(m1, m2), flavor)
     if flavor == "R":
         # kappa^-1 is diagonal: scale the columns of Theta
-        kinv = [c.inverse() for c in _kappa_diagonal(m1, m2)]
-        mat = [[x * c for x, c in zip(row, kinv)]
-               for row in theta_matrix(m1, m2)]
-        return ROperator(carrier, carrier, mat, flavor)
+        return ROperator(carrier, carrier, _scale_columns(
+            theta_matrix(m1, m2),
+            [c.inverse() for c in _kappa_diagonal(m1, m2)]), flavor)
     if flavor == "R-inverse":
         return ROperator(carrier, carrier,
                          r_inverse_matrix(pairing, m1, m2), flavor)

@@ -287,10 +287,8 @@ def suite_braid(config: RunConfig) -> dict:
 def _braid_along(mod, word) -> linalg.Matrix:
     """Compose single-letter braid operators along a literal word (no
     canonicalization, so distinct reduced expressions stay distinct)."""
-    out = linalg.identity(mod.dim, mod.datum.l0)
-    for i in word:
-        out = linalg.mat_mul(out, braid_on_module(mod, i))
-    return out
+    return linalg.ordered_product((braid_on_module(mod, i) for i in word),
+                                  mod.dim, mod.datum.l0)
 
 
 def suite_coord(config: RunConfig) -> dict:
@@ -340,8 +338,7 @@ def suite_coord(config: RunConfig) -> dict:
             for x in ring.grade_basis(g1):
                 for y in ring.grade_basis(g2):
                     cols.append(ring.embed_full(tgt, ring.mult(x, y)))
-            rank = linalg.rank(linalg.transpose(
-                linalg.from_columns(cols, datum.l0)))
+            rank = linalg.rank(cols)
             results.append({
                 "instance": f"grading surjectivity {datum.weight_str(g1)}*"
                             f"{datum.weight_str(g2)}",
@@ -380,8 +377,7 @@ def suite_coord(config: RunConfig) -> dict:
             cw = ring.extremal(w, mu)
             for x in ring.grade_basis(lam):
                 cols.append(ring.embed_full(tgt, ring.mult(x, cw)))
-        rank = linalg.rank(linalg.transpose(
-            linalg.from_columns(cols, datum.l0)))
+        rank = linalg.rank(cols)
         if rank == tgt.dim:
             found = lam
             results.append({

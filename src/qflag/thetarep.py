@@ -22,6 +22,7 @@ from .linalg import Matrix, Vector
 from .memo import Memo
 from .rmatrix import DrinfeldPairing
 from .scalars import QScalar
+from .weightmod import deepening_kernel
 
 
 class UPlusTruncation:
@@ -75,18 +76,16 @@ class ThetaFormula:
         return self.memo.get(("m", i), lambda: self._m_right(i))
 
     def _m_right(self, i: int) -> Matrix:
+        # the right module's deepening kernel, degree by degree
         trunc = self.trunc
-        alg = self.algebra
         out = trunc.zero_matrix()
         ai = self.datum.alpha_root(i)
         for g in trunc.degrees:
             gp = tuple(a + b for a, b in zip(g, ai))
-            if gp not in trunc.offsets:
-                continue
-            for w in trunc.words[g]:
-                col = trunc.index(g, w)
-                red = alg.basis(gp).reduce_word(w + (i,))
-                trunc.reduce_into(out, col, gp, red)
+            if gp in trunc.offsets:
+                linalg.set_block(out, trunc.offsets[gp], trunc.offsets[g],
+                                 deepening_kernel(self.algebra, g, i,
+                                                  "right"))
         return out
 
     def n_conj(self, mu: Weight) -> Matrix:
@@ -320,11 +319,8 @@ class ThetaDirect:
                                      "unexpected drop")
                 vals.append(fv)
             ginv = self.gram_inverse(tgt)
-            block = linalg.mat_mul(ginv, vals)
-            goff, toff = trunc.offsets[g], trunc.offsets[tgt]
-            for r in range(len(block)):
-                for cidx in range(len(block[0])):
-                    out[toff + r][goff + cidx] = block[r][cidx]
+            linalg.set_block(out, trunc.offsets[tgt], trunc.offsets[g],
+                             linalg.mat_mul(ginv, vals))
         return out
 
 
@@ -391,12 +387,9 @@ def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,
         vec: Vector = []
         for probe in probes:
             # op-algebra: Theta(d1 d2) = Theta(d2) Theta(d1)
-            mats = [formula.theta(tuple(probe), kind, arg)
-                    for kind, arg in word]
-            mat = mats[0] if mats else linalg.identity(trunc.dim,
-                                                       ring.datum.l0)
-            for m in mats[1:]:
-                mat = linalg.mat_mul(m, mat)
+            mat = linalg.ordered_product(
+                (formula.theta(tuple(probe), kind, arg)
+                 for kind, arg in word), trunc.dim, ring.datum.l0, left=True)
             for r in mat:
                 vec.extend(r)
         rows.append(vec)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
                      weyl_character)
-from .enveloping import UAlgebra, UElement, _content
+from .enveloping import UAlgebra, UElement
 from .errors import DominanceError, QflagError, SideMismatchError, TruncationError
 from .linalg import Matrix, Vector
 from .memo import Memo
@@ -104,13 +104,9 @@ class WeightModule:
         module the word l1...ln acts by l1(l2(...(ln v))); for a right
         module v.(l1...ln) applies l1 first.  The result is a new matrix,
         never a generator matrix of the module itself."""
-        if not word:
-            return linalg.identity(self.dim, self.datum.l0)
-        letters = reversed(word) if self.side == "left" else iter(word)
-        out = [list(row) for row in self.letter_matrix(next(letters))]
-        for letter in letters:
-            out = linalg.mat_mul(self.letter_matrix(letter), out)
-        return out
+        letters = reversed(word) if self.side == "left" else word
+        return linalg.ordered_product(map(self.letter_matrix, letters),
+                                      self.dim, self.datum.l0, left=True)
 
     def act(self, u: UElement) -> Matrix:
         """Matrix of u (left action) or of right multiplication by u."""
@@ -170,104 +166,133 @@ class WeightModule:
 # constructors
 # ---------------------------------------------------------------------------
 
-def free_e_matrix(algebra: UAlgebra, lam: Weight, gamma: RootSum,
-                  i: int) -> Matrix:
-    """e_i on the free words f^w v_lam of drop gamma, as a matrix from the
-    free words of gamma to those of gamma - alpha_i, with the torus tail of
-    each normal form evaluated at lam.  The one normal-form kernel for e_i
-    on free words: Verma e-matrices, contravariant Grams and the e-steps of
-    simple modules all read it.  Memoized on the algebra."""
-    key = ("free-e", tuple(lam), tuple(gamma), i)
-    return algebra.memo.get(key, lambda: _free_e_matrix(algebra, *key[1:]))
+def deepening_kernel(algebra: UAlgebra, gamma: RootSum, i: int,
+                     side: str = "left") -> Matrix:
+    """The letter that deepens the drop, which does not depend on lam:
+    f_i f^w on left modules, e^w e_i on right modules.  A matrix from the
+    free words of drop gamma to those of gamma + alpha_i, read from
+    ``GradedBasis.reduce_word``; memoized on the algebra."""
+    key = ("deepen", tuple(gamma), i, side)
+    return algebra.memo.get(key, lambda: _deepening_kernel(algebra, *key[1:]))
 
 
-def _free_e_matrix(algebra: UAlgebra, lam: Weight, gamma: RootSum,
-                   i: int) -> Matrix:
+def _deepening_kernel(algebra: UAlgebra, gamma: RootSum, i: int,
+                      side: str) -> Matrix:
+    src = algebra.basis(gamma).free_words
+    tgt = algebra.basis(tuple(a + b for a, b in
+                              zip(gamma, algebra.datum.alpha_root(i))))
+    out = linalg.zeros(tgt.dim, len(src), algebra.datum.l0)
+    for col, w in enumerate(src):
+        word = (i,) + w if side == "left" else w + (i,)
+        for wb, c in tgt.reduce_word(word).items():
+            out[tgt.free_pos[wb]][col] = c
+    return out
+
+
+def raising_kernel(algebra: UAlgebra, lam: Weight, gamma: RootSum, i: int,
+                   side: str = "left") -> Matrix:
+    """The letter that raises the drop, evaluated at lam: e_i f^w v_lam on
+    left modules, v_lam e^w f_i on right modules.  A matrix from the free
+    words of drop gamma to those of gamma - alpha_i (no rows when that is
+    not a drop): the normal form's terms that do not kill v_lam, with their
+    torus part evaluated at lam.  Memoized on the algebra."""
+    key = ("raise", tuple(lam), tuple(gamma), i, side)
+    return algebra.memo.get(key, lambda: _raising_kernel(algebra, *key[1:]))
+
+
+def _raising_kernel(algebra: UAlgebra, lam: Weight, gamma: RootSum, i: int,
+                    side: str) -> Matrix:
     datum = algebra.datum
     src = algebra.basis(gamma).free_words
     gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
-    tgt = {w: r for r, w in enumerate(algebra.basis(gm).free_words)} \
-        if all(c >= 0 for c in gm) else {}
+    tgt = algebra.basis(gm).free_pos if all(c >= 0 for c in gm) else {}
     out = linalg.zeros(len(tgt), len(src), datum.l0)
     for col, w in enumerate(src):
-        word = (("e", i),) + tuple(("f", j) for j in w)
+        word = (("e", i),) + tuple(("f", j) for j in w) if side == "left" \
+            else tuple(("e", j) for j in w) + (("f", i),)
         for (fw, nu, ew), c in algebra.normal_form_word(word).items():
-            if ew:
+            kept, killed = (fw, ew) if side == "left" else (ew, fw)
+            if killed:
                 continue
-            out[tgt[fw]][col] = out[tgt[fw]][col] + c * datum.q_pair(lam, nu)
+            row = out[tgt[kept]]
+            row[col] = row[col] + c * datum.q_pair(lam, nu)
     return out
+
+
+_Block = Callable[[RootSum, int], Optional[Matrix]]
+
+
+def _assemble(algebra: UAlgebra, lam: Weight, side: str,
+              drops: Sequence[RootSum], dim: Callable[[RootSum], int],
+              label: Callable[[RootSum, int, Weight], str], deepen: _Block,
+              raising: _Block, missing_exact: Callable[[Weight], bool],
+              exact: bool, name: str) -> WeightModule:
+    """The one layout of a highest-weight module: dim(g) basis vectors of
+    weight lam - g per drop g, in the order of drops, with ``mod.slot``
+    (drop, r) -> index and its inverse ``mod.slot_keys``.  The generator
+    matrices carry per-drop blocks: the deepening letter's from drop g to
+    g + alpha_i, the raising letter's to g - alpha_i, each asked for only
+    when its target drop is laid out."""
+    datum = algebra.datum
+    slot: Dict[Tuple[RootSum, int], int] = {}
+    offset: Dict[RootSum, int] = {}
+    index_weights: List[Weight] = []
+    labels: List[str] = []
+    for g in drops:
+        offset[g] = len(index_weights)
+        w = datum.weight_sub_root(lam, g)
+        for r in range(dim(g)):
+            slot[(g, r)] = len(index_weights)
+            index_weights.append(w)
+            labels.append(label(g, r, w))
+    deepening_letter = "f" if side == "left" else "e"
+    gen: Dict[Tuple[str, int], Matrix] = {}
+    for i in range(datum.rank):
+        ai = datum.alpha_root(i)
+        for kind in ("f", "e"):
+            sign, block = (1, deepen) if kind == deepening_letter \
+                else (-1, raising)
+            m = linalg.zeros(len(slot), len(slot), datum.l0)
+            for g in drops:
+                tgt = tuple(a + sign * b for a, b in zip(g, ai))
+                b = block(g, i) if tgt in offset else None
+                if b is not None:
+                    linalg.set_block(m, offset[tgt], offset[g], b)
+            gen[(kind, i)] = m
+    mod = WeightModule(algebra, side, index_weights, gen, missing_exact,
+                       exact=exact, labels=labels,
+                       distinguished={"highest": 0}, name=name)
+    mod.highest_weight = lam
+    mod.slot = slot
+    mod.slot_keys = list(slot)
+    return mod
 
 
 def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
           side: str = "left") -> WeightModule:
-    """Verma module truncated to weight drops gamma <= depth componentwise."""
+    """Verma module truncated to weight drops gamma <= depth componentwise,
+    on the free words f^w v_lam (left) or v_lam e^w (right) of each drop."""
     datum = algebra.datum
     lam = tuple(lam)
     depth = tuple(depth)
-    drops = sorted(box(depth), key=by_height)
-    index_weights: List[Weight] = []
-    labels: List[str] = []
-    slots: Dict[Tuple[RootSum, Tuple[int, ...]], int] = {}
-    for g in drops:
-        for w in algebra.basis(g).free_words:
-            slots[(g, w)] = len(index_weights)
-            index_weights.append(datum.weight_sub_root(lam, g))
-            tag = "".join(str(i + 1) for i in w)
-            labels.append(("f" + tag if tag else "v") + "@" + datum.weight_str(
-                index_weights[-1]))
-    n = len(index_weights)
-    gen: Dict[Tuple[str, int], Matrix] = {}
-    for i in range(datum.rank):
-        ai = datum.alpha_root(i)
-        fm = linalg.zeros(n, n, datum.l0)
-        em = linalg.zeros(n, n, datum.l0)
-        # the letter that deepens the drop: f_i on the left, e_i on the right
-        deepen = fm if side == "left" else em
-        for g in drops:
-            words = algebra.basis(g).free_words
-            gp = tuple(a + b for a, b in zip(g, ai))
-            if all(x <= d for x, d in zip(gp, depth)):
-                for w in words:
-                    word = (i,) + w if side == "left" else w + (i,)
-                    for wb, c in algebra.basis(gp).reduce_word(word).items():
-                        deepen[slots[(gp, wb)]][slots[(g, w)]] = c
-            if side == "left":
-                gm = tuple(a - b for a, b in zip(g, ai))
-                step = free_e_matrix(algebra, lam, g, i)
-                tgt = algebra.basis(gm).free_words if step else []
-                for wb, srow in zip(tgt, step):
-                    for w, x in zip(words, srow):
-                        em[slots[(gm, wb)]][slots[(g, w)]] = x
-            else:
-                for w in words:
-                    word = tuple(("e", j) for j in w) + (("f", i),)
-                    for (fw, nu, ew), c in \
-                            algebra.normal_form_word(word).items():
-                        if fw:
-                            continue
-                        val = c * datum.q_pair(lam, nu)
-                        row = slots[(_content(ew, datum.rank), ew)]
-                        col = slots[(g, w)]
-                        fm[row][col] = fm[row][col] + val
-        gen[("f", i)] = fm
-        gen[("e", i)] = em
+
+    def label(g: RootSum, r: int, w: Weight) -> str:
+        tag = "".join(str(i + 1) for i in algebra.basis(g).free_words[r])
+        return ("f" + tag if tag else "v") + "@" + datum.weight_str(w)
 
     def missing_exact(w: Weight) -> bool:
-        g = datum.weight_sub(lam, w)
-        gr = datum.weight_to_root(g)
-        if gr is None:
-            return True
-        if any(c < 0 for c in gr):
-            return True  # above the highest weight: genuinely zero
-        return False     # below the truncation window
+        # above the highest weight it is genuinely zero, below it is cut
+        gr = datum.weight_to_root(datum.weight_sub(lam, w))
+        return gr is None or any(c < 0 for c in gr)
 
-    mod = WeightModule(algebra, side, index_weights, gen, missing_exact,
-                       exact=False, labels=labels,
-                       distinguished={"highest": 0},
-                       name=f"T{'r' if side == 'right' else ''}"
-                            f"({datum.weight_str(lam)})|{depth}")
-    mod.highest_weight = lam
-    return mod
+    return _assemble(
+        algebra, lam, side, sorted(box(depth), key=by_height),
+        lambda g: algebra.basis(g).dim, label,
+        lambda g, i: deepening_kernel(algebra, g, i, side),
+        lambda g, i: raising_kernel(algebra, lam, g, i, side),
+        missing_exact, exact=False,
+        name=f"T{'r' if side == 'right' else ''}"
+             f"({datum.weight_str(lam)})|{depth}")
 
 
 class SimpleFactory:
@@ -310,9 +335,8 @@ class SimpleFactory:
             for i in wa:
                 drop = tuple(x + y for x, y in
                              zip(drop, datum.alpha_root(i)))
-                step = free_e_matrix(alg, lam, drop, i)
-                row = [linalg.row_dot(row, linalg.column(step, c))
-                       for c in range(len(step[0]) if step else 0)]
+                step = raising_kernel(alg, lam, drop, i)
+                row = [linalg.row_dot(row, col) for col in zip(*step)]
             gram.append(row)
         ech, pivots = linalg.rref(gram)
         if len(pivots) != self.drops[gamma]:
@@ -320,10 +344,8 @@ class SimpleFactory:
                 f"contravariant-form rank {len(pivots)} at drop {gamma} "
                 f"!= Weyl character dimension {self.drops[gamma]}")
         # class coordinates of the b-th basis word = column b of the echelon
-        reduce_cols = [[ech[r][b] for r in range(len(pivots))]
-                       for b in range(len(words))]
+        reduce_cols = linalg.transpose(ech)
         return {
-            "gamma": gamma,
             "words": words,
             "pivots": pivots,          # representative word positions
             "reduce_cols": reduce_cols,
@@ -340,7 +362,7 @@ class SimpleFactory:
         data = self.slice(gamma)
         if data is None:
             return None
-        pos = {w: i for i, w in enumerate(data["words"])}
+        pos = self.algebra.basis(gamma).free_pos
         out = [self.datum.zero() for _ in data["pivots"]]
         for w, c in coords.items():
             col = data["reduce_cols"][pos[w]]
@@ -355,41 +377,33 @@ class SimpleFactory:
 
     def f_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         """Matrix of f_i from the drop-gamma slice to drop gamma+alpha_i."""
-        gamma = tuple(gamma)
-        return self.memo.get(("f", gamma, i), lambda: self._f_step(gamma, i))
-
-    def _f_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
-        datum, alg = self.datum, self.algebra
-        src = self.slice(gamma)
-        gp = tuple(a + b for a, b in zip(gamma, datum.alpha_root(i)))
-        out: Optional[Matrix] = None
-        if src is not None and gp in self.drops:
-            cols = []
-            for prep in src["pivots"]:
-                wrep = src["words"][prep]
-                red = alg.basis(gp).reduce_word((i,) + wrep)
-                cols.append(self.reduce_uminus(gp, red))
-            out = linalg.from_columns(cols, datum.l0)
-        return out
+        key = ("f", tuple(gamma), i)
+        return self.memo.get(key, lambda: self._step(*key))
 
     def e_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
         """Matrix of e_i from the drop-gamma slice to drop gamma-alpha_i."""
-        gamma = tuple(gamma)
-        return self.memo.get(("e", gamma, i), lambda: self._e_step(gamma, i))
+        key = ("e", tuple(gamma), i)
+        return self.memo.get(key, lambda: self._step(*key))
 
-    def _e_step(self, gamma: RootSum, i: int) -> Optional[Matrix]:
+    def _step(self, kind: str, gamma: RootSum, i: int) -> Optional[Matrix]:
+        # one formula for both letters: the free-word kernel (deepening
+        # f_i, or raising e_i at lam) carries each pivot word of the slice
+        # to free words of the target drop; reduce_uminus takes those to
+        # classes
+        sign = 1 if kind == "f" else -1
+        tgt = tuple(a + sign * b
+                    for a, b in zip(gamma, self.datum.alpha_root(i)))
         src = self.slice(gamma)
-        gm = tuple(a - b for a, b in zip(gamma, self.datum.alpha_root(i)))
-        if src is None or gm not in self.drops:
+        if src is None or tgt not in self.drops:
             return None
-        # e_i of each pivot word in free coordinates, reduced to classes
-        free = free_e_matrix(self.algebra, self.lam, gamma, i)
-        words = self.slice(gm)["words"]
-        cols = [self.reduce_uminus(gm, {w: row[p]
-                                        for w, row in zip(words, free)
-                                        if not row[p].is_zero()})
+        kernel = deepening_kernel(self.algebra, gamma, i) if kind == "f" \
+            else raising_kernel(self.algebra, self.lam, gamma, i)
+        words = self.algebra.basis(tgt).free_words
+        cols = [self.reduce_uminus(tgt, {w: row[p]
+                                         for w, row in zip(words, kernel)
+                                         if not row[p].is_zero()})
                 for p in src["pivots"]]
-        return linalg.from_columns(cols, self.datum.l0)
+        return linalg.transpose(cols)
 
     def apply_eword(self, gamma: RootSum, vec: Vector,
                     eword: Tuple[int, ...]) -> Optional[Tuple[RootSum, Vector]]:
@@ -410,48 +424,14 @@ class SimpleFactory:
         return self.memo.get("module", self._build)
 
     def _build(self) -> WeightModule:
-        datum, alg, lam = self.datum, self.algebra, self.lam
-        drops = sorted(self.drops, key=by_height)
-        index_weights: List[Weight] = []
-        labels: List[str] = []
-        slot: Dict[Tuple[RootSum, int], int] = {}
-        for g in drops:
-            for r in range(self.slice_dim(g)):
-                slot[(g, r)] = len(index_weights)
-                w = datum.weight_sub_root(lam, g)
-                index_weights.append(w)
-                labels.append(f"v{datum.weight_str(w)}#{r}")
-        n = len(index_weights)
-        gen: Dict[Tuple[str, int], Matrix] = {}
-        for i in range(datum.rank):
-            fm = linalg.zeros(n, n, datum.l0)
-            em = linalg.zeros(n, n, datum.l0)
-            for g in drops:
-                nloc = self.slice_dim(g)
-                gp = tuple(a + b for a, b in zip(g, datum.alpha_root(i)))
-                step = self.f_step(g, i)
-                if step is not None:
-                    for r in range(nloc):
-                        for rr in range(len(step)):
-                            fm[slot[(gp, rr)]][slot[(g, r)]] = step[rr][r]
-                gm = tuple(a - b for a, b in zip(g, datum.alpha_root(i)))
-                estep = self.e_step(g, i)
-                if estep is not None:
-                    for r in range(nloc):
-                        for rr in range(len(estep)):
-                            em[slot[(gm, rr)]][slot[(g, r)]] = estep[rr][r]
-            gen[("f", i)] = fm
-            gen[("e", i)] = em
-
+        datum = self.datum
         # every weight space is built: an absent weight is genuinely zero
-        mod = WeightModule(alg, "left", index_weights, gen,
-                           lambda _w: True, exact=True, labels=labels,
-                           distinguished={"highest": 0},
-                           name=f"V({datum.weight_str(lam)})")
-        mod.highest_weight = lam
+        mod = _assemble(
+            self.algebra, self.lam, "left", sorted(self.drops, key=by_height),
+            self.slice_dim, lambda _g, r, w: f"v{datum.weight_str(w)}#{r}",
+            self.f_step, self.e_step, lambda _w: True, exact=True,
+            name=f"V({datum.weight_str(self.lam)})")
         mod.factory = self
-        mod.slot = dict(slot)
-        mod.slot_keys = list(slot)   # inverse of slot: index -> (drop, r)
         return mod
 
 
@@ -589,16 +569,13 @@ def _braid_operator(mod: WeightModule, i: int) -> Matrix:
     def exp(x: UElement) -> Matrix:
         return _exp_matrix(mod.act(x), -di, datum.l0)
 
-    form1 = linalg.mat_mul(
-        exp((ki * f_i).scale(qi)),
-        linalg.mat_mul(
-            exp(-e_i),
-            linalg.mat_mul(exp((kiv * f_i).scale(qi.inverse())), h)))
-    form2 = linalg.mat_mul(
-        exp(-(kiv * e_i).scale(qi)),
-        linalg.mat_mul(
-            exp(f_i),
-            linalg.mat_mul(exp(-(ki * e_i).scale(qi.inverse())), h)))
+    # exp(a) exp(b) exp(c) H, the factors listed from H, which acts first
+    form1 = linalg.ordered_product(
+        (h, exp((kiv * f_i).scale(qi.inverse())), exp(-e_i),
+         exp((ki * f_i).scale(qi))), mod.dim, datum.l0, left=True)
+    form2 = linalg.ordered_product(
+        (h, exp(-(ki * e_i).scale(qi.inverse())), exp(f_i),
+         exp(-(kiv * e_i).scale(qi))), mod.dim, datum.l0, left=True)
     if not linalg.mat_eq(form1, form2):
         raise QflagError("the two triple-exponential forms of T_i disagree")
     return form1
@@ -608,15 +585,11 @@ def braid_word(mod: WeightModule, word: Sequence[int],
                inverse: bool = False) -> Matrix:
     """T_w along the canonical reduced word of w."""
     red = mod.datum.weyl_canonical(word)
-    out = linalg.identity(mod.dim, mod.datum.l0)
-    if not inverse:
-        # T_w = T_{i1} ... T_{in}: rightmost factor acts first
-        for i in red:
-            out = linalg.mat_mul(out, braid_on_module(mod, i))
-    else:
-        for i in reversed(red):
-            out = linalg.mat_mul(out, braid_on_module(mod, i, inverse=True))
-    return out
+    # T_w = T_{i1} ... T_{in}: rightmost factor acts first
+    return linalg.ordered_product(
+        (braid_on_module(mod, i, inverse=inverse)
+         for i in (reversed(red) if inverse else red)),
+        mod.dim, mod.datum.l0)
 
 
 def transpose_braid(mod: WeightModule, word: Sequence[int],

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -300,17 +301,17 @@ def test_kostant_table_matches_series_expansion_g2_largest_window(g2):
 def test_weyl_character_expands_once_per_lam(monkeypatch):
     datum = preset("B2")
     built = []
-    counts = cartan._kostant_counts
+    count = cartan._kostant_count
 
-    def counting(d, depth):
-        built.append(depth)
-        return counts(d, depth)
+    def counting(d, gamma):
+        built.append(gamma)
+        return count(d, gamma)
 
-    monkeypatch.setattr(cartan, "_kostant_counts", counting)
+    monkeypatch.setattr(cartan, "_kostant_count", counting)
     first = weyl_character(datum, (2, 1))
-    assert built == [datum.lowest_drop((2, 1))]
+    assert built == box(datum.lowest_drop((2, 1)))
     assert weyl_character(datum, (2, 1)) is first
-    assert built == [datum.lowest_drop((2, 1))]
+    assert built == box(datum.lowest_drop((2, 1)))
 
 
 # -- the Weyl dimension formula, an oracle independent of Kostant ----------
@@ -345,6 +346,40 @@ def test_weyl_dimension_examples(a2, g2):
     assert _weyl_dimension(a2, (1, 1)) == 8
     assert _weyl_dimension(g2, (0, 1)) == 7
     assert _weyl_dimension(g2, (1, 0)) == 14
+
+
+@pytest.mark.parametrize("name,weights", [
+    ("A2", box((2, 2))), ("B2", box((2, 2))), ("G2", _G2_SWEEP_WEIGHTS)])
+def test_each_kostant_count_is_computed_once_per_datum(monkeypatch, name,
+                                                       weights):
+    datum = preset(name)
+    built = Counter()
+    count = cartan._kostant_count
+
+    def counting(d, gamma):
+        built[(id(d), gamma)] += 1
+        return count(d, gamma)
+
+    monkeypatch.setattr(cartan, "_kostant_count", counting)
+    # the readers of the counts, in the order the suites reach them: Weyl
+    # characters, then Verma characters and dimensions at smaller depths
+    for lam in weights:
+        assert weyl_character(datum, lam).total() == \
+            _weyl_dimension(datum, lam), lam
+    depths = box((3,) * datum.rank)
+    for depth in depths:
+        expected = _series_expansion(datum, depth)
+        assert kostant_table(datum, depth) == expected
+        assert verma_character(datum, datum.rho, depth).terms == {
+            datum.weight_sub_root(datum.rho, g): c
+            for g, c in expected.items()}
+        assert kostant_dim(datum, depth) == expected[depth]
+    assert kostant_dim(datum, (4,) * datum.rank) == \
+        _kostant_by_recursion(datum, (4,) * datum.rank)
+    assert set(built.values()) == {1}
+    lows = [datum.lowest_drop(lam) for lam in weights]
+    assert {g for _d, g in built} == {
+        g for depth in lows + depths + [(4,) * datum.rank] for g in box(depth)}
 
 
 # -- the integer form table against the form on simple roots ---------------

@@ -221,7 +221,7 @@ def test_covering_by_translated_cells(ring1):
         cw = ring1.extremal(w, (1,))
         for x in ring1.grade_basis((1,)):
             cols.append(ring1.embed_full(tgt, ring1.mult(x, cw)))
-    assert la.rank(la.transpose(la.from_columns(cols, d.l0))) == tgt.dim
+    assert la.rank(cols) == tgt.dim
 
 
 def test_grading_surjectivity(ring2):
@@ -231,4 +231,4 @@ def test_grading_surjectivity(ring2):
     for x in ring2.grade_basis((1, 0)):
         for y in ring2.grade_basis((0, 1)):
             cols.append(ring2.embed_full(tgt, ring2.mult(x, y)))
-    assert la.rank(la.transpose(la.from_columns(cols, d.l0))) == tgt.dim
+    assert la.rank(cols) == tgt.dim

@@ -243,6 +243,36 @@ def test_theta_faithfulness_multiplies_no_identity(monkeypatch, ring1,
     assert not any(la.mat_eq(b, ident) for b in calls)
 
 
+@pytest.mark.parametrize("window", ["w1", "w2"])
+def test_no_composition_with_the_unit_partial(monkeypatch, request, window):
+    """The n = 0 term of the exponential in z_w_check and the Sweedler legs
+    equal to 1 in relations_check compose with no identity matrix."""
+    win = request.getfixturevalue(window)
+    calls = []
+    real = la.mat_mul
+
+    def spy(a, b):
+        if any(len(m) > 1 and la.mat_eq(m, la.identity(len(m), m[0][0].l0))
+               for m in (a, b)):
+            calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(la, "mat_mul", spy)
+    assert relations_check(win)["pass"]
+    for i in range(win.datum.rank):
+        assert z_w_check(win, i)["pass"]
+    assert calls == []
+    # the unit partial is the identity, and composes to the other factor
+    phi = win.ring.grade_basis(win.grades[1])[0]
+    unit = win.op_partial(win.algebra.one())
+    assert unit.unit and all(
+        la.mat_eq(m, la.identity(len(m), win.datum.l0))
+        for m in unit.blocks.values())
+    for op in (unit.compose(win.op_left(phi)),
+               win.op_left(phi).compose(unit)):
+        assert op.equals(win.op_left(phi))[0]
+
+
 def test_center_solve_a1(alg1, w1):
     centers = center_solve(alg1, 2)
     assert any(not z.is_scalar() for z in centers)

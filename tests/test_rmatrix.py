@@ -1,12 +1,14 @@
 import pytest
 
 from qflag import linalg as la
+from qflag import rmatrix, suites
 from qflag.cartan import preset
 from qflag.enveloping import UAlgebra
 from qflag.errors import BorelError, TruncationError
 from qflag.rmatrix import (DrinfeldPairing, contributing_degrees,
                            hexagon_check, kappa_matrix, r_operator)
-from qflag.weightmod import module_map_commutes, simple, tensor, verma
+from qflag.weightmod import (_exp_matrix, braid_on_module, braid_word,
+                             module_map_commutes, simple, tensor, verma)
 
 
 def xi_operator(pairing, m1, m2):
@@ -212,7 +214,7 @@ def test_naturality_under_projection(alg1, ring1, pairing1):
             pa = ring1.slice_element(ring1.module((1,)), a)
             pb = ring1.slice_element(ring1.module((1,)), b)
             cols.append(ring1.embed_full(tgt, ring1.mult(pa, pb)))
-    p = la.from_columns(cols, d.l0)
+    p = la.transpose(cols)
     # p must be a module map before it can be natural
     assert module_map_commutes(tensor(v, v), v2, p)
     r_big = r_operator(pairing1, tensor(v, v), v, "R").matrix
@@ -315,3 +317,98 @@ def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, a2):
     assert module_map_commutes(rc.source, rc.target, rc.matrix)
     # only the braid inverses T_i^-1 on the factors, never the carrier
     assert sizes and max(sizes) <= max(v1.dim, v2.dim)
+
+
+def test_r_inverse_and_r_check_build_no_kappa_matrix(monkeypatch, a2):
+    def refuse(m1, m2):
+        raise AssertionError("dense kappa matrix built")
+
+    alg = UAlgebra(a2)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    # the dense product with kappa, as R-inverse was composed before
+    acc = la.mat_mul(r_operator(pairing, v1, v2, "R-inverse").matrix,
+                     la.inverse(kappa_matrix(v1, v2)))
+    monkeypatch.setattr(rmatrix, "kappa_matrix", refuse)
+    rinv = r_operator(pairing, v1, v2, "R-inverse").matrix
+    assert la.mat_eq(rinv, la.mat_mul(acc, kappa_matrix(v1, v2)))
+    r = r_operator(pairing, v1, v2, "R").matrix
+    ident = la.identity(v1.dim * v2.dim, a2.l0)
+    assert la.mat_eq(la.mat_mul(r, rinv), ident)
+    rc = r_operator(pairing, v1, v2, "R-check")
+    assert module_map_commutes(rc.source, rc.target, rc.matrix)
+    with pytest.raises(AssertionError, match="kappa"):
+        r_operator(pairing, v1, v2, "kappa")
+
+
+def _is_identity(mat):
+    return len(mat) > 1 and la.mat_eq(mat, la.identity(len(mat),
+                                                        mat[0][0].l0))
+
+
+def test_ordered_products_start_at_their_first_factor(monkeypatch):
+    """T_w, the braids of a literal word, the root vectors and Theta are
+    products that multiply by no identity; each equals the same product
+    started at the identity."""
+    datum = preset("B2")
+    alg = UAlgebra(datum)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    w0 = datum.longest_word()
+
+    def from_identity(mats, n, left=False):
+        out = la.identity(n, datum.l0)
+        for m in mats:
+            out = la.mat_mul(m, out) if left else la.mat_mul(out, m)
+        return out
+
+    def old_root_vectors(mod, kind):
+        out = []
+        for k, i in enumerate(w0):
+            t = from_identity([braid_on_module(mod, j) for j in w0[:k]],
+                              mod.dim)
+            tinv = from_identity([braid_on_module(mod, j, inverse=True)
+                                  for j in w0[:k]], mod.dim, left=True)
+            out.append(la.mat_mul(t, la.mat_mul(mod.gen_matrix(kind, i),
+                                                tinv)))
+        return out
+
+    def old_theta(m1, m2):
+        factors = []
+        for i, e, f in zip(w0, old_root_vectors(m1, "e"),
+                           old_root_vectors(m2, "f")):
+            qi = datum.q_power(datum.d(i))
+            x = la.kron(la.mat_scale(e, qi.inverse() - qi), f)
+            factors.append(_exp_matrix(x, -datum.d(i), datum.l0))
+        return from_identity(factors, m1.dim * m2.dim, left=True)
+
+    expected = {
+        "T_w0": from_identity([braid_on_module(v1, i) for i in w0], v1.dim),
+        "T_w0^-1": from_identity([braid_on_module(v1, i, inverse=True)
+                                  for i in reversed(w0)], v1.dim),
+        "along": from_identity([braid_on_module(v2, i) for i in (0, 1, 0)],
+                               v2.dim),
+        "E": old_root_vectors(v2, "e"),
+        "Theta": old_theta(v2, v1),
+    }
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    got = {
+        "T_w0": braid_word(v1, w0),
+        "T_w0^-1": braid_word(v1, w0, inverse=True),
+        "along": suites._braid_along(v2, (0, 1, 0)),
+        "E": rmatrix.root_vectors(v2, "e"),
+        "Theta": rmatrix.theta_matrix(v2, v1),
+    }
+    assert calls and not [ab for ab in calls if any(map(_is_identity, ab))]
+    for key in ("T_w0", "T_w0^-1", "along", "Theta"):
+        assert la.mat_eq(got[key], expected[key]), key
+    assert all(la.mat_eq(a, b) for a, b in zip(got["E"], expected["E"]))
+    # the empty product is the identity, and a new matrix
+    empty = braid_word(v1, ())
+    assert la.mat_eq(empty, la.identity(v1.dim, datum.l0))
+    single = braid_word(v1, (0,))
+    assert single is not braid_on_module(v1, 0) and \
+        la.mat_eq(single, braid_on_module(v1, 0))

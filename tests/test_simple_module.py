@@ -1,8 +1,10 @@
 """One V(lam) per algebra, read off one contravariant-form table per weight
-space.  The routes the production code replaced live on here as oracles:
-the normal-form loop of e_i on the pivot words of a slice, the chain of
-top coefficients that built the evaluation matrix, and the left Verma
-module's own e-loop."""
+space, and Verma modules and V(lam) from two free-word kernels and one
+assembler.  The routes the production code replaced live on here as
+oracles: the normal-form loop of e_i on the pivot words of a slice, the
+chain of top coefficients that built the evaluation matrix, the Verma
+module's own reduce and normal-form loops, the per-pivot reduction of
+V(lam)'s f-step and the plus part's right multiplication loop."""
 
 from collections import Counter
 
@@ -14,6 +16,8 @@ from qflag.cartan import box, by_height, preset
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
 from qflag.errors import DominanceError
+from qflag.rmatrix import DrinfeldPairing
+from qflag.thetarep import ThetaFormula, UPlusTruncation
 from qflag.weightmod import SimpleFactory, simple, simple_factory, verma
 
 # every module whose slices the evaluation oracle covers
@@ -51,7 +55,7 @@ def old_e_step(fac, gamma, i):
             v = c * datum.q_pair(fac.lam, nu)
             acc[fw] = acc[fw] + v if fw in acc else v
         cols.append(fac.reduce_uminus(gm, acc))
-    return la.from_columns(cols, datum.l0)
+    return la.transpose(cols)
 
 
 def old_top_coefficient(fac, gamma, vec, eword, steps):
@@ -81,7 +85,7 @@ def old_eval_matrix(fac, gamma, steps):
         vec[r] = datum.one()
         cols.append([old_top_coefficient(fac, gamma, vec, w, steps)
                      for w in words])
-    return (la.from_columns(cols, datum.l0) if d else [], words, d)
+    return (la.transpose(cols) if d else [], words, d)
 
 
 @pytest.mark.parametrize("typ", sorted(EVAL_CASES))
@@ -174,18 +178,23 @@ def test_one_module_per_algebra_and_weight(a2, alg2, ring2):
 
 def test_one_gram_per_algebra_weight_and_drop(monkeypatch, a2):
     grams, kernels = Counter(), Counter()
-    real_slice, real_kernel = SimpleFactory._slice, weightmod._free_e_matrix
+    real_slice = SimpleFactory._slice
 
     def count_slice(self, gamma):
         grams[(id(self.algebra), self.lam, gamma)] += 1
         return real_slice(self, gamma)
 
-    def count_kernel(algebra, lam, gamma, i):
-        kernels[(id(algebra), lam, gamma, i)] += 1
-        return real_kernel(algebra, lam, gamma, i)
+    def spy(name):
+        real_kernel = getattr(weightmod, name)
+
+        def count_kernel(algebra, *key):
+            kernels[(name, id(algebra)) + key] += 1
+            return real_kernel(algebra, *key)
+        return count_kernel
 
     monkeypatch.setattr(SimpleFactory, "_slice", count_slice)
-    monkeypatch.setattr(weightmod, "_free_e_matrix", count_kernel)
+    for name in ("_raising_kernel", "_deepening_kernel"):
+        monkeypatch.setattr(weightmod, name, spy(name))
     alg = UAlgebra(a2)
     r1, r2 = CoordRing(alg), CoordRing(alg)
     lams = [(1, 0), (0, 1), (1, 1)]
@@ -196,8 +205,173 @@ def test_one_gram_per_algebra_weight_and_drop(monkeypatch, a2):
             ring.module(lam)
         simple(alg, lam)
     r2.mult(*r1.grade_basis((1, 0))[:2])
-    verma(alg, (1, 0), (1, 1))
+    for side in ("left", "right"):
+        verma(alg, (1, 0), (1, 1), side=side)
+        verma(alg, (1, 0), (2, 1), side=side)
+    # both kernels on both sides, and the verma's kernels shared with V(lam)
+    assert {(k[0], k[-1]) for k in kernels} == {
+        (name, side) for name in ("_raising_kernel", "_deepening_kernel")
+        for side in ("left", "right")}
     # every slice of every module was read, and each Gram built once
     assert {(id(alg), lam, g) for lam in lams
             for g in simple_factory(alg, lam).drops} <= set(grams)
     assert set(grams.values()) == {1} and set(kernels.values()) == {1}
+
+
+# -- the two free-word kernels and the assembler against the loops they
+# replaced: the Verma module's own reduce and normal-form loops, the
+# per-pivot reduction of V(lam)'s f-step and the plus part's right
+# multiplication ----------------------------------------------------------
+
+def old_verma(alg, lam, depth, side):
+    """The Verma module's layout, labels and generator matrices by its own
+    loops: f_i (left) or e_i (right) reduced word by word, and the raising
+    letter by a normal-form loop on each side."""
+    datum = alg.datum
+    drops = sorted(box(depth), key=by_height)
+    slots, weights, labels = {}, [], []
+    for g in drops:
+        for w in alg.basis(g).free_words:
+            slots[(g, w)] = len(weights)
+            weights.append(datum.weight_sub_root(lam, g))
+            tag = "".join(str(i + 1) for i in w)
+            labels.append(("f" + tag if tag else "v") + "@"
+                          + datum.weight_str(weights[-1]))
+    n = len(weights)
+    gen = {}
+    for i in range(datum.rank):
+        ai = datum.alpha_root(i)
+        fm, em = la.zeros(n, n, datum.l0), la.zeros(n, n, datum.l0)
+        deepen = fm if side == "left" else em
+        for g in drops:
+            gp = tuple(a + b for a, b in zip(g, ai))
+            if all(x <= d for x, d in zip(gp, depth)):
+                for w in alg.basis(g).free_words:
+                    word = (i,) + w if side == "left" else w + (i,)
+                    for wb, c in alg.basis(gp).reduce_word(word).items():
+                        deepen[slots[(gp, wb)]][slots[(g, w)]] = c
+            if side == "right":
+                for w in alg.basis(g).free_words:
+                    word = tuple(("e", j) for j in w) + (("f", i),)
+                    for (fw, nu, ew), c in \
+                            alg.normal_form_word(word).items():
+                        if fw:
+                            continue
+                        row = slots[(_content(ew, datum.rank), ew)]
+                        col = slots[(g, w)]
+                        fm[row][col] = fm[row][col] + \
+                            c * datum.q_pair(lam, nu)
+        if side == "left":
+            em = old_left_verma_e(alg, lam, depth, i)
+        gen[("f", i)], gen[("e", i)] = fm, em
+    return weights, labels, gen
+
+
+def old_f_step(fac, gamma, i):
+    """f_i on the drop-gamma slice: reduce the word i+w of each pivot word
+    w in the free basis of the deeper drop, then to classes."""
+    datum, alg = fac.datum, fac.algebra
+    src = fac.slice(gamma)
+    gp = tuple(a + b for a, b in zip(gamma, datum.alpha_root(i)))
+    if src is None or gp not in fac.drops:
+        return None
+    cols = [fac.reduce_uminus(gp, alg.basis(gp).reduce_word(
+        (i,) + src["words"][p])) for p in src["pivots"]]
+    return la.transpose(cols)
+
+
+def old_simple(fac):
+    """V(lam)'s slots, labels and generator matrices, scattered from the
+    oracle steps."""
+    datum = fac.datum
+    drops = sorted(fac.drops, key=by_height)
+    slot, weights, labels = {}, [], []
+    for g in drops:
+        for r in range(fac.slice_dim(g)):
+            slot[(g, r)] = len(weights)
+            weights.append(datum.weight_sub_root(fac.lam, g))
+            labels.append(f"v{datum.weight_str(weights[-1])}#{r}")
+    n = len(weights)
+    gen = {}
+    for i in range(datum.rank):
+        ai = datum.alpha_root(i)
+        for kind, sign, step in (("f", 1, old_f_step), ("e", -1, old_e_step)):
+            m = la.zeros(n, n, datum.l0)
+            for g in drops:
+                tgt = tuple(a + sign * b for a, b in zip(g, ai))
+                block = step(fac, g, i)
+                for r in range(fac.slice_dim(g)):
+                    for rr in range(len(block or [])):
+                        m[slot[(tgt, rr)]][slot[(g, r)]] = block[rr][r]
+            gen[(kind, i)] = m
+    return slot, weights, labels, gen
+
+
+def old_m_right(trunc, i):
+    """Right multiplication by e_i on the plus part, word by word."""
+    alg = trunc.algebra
+    out = trunc.zero_matrix()
+    for g in trunc.degrees:
+        gp = tuple(a + b for a, b in zip(g, alg.datum.alpha_root(i)))
+        if gp not in trunc.offsets:
+            continue
+        for w in trunc.words[g]:
+            trunc.reduce_into(out, trunc.index(g, w), gp,
+                              alg.basis(gp).reduce_word(w + (i,)))
+    return out
+
+
+def _gen_equal(new, old):
+    assert list(new) == list(old)
+    return all(la.mat_eq(new[k], old[k]) for k in old)
+
+
+@pytest.mark.parametrize("typ,lam,depth", [
+    ("A1", (0,), (4,)), ("A1", (1,), (4,)), ("A1", (3,), (4,)),
+    ("A1", (-2,), (3,)),
+    ("A2", (0, 0), (2, 2)), ("A2", (1, 0), (2, 2)), ("A2", (1, 1), (2, 1)),
+    ("A2", (-1, 2), (2, 1)), ("A2", (0, -3), (1, 2)),
+    ("B2", (1, 0), (1, 1)), ("B2", (0, 1), (1, 2)), ("B2", (1, 1), (2, 1)),
+    ("G2", (0, 1), (1, 1)),
+])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_verma_matches_its_reduce_and_normal_form_loops(rings, typ, lam,
+                                                        depth, side):
+    alg = rings[typ].algebra
+    mod = verma(alg, lam, depth, side=side)
+    weights, labels, gen = old_verma(alg, lam, depth, side)
+    assert mod.index_weights == weights and mod.labels == labels
+    assert _gen_equal(mod.gen, gen)
+    assert mod.name == f"T{'r' if side == 'right' else ''}" \
+        f"({alg.datum.weight_str(lam)})|{depth}"
+
+
+@pytest.mark.parametrize("typ,lams", [
+    ("A1", [(0,), (1,), (3,)]),
+    ("A2", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+    ("B2", [(1, 0), (0, 1), (1, 1)]),
+    ("G2", [(0, 1)]),
+])
+def test_simple_matches_the_per_pivot_reduction(rings, typ, lams):
+    for lam in lams:
+        fac = rings[typ].factory(lam)
+        for g in fac.drops:
+            for i in range(fac.datum.rank):
+                new, old = fac.f_step(g, i), old_f_step(fac, g, i)
+                assert (new is None) == (old is None)
+                assert new is None or la.mat_eq(new, old)
+        mod = fac.build()
+        slot, weights, labels, gen = old_simple(fac)
+        assert mod.slot == slot and mod.slot_keys == list(slot)
+        assert mod.index_weights == weights and mod.labels == labels
+        assert _gen_equal(mod.gen, gen)
+        assert mod.name == f"V({fac.datum.weight_str(lam)})"
+
+
+@pytest.mark.parametrize("typ,depth", [("A1", 4), ("A2", 3), ("B2", 3),
+                                       ("G2", 3)])
+def test_m_right_is_the_right_deepening_kernel(rings, typ, depth):
+    alg = rings[typ].algebra
+    formula = ThetaFormula(UPlusTruncation(alg, depth), DrinfeldPairing(alg))
+    for i in range(alg.datum.rank):
+        assert la.mat_eq(formula.m_right(i), old_m_right(formula.trunc, i))
