@@ -62,10 +62,17 @@ class EBimodule:
         return self.memo.get(("eta", lam), lambda: r_operator(
             self.pairing, self.ring.module(lam), self.vmod, "R-check").matrix)
 
-    def eta_inv(self, lam: Weight) -> Matrix:
+    def eta_inv(self, lam: Weight) -> Optional[Matrix]:
+        """The inverse of eta(lam), or None where eta(lam) is the identity
+        (as at lam = 0, which ``unit_check`` verifies): decided once per
+        lam, so ``left_action`` multiplies by no identity."""
         lam = tuple(lam)
-        return self.memo.get(("eta_inv", lam),
-                             lambda: linalg.inverse(self.eta(lam)))
+
+        def compute() -> Optional[Matrix]:
+            eta = self.eta(lam)
+            return None if linalg.is_identity(eta) else linalg.inverse(eta)
+
+        return self.memo.get(("eta_inv", lam), compute)
 
     def right_action(self, psi: CoordElement, lam: Weight) -> Matrix:
         """Right multiplication by psi on V (x) A(lam) -> V (x) A(lam+xi)."""
@@ -78,8 +85,10 @@ class EBimodule:
         lm = self.ring.full_mult_matrix(lam, phi, "left")
         lv = linalg.kron(lm, linalg.identity(self.vmod.dim, self.datum.l0))
         tgt = self.datum.weight_add(lam, phi.grade)
-        return linalg.mat_mul(self.eta(tgt),
-                              linalg.mat_mul(lv, self.eta_inv(lam)))
+        inv = self.eta_inv(lam)
+        if inv is not None:
+            lv = linalg.mat_mul(lv, inv)
+        return linalg.mat_mul(self.eta(tgt), lv)
 
     # -- checks --------------------------------------------------------------
 

@@ -3,10 +3,13 @@
 Matrices are lists of lists of QScalar.  Every answer comes from exact
 fraction arithmetic; there is no pivoting heuristic beyond "first nonzero",
 which keeps results deterministic.  Elimination skips zero cells, which is
-most of them in the sparse systems qflag solves.  For a matrix with more
-rows than columns, a rank pass over a prime field (q^(1/l0) evaluated at a
-fixed point) first picks independent rows; it only decides which rows
-enter the exact elimination, never the answer (see ``rref``).
+most of them in the sparse systems qflag solves, and so does assembly:
+products read each row of their right factor as its list of nonzero
+cells, and ``add_kron``/``add_scaled`` add into a matrix in place.  For a
+matrix with more rows than columns, a rank pass over a prime field
+(q^(1/l0) evaluated at a fixed point) first picks independent rows; it
+only decides which rows enter the exact elimination, never the answer
+(see ``rref``).
 """
 
 from __future__ import annotations
@@ -32,26 +35,33 @@ def identity(n: int, l0: int) -> Matrix:
     return out
 
 
+def _nonzero_columns(row: Sequence[QScalar]) -> List[int]:
+    return [j for j, x in enumerate(row) if not x.is_zero()]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a·b; each row of b that a reads is scanned for its nonzero columns
+    once, and the products loop over those columns only."""
     if not a:
         return []
     n, k = len(a), len(a[0])
     if k != len(b):
         raise ValueError("shape mismatch")
     m = len(b[0]) if b else 0
-    l0 = a[0][0].l0
-    out = zeros(n, m, l0)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+    if not m:
+        return [[] for _ in range(n)]
+    out = zeros(n, m, b[0][0].l0)
+    nz: List[Optional[List[int]]] = [None] * k
+    for ai, oi in zip(a, out):
+        for t, c in enumerate(ai):
             if c.is_zero():
                 continue
+            cols = nz[t]
+            if cols is None:
+                cols = nz[t] = _nonzero_columns(b[t])
             bt = b[t]
-            for j in range(m):
-                if not bt[j].is_zero():
-                    oi[j] = oi[j] + c * bt[j]
+            for j in cols:
+                oi[j] = oi[j] + c * bt[j]
     return out
 
 
@@ -119,20 +129,39 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with index convention (i,k),(j,l) -> i*nb+k."""
     if not a or not b:
         return []
-    na, ma = len(a), len(a[0])
+    rows, cols = len(a) * len(b), len(a[0]) * len(b[0])
+    if not cols:
+        return [[] for _ in range(rows)]
+    out = zeros(rows, cols, a[0][0].l0)
+    add_kron(out, a, b)
+    return out
+
+
+def add_kron(acc: Matrix, a: Matrix, b: Matrix) -> None:
+    """acc += kron(a, b) in place, on the nonzero cells of the product: the
+    nonzero columns of b's rows are listed once, at a's first nonzero."""
+    if not a or not b:
+        return
     nb, mb = len(b), len(b[0])
-    l0 = a[0][0].l0
-    out = zeros(na * nb, ma * mb, l0)
-    for i in range(na):
-        for j in range(ma):
-            c = a[i][j]
+    nz: Optional[List[List[int]]] = None
+    for i, ai in enumerate(a):
+        for j, c in enumerate(ai):
             if c.is_zero():
                 continue
-            for k in range(nb):
-                for l in range(mb):
-                    if not b[k][l].is_zero():
-                        out[i * nb + k][j * mb + l] = c * b[k][l]
-    return out
+            if nz is None:
+                nz = [_nonzero_columns(row) for row in b]
+            for orow, brow, cols in zip(acc[i * nb:(i + 1) * nb], b, nz):
+                for l in cols:
+                    col = j * mb + l
+                    orow[col] = orow[col] + c * brow[l]
+
+
+def add_scaled(acc: Matrix, a: Matrix, c: QScalar) -> None:
+    """acc += c·a in place, on the nonzero cells of a."""
+    for orow, arow in zip(acc, a):
+        for j, x in enumerate(arow):
+            if not x.is_zero():
+                orow[j] = orow[j] + c * x
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -149,6 +178,13 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
+
+
+def is_identity(a: Matrix) -> bool:
+    return all(len(row) == len(a) and
+               all(x.is_one() if i == j else x.is_zero()
+                   for j, x in enumerate(row))
+               for i, row in enumerate(a))
 
 
 def first_mismatch(a: Matrix, b: Matrix) -> Optional[Tuple[int, int, QScalar, QScalar]]:

@@ -231,8 +231,15 @@ def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
         if not any(beta):
             continue
         for x, y in pairing.inverse_components(beta):
-            acc = linalg.mat_add(acc, linalg.kron(m1.act(x), m2.act(y)))
+            linalg.add_kron(acc, m1.act(x), m2.act(y))
     return _scale_columns(acc, _kappa_diagonal(m1, m2))
+
+
+def _r_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
+    """R = Theta o kappa^-1 on m1 (x) m2; kappa^-1 is diagonal, so it
+    scales the columns of Theta."""
+    return _scale_columns(theta_matrix(m1, m2),
+                          [c.inverse() for c in _kappa_diagonal(m1, m2)])
 
 
 def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
@@ -246,16 +253,13 @@ def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
     if flavor == "kappa":
         return ROperator(carrier, carrier, kappa_matrix(m1, m2), flavor)
     if flavor == "R":
-        # kappa^-1 is diagonal: scale the columns of Theta
-        return ROperator(carrier, carrier, _scale_columns(
-            theta_matrix(m1, m2),
-            [c.inverse() for c in _kappa_diagonal(m1, m2)]), flavor)
+        return ROperator(carrier, carrier, _r_matrix(m1, m2), flavor)
     if flavor == "R-inverse":
         return ROperator(carrier, carrier,
                          r_inverse_matrix(pairing, m1, m2), flavor)
     if flavor == "R-check":
         # the flip v (x) v' -> v' (x) v permutes the rows of R
-        r = r_operator(pairing, m1, m2, "R").matrix
+        r = _r_matrix(m1, m2)
         mat = [list(r[a * m2.dim + b]) for b in range(m2.dim)
                for a in range(m1.dim)]
         return ROperator(carrier, tensor(m2, m1), mat, flavor)

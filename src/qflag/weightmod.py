@@ -114,8 +114,7 @@ class WeightModule:
         out = linalg.zeros(n, n, self.datum.l0)
         for (fw, lam, ew), c in u.terms.items():
             word = self.algebra.monomial_word(fw, lam, ew)
-            m = self.word_matrix(word)
-            out = linalg.mat_add(out, linalg.mat_scale(m, c))
+            linalg.add_scaled(out, self.word_matrix(word), c)
         return out
 
     def apply(self, u: UElement, v: Vector) -> Vector:
@@ -470,7 +469,9 @@ def restricted_dual(mod: WeightModule) -> WeightModule:
 
 
 def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
-    """Tensor product with the coproduct twist."""
+    """Tensor product with the coproduct twist: Delta(e_i) = e_i (x) 1 +
+    k_i (x) e_i and Delta(f_i) = f_i (x) k_i^-1 + 1 (x) f_i, with the k
+    factors read as the diagonals q^(alpha_i, wt)."""
     if m1.side != m2.side:
         raise SideMismatchError("tensor factors must share a side")
     alg = m1.algebra
@@ -485,18 +486,16 @@ def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
             labels.append(f"{m1.labels[a]}(x){m2.labels[b]}")
     gen: Dict[Tuple[str, int], Matrix] = {}
     for i in range(datum.rank):
-        e1, f1 = m1.gen[("e", i)], m1.gen[("f", i)]
-        e2, f2 = m2.gen[("e", i)], m2.gen[("f", i)]
-        k1 = m1.k_matrix(datum.alpha(i))
-        k2inv = m2.k_matrix(tuple(-x for x in datum.alpha(i)))
-        id1 = linalg.identity(n1, datum.l0)
-        id2 = linalg.identity(n2, datum.l0)
-        # same block shapes on either side: for right modules the gen
-        # matrices already encode right actions and Delta applies legwise
-        gen[("e", i)] = linalg.mat_add(linalg.kron(e1, id2),
-                                       linalg.kron(k1, e2))
-        gen[("f", i)] = linalg.mat_add(linalg.kron(f1, k2inv),
-                                       linalg.kron(id1, f2))
+        a = datum.alpha(i)
+        k1 = [datum.q_pair(a, w) for w in m1.index_weights]
+        k2inv = [datum.q_pair(tuple(-x for x in a), w)
+                 for w in m2.index_weights]
+        # same formula on either side: for right modules the gen matrices
+        # already encode right actions and Delta applies legwise
+        gen[("e", i)] = _coproduct_matrix(m1.gen[("e", i)], None,
+                                          k1, m2.gen[("e", i)], datum.l0)
+        gen[("f", i)] = _coproduct_matrix(m1.gen[("f", i)], k2inv,
+                                          None, m2.gen[("f", i)], datum.l0)
 
     def missing_exact(w: Weight) -> bool:
         if m1.exact and m2.exact:
@@ -507,6 +506,31 @@ def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
                        exact=m1.exact and m2.exact, labels=labels,
                        name=f"({m1.name})(x)({m2.name})")
     return mod
+
+
+def _coproduct_matrix(x1: Matrix, d2: Optional[List[QScalar]],
+                      d1: Optional[List[QScalar]], x2: Matrix,
+                      l0: int) -> Matrix:
+    """x1 (x) diag(d2) + diag(d1) (x) x2 on the basis v_a (x) w_b at index
+    a*n2 + b, written cell by cell from the nonzero cells of x1 and x2; a
+    diagonal given as None is the identity."""
+    n1, n2 = len(x1), len(x2)
+    out = linalg.zeros(n1 * n2, n1 * n2, l0)
+    for a, row in enumerate(x1):
+        for c, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for b in range(n2):
+                out[a * n2 + b][c * n2 + b] = x if d2 is None else x * d2[b]
+    for a in range(n1):
+        for b, row in enumerate(x2):
+            orow = out[a * n2 + b]
+            for d, y in enumerate(row):
+                if y.is_zero():
+                    continue
+                col = a * n2 + d
+                orow[col] = orow[col] + (y if d1 is None else d1[a] * y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +548,7 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
         if n > dim + 2:
             raise TruncationError("exponential series does not terminate; "
                                   "the matrix is not nilpotent")
-        coeff = exp_t_coefficient(n, t_scale, l0)
-        # the powers of a nilpotent weight operator are sparse: add only
-        # their nonzero cells
-        for orow, prow in zip(out, power):
-            for j, x in enumerate(prow):
-                if not x.is_zero():
-                    orow[j] = orow[j] + coeff * x
+        linalg.add_scaled(out, power, exp_t_coefficient(n, t_scale, l0))
         n += 1
         power = linalg.mat_mul(m, power)
     return out

@@ -1,5 +1,6 @@
 import pytest
 
+from qflag import linalg as la
 from qflag.bimodule import EBimodule, key_lemma_characters
 from qflag.cartan import weyl_character
 from qflag.errors import QflagError
@@ -152,3 +153,49 @@ def test_trivial_mu_single_layer(ring1, pairing1):
     rep = key_lemma_characters(ring1, pairing1, (1,), (0,))
     assert len(rep["key2"]["layers"]) == 1
     assert rep["key2"]["iff_holds"] and rep["key3"]["iff_holds"]
+
+
+def _dense_left_action(e, phi, lam):
+    """left_action with the eta inverse always multiplied in."""
+    lm = e.ring.full_mult_matrix(lam, phi, "left")
+    lv = la.kron(lm, la.identity(e.vmod.dim, e.datum.l0))
+    tgt = e.datum.weight_add(lam, phi.grade)
+    return la.mat_mul(e.eta(tgt), la.mat_mul(lv, la.inverse(e.eta(lam))))
+
+
+def test_left_action_at_zero_multiplies_no_identity(monkeypatch, ring2,
+                                                   pairing2):
+    e = EBimodule(ring2, pairing2, (1, 0), (1, 1))
+    assert e.unit_check()
+    phi = ring2.grade_basis((1, 0))[0]
+    expected = {lam: _dense_left_action(e, phi, lam)
+                for lam in [(0, 0), (1, 0)]}
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    for lam, want in expected.items():
+        assert e.left_action(phi, lam) == want
+    assert len(calls) == 3      # one product at lam = 0, two at (1, 0)
+    assert not any(len(m) > 1 and la.is_identity(m)
+                   for pair in calls for m in pair)
+    assert e.eta_inv((0, 0)) is None and e.eta_inv((1, 0)) is not None
+
+
+def test_identity_skip_is_decided_not_assumed(monkeypatch, ring2, pairing2):
+    """A unit identification that is not the identity is caught by
+    unit_check and inverted by left_action like any other eta."""
+    real = EBimodule.eta
+    two = ring2.datum.one() + ring2.datum.one()
+
+    def doubled_at_zero(self, lam):
+        m = real(self, lam)
+        return la.mat_scale(m, two) if not any(lam) else m
+
+    monkeypatch.setattr(EBimodule, "eta", doubled_at_zero)
+    e = EBimodule(ring2, pairing2, (1, 0), (1, 1))
+    assert not e.unit_check()
+    inv = e.eta_inv((0, 0))
+    assert inv is not None and la.is_identity(la.mat_mul(e.eta((0, 0)), inv))
+    phi = ring2.grade_basis((1, 0))[0]
+    assert e.left_action(phi, (0, 0)) == _dense_left_action(e, phi, (0, 0))

@@ -1,6 +1,7 @@
-"""Dual-route oracle for elimination: the production ``rref`` (zero-skipping,
-in place) against the plain dense elimination it replaced, kept here as a
-small-size reference."""
+"""Dual-route oracles for linalg: the production ``rref`` (zero-skipping,
+in place) against the plain dense elimination it replaced, and the
+zero-skipping products and in-place sums against naive loops over every
+cell, kept here as small-size references."""
 
 import random
 
@@ -243,3 +244,107 @@ def test_largest_full_rank_center_block_needs_no_elimination(monkeypatch,
     assert la.nullspace(block) == []
     # the full exact elimination agrees
     assert la._eliminate(block) == (ech, piv)
+
+
+# -- assembly kernels against naive loops over every cell ---------------------
+
+def _naive_mul(a, b, ncols):
+    zero = QScalar.zero(L0)
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), zero)
+             for j in range(ncols)] for row in a]
+
+
+def _naive_kron(a, b, acols, bcols):
+    zero = QScalar.zero(L0)
+    out = [[zero] * (acols * bcols) for _ in range(len(a) * len(b))]
+    for i in range(len(a)):
+        for j in range(acols):
+            for k in range(len(b)):
+                for l in range(bcols):
+                    out[i * len(b) + k][j * bcols + l] = a[i][j] * b[k][l]
+    return out
+
+
+def _naive_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _holey(rnd, nrows, ncols):
+    """A sparse random matrix with some rows and columns entirely zero."""
+    zero = QScalar.zero(L0)
+    mat = [[rnd.choice(_POOL) if rnd.random() < 0.4 else zero
+            for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if rnd.random() < 0.25:
+            mat[i] = [zero] * ncols
+    for j in range(ncols):
+        if rnd.random() < 0.25:
+            for row in mat:
+                row[j] = zero
+    return mat
+
+
+_DIMS = st.sampled_from([0, 1, 1, 2, 3, 5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_DIMS, _DIMS, _DIMS, st.integers(0, 2 ** 32))
+def test_mat_mul_matches_naive_loops(n, k, m, seed):
+    rnd = random.Random(seed)
+    a, b = _holey(rnd, n, k), _holey(rnd, k, m)
+    before = ([list(r) for r in a], [list(r) for r in b])
+    # with no inner dimension b has no rows, so the product has no columns
+    got = la.mat_mul(a, b)
+    assert got == _naive_mul(a, b, m if k else 0)
+    assert (a, b) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(_DIMS, _DIMS, _DIMS, _DIMS, st.integers(0, 2 ** 32))
+def test_kron_and_add_kron_match_naive_loops(na, ma, nb, mb, seed):
+    rnd = random.Random(seed)
+    a, b = _holey(rnd, na, ma), _holey(rnd, nb, mb)
+    expected = _naive_kron(a, b, ma, mb)
+    assert la.kron(a, b) == expected
+    acc = _holey(rnd, na * nb, ma * mb)
+    want = _naive_add(acc, expected)
+    before = ([list(r) for r in a], [list(r) for r in b])
+    la.add_kron(acc, a, b)
+    assert acc == want
+    assert (a, b) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DIMS, _DIMS, st.integers(0, 2 ** 32))
+def test_add_scaled_matches_naive_loops(n, m, seed):
+    rnd = random.Random(seed)
+    a, acc = _holey(rnd, n, m), _holey(rnd, n, m)
+    c = rnd.choice(_POOL)
+    want = _naive_add(acc, [[c * x for x in row] for row in a])
+    before = [list(r) for r in a]
+    la.add_scaled(acc, a, c)
+    assert acc == want
+    assert a == before
+
+
+def test_one_by_one_and_cancelling_cells():
+    q = QScalar.parse("q^(1/2)", L0)
+    r = QScalar.parse("(1 + q^(1/2))/(1 - q)", L0)
+    assert la.mat_mul([[q]], [[r]]) == [[q * r]]
+    assert la.kron([[q]], [[r]]) == [[q * r]]
+    # a cell whose sum cancels to zero is zero, not skipped
+    acc = [[-(q * r)]]
+    la.add_kron(acc, [[q]], [[r]])
+    assert acc[0][0].is_zero()
+    acc = [[r]]
+    la.add_scaled(acc, [[r]], QScalar.integer(-1, L0))
+    assert acc[0][0].is_zero()
+
+
+def test_is_identity():
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    assert la.is_identity(la.identity(3, L0))
+    assert la.is_identity([])
+    assert not la.is_identity([[one, zero]])
+    assert not la.is_identity([[one, zero], [one, one]])
+    assert not la.is_identity([[QScalar.parse("q", L0)]])

@@ -32,6 +32,19 @@ def xi_operator(pairing, m1, m2):
     return out
 
 
+def dense_r_inverse(pairing, m1, m2):
+    """The dense route ``r_inverse_matrix`` replaced: every canonical-element
+    term summed with mat_add, then composed with the kappa matrix."""
+    datum = pairing.datum
+    acc = la.identity(m1.dim * m2.dim, datum.l0)
+    for beta in contributing_degrees(datum, m1, m2):
+        if not any(beta):
+            continue
+        for x, y in pairing.inverse_components(beta):
+            acc = la.mat_add(acc, la.kron(m1.act(x), m2.act(y)))
+    return la.mat_mul(acc, kappa_matrix(m1, m2))
+
+
 def table_route_r(pairing, m1, m2):
     return la.mat_mul(la.inverse(kappa_matrix(m1, m2)),
                       xi_operator(pairing, m1, m2))
@@ -412,3 +425,51 @@ def test_ordered_products_start_at_their_first_factor(monkeypatch):
     single = braid_word(v1, (0,))
     assert single is not braid_on_module(v1, 0) and \
         la.mat_eq(single, braid_on_module(v1, 0))
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2"])
+def test_r_inverse_matches_dense_accumulation(typ):
+    datum = preset(typ)
+    alg = UAlgebra(datum)
+    pairing = DrinfeldPairing(alg)
+    mods = [simple(alg, datum.fundamental(i)) for i in range(datum.rank)]
+    for a in mods:
+        for b in mods:
+            rinv = r_operator(pairing, a, b, "R-inverse").matrix
+            assert rinv == dense_r_inverse(pairing, a, b), (a.name, b.name)
+
+
+def test_assembly_uses_no_dense_helpers(monkeypatch, a2):
+    def refuse(*args):
+        raise AssertionError("dense assembly")
+
+    alg = UAlgebra(a2)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    u = alg.e(0) * alg.f(0) + alg.f(1) * alg.e(1)
+    expected = (tensor(v1, v2).gen, v1.act(u),
+                dense_r_inverse(DrinfeldPairing(alg), v1, v2))
+    for name in ("mat_add", "mat_scale", "kron"):
+        monkeypatch.setattr(la, name, refuse)
+    got = (tensor(v1, v2).gen, v1.act(u),
+           r_operator(pairing, v1, v2, "R-inverse").matrix)
+    assert got == expected
+
+
+def test_r_check_builds_each_carrier_once(monkeypatch, a2):
+    alg = UAlgebra(a2)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    r = r_operator(pairing, v1, v2, "R").matrix
+    built = []
+    real = rmatrix.tensor
+    monkeypatch.setattr(rmatrix, "tensor",
+                        lambda m1, m2: built.append((m1, m2)) or real(m1, m2))
+    rc = r_operator(pairing, v1, v2, "R-check")
+    assert built == [(v1, v2), (v2, v1)]
+    assert (rc.source.name, rc.target.name) == \
+        (tensor(v1, v2).name, tensor(v2, v1).name)
+    # the flip permutes the rows of R
+    assert rc.matrix == [r[a * v2.dim + b] for b in range(v2.dim)
+                         for a in range(v1.dim)]
+    assert module_map_commutes(rc.source, rc.target, rc.matrix)

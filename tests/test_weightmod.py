@@ -2,7 +2,9 @@ import pytest
 
 from qflag import linalg as la
 from qflag import weightmod
-from qflag.cartan import kostant_dim, verma_character, weyl_character
+from qflag.cartan import (kostant_dim, preset, verma_character,
+                          weyl_character)
+from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
 from qflag.scalars import exp_t_coefficient
 from qflag.weightmod import (braid_on_module, braid_word,
@@ -295,3 +297,74 @@ def test_exp_matrix_multiplies_no_identity(monkeypatch, alg1):
     zero = la.zeros(3, 3, l0)
     assert la.mat_eq(weightmod._exp_matrix(zero, -1, l0), la.identity(3, l0))
     assert calls == []
+
+
+# -- dual routes for assembly -----------------------------------------------
+
+def dense_tensor_gen(m1, m2):
+    """The dense route ``tensor`` replaced: Delta(e_i) = e (x) 1 + k (x) e
+    and Delta(f_i) = f (x) k^-1 + 1 (x) f as sums of Kronecker products
+    with identity and k matrices."""
+    datum = m1.datum
+    id1 = la.identity(m1.dim, datum.l0)
+    id2 = la.identity(m2.dim, datum.l0)
+    out = {}
+    for i in range(datum.rank):
+        a = datum.alpha(i)
+        k1 = m1.k_matrix(a)
+        k2inv = m2.k_matrix(tuple(-x for x in a))
+        out[("e", i)] = la.mat_add(la.kron(m1.gen[("e", i)], id2),
+                                   la.kron(k1, m2.gen[("e", i)]))
+        out[("f", i)] = la.mat_add(la.kron(m1.gen[("f", i)], k2inv),
+                                   la.kron(id1, m2.gen[("f", i)]))
+    return out
+
+
+def dense_act(mod, u):
+    """The dense route ``act`` replaced: mat_add of mat_scale per term."""
+    out = la.zeros(mod.dim, mod.dim, mod.datum.l0)
+    for (fw, lam, ew), c in u.terms.items():
+        m = mod.word_matrix(mod.algebra.monomial_word(fw, lam, ew))
+        out = la.mat_add(out, la.mat_scale(m, c))
+    return out
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2"])
+def test_tensor_matches_dense_kron_route(typ):
+    datum = preset(typ)
+    alg = UAlgebra(datum)
+    v = simple(alg, datum.fundamental(1))
+    pairs = [(v, v), (restricted_dual(v), restricted_dual(v))]
+    if typ != "G2":     # G2 V(w1) is above the default height cap
+        w = simple(alg, datum.fundamental(0))
+        pairs += [(v, w), (w, v), (restricted_dual(w), restricted_dual(v))]
+    for m1, m2 in pairs:
+        mod = tensor(m1, m2)
+        assert mod.side == m1.side
+        assert mod.gen == dense_tensor_gen(m1, m2), (typ, mod.name)
+    vv = tensor(v, v)
+    for m1, m2 in [(vv, v), (v, vv)]:
+        assert tensor(m1, m2).gen == dense_tensor_gen(m1, m2)
+
+
+def test_tensor_of_a_tensor_keeps_the_relations(alg2):
+    v = simple(alg2, (1, 0))
+    for m in (v, restricted_dual(v)):
+        mmm = tensor(tensor(m, m), m)
+        assert mmm.dim == 27 and mmm.side == m.side
+        assert check_module_relations(mmm) == []
+
+
+def test_act_matches_dense_sum(alg2):
+    e0, f0, e1, f1 = alg2.e(0), alg2.f(0), alg2.e(1), alg2.f(1)
+    q = alg2.datum.q_power(1)
+    elements = [
+        e0 * f0,                        # f e + (k - k^-1)/(q - q^-1)
+        e0 * f0 * e1 * f1 + f1 * e1.scale(q) - alg2.k((1, 0)),
+        e0 * e1 * f0 + f1 * f0 * e0,
+    ]
+    assert all(len(u.terms) >= 2 for u in elements)
+    for mod in (simple(alg2, (1, 1)), restricted_dual(simple(alg2, (1, 0))),
+                verma(alg2, (1, 0), (2, 2), side="right")):
+        for u in elements:
+            assert mod.act(u) == dense_act(mod, u), (mod.name, u.to_str())
