@@ -178,9 +178,6 @@ class CartanDatum:
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam)
 
-    def height(self, gamma: Sequence[int]) -> int:
-        return sum(gamma)
-
     # -- bilinear form -----------------------------------------------------
 
     def pair_l0(self, lam: Sequence[int], mu: Sequence[int]) -> int:

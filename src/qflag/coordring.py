@@ -16,7 +16,7 @@ functionals, and Schubert-cell homomorphisms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cartan import RootSum, Weight, box, by_height, kostant_dim
@@ -29,6 +29,8 @@ from .weightmod import SimpleFactory, WeightModule, braid_word, simple_factory
 
 # auxiliary grades of height at most this are tried for Ore witnesses
 ORE_SEARCH_HEIGHT = 6
+# stabilization searches try the levels 0, rho, ..., MAX_LEVEL * rho
+MAX_LEVEL = 8
 
 
 class CoordElement:
@@ -283,24 +285,15 @@ class CoordRing:
         fac = self.factory(a.grade)
         out: Optional[CoordElement] = None
         for (fw, nu, ew), c in u.terms.items():
-            res = fac.apply_eword(a.gamma, a.vec, ew)
+            res = fac.apply_word(a.gamma, a.vec, "e", ew)
             if res is None:
                 continue
             g, v = res
             tw = c * datum.q_pair(nu, datum.weight_sub_root(a.grade, g))
-            cur = (g, [tw * x for x in v])
-            g2 = cur[0]
-            v2 = cur[1]
-            for j in reversed(fw):
-                step = fac.f_step(g2, j)
-                if step is None:
-                    v2 = None
-                    break
-                g2 = tuple(x + y for x, y in zip(g2, datum.alpha_root(j)))
-                v2 = linalg.mat_vec(step, v2)
-            if v2 is None or all(x.is_zero() for x in v2):
+            res = fac.apply_word(g, [tw * x for x in v], "f", fw)
+            if res is None or all(x.is_zero() for x in res[1]):
                 continue
-            term = CoordElement(self, a.grade, g2, v2)
+            term = CoordElement(self, a.grade, *res)
             if out is None:
                 out = term
             elif out.gamma == term.gamma:
@@ -335,13 +328,10 @@ class CoordRing:
             m = cur_weight[j]
             if m < 0:
                 raise QflagError("non-dominant step in extremal lowering")
-            for _ in range(m):
-                step = fac.f_step(gamma, j)
-                if step is None:
-                    raise QflagError("extremal lowering left the module")
-                gamma = tuple(x + y for x, y in
-                              zip(gamma, datum.alpha_root(j)))
-                vec = linalg.mat_vec(step, vec)
+            res = fac.apply_word(gamma, vec, "f", (j,) * m)
+            if res is None:
+                raise QflagError("extremal lowering left the module")
+            gamma, vec = res
             fact = quantum_factorial(m, datum.d(j), datum.l0)
             vec = [x * fact.inverse() for x in vec]
             cur_weight = datum.reflect(j, cur_weight)
@@ -366,33 +356,28 @@ class CoordRing:
             out[mod.slot[(phi.gamma, r)]] = c
         return out
 
+    def side_mult(self, s: CoordElement, x: CoordElement,
+                  side: str) -> CoordElement:
+        """s*x ('left') or x*s ('right')."""
+        return self.mult(s, x) if side == "left" else self.mult(x, s)
+
     def full_mult_matrix(self, lam: Weight, phi: CoordElement,
                          side: str) -> Matrix:
         """Matrix of x -> phi*x ('left') or x -> x*phi ('right') from the
         full module of grade lam to that of grade lam + grade(phi)."""
         src = self.module(tuple(lam))
         tgt = self.module(self.datum.weight_add(lam, phi.grade))
-        cols = []
-        for idx in range(src.dim):
-            x = self.slice_element(src, idx)
-            prod = self.mult(phi, x) if side == "left" else self.mult(x, phi)
-            cols.append(self.embed_full(tgt, prod))
-        return linalg.transpose(cols)
+        return linalg.transpose([
+            self.embed_full(tgt, self.side_mult(
+                phi, self.slice_element(src, idx), side))
+            for idx in range(src.dim)])
 
-    def right_mult_matrix(self, lam: Weight, gamma: RootSum,
-                          s: CoordElement) -> Tuple[Matrix, Weight, RootSum]:
-        """Matrix of phi -> phi*s from the (lam, gamma)-slice."""
-        cols = [self.mult(phi, s).vec for phi in self.slice_basis(lam, gamma)]
-        tgt_grade = self.datum.weight_add(lam, s.grade)
-        tgt_gamma = tuple(x + y for x, y in zip(gamma, s.gamma))
-        return (linalg.transpose(cols), tgt_grade, tgt_gamma)
-
-    def left_mult_matrix(self, lam: Weight, gamma: RootSum,
-                         s: CoordElement) -> Tuple[Matrix, Weight, RootSum]:
-        cols = [self.mult(s, phi).vec for phi in self.slice_basis(lam, gamma)]
-        tgt_grade = self.datum.weight_add(lam, s.grade)
-        tgt_gamma = tuple(x + y for x, y in zip(gamma, s.gamma))
-        return (linalg.transpose(cols), tgt_grade, tgt_gamma)
+    def mult_matrix(self, lam: Weight, gamma: RootSum, s: CoordElement,
+                    side: str) -> Matrix:
+        """Matrix of phi -> s*phi ('left') or phi -> phi*s ('right') from
+        the (lam, gamma)-slice."""
+        return linalg.transpose([self.side_mult(s, phi, side).vec
+                                 for phi in self.slice_basis(lam, gamma)])
 
     def ore_witness(self, phi: CoordElement, word: Sequence[int],
                     s_grade: Weight,
@@ -402,6 +387,8 @@ class CoordRing:
         datum = self.datum
         word = datum.weyl_canonical(word)
         s = self.extremal(word, s_grade)
+        # s multiplies psi on the side opposite to the one t multiplies phi
+        other = "right" if side == "left" else "left"
         ht = ORE_SEARCH_HEIGHT
         candidates = sorted(box((ht,) * datum.rank, height=ht), key=by_height)
         for mu in candidates:
@@ -409,40 +396,40 @@ class CoordRing:
             if not datum.is_dominant(xi):
                 continue
             t = self.extremal(word, mu)
-            if side == "left":
-                lhs = self.mult(t, phi)
-                gpsi = tuple(x - y for x, y in zip(lhs.gamma, s.gamma))
-                if any(c < 0 for c in gpsi):
-                    continue
-                mat, _tg, _td = self.right_mult_matrix(xi, gpsi, s)
-                if not mat or len(mat[0]) == 0:
-                    continue
-                sol = linalg.solve(mat, lhs.vec)
-                if sol is not None:
-                    psi = CoordElement(self, xi, gpsi, sol)
-                    if self.mult(psi, s).vec == lhs.vec:
-                        return t, psi
-            else:
-                lhs = self.mult(phi, t)
-                gpsi = tuple(x - y for x, y in zip(lhs.gamma, s.gamma))
-                if any(c < 0 for c in gpsi):
-                    continue
-                mat, _tg, _td = self.left_mult_matrix(xi, gpsi, s)
-                if not mat or len(mat[0]) == 0:
-                    continue
-                sol = linalg.solve(mat, lhs.vec)
-                if sol is not None:
-                    psi = CoordElement(self, xi, gpsi, sol)
-                    if self.mult(s, psi).vec == lhs.vec:
-                        return t, psi
+            lhs = self.side_mult(t, phi, side)
+            gpsi = tuple(x - y for x, y in zip(lhs.gamma, s.gamma))
+            if any(c < 0 for c in gpsi):
+                continue
+            mat = self.mult_matrix(xi, gpsi, s, other)
+            if not mat or len(mat[0]) == 0:
+                continue
+            sol = linalg.solve(mat, lhs.vec)
+            if sol is not None:
+                psi = CoordElement(self, xi, gpsi, sol)
+                if self.side_mult(s, psi, other).vec == lhs.vec:
+                    return t, psi
         raise OreSearchError(
             f"no {side} Ore witness within auxiliary grades of height "
             f"{ORE_SEARCH_HEIGHT} for drop {phi.gamma} against {s_grade}")
 
     # -- localization ---------------------------------------------------------
 
-    def localize(self, word: Sequence[int], lam: Weight, gamma: RootSum,
-                 max_level: int = 6) -> dict:
+    def first_level(self, lam: Weight,
+                    passes: Callable[[Weight], bool]) -> Optional[Weight]:
+        """The first level mu = 0, rho, ..., MAX_LEVEL * rho whose grade
+        lam + mu is dominant and passes ``passes`` (which may raise), or
+        None when no level does."""
+        datum = self.datum
+        mu = datum.zero_weight
+        for _level in range(MAX_LEVEL + 1):
+            grade = datum.weight_add(lam, mu)
+            if datum.is_dominant(grade) and passes(grade):
+                return mu
+            mu = datum.weight_add(mu, datum.rho)
+        return None
+
+    def localize(self, word: Sequence[int], lam: Weight,
+                 gamma: RootSum) -> dict:
         """Stabilized weight-space data of the localized grade lam at drop
         gamma.  Each graded piece is a quotient of the degree-gamma
         plus-part, so the partition count bounds the dimension from above
@@ -452,31 +439,25 @@ class CoordRing:
         word = datum.weyl_canonical(word)
         gamma = tuple(gamma)
         bound = kostant_dim(datum, gamma)
-        rho = datum.rho
-        mu = datum.zero_weight
-        for _level in range(max_level + 1):
-            grade = datum.weight_add(lam, mu)
-            if datum.is_dominant(grade):
-                drop = self._twisted_drop(word, grade, gamma)
-                if drop is not None:
-                    d = self.factory(grade).slice_dim(drop)
-                    if d > bound:
-                        raise QflagError("weight space exceeds partition bound")
-                    if d == bound and self._step_injective(word, grade, drop):
-                        return {
-                            "word": list(word),
-                            "grade": datum.weight_str(lam),
-                            "drop": datum.root_str(gamma),
-                            "dimension": d,
-                            "level": datum.weight_str(mu),
-                            "stabilized": True,
-                        }
-            mu = datum.weight_add(mu, rho)
-        return {
-            "word": list(word), "grade": datum.weight_str(lam),
-            "drop": datum.root_str(gamma), "stabilized": False,
-            "max_level": max_level,
-        }
+
+        def stable(grade: Weight) -> bool:
+            drop = self._twisted_drop(word, grade, gamma)
+            if drop is None:
+                return False
+            d = self.factory(grade).slice_dim(drop)
+            if d > bound:
+                raise QflagError("weight space exceeds partition bound")
+            return d == bound and self._step_injective(word, grade, drop)
+
+        mu = self.first_level(lam, stable)
+        rep = {"word": list(word), "grade": datum.weight_str(lam),
+               "drop": datum.root_str(gamma)}
+        if mu is None:
+            rep.update(stabilized=False, max_level=MAX_LEVEL)
+        else:
+            rep.update(dimension=bound, level=datum.weight_str(mu),
+                       stabilized=True)
+        return rep
 
     def _twisted_drop(self, word, grade: Weight,
                       gamma: RootSum) -> Optional[RootSum]:
@@ -494,17 +475,17 @@ class CoordRing:
         stabilized space (the Ore-regularity check)."""
         datum = self.datum
         c = self.extremal(word, datum.rho)
-        mat, _g, _d = self.right_mult_matrix(grade, drop, c)
+        mat = self.mult_matrix(grade, drop, c, "right")
         d = self.factory(grade).slice_dim(drop)
         return linalg.rank(mat) == d if d else True
 
     def localized_character(self, word: Sequence[int], lam: Weight,
-                            depth: RootSum, max_level: int = 6) -> Dict[RootSum, int]:
+                            depth: RootSum) -> Dict[RootSum, int]:
         """Dims of the stabilized localized grade-lam piece at all drops
         gamma <= depth componentwise."""
         out: Dict[RootSum, int] = {}
         for g in sorted(box(depth), key=by_height):
-            rep = self.localize(word, lam, g, max_level=max_level)
+            rep = self.localize(word, lam, g)
             if not rep.get("stabilized"):
                 raise QflagError(f"localization did not stabilize at {g}")
             out[g] = rep["dimension"]
@@ -512,8 +493,7 @@ class CoordRing:
 
     # -- the evaluation isomorphism onto plus-part functionals ----------------------
 
-    def theta_check(self, lam: Weight, depth: RootSum,
-                    max_level: int = 6) -> dict:
+    def theta_check(self, lam: Weight, depth: RootSum) -> dict:
         """Check that the stabilized localized spaces evaluate bijectively
         against plus-part degree pieces (dims match, map injective)."""
         datum = self.datum
@@ -521,27 +501,22 @@ class CoordRing:
         ok = True
         for g in sorted(box(depth), key=by_height):
             target = len(self.algebra.basis(g).free_words)
-            found = None
-            mu = datum.zero_weight
-            for _lvl in range(max_level + 1):
-                grade = datum.weight_add(lam, mu)
-                if datum.is_dominant(grade) and \
-                        self.factory(grade).slice_dim(g) == target:
-                    mat, _w, d = self.eval_solver(grade, g)
-                    rk = linalg.rank(mat) if d else 0
-                    found = {
-                        "drop": datum.root_str(g),
-                        "space_dim": d,
-                        "functional_dim": target,
-                        "rank": rk,
-                        "level": datum.weight_str(mu),
-                        "pass": rk == d == target,
-                    }
-                    break
-                mu = datum.weight_add(mu, datum.rho)
-            if found is None:
+            mu = self.first_level(
+                lam, lambda grade: self.factory(grade).slice_dim(g) == target)
+            if mu is None:
                 found = {"drop": datum.root_str(g), "pass": False,
                          "reason": "no stabilization level found"}
+            else:
+                mat, _w, d = self.eval_solver(datum.weight_add(lam, mu), g)
+                rk = linalg.rank(mat) if d else 0
+                found = {
+                    "drop": datum.root_str(g),
+                    "space_dim": d,
+                    "functional_dim": target,
+                    "rank": rk,
+                    "level": datum.weight_str(mu),
+                    "pass": rk == d == target,
+                }
             ok = ok and found["pass"]
             results.append(found)
         return {"grade": datum.weight_str(lam), "pass": ok, "drops": results}
@@ -557,22 +532,23 @@ class CoordRing:
         mod = self.module(phi.grade)
         tw = self._braid_matrix(phi.grade, word)
         vfull = self.embed_full(mod, phi)
-        img = linalg.mat_vec(tw, vfull)
-        eps = img[mod.distinguished["highest"]]
+        eps = linalg.row_dot(tw[mod.distinguished["highest"]], vfull)
         # Phi_w(phi)(x) = <v*_lam, T_w(x v_phi)> on U^+_gamma,
         # gamma = w^{-1}lam - weight(phi)
         table: Dict[str, List[str]] = {}
-        winv = tuple(reversed(word))
-        target = datum.weyl_act(winv, phi.grade)
+        target = datum.weyl_act(tuple(reversed(word)), phi.grade)
         g = datum.weight_to_root(datum.weight_sub(target, phi.weight))
         if g is not None and all(c >= 0 for c in g):
-            words = self.algebra.basis(g).free_words
-            vals = []
-            for xw in words:
-                xv = linalg.mat_vec(mod.act(self.algebra.e_word(xw)), vfull)
-                vals.append(linalg.mat_vec(tw, xv)[mod.distinguished["highest"]])
-            table[datum.root_str(g)] = [v.to_str() for v in vals]
+            table[datum.root_str(g)] = [
+                linalg.row_dot(self._schubert_row(mod, tw, xw), vfull).to_str()
+                for xw in self.algebra.basis(g).free_words]
         return {"epsilon": eps, "table": table}
+
+    def _schubert_row(self, mod: WeightModule, tw: Matrix,
+                      xw: Tuple[int, ...]) -> Vector:
+        """v -> <v*_lam, T_w(x v)> as a row, for the plus-part word x."""
+        top = mod.distinguished["highest"]
+        return linalg.mat_mul([tw[top]], mod.act(self.algebra.e_word(xw)))[0]
 
     def _braid_matrix(self, lam: Weight, word) -> Matrix:
         lam, word = tuple(lam), tuple(word)
@@ -586,18 +562,14 @@ class CoordRing:
         word = datum.weyl_canonical(word)
         mod = self.module(tuple(lam))
         tw = self._braid_matrix(tuple(lam), word)
-        top = mod.distinguished["highest"]
+        target = datum.weyl_act(tuple(reversed(word)), tuple(lam))
         rows: List[Vector] = []
-        winv = tuple(reversed(word))
-        target = datum.weyl_act(winv, tuple(lam))
         for w in mod.weights():
             g = datum.weight_to_root(datum.weight_sub(target, w))
             if g is None or any(c < 0 for c in g):
                 continue
-            for xw in self.algebra.basis(g).free_words:
-                act = mod.act(self.algebra.e_word(xw))
-                row = linalg.mat_mul([tw[top]], act)[0]
-                rows.append(row)
+            rows.extend(self._schubert_row(mod, tw, xw)
+                        for xw in self.algebra.basis(g).free_words)
         if not rows:
             return mod.dim
         return mod.dim - linalg.rank(rows)

@@ -10,6 +10,7 @@ and the center with its Harish-Chandra image.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -189,16 +190,11 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
     results = []
 
     def record(name: str, lhs: DOperator, rhs: DOperator):
-        ok, cex = lhs.equals(rhs)
-        entry = {"instance": name, "pass": ok}
-        if cex:
-            entry["counterexample"] = cex
-        results.append(entry)
+        results.append(_entry(name, lhs, rhs))
 
     small = [g for g in window.grades if any(g)]
     probes = [datum.fundamental(i) for i in range(datum.rank)] + [datum.rho]
-    corrupt_twist = datum.q_power(
-        __import__("fractions").Fraction(1, datum.l0)) if corrupt \
+    corrupt_twist = datum.q_power(Fraction(1, datum.l0)) if corrupt \
         else datum.one()
 
     def sigma(lam):
@@ -280,52 +276,51 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
 def lemma_rl_check(window: DWindow, psi: CoordElement) -> dict:
     """r_psi as a finite sum of l-partial-sigma compositions, and the
     mirrored expansion of l_psi, both exactly on the window."""
-    ring = window.ring
-    datum = window.datum
-    alg = window.algebra
-    pairing = window.pairing
-    mu = psi.grade
-    eta = psi.weight
-    results = []
+    betas = sorted(box(psi.gamma), key=by_height)
+    rl1 = _rl_entry(window, psi, "right", betas)
+    # the mirrored sum runs over the drops of V(mu) less psi's own drop
+    betas = sorted({tuple(a - b for a, b in zip(target, psi.gamma))
+                    for target in window.ring.factory(psi.grade).drops
+                    if all(a >= b for a, b in zip(target, psi.gamma))},
+                   key=by_height)
+    rl2 = _rl_entry(window, psi, "left", betas)
+    return {"suite": "lemma-rl", "pass": rl1["pass"] and rl2["pass"],
+            "results": [rl1, rl2]}
 
-    # r_psi = sum_p l_{x_p psi} partial_{y_p k_eta} sigma_{-mu}
-    rhs = window.op_zero(mu)
-    k_eta = alg.k(eta)
-    for beta in sorted(box(psi.gamma), key=by_height):
-        for x_p, y_p in pairing.inverse_components(beta):
+
+def _rl_entry(window: DWindow, psi: CoordElement, side: str,
+              betas: Sequence[Tuple[int, ...]]) -> dict:
+    """Multiplication by psi on ``side`` against its expansion through the
+    canonical-element components x_p (x) y_p of degree beta in ``betas``:
+    r_psi = sum_p l_{x_p psi} partial_{y_p k_eta} sigma_{-mu} ('right', rl1)
+    and, mirrored, l_psi = sum_p r_{y_p psi} partial_{x_p k_eta} sigma_{-mu}
+    ('left', rl2), with mu the grade and eta the weight of psi."""
+    ring = window.ring
+    own, other = (window.op_right, window.op_left) if side == "right" \
+        else (window.op_left, window.op_right)
+    k_eta = window.algebra.k(psi.weight)
+    rhs = window.op_zero(psi.grade)
+    for beta in betas:
+        for x_p, y_p in window.pairing.inverse_components(beta):
+            if side == "left":
+                x_p, y_p = y_p, x_p
             act = ring.u_action(x_p, psi)
             if act.is_zero():
                 continue
-            rhs = rhs + window.op_left(act).compose(
-                window.op_partial(y_p * k_eta))
-    rhs = rhs.compose(window.op_sigma(tuple(-x for x in mu)))
-    ok, cex = window.op_right(psi).equals(rhs)
-    entry = {"instance": f"rl1 psi{psi.describe()['weight']}", "pass": ok}
+            rhs = rhs + other(act).compose(window.op_partial(y_p * k_eta))
+    rhs = rhs.compose(window.op_sigma(tuple(-x for x in psi.grade)))
+    name = "rl1" if side == "right" else "rl2"
+    return _entry(f"{name} psi{psi.describe()['weight']}", own(psi), rhs)
+
+
+def _entry(name: str, lhs: DOperator, rhs: DOperator) -> dict:
+    """One check result: whether lhs equals rhs on the window, with the
+    first mismatch as its counterexample."""
+    ok, cex = lhs.equals(rhs)
+    entry = {"instance": name, "pass": ok}
     if cex:
         entry["counterexample"] = cex
-    results.append(entry)
-
-    # l_psi = sum_p r_{y_p psi} partial_{x_p k_eta} sigma_{-mu}
-    rhs2 = window.op_zero(mu)
-    fac = ring.factory(mu)
-    betas = sorted({tuple(a - b for a, b in zip(target, psi.gamma))
-                    for target in fac.drops
-                    if all(a >= b for a, b in zip(target, psi.gamma))},
-                   key=by_height)
-    for beta in betas:
-        for x_p, y_p in pairing.inverse_components(beta):
-            act = ring.u_action(y_p, psi)
-            if act.is_zero():
-                continue
-            rhs2 = rhs2 + window.op_right(act).compose(
-                window.op_partial(x_p * k_eta))
-    rhs2 = rhs2.compose(window.op_sigma(tuple(-x for x in mu)))
-    ok2, cex2 = window.op_left(psi).equals(rhs2)
-    entry2 = {"instance": f"rl2 psi{psi.describe()['weight']}", "pass": ok2}
-    if cex2:
-        entry2["counterexample"] = cex2
-    results.append(entry2)
-    return {"suite": "lemma-rl", "pass": ok and ok2, "results": results}
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +366,8 @@ def z_w_check(window: DWindow, i: int) -> dict:
     datum = window.datum
     results = []
 
-    def record(name, lhs, rhs):
-        ok, cex = lhs.equals(rhs)
-        entry = {"instance": name, "pass": ok}
-        if cex:
-            entry["counterexample"] = cex
-        results.append(entry)
+    def record(name: str, lhs: DOperator, rhs: DOperator):
+        results.append(_entry(name, lhs, rhs))
 
     record("Z(sigma_rho) = sigma_rho",
            z_conjugate(window, i, window.op_sigma(datum.rho)),
@@ -444,13 +435,16 @@ def extremal_transport_check(window: DWindow, word: Sequence[int],
     ws = datum.weyl_canonical(tuple(word) + (i,))
     c_ws = ring.extremal(ws, lam)
     collinear = _collinear(t_img.vec, c_ws.vec) and t_img.gamma == c_ws.gamma
-    return {
+    report = {
         "instance": f"w={list(word)} i={i} lam={datum.weight_str(lam)}",
         "w_alpha_i_positive": positive,
         "conjugate_is_left_mult": ok_formula,
         "lands_in_shifted_ore_set": collinear if positive else None,
         "pass": ok_formula and (not positive or collinear),
     }
+    if cex:
+        report["counterexample"] = cex
+    return report
 
 
 def _collinear(a: Vector, b: Vector) -> bool:

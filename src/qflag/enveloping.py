@@ -125,7 +125,6 @@ def _words_of_content(gamma: RootSum) -> List[Tuple[int, ...]]:
         letters.extend([i] * gamma[i])
     if not letters:
         return [()]
-    seen = set()
     out: List[Tuple[int, ...]] = []
 
     def rec(prefix: Tuple[int, ...], remaining: Tuple[int, ...]):

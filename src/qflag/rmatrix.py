@@ -189,7 +189,13 @@ def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
 def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
     """The root vectors E_{beta_k} (kind "e") or F_{beta_k} (kind "f") on
     mod, one per letter of the reduced word w0 = (i_1 ... i_N): the
-    generator of index i_k conjugated by T = T_{i_1} ... T_{i_{k-1}}."""
+    generator of index i_k conjugated by T = T_{i_1} ... T_{i_{k-1}}.
+    Memoized on the module; callers must not mutate them."""
+    return mod.memo.get(("root-vectors", kind),
+                        lambda: _root_vectors(mod, kind))
+
+
+def _root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
     word = mod.datum.longest_word()
     ts = linalg.running_products(braid_on_module(mod, i) for i in word)
     tinvs = linalg.running_products(
@@ -204,7 +210,13 @@ def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
 def theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
     """The quasi-R-matrix on m1 (x) m2 as the ordered product
     Theta = X_N ... X_1, X_k = exp_{q_i^-1}((q_i^-1 - q_i) E_{beta_k} (x)
-    F_{beta_k}) with i = i_k; later roots multiply on the left."""
+    F_{beta_k}) with i = i_k; later roots multiply on the left.  Memoized
+    on m1 per partner module, so R and R-check on one pair share it;
+    callers must not mutate it."""
+    return m1.memo.get(("theta", m2), lambda: _theta_matrix(m1, m2))
+
+
+def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
     datum = m1.datum
 
     def factors():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
+from . import coordring, linalg
 from .cartan import RootSum, Weight, box, by_height, kostant_dim
 from .coordring import CoordElement, CoordRing
 from .enveloping import UAlgebra, _content
@@ -34,8 +34,9 @@ class UPlusTruncation:
         self.depth_ht = depth_ht
         self.degrees: List[RootSum] = sorted(
             box((depth_ht,) * self.datum.rank, height=depth_ht), key=by_height)
+        self.bases = {g: algebra.basis(g) for g in self.degrees}
         self.words: Dict[RootSum, List[Tuple[int, ...]]] = {
-            g: algebra.basis(g).free_words for g in self.degrees}
+            g: b.free_words for g, b in self.bases.items()}
         self.offsets: Dict[RootSum, int] = {}
         n = 0
         for g in self.degrees:
@@ -44,17 +45,16 @@ class UPlusTruncation:
         self.dim = n
 
     def index(self, gamma: RootSum, word: Tuple[int, ...]) -> int:
-        return self.offsets[gamma] + self.words[gamma].index(word)
+        return self.offsets[gamma] + self.bases[gamma].free_pos[word]
 
     def zero_matrix(self) -> Matrix:
         return linalg.zeros(self.dim, self.dim, self.datum.l0)
 
     def reduce_into(self, mat: Matrix, col: int, gamma: RootSum,
                     coords: Dict[Tuple[int, ...], QScalar]) -> None:
-        off = self.offsets[gamma]
-        pos = {w: i for i, w in enumerate(self.words[gamma])}
         for w, c in coords.items():
-            mat[off + pos[w]][col] = mat[off + pos[w]][col] + c
+            row = mat[self.index(gamma, w)]
+            row[col] = row[col] + c
 
 
 class ThetaFormula:
@@ -183,30 +183,24 @@ class ThetaDirect:
     localized graded piece."""
 
     def __init__(self, ring: CoordRing, trunc: UPlusTruncation,
-                 probe: Weight, max_level: int = 8):
+                 probe: Weight):
         self.ring = ring
         self.trunc = trunc
         self.datum = ring.datum
         self.probe = tuple(probe)
-        self.level = self._stabilize(max_level)
+        self.level = ring.first_level(self.probe, self._stable)
+        if self.level is None:
+            raise QflagError(
+                f"no stabilization level for probe {self.probe} within "
+                f"{coordring.MAX_LEVEL} steps")
         self.memo = Memo()
 
-    def _stabilize(self, max_level: int) -> Weight:
-        datum = self.datum
-        mu = datum.zero_weight
-        for _ in range(max_level + 1):
-            grade = datum.weight_add(self.probe, mu)
-            if datum.is_dominant(grade):
-                fac = self.ring.factory(grade)
-                if all(fac.slice_dim(g) == kostant_dim(datum, g)
-                       for g in self.trunc.degrees) and \
-                        all(self._gram_ok(grade, g)
-                            for g in self.trunc.degrees):
-                    return mu
-            mu = datum.weight_add(mu, datum.rho)
-        raise QflagError(
-            f"no stabilization level for probe {self.probe} within "
-            f"{max_level} steps")
+    def _stable(self, grade: Weight) -> bool:
+        fac = self.ring.factory(grade)
+        degrees = self.trunc.degrees
+        return all(fac.slice_dim(g) == kostant_dim(self.datum, g)
+                   for g in degrees) and \
+            all(self._gram_ok(grade, g) for g in degrees)
 
     def _gram_ok(self, grade: Weight, gamma: RootSum) -> bool:
         mat, _w, d = self.ring.eval_solver(grade, gamma)
@@ -325,7 +319,7 @@ class ThetaDirect:
 
 
 def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
-                probes: Sequence[Weight], max_level: int = 8) -> dict:
+                probes: Sequence[Weight]) -> dict:
     """Build the generator family both ways and compare exactly."""
     datum = ring.datum
     formula = theta_formula(pairing, depth_ht)
@@ -338,7 +332,7 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
     gens.append(("dk", datum.rho))
     gens.append(("sigma", datum.rho))
     for probe in probes:
-        direct = ThetaDirect(ring, trunc, probe, max_level=max_level)
+        direct = ThetaDirect(ring, trunc, probe)
         for kind, arg in gens:
             mf = formula.theta(tuple(probe), kind, arg)
             md = direct.theta(kind, arg)

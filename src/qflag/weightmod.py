@@ -145,7 +145,6 @@ class WeightModule:
     # -- reporting -------------------------------------------------------------
 
     def describe(self) -> dict:
-        ch = self.character()
         return {
             "name": self.name,
             "side": self.side,
@@ -404,17 +403,20 @@ class SimpleFactory:
                 for p in src["pivots"]]
         return linalg.transpose(cols)
 
-    def apply_eword(self, gamma: RootSum, vec: Vector,
-                    eword: Tuple[int, ...]) -> Optional[Tuple[RootSum, Vector]]:
-        """Apply e_{i1}...e_{im} (innermost letter first) to a slice vector."""
-        datum = self.datum
+    def apply_word(self, gamma: RootSum, vec: Vector, kind: str,
+                   word: Tuple[int, ...]) -> Optional[Tuple[RootSum, Vector]]:
+        """Apply the letters of ``word`` of ``kind`` "e" or "f" (innermost
+        letter first) to a drop-gamma slice vector: (drop, vector), or None
+        once a step leaves the module."""
+        sign = 1 if kind == "f" else -1
         g = tuple(gamma)
         v = list(vec)
-        for i in reversed(eword):
-            m = self.e_step(g, i)
+        for i in reversed(word):
+            m = self.f_step(g, i) if kind == "f" else self.e_step(g, i)
             if m is None:
                 return None
-            g = tuple(a - b for a, b in zip(g, datum.alpha_root(i)))
+            ai = self.datum.alpha_root(i)
+            g = tuple(a + sign * b for a, b in zip(g, ai))
             v = linalg.mat_vec(m, v)
         return g, v
 

@@ -246,7 +246,7 @@ def test_criterion_08_localization_duality(ring1, ring2):
             ring1.datum.weight_sub_root(lam, g)) for g in ch}
         ok = ok and ch == expected
     for lam in [(1, 0), (-1, 0)]:
-        ch = ring2.localized_character((), lam, (2, 1), max_level=7)
+        ch = ring2.localized_character((), lam, (2, 1))
         expected = {g: verma_character(ring2.datum, lam, (2, 1)).coeff(
             ring2.datum.weight_sub_root(lam, g)) for g in ch}
         ok = ok and ch == expected
@@ -276,7 +276,7 @@ def test_criterion_10_theta_representation(ring1, ring2, pairing1, pairing2):
     probes1 = [(0,), (1,), (2,)]
     rep1 = theta_build(ring1, pairing1, 4, probes1)
     probes2 = [(0, 0), (1, 0), (2, 0), (1, 1)]
-    rep2 = theta_build(ring2, pairing2, 3, probes2, max_level=9)
+    rep2 = theta_build(ring2, pairing2, 3, probes2)
     span = [[("de", 0)], [("df", 0)], [("dk", (2,))], []]
     fp = theta_faithfulness_probe(ring1, pairing1, 3, probes1, span)
     ok = rep1["pass"] and rep2["pass"] and fp["pass"] and fp["rank"] == 4

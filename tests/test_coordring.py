@@ -2,10 +2,14 @@ import itertools
 
 import pytest
 
+from qflag import coordring, suites
 from qflag import linalg as la
 from qflag.cartan import verma_character
+from qflag.config import RunConfig
 from qflag.coordring import CoordRing
 from qflag.errors import DominanceError, OreSearchError, QflagError
+from qflag.thetarep import ThetaDirect, theta_formula
+from qflag.weightmod import braid_word
 
 
 def test_unit_laws(ring1):
@@ -27,7 +31,7 @@ def test_product_weights_and_functional_identity(ring1, alg1):
     fac = ring1.factory(ab.grade)
     for w, e in zip(words, evs):
         # the top coefficient <v*, e_w . ab>: e_w lands on the top weight
-        g, top = fac.apply_eword(ab.gamma, ab.vec, w)
+        g, top = fac.apply_word(ab.gamma, ab.vec, "e", w)
         assert not any(g) and top[0] == e
 
 
@@ -154,7 +158,7 @@ def test_localization_nontrivial_weyl(ring1, ring2):
 
 
 def test_theta_check_negative_grade(ring1):
-    assert ring1.theta_check((-1,), (2,), max_level=7)["pass"]
+    assert ring1.theta_check((-1,), (2,))["pass"]
 
 
 def test_localized_element_identification(ring1, ring2):
@@ -176,9 +180,78 @@ def test_localized_element_identification(ring1, ring2):
     assert z.same_element(z.raise_level((1, 1)))
 
 
-def test_localization_reports_failure(ring1):
-    rep = ring1.localize((), (0,), (3,), max_level=1)
+def test_localization_reports_failure(ring1, pairing1, monkeypatch):
+    monkeypatch.setattr(coordring, "MAX_LEVEL", 1)
+    rep = ring1.localize((), (0,), (3,))
     assert not rep["stabilized"]
+    # every search reads the one constant: theta_check and the direct theta
+    # route give up at level 1 too
+    drops = ring1.theta_check((-1,), (2,))["drops"]
+    assert [d.get("reason") for d in drops] == \
+        [None] + ["no stabilization level found"] * 2
+    trunc = theta_formula(pairing1, 4).trunc
+    with pytest.raises(QflagError, match="within 1 steps"):
+        ThetaDirect(ring1, trunc, (0,))
+
+
+def test_level_search_stops_at_the_first_stable_level(ring1):
+    # on A1 the localized drop-g piece of grade lam is stable from level
+    # max(0, g - lam) rho on, for both searches
+    for lam in range(-1, 3):
+        for g in range(4):
+            level = f"[{max(0, g - lam)}]"
+            assert ring1.localize((), (lam,), (g,))["level"] == level
+        drops = ring1.theta_check((lam,), (2,))["drops"]
+        assert [d["level"] for d in drops] == \
+            [f"[{max(0, g - lam)}]" for g in range(3)]
+
+
+@pytest.mark.parametrize("typ, levels", [
+    ("A1", {"localization": {0, 1, 2, 3, 4}, "theta": {2, 3, 4}}),
+    ("A2", {"localization": {0, 1, 2}, "theta": {2, 3}}),
+    ("B2", {"localization": {0, 1, 2}, "theta": {2, 3}}),
+    ("G2", {"localization": {0, 1, 2}, "theta": {2, 3}}),
+])
+def test_suites_stabilize_below_the_level_cap(monkeypatch, typ, levels):
+    """The levels (in multiples of rho) that the localization and theta
+    suites stabilize at; every search succeeds well inside MAX_LEVEL."""
+    found = []
+    real = CoordRing.first_level
+
+    def spy(self, lam, passes):
+        mu = real(self, lam, passes)
+        found.append(None if mu is None else
+                     next(k for k in range(coordring.MAX_LEVEL + 1)
+                          if mu == tuple(k * r for r in self.datum.rho)))
+        return mu
+
+    monkeypatch.setattr(CoordRing, "first_level", spy)
+    for suite, expected in levels.items():
+        found.clear()
+        assert suites.SUITES[suite](RunConfig(type=typ))["pass"]
+        assert set(found) == expected, suite
+        assert max(found) < coordring.MAX_LEVEL
+
+
+@pytest.mark.parametrize("lam", [(1,), (2,), (1, 0), (1, 1)])
+def test_mult_matrix_columns_are_products(ring1, ring2, lam):
+    """Column r of mult_matrix(lam, gamma, s, side) is s*phi_r ('left') or
+    phi_r*s ('right') for the slice basis phi_r, and the products land at
+    grade lam + grade(s)."""
+    ring = ring1 if len(lam) == 1 else ring2
+    d = ring.datum
+    factors = [ring.extremal(w, d.fundamental(0))
+               for w in d.all_weyl_words()] + ring.grade_basis(lam)[:2]
+    for gamma in sorted(ring.factory(lam).drops):
+        basis = ring.slice_basis(lam, gamma)
+        for s in factors:
+            for side in ("left", "right"):
+                mat = ring.mult_matrix(lam, gamma, s, side)
+                for r, phi in enumerate(basis):
+                    prod = ring.mult(s, phi) if side == "left" \
+                        else ring.mult(phi, s)
+                    assert prod.grade == d.weight_add(lam, s.grade)
+                    assert [row[r] for row in mat] == prod.vec
 
 
 def test_theta_check(ring1, ring2):
@@ -197,6 +270,30 @@ def test_schubert_examples(ring1):
     # Phi_1(c_lam) is the character functional: degree-0 table only
     rep = ring1.schubert((), ring1.highest((2,)))
     assert rep["table"] == {"<0>": ["1"]}
+
+
+def test_schubert_matches_the_full_braid_image(ring1, ring2):
+    """epsilon_w and the table of Phi_w read one row of T_w; the oracle
+    applies all of T_w to x v and reads the top entry."""
+    for ring, lam in ((ring1, (2,)), (ring2, (1, 0)), (ring2, (1, 1))):
+        d = ring.datum
+        mod = ring.module(lam)
+        top = mod.distinguished["highest"]
+        for w in d.all_weyl_words():
+            tw = braid_word(mod, d.weyl_canonical(w))
+            for phi in ring.grade_basis(lam):
+                v = ring.embed_full(mod, phi)
+                rep = ring.schubert(w, phi)
+                assert rep["epsilon"] == la.mat_vec(tw, v)[top]
+                target = d.weyl_act(tuple(reversed(d.weyl_canonical(w))), lam)
+                g = d.weight_to_root(d.weight_sub(target, phi.weight))
+                if g is None or any(c < 0 for c in g):
+                    assert rep["table"] == {}
+                    continue
+                old = [la.mat_vec(tw, la.mat_vec(
+                    mod.act(ring.algebra.e_word(xw)), v))[top].to_str()
+                    for xw in ring.algebra.basis(g).free_words]
+                assert rep["table"] == {d.root_str(g): old}
 
 
 def test_schubert_kernel_dims(ring1, ring2):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from qflag import diffops
 from qflag import linalg as la
 from qflag.center import (annihilator_check, center_solve,
                           commutes_with_generators, partial_z_is_sigma_zeta,
@@ -110,6 +111,18 @@ def test_extremal_transport(w1, w2):
     assert rep["pass"] and rep["w_alpha_i_positive"]
     rep2 = extremal_transport_check(w2, (1,), 0, (1, 0))
     assert rep2["pass"]
+
+
+def test_extremal_transport_reports_its_counterexample(w1, monkeypatch):
+    # a wrong braid image: the true one scaled by q
+    real = diffops._apply_braid_to_element
+    q = w1.datum.q_power(1)
+    monkeypatch.setattr(diffops, "_apply_braid_to_element",
+                        lambda *a, **k: real(*a, **k).scale(q))
+    rep = extremal_transport_check(w1, (), 0, (1,))
+    assert not rep["pass"] and rep["conjugate_is_left_mult"] is False
+    assert {"grade", "input", "output", "lhs", "rhs"} <= \
+        set(rep["counterexample"])
 
 
 def test_theta_formula_vs_direct(ring1, pairing1):

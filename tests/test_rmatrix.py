@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from qflag import linalg as la
@@ -473,3 +475,35 @@ def test_r_check_builds_each_carrier_once(monkeypatch, a2):
     assert rc.matrix == [r[a * v2.dim + b] for b in range(v2.dim)
                          for a in range(v1.dim)]
     assert module_map_commutes(rc.source, rc.target, rc.matrix)
+
+
+def test_theta_and_root_vectors_are_built_once(monkeypatch):
+    """The B2 R-checks with the hexagon on V(w2) (x) V(w1) (x) V(w2) build
+    Theta once per module pair and the root vectors once per module and
+    kind, so R-check reuses R's Theta."""
+    datum = preset("B2")
+    alg = UAlgebra(datum)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    thetas, roots = Counter(), Counter()
+
+    def count(counter, name, key):
+        real = getattr(rmatrix, name)
+        monkeypatch.setattr(rmatrix, name, lambda m, x: counter.update(
+            [(m.name, key(x))]) or real(m, x))
+
+    count(thetas, "_theta_matrix", lambda m2: m2.name)
+    count(roots, "_root_vectors", lambda kind: kind)
+    for a, b in [(v1, v1), (v1, v2)]:
+        r = r_operator(pairing, a, b, "R").matrix
+        rinv = r_operator(pairing, a, b, "R-inverse").matrix
+        assert la.mat_eq(la.mat_mul(r, rinv),
+                         la.identity(a.dim * b.dim, datum.l0))
+        r_operator(pairing, a, b, "R-check")
+    assert hexagon_check(pairing, v2, v1, v2)["pass"]
+    v21 = tensor(v2, v1).name
+    assert thetas == Counter({(v1.name, v1.name): 1, (v1.name, v2.name): 1,
+                              (v2.name, v2.name): 1, (v21, v2.name): 1})
+    assert roots == Counter({(v1.name, "e"): 1, (v1.name, "f"): 1,
+                             (v2.name, "e"): 1, (v2.name, "f"): 1,
+                             (v21, "e"): 1})
