@@ -242,27 +242,6 @@ def partial_z_is_sigma_zeta(window, zc: CenterElement) -> bool:
     return ok
 
 
-def zeta_linkage_scan(algebra: UAlgebra, zc: CenterElement,
-                      lams: Sequence[Weight]) -> dict:
-    """zeta_{l1} == zeta_{l2} iff l2 lies in the shifted Weyl orbit of l1,
-    scanned over the given weights for this element."""
-    datum = algebra.datum
-    results = []
-    ok = True
-    for l1 in lams:
-        for l2 in lams:
-            eq = zc.zeta_at(tuple(l1)) == zc.zeta_at(tuple(l2))
-            orb = datum.linked(l1, l2) is not None
-            # equality must hold whenever linked; a single element may fail
-            # to separate unlinked weights, which the caller aggregates
-            results.append({"l1": datum.weight_str(tuple(l1)),
-                            "l2": datum.weight_str(tuple(l2)),
-                            "equal": eq, "linked": orb})
-            if orb and not eq:
-                ok = False
-    return {"pass": ok, "results": results}
-
-
 def zeta_separation_scan(algebra: UAlgebra, centers: Sequence[CenterElement],
                          lams: Sequence[Weight]) -> dict:
     """Joint scan: the family of characters evaluated on all found central
@@ -294,8 +273,7 @@ def annihilator_check(algebra: UAlgebra, zc: CenterElement, lam: Weight,
     mod = verma(algebra, tuple(lam), tuple(depth))
     zeta = zc.zeta_at(mu)
     mat = mod.act(zc.element)
-    ident = linalg.identity(mod.dim, datum.l0)
-    diff = linalg.mat_sub(mat, linalg.mat_scale(ident, zeta))
+    diff = linalg.mat_sub(mat, linalg.diagonal([zeta] * mod.dim, datum.l0))
     # rows landing outside the truncation window are not exact; z has
     # weight zero so every block is window-to-window and exact
     annihilates = linalg.is_zero_matrix(diff)

@@ -251,24 +251,19 @@ class CoordRing:
         values = []
         for w in words:
             # Sweedler branches: e_i acts as e_i (x) 1 + k_i (x) e_i
-            branches = [(a.gamma, list(a.vec), b.gamma, list(b.vec),
-                         datum.one())]
+            branches = [(a.gamma, a.vec, b.gamma, b.vec, datum.one())]
             for i in reversed(w):
                 nxt = []
-                ai = datum.alpha_root(i)
                 for (ga, va, gb, vb, c) in branches:
-                    step = faca.e_step(ga, i)
-                    if step is not None:
-                        nxt.append((tuple(x - y for x, y in zip(ga, ai)),
-                                    linalg.mat_vec(step, va), gb, vb, c))
-                    stepb = facb.e_step(gb, i)
-                    if stepb is not None:
+                    res = faca.apply_word(ga, va, "e", (i,))
+                    if res is not None:
+                        nxt.append((*res, gb, vb, c))
+                    res = facb.apply_word(gb, vb, "e", (i,))
+                    if res is not None:
                         tw = datum.q_pair(
                             datum.alpha(i),
                             datum.weight_sub_root(a.grade, ga))
-                        nxt.append((ga, va,
-                                    tuple(x - y for x, y in zip(gb, ai)),
-                                    linalg.mat_vec(stepb, vb), c * tw))
+                        nxt.append((ga, va, *res, c * tw))
                 branches = nxt
             val = datum.zero()
             for (ga, va, gb, vb, c) in branches:
@@ -313,14 +308,17 @@ class CoordRing:
 
     def extremal(self, word: Sequence[int], lam: Weight) -> CoordElement:
         """c^w_lam: the deterministic extremal vector of weight w^{-1}lam,
-        built by divided-power lowering along the canonical reduced word."""
+        built by divided-power lowering along the canonical reduced word.
+        Memoized per (w, lam); callers must not mutate it."""
+        key = ("extremal", self.datum.weyl_canonical(word), tuple(lam))
+        return self.memo.get(key, lambda: self._extremal(*key[1:]))
+
+    def _extremal(self, word: Tuple[int, ...], lam: Weight) -> CoordElement:
         datum = self.datum
-        lam = tuple(lam)
         if not datum.is_dominant(lam):
             raise DominanceError(f"{lam} is not dominant")
         fac = self.factory(lam)
-        winv = datum.weyl_canonical(tuple(reversed(
-            datum.weyl_canonical(word))))
+        winv = datum.weyl_canonical(tuple(reversed(word)))
         cur_weight = lam
         gamma = datum.zero_root
         vec: Vector = [datum.one()]

@@ -57,45 +57,37 @@ class DWindow:
                 blocks[g] = None
         return DOperator(self, tuple(grade), blocks)
 
-    def op_identity(self) -> "DOperator":
-        blocks = {g: linalg.identity(self.module(g).dim, self.datum.l0)
-                  for g in self.grades}
-        return DOperator(self, self.datum.zero_weight, blocks, unit=True)
-
-    def op_left(self, phi: CoordElement) -> "DOperator":
-        blocks = {}
-        for g in self.grades:
-            tgt = self.datum.weight_add(g, phi.grade)
-            blocks[g] = (self.ring.full_mult_matrix(g, phi, "left")
-                         if tgt in self.grade_set else None)
-        return DOperator(self, phi.grade, blocks)
-
-    def op_right(self, phi: CoordElement) -> "DOperator":
-        blocks = {}
-        for g in self.grades:
-            tgt = self.datum.weight_add(g, phi.grade)
-            blocks[g] = (self.ring.full_mult_matrix(g, phi, "right")
-                         if tgt in self.grade_set else None)
-        return DOperator(self, phi.grade, blocks)
+    def op_mult(self, phi: CoordElement, side: str) -> "DOperator":
+        """l_phi ('left', x -> phi*x) or r_phi ('right', x -> x*phi), the
+        convention of ``CoordRing.full_mult_matrix``.  Memoized on the
+        window; callers must not mutate it."""
+        key = ("mult", phi.grade, phi.gamma, tuple(phi.vec), side)
+        return self.memo.get(key, lambda: DOperator(self, phi.grade, {
+            g: self.ring.full_mult_matrix(g, phi, side)
+            if self.datum.weight_add(g, phi.grade) in self.grade_set else None
+            for g in self.grades}))
 
     def op_partial(self, u: UElement) -> "DOperator":
         if u == self.algebra.one():
-            return self.op_identity()
+            return self.op_sigma(self.datum.zero_weight)
         blocks = {g: self.module(g).act(u) for g in self.grades}
         return DOperator(self, self.datum.zero_weight, blocks)
 
     def op_sigma(self, lam: Weight) -> "DOperator":
-        blocks = {}
-        for g in self.grades:
-            c = self.datum.q_pair(lam, g)
-            blocks[g] = linalg.mat_scale(
-                linalg.identity(self.module(g).dim, self.datum.l0), c)
-        return DOperator(self, self.datum.zero_weight, blocks)
+        """sigma_lam: q^{(lam, g)} on grade g; sigma_0 is the unit."""
+        l0 = self.datum.l0
+        blocks = {g: linalg.diagonal(
+            [self.datum.q_pair(lam, g)] * self.module(g).dim, l0)
+            for g in self.grades}
+        return DOperator(self, self.datum.zero_weight, blocks,
+                         unit=not any(lam))
 
-    def braid_blocks(self, i: int, inverse: bool = False) -> Dict[Weight, Matrix]:
-        return self.memo.get(("braid", i, inverse), lambda: {
-            g: braid_on_module(self.module(g), i, inverse=inverse)
-            for g in self.grades})
+    def op_braid(self, i: int, inverse: bool = False) -> "DOperator":
+        """T_i^{+-1} on every grade of the window (memoized on it)."""
+        return self.memo.get(("braid", i, inverse), lambda: DOperator(
+            self, self.datum.zero_weight,
+            {g: braid_on_module(self.module(g), i, inverse=inverse)
+             for g in self.grades}))
 
 
 class DOperator:
@@ -118,9 +110,6 @@ class DOperator:
             a, b = self.blocks.get(g), other.blocks.get(g)
             blocks[g] = None if a is None or b is None else linalg.mat_add(a, b)
         return DOperator(self.window, self.grade, blocks)
-
-    def __sub__(self, other: "DOperator") -> "DOperator":
-        return self + other.scale(-self.window.datum.one())
 
     def scale(self, c: QScalar) -> "DOperator":
         return DOperator(self.window, self.grade, {
@@ -188,10 +177,6 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
     alg = window.algebra
     datum = window.datum
     results = []
-
-    def record(name: str, lhs: DOperator, rhs: DOperator):
-        results.append(_entry(name, lhs, rhs))
-
     small = [g for g in window.grades if any(g)]
     probes = [datum.fundamental(i) for i in range(datum.rank)] + [datum.rho]
     corrupt_twist = datum.q_power(Fraction(1, datum.l0)) if corrupt \
@@ -210,61 +195,65 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
                 continue
             for phi in ring.grade_basis(g1)[:2]:
                 for psi in ring.grade_basis(g2)[:2]:
-                    record(
+                    results.append(_entry(
                         f"comm1 l_phi l_psi {datum.weight_str(g1)}"
                         f"{datum.weight_str(g2)}",
-                        window.op_left(phi).compose(window.op_left(psi)),
-                        window.op_left(ring.mult(phi, psi)))
+                        window.op_mult(phi, "left").compose(
+                            window.op_mult(psi, "left")),
+                        window.op_mult(ring.mult(phi, psi), "left")))
     # comm2: sigma additive
     for lam in probes:
         for mu in probes:
-            record(f"comm2 sigma {lam}+{mu}",
-                   sigma(lam).compose(sigma(mu)),
-                   sigma(datum.weight_add(lam, mu)))
+            results.append(_entry(f"comm2 sigma {lam}+{mu}",
+                                  sigma(lam).compose(sigma(mu)),
+                                  sigma(datum.weight_add(lam, mu))))
     # comm3: partial multiplicative
     gens = [alg.e(i) for i in range(datum.rank)] + \
            [alg.f(i) for i in range(datum.rank)] + \
            [alg.k(datum.fundamental(0))]
     for a in gens[:3]:
         for b in gens[:3]:
-            record("comm3 partial(uv)",
-                   window.op_partial(a).compose(window.op_partial(b)),
-                   window.op_partial(a * b))
+            results.append(_entry(
+                "comm3 partial(uv)",
+                window.op_partial(a).compose(window.op_partial(b)),
+                window.op_partial(a * b)))
     # comm4: sigma vs left multiplication
     for lam in probes:
         for g in small:
-            phi = ring.grade_basis(g)[0]
-            record(f"comm4 sigma{lam} l_phi{datum.weight_str(g)}",
-                   sigma(lam).compose(window.op_left(phi)),
-                   window.op_left(phi).compose(sigma(lam)).scale(
-                       datum.q_pair(lam, g)))
+            l_phi = window.op_mult(ring.grade_basis(g)[0], "left")
+            results.append(_entry(
+                f"comm4 sigma{lam} l_phi{datum.weight_str(g)}",
+                sigma(lam).compose(l_phi),
+                l_phi.compose(sigma(lam)).scale(datum.q_pair(lam, g))))
     # comm5: sigma central among partials
     for u in gens:
-        record("comm5 sigma partial",
-               sigma(datum.rho).compose(window.op_partial(u)),
-               window.op_partial(u).compose(sigma(datum.rho)))
+        results.append(_entry(
+            "comm5 sigma partial",
+            sigma(datum.rho).compose(window.op_partial(u)),
+            window.op_partial(u).compose(sigma(datum.rho))))
     # comm6 and the antipode-twisted exchange, for generators of U
     for u in [alg.e(i) for i in range(datum.rank)] + \
              [alg.f(i) for i in range(datum.rank)] + \
              [alg.k(datum.rho)]:
         for g in small:
             for phi in ring.grade_basis(g):
+                l_phi = window.op_mult(phi, "left")
                 rhs = window.op_zero(g)
                 for u0, u1 in sweedler_pairs(alg, u):
                     act = ring.u_action(u0, phi)
-                    rhs = rhs + window.op_left(act).compose(
+                    rhs = rhs + window.op_mult(act, "left").compose(
                         window.op_partial(u1))
-                record(f"comm6 {u.to_str()[:12]} {datum.weight_str(g)}",
-                       window.op_partial(u).compose(window.op_left(phi)),
-                       rhs)
+                results.append(_entry(
+                    f"comm6 {u.to_str()[:12]} {datum.weight_str(g)}",
+                    window.op_partial(u).compose(l_phi), rhs))
                 rhs2 = window.op_zero(g)
                 for u0, u1 in sweedler_pairs(alg, u):
                     tw = ring.u_action(alg.antipode(u0, inverse=True), phi)
                     rhs2 = rhs2 + window.op_partial(u1).compose(
-                        window.op_left(tw))
-                record(f"exchange {u.to_str()[:12]} {datum.weight_str(g)}",
-                       window.op_left(phi).compose(window.op_partial(u)),
-                       rhs2)
+                        window.op_mult(tw, "left"))
+                results.append(_entry(
+                    f"exchange {u.to_str()[:12]} {datum.weight_str(g)}",
+                    l_phi.compose(window.op_partial(u)), rhs2))
     passed = all(r["pass"] for r in results)
     return {"suite": "relations", "pass": passed, "results": results}
 
@@ -296,8 +285,7 @@ def _rl_entry(window: DWindow, psi: CoordElement, side: str,
     and, mirrored, l_psi = sum_p r_{y_p psi} partial_{x_p k_eta} sigma_{-mu}
     ('left', rl2), with mu the grade and eta the weight of psi."""
     ring = window.ring
-    own, other = (window.op_right, window.op_left) if side == "right" \
-        else (window.op_left, window.op_right)
+    other = "left" if side == "right" else "right"
     k_eta = window.algebra.k(psi.weight)
     rhs = window.op_zero(psi.grade)
     for beta in betas:
@@ -307,10 +295,12 @@ def _rl_entry(window: DWindow, psi: CoordElement, side: str,
             act = ring.u_action(x_p, psi)
             if act.is_zero():
                 continue
-            rhs = rhs + other(act).compose(window.op_partial(y_p * k_eta))
+            rhs = rhs + window.op_mult(act, other).compose(
+                window.op_partial(y_p * k_eta))
     rhs = rhs.compose(window.op_sigma(tuple(-x for x in psi.grade)))
     name = "rl1" if side == "right" else "rl2"
-    return _entry(f"{name} psi{psi.describe()['weight']}", own(psi), rhs)
+    return _entry(f"{name} psi{psi.describe()['weight']}",
+                  window.op_mult(psi, side), rhs)
 
 
 def _entry(name: str, lhs: DOperator, rhs: DOperator) -> dict:
@@ -328,20 +318,8 @@ def _entry(name: str, lhs: DOperator, rhs: DOperator) -> dict:
 # ---------------------------------------------------------------------------
 
 def z_conjugate(window: DWindow, i: int, d: DOperator) -> DOperator:
-    """Z_{s_i}(d) = T_i^{-1} o d o T_i, blockwise on the window."""
-    t = window.braid_blocks(i)
-    tinv = window.braid_blocks(i, inverse=True)
-    datum = window.datum
-    blocks: Dict[Weight, Optional[Matrix]] = {}
-    for g in window.grades:
-        m = d.blocks.get(g)
-        tgt = datum.weight_add(g, d.grade)
-        if m is None or tgt not in window.grade_set:
-            blocks[g] = None
-        else:
-            blocks[g] = linalg.mat_mul(
-                tinv[tgt], linalg.mat_mul(m, t[g]))
-    return DOperator(window, d.grade, blocks)
+    """Z_{s_i}(d) = T_i^{-1} o d o T_i on the window."""
+    return window.op_braid(i, True).compose(d.compose(window.op_braid(i)))
 
 
 def _exp_tensor_components(alg: UAlgebra, i: int,
@@ -364,19 +342,15 @@ def z_w_check(window: DWindow, i: int) -> dict:
     ring = window.ring
     alg = window.algebra
     datum = window.datum
-    results = []
-
-    def record(name: str, lhs: DOperator, rhs: DOperator):
-        results.append(_entry(name, lhs, rhs))
-
-    record("Z(sigma_rho) = sigma_rho",
-           z_conjugate(window, i, window.op_sigma(datum.rho)),
-           window.op_sigma(datum.rho))
+    sigma_rho = window.op_sigma(datum.rho)
+    results = [_entry("Z(sigma_rho) = sigma_rho",
+                      z_conjugate(window, i, sigma_rho), sigma_rho)]
     for u in [alg.e(j) for j in range(datum.rank)] + \
              [alg.f(j) for j in range(datum.rank)] + [alg.k(datum.rho)]:
-        record(f"Z(partial {u.to_str()[:10]})",
-               z_conjugate(window, i, window.op_partial(u)),
-               window.op_partial(alg.braid_on_element(i, u, inverse=True)))
+        results.append(_entry(
+            f"Z(partial {u.to_str()[:10]})",
+            z_conjugate(window, i, window.op_partial(u)),
+            window.op_partial(alg.braid_on_element(i, u, inverse=True))))
     bound = max(sum(datum.lowest_drop(g)) for g in window.grades) + 1
     comps = _exp_tensor_components(alg, i, bound)
     for g in window.grades:
@@ -389,10 +363,12 @@ def z_w_check(window: DWindow, i: int) -> dict:
                 act = ring.u_action(b_p, tphi)
                 if act.is_zero():
                     continue
-                rhs = rhs + window.op_left(act).compose(window.op_partial(a_p))
-            record(f"Z(l_phi) {datum.weight_str(g)} wt "
-                   f"{datum.weight_str(phi.weight)}",
-                   z_conjugate(window, i, window.op_left(phi)), rhs)
+                rhs = rhs + window.op_mult(act, "left").compose(
+                    window.op_partial(a_p))
+            results.append(_entry(
+                f"Z(l_phi) {datum.weight_str(g)} wt "
+                f"{datum.weight_str(phi.weight)}",
+                z_conjugate(window, i, window.op_mult(phi, "left")), rhs))
     passed = all(r["pass"] for r in results)
     return {"suite": "zw", "i": i, "pass": passed, "results": results}
 
@@ -404,7 +380,7 @@ def _apply_braid_to_element(window: DWindow, i: int, phi: CoordElement,
     ring = window.ring
     datum = window.datum
     mod = window.module(phi.grade)
-    mat = window.braid_blocks(i, inverse=inverse)[tuple(phi.grade)]
+    mat = window.op_braid(i, inverse).blocks[tuple(phi.grade)]
     vec = linalg.mat_vec(mat, ring.embed_full(mod, phi))
     target = datum.weyl_act((i,), phi.weight)
     g = datum.weight_to_root(datum.weight_sub(phi.grade, target))
@@ -429,9 +405,9 @@ def extremal_transport_check(window: DWindow, word: Sequence[int],
     gr = datum.weight_to_root(alpha_i_img)
     positive = gr is not None and all(c >= 0 for c in gr) and any(gr)
     c_w = ring.extremal(word, lam)
-    z_img = z_conjugate(window, i, window.op_left(c_w))
+    z_img = z_conjugate(window, i, window.op_mult(c_w, "left"))
     t_img = _apply_braid_to_element(window, i, c_w, inverse=True)
-    ok_formula, cex = z_img.equals(window.op_left(t_img))
+    ok_formula, cex = z_img.equals(window.op_mult(t_img, "left"))
     ws = datum.weyl_canonical(tuple(word) + (i,))
     c_ws = ring.extremal(ws, lam)
     collinear = _collinear(t_img.vec, c_ws.vec) and t_img.gamma == c_ws.gamma

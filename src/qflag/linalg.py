@@ -27,12 +27,16 @@ def zeros(rows: int, cols: int, l0: int) -> Matrix:
     return [[z for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(n: int, l0: int) -> Matrix:
-    out = zeros(n, n, l0)
-    one = QScalar.one(l0)
-    for i in range(n):
-        out[i][i] = one
+def diagonal(entries: Sequence[QScalar], l0: int) -> Matrix:
+    """The square matrix with ``entries`` on its diagonal."""
+    out = zeros(len(entries), len(entries), l0)
+    for i, c in enumerate(entries):
+        out[i][i] = c
     return out
+
+
+def identity(n: int, l0: int) -> Matrix:
+    return diagonal([QScalar.one(l0)] * n, l0)
 
 
 def _nonzero_columns(row: Sequence[QScalar]) -> List[int]:

@@ -180,10 +180,7 @@ def _scale_columns(mat: Matrix, diag: List[QScalar]) -> Matrix:
 
 
 def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    diag = _kappa_diagonal(m1, m2)
-    zero = m1.datum.zero()
-    return [[c if a == b else zero for b in range(len(diag))]
-            for a, c in enumerate(diag)]
+    return linalg.diagonal(_kappa_diagonal(m1, m2), m1.datum.l0)
 
 
 def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:

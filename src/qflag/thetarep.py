@@ -95,13 +95,10 @@ class ThetaFormula:
 
     def _n_conj(self, mu: Weight) -> Matrix:
         trunc = self.trunc
-        out = trunc.zero_matrix()
-        for g in trunc.degrees:
-            c = self.datum.q_pair(mu, self.datum.root_to_weight(g))
-            for w in trunc.words[g]:
-                idx = trunc.index(g, w)
-                out[idx][idx] = c
-        return out
+        return linalg.diagonal(
+            [self.datum.q_pair(mu, self.datum.root_to_weight(g))
+             for g in trunc.degrees for _w in trunc.words[g]],
+            self.datum.l0)
 
     def conv(self, i: int, leg: int) -> Matrix:
         """The convolution u -> sum phi_i(u_(leg)) u_(other leg), where the
@@ -149,9 +146,8 @@ class ThetaFormula:
         partial_{k_mu} per the displayed formulas."""
         datum = self.datum
         if kind == "sigma":
-            return linalg.mat_scale(
-                linalg.identity(self.trunc.dim, datum.l0),
-                datum.q_pair(arg, probe))
+            return linalg.diagonal([datum.q_pair(arg, probe)] * self.trunc.dim,
+                                   datum.l0)
         if kind == "de":
             return self.m_right(arg)
         if kind == "dk":
@@ -281,12 +277,10 @@ class ThetaDirect:
         from <phi_a, Theta(d)(x_b)> = <d(phi_a), x_b>."""
         datum = self.datum
         trunc = self.trunc
-        out = trunc.zero_matrix()
         if kind == "sigma":
-            c = datum.q_pair(arg, self.probe)
-            for idx in range(trunc.dim):
-                out[idx][idx] = c
-            return out
+            return linalg.diagonal([datum.q_pair(arg, self.probe)] * trunc.dim,
+                                   datum.l0)
+        out = trunc.zero_matrix()
         # Theta(de_i) raises the plus-part degree, Theta(df_i) lowers it
         shift = {"de": datum.alpha_root(arg) if kind == "de" else None,
                  "df": tuple(-x for x in datum.alpha_root(arg))

@@ -84,11 +84,8 @@ class WeightModule:
     # -- actions -------------------------------------------------------------
 
     def k_matrix(self, lam: Sequence[int]) -> Matrix:
-        n = self.dim
-        out = linalg.zeros(n, n, self.datum.l0)
-        for i, w in enumerate(self.index_weights):
-            out[i][i] = self.datum.q_pair(lam, w)
-        return out
+        return linalg.diagonal([self.datum.q_pair(lam, w)
+                                for w in self.index_weights], self.datum.l0)
 
     def gen_matrix(self, kind: str, i: int) -> Matrix:
         return self.gen[(kind, i)]
@@ -579,10 +576,8 @@ def _braid_operator(mod: WeightModule, i: int) -> Matrix:
     di = datum.d(i)
     qi = datum.q_power(di)
     # H_i: diagonal q_i^{m(m+1)/2} with m = (weight, alpha_i^vee)
-    h = linalg.zeros(mod.dim, mod.dim, datum.l0)
-    for a, w in enumerate(mod.index_weights):
-        mcoef = w[i]
-        h[a][a] = datum.q_power(Fraction(di * mcoef * (mcoef + 1), 2))
+    h = linalg.diagonal([datum.q_power(Fraction(di * w[i] * (w[i] + 1), 2))
+                         for w in mod.index_weights], datum.l0)
     e_i, f_i = alg.e(i), alg.f(i)
     ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
 

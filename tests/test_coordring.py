@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -92,6 +93,27 @@ def test_extremal_examples(ring1, ring2):
     assert ring2.factory((1, 0)).slice_dim(cw0.gamma) == 1
     with pytest.raises(DominanceError):
         ring1.extremal((), (-1,))
+
+
+def test_extremal_built_once_per_key(monkeypatch, alg2):
+    built = Counter()
+    real = CoordRing._extremal
+
+    def spy(self, word, lam):
+        built[(word, lam)] += 1
+        return real(self, word, lam)
+
+    monkeypatch.setattr(CoordRing, "_extremal", spy)
+    ring = CoordRing(alg2)
+    d = alg2.datum
+    # (0, 1, 0) and (1, 0, 1) are two words of the longest element
+    first = ring.extremal((0, 1, 0), (1, 0))
+    assert ring.extremal((1, 0, 1), [1, 0]) is first
+    for _ in range(2):
+        for w in d.all_weyl_words():
+            for lam in ((1, 0), (0, 1), (1, 1)):
+                ring.extremal(w, lam)
+    assert len(built) == 6 * 3 and set(built.values()) == {1}
 
 
 def test_extremal_products_stay_extremal(ring2):

@@ -348,3 +348,18 @@ def test_is_identity():
     assert not la.is_identity([[one, zero]])
     assert not la.is_identity([[one, zero], [one, one]])
     assert not la.is_identity([[QScalar.parse("q", L0)]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_diagonal_is_a_scaled_identity(n):
+    for c in _POOL:
+        assert la.diagonal([c] * n, L0) == \
+            la.mat_scale(la.identity(n, L0), c)
+    # distinct entries land on the diagonal in order, zeros elsewhere
+    entries = _POOL[:n]
+    mat = la.diagonal(entries, L0)
+    assert len(mat) == n and all(len(row) == n for row in mat)
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            assert x == entries[i] if i == j else x.is_zero()
+    assert la.diagonal([], L0) == [] == la.identity(0, L0)
