@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import linalg
 from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
-                     weyl_character)
+                     weyl_character, within)
 from .coordring import CoordElement, CoordRing
 from .errors import QflagError
 from .linalg import Matrix
@@ -113,8 +113,7 @@ class EBimodule:
                 if not any(gpsi):
                     continue
                 for glam in use:
-                    tot = datum.weight_add(datum.weight_add(gphi, gpsi), glam)
-                    if not _within(tot, self.cutoff):
+                    if not within(self.cutoff, gphi, gpsi, glam):
                         continue
                     for phi in self.ring.grade_basis(gphi):
                         for psi in self.ring.grade_basis(gpsi):
@@ -212,10 +211,6 @@ class EBimodule:
             total = total + self.layer_character(k, lam)
         prod = weyl_character(datum, self.mu) * weyl_character(datum, lam)
         return total == prod
-
-
-def _within(w: Weight, cutoff: Weight) -> bool:
-    return all(a <= b for a, b in zip(w, cutoff))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,11 @@ def box(hi: Sequence[int], lo: Optional[Sequence[int]] = None,
     return [g for g in points if sum(g) <= height]
 
 
+def within(window: Sequence[int], *grades: Sequence[int]) -> bool:
+    """Whether the sum of ``grades`` lies in ``box(window)``."""
+    return all(sum(g) <= w for w, *g in zip(window, *grades))
+
+
 def by_height(g: Sequence[int]):
     """Sort key: by height sum(g), then lexicographically."""
     return (sum(g), g)

@@ -1,12 +1,14 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 from qflag import cartan
 from qflag.cartan import CartanDatum, CharacterPoly, box, by_height, \
-    kostant_dim, kostant_table, preset, verma_character, weyl_character
+    kostant_dim, kostant_table, preset, verma_character, weyl_character, \
+    within
 from qflag.errors import DominanceError, ParseError
 from qflag.scalars import QScalar
 
@@ -144,6 +146,15 @@ def test_by_height_orders_by_sum_then_lexicographically():
     assert sorted(points, key=by_height) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
         (2, 2)]
+
+
+def test_within_is_the_box_test_of_a_sum():
+    window = (2, 1)
+    for n in (1, 2, 3):
+        for grades in product(box(window), repeat=n):
+            total = tuple(map(sum, zip(*grades)))
+            assert within(window, *grades) == (total in box(window))
+    assert within((0, 0)) and not within((1,), (1,), (1,))
 
 
 PRESETS = ("A1", "A2", "B2", "G2")

@@ -190,6 +190,44 @@ def test_height_cap_exits_three(monkeypatch, capsys):
     assert "error: height cap:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
+    """At a cap of 3 many modules do not fit; every check that needs one
+    is reported skipped, and none fails or crashes."""
+    monkeypatch.setenv("QFLAG_MAX_HEIGHT", "3")
+    code, out = run_cli(["verify", "all", "--type", typ, "--json"], capsys)
+    assert code == 0
+    entries = [r for rep in json.loads(out)["results"]
+               for r in rep["results"]]
+    assert all(r["pass"] is True for r in entries)
+    assert any(r.get("note") == "skipped: above height cap" for r in entries)
+
+
+def test_cap_error_is_a_skip_not_a_failure(monkeypatch, capsys):
+    # two A2 Ore witnesses need a word of f-height 4 under a cap of 3
+    monkeypatch.setenv("QFLAG_MAX_HEIGHT", "3")
+    code, out = run_cli(["verify", "ore", "--type", "A2", "--json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    skipped = [r["instance"] for r in results
+               if r.get("note") == "skipped: above height cap"]
+    assert skipped == ["left w=[1, 0] wt=[0,-1]", "right w=[1, 0] wt=[0,-1]"]
+    assert len(results) == 36 and all(r["pass"] is True for r in results)
+
+
+def test_coord_with_an_empty_window_reaches_a_verdict(capsys):
+    # no nonzero grade in [0,0]: the checks have nothing to compare
+    code, out = run_cli(["verify", "coord", "--type", "A2", "--cutoff",
+                         "[0,0]", "--json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [r["instance"] for r in results] == [
+        "associativity", "covering threshold found", "domain spot check",
+        "schubert evaluation multiplicative"]
+    assert all(r["pass"] is True and r["note"] == "skipped: above height cap"
+               for r in results)
+
+
 def test_suite_context_follows_height_cap(monkeypatch):
     """The suites' shared context is keyed on the cap in force: after
     QFLAG_MAX_HEIGHT changes, a suite gets a datum with the new cap."""
