@@ -197,9 +197,6 @@ class CartanDatum:
     def d(self, i: int) -> int:
         return self.symmetrizers[i]
 
-    def root_pair(self, gamma: Sequence[int], delta: Sequence[int]) -> Fraction:
-        return self.pair_ww(self.root_to_weight(gamma), self.root_to_weight(delta))
-
     def q_power(self, exp) -> QScalar:
         return QScalar.q_power(exp, self.l0)
 
@@ -508,10 +505,6 @@ class CharacterPoly:
 
     def coeff(self, lam: Weight) -> int:
         return self.terms.get(tuple(lam), 0)
-
-    def weyl_image(self, word: Sequence[int]) -> "CharacterPoly":
-        return CharacterPoly(self.datum, {
-            self.datum.weyl_act(word, w): c for w, c in self.terms.items()})
 
     def total(self) -> int:
         return sum(self.terms.values())

@@ -8,10 +8,12 @@ of degree gamma.  The ring reads V(lam) from the algebra's one
 ``weightmod.simple_factory``, whose weight spaces are built one drop at a
 time, only as far as they are asked for.  The evaluation matrix of a
 weight space is the contravariant-form Gram matrix the factory builds it
-from, on its pivot columns; products are computed by solving that
-evaluation system exactly.  On top of the ring sit extremal elements, Ore
-witnesses, stabilized localizations, the evaluation map onto plus-part
-functionals, and Schubert-cell homomorphisms.
+from, on its pivot columns.  A product is computed as its evaluations
+(``product_evaluations``), which callers that only pair it against words
+read as they are; ``mult`` solves that evaluation system exactly for its
+coordinates.  On top of the ring sit extremal elements, Ore witnesses,
+stabilized localizations, the evaluation map onto plus-part functionals,
+and Schubert-cell homomorphisms.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class CoordElement:
 class LocalizedElement:
     """A fraction (c^w_mu)^{-1} psi in the localized ring: denominator
     grade mu, numerator of grade lam + mu.  Two representatives denote the
-    same element exactly when they agree after raising to a common level,
-    which the injectivity of extremal multiplication makes well-defined."""
+    same element exactly when they agree after raising to a common level
+    (``raise_level``), which the injectivity of extremal multiplication
+    makes well-defined."""
 
     __slots__ = ("ring", "word", "level", "numerator")
 
@@ -129,16 +132,6 @@ class LocalizedElement:
         num = ring.mult(c_nu, self.numerator).scale(kappa.inverse())
         return LocalizedElement(ring, self.word,
                                 datum.weight_add(self.level, nu), num)
-
-    def same_element(self, other: "LocalizedElement") -> bool:
-        if self.word != other.word or self.grade != other.grade:
-            return False
-        datum = self.ring.datum
-        joint = tuple(max(a, b) for a, b in zip(self.level, other.level))
-        a = self.raise_level(datum.weight_sub(joint, self.level))
-        b = other.raise_level(datum.weight_sub(joint, other.level))
-        return a.numerator.gamma == b.numerator.gamma and \
-            a.numerator.vec == b.numerator.vec
 
     def describe(self) -> dict:
         datum = self.ring.datum
@@ -241,8 +234,13 @@ class CoordRing:
         return CoordElement(self, lam, gamma, sol)
 
     def mult(self, a: CoordElement, b: CoordElement) -> CoordElement:
-        """Product via the functional identity
-        <ab, x> = <v* (x) v*, Delta(x)(v_a (x) v_b)> over plus-part words."""
+        return self.from_evaluations(*self.product_evaluations(a, b))
+
+    def product_evaluations(self, a: CoordElement, b: CoordElement
+                            ) -> Tuple[Weight, RootSum, List[QScalar]]:
+        """(grade, drop, evaluations) of the product ab, from the functional
+        identity <ab, x> = <v* (x) v*, Delta(x)(v_a (x) v_b)> over the
+        plus-part words x, without solving for its coordinates."""
         datum = self.datum
         grade = datum.weight_add(a.grade, b.grade)
         gamma = tuple(x + y for x, y in zip(a.gamma, b.gamma))
@@ -271,7 +269,7 @@ class CoordRing:
                     continue
                 val = val + c * va[0] * vb[0]
             values.append(val)
-        return self.from_evaluations(grade, gamma, values)
+        return grade, gamma, values
 
     def u_action(self, u: UElement, a: CoordElement) -> CoordElement:
         """The left action of u; all monomials of u must shift the weight

@@ -68,10 +68,13 @@ class DWindow:
             for g in self.grades}))
 
     def op_partial(self, u: UElement) -> "DOperator":
+        """u on every grade, the unit for u = 1; memoized, do not mutate."""
         if u == self.algebra.one():
             return self.op_sigma(self.datum.zero_weight)
-        blocks = {g: self.module(g).act(u) for g in self.grades}
-        return DOperator(self, self.datum.zero_weight, blocks)
+        return self.memo.get(
+            ("partial", frozenset(u.terms.items())),
+            lambda: DOperator(self, self.datum.zero_weight,
+                              {g: self.module(g).act(u) for g in self.grades}))
 
     def op_sigma(self, lam: Weight) -> "DOperator":
         """sigma_lam: q^{(lam, g)} on grade g; sigma_0 is the unit."""

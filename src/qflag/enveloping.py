@@ -454,13 +454,6 @@ class UAlgebra:
                         self._reduce_raw({m1: one}))
         return _nonzero(out)
 
-    def counit(self, u: UElement) -> QScalar:
-        out = self.datum.zero()
-        for (fw, _lam, ew), c in u.terms.items():
-            if not fw and not ew:
-                out = out + c
-        return out
-
     def antipode(self, u: UElement, inverse: bool = False) -> UElement:
         out = self.zero()
         for (fw, lam, ew), c in u.terms.items():

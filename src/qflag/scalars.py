@@ -337,14 +337,6 @@ class QScalar:
             n >>= 1
         return out
 
-    def bar(self) -> "QScalar":
-        """The field automorphism q -> q**-1."""
-        # an automorphism keeps num and den coprime: only units need
-        # normalizing
-        return QScalar(*_normalize({-e: c for e, c in self.num.items()},
-                                   {-e: c for e, c in self.den.items()}),
-                       self.l0, _canonical=True)
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -213,26 +213,26 @@ class ThetaDirect:
         return [(self.level, phi)
                 for phi in self.ring.slice_basis(grade, gamma)]
 
-    def functional_vector(self, frac: Tuple[Weight, CoordElement]) -> Vector:
+    def functional_vector(self, image) -> Vector:
         """<theta(c_mu^{-1} psi), x_b> over the plus-part basis at the
-        matching degree: q^{-(mu, gamma)} times the evaluations of psi."""
-        mu, psi = frac
-        tw = self.datum.q_pair(
-            tuple(-x for x in mu),
-            self.datum.root_to_weight(psi.gamma))
-        return [tw * v for v in self.ring.evaluations(psi)]
+        matching degree, from the image (mu, drop of psi, evaluations of
+        psi): q^{-(mu, gamma)} times the evaluations."""
+        mu, gamma, values = image
+        tw = self.datum.q_pair(tuple(-x for x in mu),
+                               self.datum.root_to_weight(gamma))
+        return [tw * v for v in values]
 
-    def act_k(self, nu: Weight, frac) -> Tuple[Weight, CoordElement]:
+    def _image(self, mu: Weight, psi: CoordElement):
+        """The image of c_mu^{-1} psi, in the form the act_* methods return:
+        (denominator grade, drop of psi, evaluations of psi)."""
+        return (mu, psi.gamma, self.ring.evaluations(psi))
+
+    def act_u(self, u, nu: Weight, frac) -> Tuple[Weight, RootSum, Vector]:
+        """partial_u(c_mu^{-1} psi) = q^{-(nu, mu)} c_mu^{-1}(u psi), for
+        u = k_nu, or u = e_i with nu = alpha_i."""
         mu, psi = frac
-        res = self.ring.u_action(self.ring.algebra.k(nu), psi)
         c = self.datum.q_pair(tuple(-x for x in nu), mu)
-        return (mu, res.scale(c))
-
-    def act_e(self, i: int, frac) -> Tuple[Weight, CoordElement]:
-        mu, psi = frac
-        res = self.ring.u_action(self.ring.algebra.e(i), psi)
-        c = self.datum.q_pair(tuple(-x for x in self.datum.alpha(i)), mu)
-        return (mu, res.scale(c))
+        return self._image(mu, self.ring.u_action(u, psi).scale(c))
 
     def _ore_data(self, i: int):
         return self.memo.get(("ore", i), lambda: self._ore_witness(i))
@@ -246,31 +246,36 @@ class ThetaDirect:
         t, chi = self.ring.ore_witness(f_c, (), mu, side="left")
         return (t.grade, chi)
 
-    def act_f(self, i: int, frac) -> Tuple[Weight, CoordElement]:
+    def act_f(self, i: int, frac) -> Tuple[Weight, RootSum, Vector]:
         """partial_{f_i}(c_mu^{-1} psi) = c_mu^{-1}(f_i psi)
         - q^{(alpha_i, mu - eta)} c_{mu+nu}^{-1}(chi psi), via the left Ore
-        witness t (f_i c_mu) = chi c_mu with t = c_nu."""
+        witness t (f_i c_mu) = chi c_mu with t = c_nu; the second form is
+        read off the evaluations of the two products, never solved for."""
         datum = self.datum
-        alg = self.ring.algebra
+        ring = self.ring
         mu, psi = frac
         eta = psi.weight
-        first = self.ring.u_action(alg.f(i), psi)
+        first = ring.u_action(ring.algebra.f(i), psi)
         ore = self._ore_data(i)
         if ore is None:
-            return (mu, first)
+            return self._image(mu, first)
         nu, chi = ore
-        c_nu = self.ring.extremal((), nu)
-        lifted = self.ring.mult(c_nu, first)
+        grade, gamma, lifted = ring.product_evaluations(
+            ring.extremal((), nu), first)
         tw = datum.q_pair(datum.alpha(i), datum.weight_sub(mu, eta))
-        second = self.ring.mult(chi, psi).scale(tw)
-        return (datum.weight_add(mu, nu), lifted - second)
+        grade2, gamma2, second = ring.product_evaluations(chi, psi)
+        if (grade2, gamma2) != (grade, gamma):
+            raise QflagError("Ore witness products differ in grade or drop")
+        return (datum.weight_add(mu, nu), gamma,
+                [a - tw * b for a, b in zip(lifted, second)])
 
     # -- transposed matrices ------------------------------------------------------
 
     def gram_inverse(self, gamma: RootSum) -> Matrix:
         gamma = tuple(gamma)
         return self.memo.get(("gram_inv", gamma), lambda: linalg.inverse(
-            [self.functional_vector(fr) for fr in self.model_basis(gamma)]))
+            [self.functional_vector(self._image(*fr))
+             for fr in self.model_basis(gamma)]))
 
     def theta(self, kind: str, arg) -> Matrix:
         """The transpose matrix on the full plus-part truncation, computed
@@ -286,9 +291,10 @@ class ThetaDirect:
                  "df": tuple(-x for x in datum.alpha_root(arg))
                  if kind == "df" else None,
                  "dk": datum.zero_root}[kind]
-        act = {"de": lambda fr: self.act_e(arg, fr),
+        alg = self.ring.algebra
+        act = {"de": lambda fr: self.act_u(alg.e(arg), datum.alpha(arg), fr),
                "df": lambda fr: self.act_f(arg, fr),
-               "dk": lambda fr: self.act_k(arg, fr)}[kind]
+               "dk": lambda fr: self.act_u(alg.k(arg), arg, fr)}[kind]
         for g in trunc.degrees:
             # target degree of Theta(d) on U^+_g
             tgt = tuple(a + b for a, b in zip(g, shift))
@@ -302,7 +308,7 @@ class ThetaDirect:
                 image = act(fr)
                 fv = self.functional_vector(image)
                 # restrict to the source degree g
-                if image[1].gamma != g:
+                if image[1] != g:
                     raise QflagError("fraction action landed at an "
                                      "unexpected drop")
                 vals.append(fv)

@@ -101,9 +101,13 @@ class WeightModule:
         module the word l1...ln acts by l1(l2(...(ln v))); for a right
         module v.(l1...ln) applies l1 first.  The result is a new matrix,
         never a generator matrix of the module itself."""
-        letters = reversed(word) if self.side == "left" else word
-        return linalg.ordered_product(map(self.letter_matrix, letters),
-                                      self.dim, self.datum.l0, left=True)
+        return linalg.ordered_product(
+            map(self.letter_matrix, self.applied_letters(word)),
+            self.dim, self.datum.l0, left=True)
+
+    def applied_letters(self, word):
+        """The letters of a raw word in the order they act on a vector."""
+        return reversed(word) if self.side == "left" else word
 
     def act(self, u: UElement) -> Matrix:
         """Matrix of u (left action) or of right multiplication by u."""
@@ -130,8 +134,7 @@ class WeightModule:
         """True when applying the raw word to a vector of the given weight
         never passes through a truncated-away weight space."""
         w = tuple(start)
-        letters = reversed(word) if self.side == "left" else word
-        for kind, v in letters:
+        for kind, v in self.applied_letters(word):
             if kind == "k":
                 continue
             w = self.datum.weight_add(w, self.step_delta(kind, v))
@@ -447,11 +450,6 @@ def simple(algebra: UAlgebra, lam: Weight) -> WeightModule:
     return simple_factory(algebra, lam).build()
 
 
-def trivial(algebra: UAlgebra, side: str = "left") -> WeightModule:
-    return simple(algebra, algebra.datum.zero_weight) if side == "left" \
-        else restricted_dual(simple(algebra, algebra.datum.zero_weight))
-
-
 def restricted_dual(mod: WeightModule) -> WeightModule:
     """The graded dual on the opposite side, with the pairing convention
     <v* h, v> = <v*, h v> (and its mirror for right modules)."""
@@ -667,27 +665,41 @@ def defining_relations(algebra: UAlgebra):
 
 
 def check_module_relations(mod: WeightModule) -> List[str]:
-    """Verify the defining relations as matrix identities on the exact
-    region of the module; returns a list of failure descriptions."""
+    """Verify the defining relations on the exact region of the module,
+    one basis column at a time: each term's word acts on e_col as a sparse
+    vector, through the nonzero cells of each letter's matrix listed by
+    column (for this call only).  Returns a list of failure descriptions,
+    at the first nonzero row of each failing column."""
     failures = []
-    datum = mod.datum
+    zero = mod.datum.zero()
+    cells: Dict[tuple, List[List[Tuple[int, QScalar]]]] = {}
     for name, terms in defining_relations(mod.algebra):
-        mats = [(c, mod.word_matrix(w)) for c, w in terms]
-        for col in range(mod.dim):
-            wt = mod.index_weights[col]
-            if not all(mod.path_valid(wt, w) for _c, w in terms):
+        valid = {wt: all(mod.path_valid(wt, w) for _c, w in terms)
+                 for wt in set(mod.index_weights)}
+        for col, wt in enumerate(mod.index_weights):
+            if not valid[wt]:
                 continue
-            acc = [datum.zero() for _ in range(mod.dim)]
-            for c, m in mats:
-                for r in range(mod.dim):
-                    if not m[r][col].is_zero():
-                        acc[r] = acc[r] + c * m[r][col]
-            for r, x in enumerate(acc):
-                if not x.is_zero():
-                    failures.append(
-                        f"{mod.name}: relation {name} fails at basis "
-                        f"{mod.labels[col]} -> {mod.labels[r]}: {x.to_str()}")
-                    break
+            acc: Dict[int, QScalar] = {}
+            for c, w in terms:
+                vec = {col: c}
+                for letter in mod.applied_letters(w):
+                    if letter not in cells:
+                        m = mod.letter_matrix(letter)
+                        cells[letter] = [[(r, row[j]) for r, row in enumerate(m)
+                                          if not row[j].is_zero()]
+                                         for j in range(mod.dim)]
+                    out: Dict[int, QScalar] = {}
+                    for j, x in vec.items():
+                        for r, y in cells[letter][j]:
+                            out[r] = out.get(r, zero) + y * x
+                    vec = out
+                for r, x in vec.items():
+                    acc[r] = acc.get(r, zero) + x
+            bad = [r for r, x in sorted(acc.items()) if not x.is_zero()]
+            if bad:
+                failures.append(
+                    f"{mod.name}: relation {name} fails at basis {mod.labels[col]}"
+                    f" -> {mod.labels[bad[0]]}: {acc[bad[0]].to_str()}")
     return failures
 
 

@@ -228,6 +228,18 @@ def test_coord_with_an_empty_window_reaches_a_verdict(capsys):
                for r in results)
 
 
+def test_coord_covering_with_no_candidate_is_skipped(capsys):
+    # in [1] no grade lam has lam + omega inside the window
+    code, out = run_cli(["verify", "coord", "--type", "A1", "--cutoff",
+                         "[1]", "--json"], capsys)
+    assert code == 0
+    covering = [r for r in json.loads(out)["results"]
+                if r["instance"].startswith("covering")]
+    assert covering == [{"instance": "covering threshold found",
+                         "pass": True, "note": "skipped: nothing to compare "
+                                               "in window [1]"}]
+
+
 def test_suite_context_follows_height_cap(monkeypatch):
     """The suites' shared context is keyed on the cap in force: after
     QFLAG_MAX_HEIGHT changes, a suite gets a datum with the new cap."""

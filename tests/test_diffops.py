@@ -9,12 +9,14 @@ from qflag.center import (annihilator_check, center_solve,
                           zeta_separation_scan)
 from qflag.diffops import (DWindow, extremal_transport_check, lemma_rl_check,
                            relations_check, z_conjugate, z_w_check)
+from qflag.cartan import preset
 from qflag.coordring import CoordRing
-from qflag.enveloping import _content
+from qflag.enveloping import UAlgebra, _content
 from qflag.rmatrix import DrinfeldPairing
-from qflag.thetarep import (ThetaFormula, UPlusTruncation, theta_build,
-                            theta_faithfulness_probe, theta_formula)
-from qflag.weightmod import braid_on_module
+from qflag.thetarep import (ThetaDirect, ThetaFormula, UPlusTruncation,
+                            theta_build, theta_faithfulness_probe,
+                            theta_formula)
+from qflag.weightmod import SimpleFactory, WeightModule, braid_on_module
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,23 @@ def test_primitive_operators(w1, ring1, alg1):
         mod = w1.module(g)
         for idx, wt in enumerate(mod.index_weights):
             assert pk.blocks[g][idx][idx] == d.q_pair((1,), wt)
+
+
+def test_op_partial_is_memoized_by_terms(monkeypatch, ring2, pairing2,
+                                         alg2):
+    win = DWindow(ring2, pairing2, (1, 1))
+    u = alg2.e(0) * alg2.f(0)
+    op = win.op_partial(u)
+    for g in win.grades:
+        assert la.mat_eq(op.blocks[g], win.module(g).act(u))
+    acts = []
+    real = WeightModule.act
+    monkeypatch.setattr(WeightModule, "act",
+                        lambda mod, x: acts.append(x) or real(mod, x))
+    # an equal element built anew is served from the window's memo
+    assert win.op_partial(alg2.e(0) * alg2.f(0)) is op and not acts
+    other = win.op_partial(alg2.f(0) * alg2.e(0))
+    assert other is not op and len(acts) == len(win.grades)
 
 
 def test_operator_equality_is_windowwise(w1, ring1):
@@ -200,6 +219,87 @@ def test_theta_formula_vs_direct_a2(ring2, pairing2):
     probes = [(0, 0), (1, 0), (1, 1)]
     rep = theta_build(ring2, pairing2, 2, probes)
     assert rep["pass"]
+
+
+def solved_act_f(direct, i, frac):
+    """partial_{f_i} of a model fraction with the numerator solved into
+    slice coordinates from the evaluations of the two products."""
+    ring, datum = direct.ring, direct.datum
+    mu, psi = frac
+    nu, chi = direct._ore_data(i)
+    first = ring.u_action(ring.algebra.f(i), psi)
+    tw = datum.q_pair(datum.alpha(i), datum.weight_sub(mu, psi.weight))
+    num = ring.mult(ring.extremal((), nu), first) - \
+        ring.mult(chi, psi).scale(tw)
+    return datum.weight_add(mu, nu), num
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2"])
+def test_theta_ore_images_read_the_evaluations_of_products(
+        typ, ring1, ring2, pairing1, pairing2):
+    ring, pairing = (ring1, pairing1) if typ == "A1" else (ring2, pairing2)
+    datum = ring.datum
+    depth = 4 if datum.rank == 1 else 3       # the theta suite's probes
+    probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
+                            tuple(2 * x for x in datum.fundamental(0)),
+                            datum.rho])
+    trunc = theta_formula(pairing, depth).trunc
+    checked = 0
+    for probe in probes:
+        direct = ThetaDirect(ring, trunc, probe)
+        for i in range(datum.rank):
+            if direct._ore_data(i) is None:
+                continue
+            ai = datum.alpha_root(i)
+            for g in trunc.degrees:
+                # the degrees theta reads: f_i lands inside the truncation
+                if tuple(a + b for a, b in zip(g, ai)) not in trunc.offsets:
+                    continue
+                for frac in direct.model_basis(g):
+                    image = direct.act_f(i, frac)
+                    den, num = solved_act_f(direct, i, frac)
+                    assert image[:2] == (den, num.gamma)
+                    assert direct.functional_vector(image) == \
+                        direct.functional_vector(
+                            (den, num.gamma, ring.evaluations(num)))
+                    checked += 1
+    assert checked
+
+
+def test_theta_direct_route_solves_no_ore_image(monkeypatch):
+    """theta_build solves no product and builds no simple module inside
+    act_f, apart from the Ore witness search it starts."""
+    alg = UAlgebra(preset("A2"))
+    ring, pairing = CoordRing(alg), DrinfeldPairing(alg)
+    where, solved, built = [], [], []
+
+    def tagged(owner, name, tag):
+        real = getattr(owner, name)
+
+        def run(*args, **kwargs):
+            where.append(tag)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                where.pop()
+        monkeypatch.setattr(owner, name, run)
+
+    tagged(ThetaDirect, "act_f", "act_f")
+    tagged(CoordRing, "ore_witness", "ore")
+    real_solve = CoordRing.from_evaluations
+    monkeypatch.setattr(CoordRing, "from_evaluations", lambda self, *a: (
+        solved.append(list(where)) or real_solve(self, *a)))
+    real_init = SimpleFactory.__init__
+
+    def init(self, algebra, lam):
+        built.append((tuple(lam), list(where)))
+        real_init(self, algebra, lam)
+    monkeypatch.setattr(SimpleFactory, "__init__", init)
+    rep = theta_build(ring, pairing, 3, [(0, 0), (1, 0), (2, 0), (1, 1)])
+    assert rep["pass"]
+    assert any(w[-1:] == ["ore"] for w in solved)
+    assert [w for w in solved if w[-1:] == ["act_f"]] == []
+    assert [b for b in built if b[1][-1:] == ["act_f"]] == []
 
 
 def test_theta_sigma_scalar(ring1, pairing1, alg1):

@@ -310,14 +310,20 @@ def test_coassociativity(alg2):
         assert _expand_leg(alg2, delta, 0) == _expand_leg(alg2, delta, 1)
 
 
+def counit(alg, u):
+    """epsilon(u): the sum of the coefficients of the torus monomials."""
+    return sum((c for (fw, _lam, ew), c in u.terms.items()
+                if not fw and not ew), alg.datum.zero())
+
+
 def test_antipode_examples(alg1):
     k = alg1.k((3,))
     assert alg1.antipode(k) == alg1.k((-3,))
-    assert alg1.counit(k).is_one()
+    assert counit(alg1, k).is_one()
     f = alg1.f(0)
     assert alg1.antipode(f) == -(f * alg1.k_alpha(0))
     assert alg1.antipode(alg1.antipode(f), inverse=True) == f
-    assert alg1.counit(alg1.e(0)).is_zero()
+    assert counit(alg1, alg1.e(0)).is_zero()
 
 
 def test_hopf_axiom(alg2):
@@ -331,7 +337,7 @@ def test_hopf_axiom(alg2):
         for (m0, m1), c in alg2.coproduct(u).items():
             total = total + (alg2.mono_element(m0)
                              * alg2.antipode(alg2.mono_element(m1))).scale(c)
-        expected = alg2.from_scalar(alg2.counit(u))
+        expected = alg2.from_scalar(counit(alg2, u))
         assert total == expected
 
 

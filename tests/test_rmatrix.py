@@ -23,8 +23,8 @@ def xi_operator(pairing, m1, m2):
     for beta in contributing_degrees(datum, m1, m2):
         if not any(beta):
             continue
-        tw = datum.q_power(datum.root_pair(beta, beta))
         kb = datum.root_to_weight(beta)
+        tw = datum.q_power(datum.pair_ww(kb, kb))
         kminus = alg.k(tuple(-x for x in kb))
         kplus = alg.k(kb)
         for x, y, c in pairing.xi_element(beta):

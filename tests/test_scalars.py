@@ -16,6 +16,12 @@ def q(exp=1):
     return QScalar.q_power(exp, L0)
 
 
+def bar(x):
+    """The field automorphism q -> q**-1."""
+    return QScalar({-e: c for e, c in x.num.items()},
+                   {-e: c for e, c in x.den.items()}, x.l0)
+
+
 def test_inverse_pair():
     assert q(1) * q(-1) == QScalar.one(L0)
 
@@ -53,7 +59,7 @@ def test_quantum_integer_palindromic():
     for n in range(7):
         for d in (1, 2, 3):
             v = quantum_integer(n, d, L0)
-            assert v == v.bar()
+            assert v == bar(v)
 
 
 def test_quantum_factorial():
@@ -180,7 +186,7 @@ def test_field_operations_match_evaluation(a, b, ts):
         assert _eval(a + b, t) == va + vb
         assert _eval(a - b, t) == va - vb
         assert _eval(a * b, t) == va * vb
-        assert _eval(a.bar(), 1 / t) == va
+        assert _eval(bar(a), 1 / t) == va
         if not b.is_zero() and vb != 0:
             assert _eval(a / b, t) == va / vb
             assert _eval(b.inverse(), t) == 1 / vb

@@ -355,6 +355,62 @@ def test_tensor_of_a_tensor_keeps_the_relations(alg2):
         assert check_module_relations(mmm) == []
 
 
+def dense_relation_failures(mod):
+    """The relation check through the dense matrix of each word: the
+    oracle of ``check_module_relations``."""
+    failures = []
+    for name, terms in weightmod.defining_relations(mod.algebra):
+        mats = [(c, mod.word_matrix(w)) for c, w in terms]
+        for col, wt in enumerate(mod.index_weights):
+            if not all(mod.path_valid(wt, w) for _c, w in terms):
+                continue
+            acc = [sum((c * m[r][col] for c, m in mats), mod.datum.zero())
+                   for r in range(mod.dim)]
+            bad = [r for r, x in enumerate(acc) if not x.is_zero()]
+            if bad:
+                failures.append(
+                    f"{mod.name}: relation {name} fails at basis "
+                    f"{mod.labels[col]} -> {mod.labels[bad[0]]}: "
+                    f"{acc[bad[0]].to_str()}")
+    return failures
+
+
+def relation_modules(alg):
+    lam = alg.datum.fundamental(0)
+    depth = (3,) * alg.datum.rank
+    v = simple(alg, lam)
+    return [verma(alg, lam, depth), verma(alg, lam, depth, side="right"),
+            v, restricted_dual(v), simple(alg, alg.datum.rho),
+            tensor(v, v), tensor(restricted_dual(v), restricted_dual(v))]
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2"])
+def test_relation_check_matches_the_dense_oracle(typ, alg1, alg2):
+    for mod in relation_modules(alg1 if typ == "A1" else alg2):
+        assert check_module_relations(mod) == dense_relation_failures(mod) \
+            == [], mod.name
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2"])
+def test_relation_check_reports_a_corrupted_cell(typ, alg1, alg2):
+    alg = alg1 if typ == "A1" else alg2
+    for mod in (simple(alg, alg.datum.rho), verma(alg, alg.datum.rho,
+                                                  (2,) * alg.datum.rank)):
+        # a copy of the module with one nonzero cell of e_0 doubled
+        gen = dict(mod.gen)
+        e0 = [list(row) for row in gen[("e", 0)]]
+        r, c = next((r, c) for r, row in enumerate(e0)
+                    for c, x in enumerate(row) if not x.is_zero())
+        e0[r][c] = e0[r][c] + e0[r][c]
+        gen[("e", 0)] = e0
+        bad = weightmod.WeightModule(
+            alg, mod.side, mod.index_weights, gen, mod.missing_exact,
+            mod.exact, labels=mod.labels, name="corrupted " + mod.name)
+        fails = check_module_relations(bad)
+        assert fails and fails == dense_relation_failures(bad)
+        assert fails[0].startswith(f"corrupted {mod.name}: relation ")
+
+
 def test_act_matches_dense_sum(alg2):
     e0, f0, e1, f1 = alg2.e(0), alg2.f(0), alg2.e(1), alg2.f(1)
     q = alg2.datum.q_power(1)
