@@ -570,10 +570,10 @@ def verma_character(datum: CartanDatum, lam: Weight, depth: RootSum) -> Characte
 
 
 def weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
-    """Character of the simple module of highest weight lam by Kostant's
-    form of the Weyl formula, ch V(lam) = sum_w det(w) ch M(w.lam), each
-    Verma character cut to the drops of V(lam) (all <= lam - w0 lam).
-    Memoized per lam: callers share the result and must not mutate it."""
+    """Character of the simple module of highest weight lam: the
+    multiplicity ``weyl_multiplicity`` of each drop in box(lam - w0 lam),
+    which holds every drop of V(lam).  Memoized per lam: callers share the
+    result and must not mutate it."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise DominanceError(f"{lam} is not dominant")
@@ -582,20 +582,39 @@ def weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
 
 
 def _weyl_character(datum: CartanDatum, lam: Weight) -> CharacterPoly:
-    # one Kostant table for the box of lam - w0 lam; the Verma character
-    # of w.lam = lam - drop contributes P(g) at drop + g for g <= low - drop
+    # one Kostant table for the whole box, filled in box order, before the
+    # multiplicities read it
     low = datum.lowest_drop(lam)
-    table = kostant_table(datum, low)
-    by_drop: Dict[RootSum, int] = {}
-    for word in datum.all_weyl_words():
-        w_lam = datum.weyl_act(word, lam, shifted=True)
-        drop = datum.weight_to_root(datum.weight_sub(lam, w_lam))
-        window = tuple(a - b for a, b in zip(low, drop))
-        if any(c < 0 for c in window):
-            continue
-        sign = datum.weyl_det(word)
-        for g in box(window):
-            d = tuple(a + b for a, b in zip(drop, g))
-            by_drop[d] = by_drop.get(d, 0) + sign * table[g]
-    return CharacterPoly(datum, {datum.weight_sub_root(lam, d): c
-                                 for d, c in by_drop.items()})
+    kostant_table(datum, low)
+    return CharacterPoly(datum, {
+        datum.weight_sub_root(lam, g): weyl_multiplicity(datum, lam, g)
+        for g in box(low)})
+
+
+def weyl_multiplicity(datum: CartanDatum, lam: Weight, gamma: RootSum) -> int:
+    """Dimension of the weight space of V(lam) at drop gamma (lam dominant),
+    by Kostant's multiplicity formula, the drop-gamma coefficient of
+    ch V(lam) = sum_w det(w) ch M(w.lam):
+    m(gamma) = sum_w det(w) P(gamma - (lam - w.lam)).  Zero off
+    box(lam - w0 lam), which holds every drop of V(lam).  Memoized on the
+    datum per (lam, gamma)."""
+    lam, gamma = tuple(lam), tuple(gamma)
+    return datum.memo.get(("weyl_mult", lam, gamma),
+                          lambda: _weyl_multiplicity(datum, lam, gamma))
+
+
+def _weyl_multiplicity(datum: CartanDatum, lam: Weight,
+                       gamma: RootSum) -> int:
+    low, shifts = datum.memo.get(("weyl_shifts", lam), lambda: (
+        datum.lowest_drop(lam),
+        [(datum.weyl_det(w), datum.weight_to_root(datum.weight_sub(
+            lam, datum.weyl_act(w, lam, shifted=True))))
+         for w in datum.all_weyl_words()]))
+    if not all(0 <= g <= h for g, h in zip(gamma, low)):
+        return 0
+    out = 0
+    for sign, shift in shifts:
+        rest = tuple(a - b for a, b in zip(gamma, shift))
+        if all(c >= 0 for c in rest):
+            out += sign * kostant_dim(datum, rest)
+    return out

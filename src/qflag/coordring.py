@@ -10,10 +10,13 @@ time, only as far as they are asked for.  The evaluation matrix of a
 weight space is the contravariant-form Gram matrix the factory builds it
 from, on its pivot columns.  A product is computed as its evaluations
 (``product_evaluations``), which callers that only pair it against words
-read as they are; ``mult`` solves that evaluation system exactly for its
-coordinates.  On top of the ring sit extremal elements, Ore witnesses,
-stabilized localizations, the evaluation map onto plus-part functionals,
-and Schubert-cell homomorphisms.
+read as they are; ``mult`` takes those to coordinates through one
+factorization per slice (the inverse of an independent block of rows,
+every row checked).  Each product is computed once per ring: both are
+memoized by the grade, drop and coordinates of the two factors.  On top
+of the ring sit extremal elements, Ore witnesses, stabilized
+localizations, the evaluation map onto plus-part functionals, and
+Schubert-cell homomorphisms.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cartan import RootSum, Weight, box, by_height, kostant_dim
-from .enveloping import UAlgebra, UElement
+from .enveloping import UAlgebra, UElement, _content
 from .errors import DominanceError, OreSearchError, QflagError
 from .linalg import Matrix, Vector
 from .memo import Memo
@@ -143,6 +146,11 @@ class LocalizedElement:
         }
 
 
+def _pair_key(a: CoordElement, b: CoordElement) -> tuple:
+    """Memo key of the ordered pair (a, b): grade, drop and coordinates."""
+    return (a.grade, a.gamma, tuple(a.vec), b.grade, b.gamma, tuple(b.vec))
+
+
 class CoordRing:
     """Lazy exact model of the Lambda^+-graded coordinate ring."""
 
@@ -210,42 +218,74 @@ class CoordRing:
         """(matrix, words, d): the evaluation matrix of the drop-gamma slice
         of grade lam (rows: plus-part basis words; cols: the d slice basis
         vectors; [] when d is 0).  It is the slice's contravariant Gram on
-        its pivot columns, kept by the factory; callers must not mutate it."""
+        its pivot columns, kept by the factory; callers must not mutate it.
+        A drop off the positive cone has no words."""
         gamma = tuple(gamma)
         data = self.factory(lam).slice(gamma)
         if data is None:
-            return ([], self.algebra.basis(gamma).free_words, 0)
+            return ([], self._words(gamma), 0)
         return (data["eval"], data["words"], len(data["pivots"]))
+
+    def _words(self, gamma: RootSum) -> List[Tuple[int, ...]]:
+        """The plus-part basis words of degree gamma; none below zero."""
+        if any(c < 0 for c in gamma):
+            return []
+        return self.algebra.basis(gamma).free_words
+
+    def _eval_factor(self, lam: Weight, gamma: RootSum
+                     ) -> Tuple[List[int], Matrix]:
+        """(rows, inverse): d independent rows of the evaluation matrix of
+        the (lam, gamma)-slice (d > 0) and the inverse of the d x d block
+        they form.  One factorization per slice, memoized on the ring."""
+        key = ("eval_factor", tuple(lam), tuple(gamma))
+
+        def factor():
+            mat, _words, _d = self.eval_solver(lam, gamma)
+            _ech, rows = linalg.rref(linalg.transpose(mat))
+            return rows, linalg.inverse([mat[r] for r in rows])
+        return self.memo.get(key, factor)
 
     def from_evaluations(self, lam: Weight, gamma: RootSum,
                          values: List[QScalar]) -> CoordElement:
         """The unique grade-lam element with the given evaluations against
-        the degree-gamma plus-part basis words."""
+        the degree-gamma plus-part basis words: the inverse of an
+        independent block applied to its values, then every row checked."""
         mat, _words, d = self.eval_solver(lam, gamma)
         if d == 0:
             if any(not v.is_zero() for v in values):
                 raise QflagError("evaluations of the zero weight space "
                                  "must vanish")
             return CoordElement(self, lam, gamma, [])
-        sol = linalg.solve(mat, values)
-        if sol is None:
+        rows, inv = self._eval_factor(lam, gamma)
+        sol = linalg.mat_vec(inv, [values[r] for r in rows])
+        if linalg.mat_vec(mat, sol) != values:
             raise QflagError(
                 f"evaluation system inconsistent at grade {lam}, drop {gamma}")
         return CoordElement(self, lam, gamma, sol)
 
     def mult(self, a: CoordElement, b: CoordElement) -> CoordElement:
-        return self.from_evaluations(*self.product_evaluations(a, b))
+        """The product ab, memoized on the ring by both factors: callers
+        share the result and must not mutate it."""
+        return self.memo.get(("mult",) + _pair_key(a, b), lambda:
+                             self.from_evaluations(
+                                 *self.product_evaluations(a, b)))
 
     def product_evaluations(self, a: CoordElement, b: CoordElement
                             ) -> Tuple[Weight, RootSum, List[QScalar]]:
         """(grade, drop, evaluations) of the product ab, from the functional
         identity <ab, x> = <v* (x) v*, Delta(x)(v_a (x) v_b)> over the
-        plus-part words x, without solving for its coordinates."""
+        plus-part words x, without solving for its coordinates.  Memoized
+        on the ring by both factors; callers must not mutate the values."""
+        return self.memo.get(("product",) + _pair_key(a, b),
+                             lambda: self._product_evaluations(a, b))
+
+    def _product_evaluations(self, a: CoordElement, b: CoordElement
+                             ) -> Tuple[Weight, RootSum, List[QScalar]]:
         datum = self.datum
         grade = datum.weight_add(a.grade, b.grade)
         gamma = tuple(x + y for x, y in zip(a.gamma, b.gamma))
         faca, facb = self.factory(a.grade), self.factory(b.grade)
-        words = self.algebra.basis(gamma).free_words
+        words = self._words(gamma)
         values = []
         for w in words:
             # Sweedler branches: e_i acts as e_i (x) 1 + k_i (x) e_i
@@ -273,7 +313,8 @@ class CoordRing:
 
     def u_action(self, u: UElement, a: CoordElement) -> CoordElement:
         """The left action of u; all monomials of u must shift the weight
-        by the same amount."""
+        by the same amount.  A vanishing image is the zero element at the
+        drop that shift lands on."""
         datum = self.datum
         fac = self.factory(a.grade)
         out: Optional[CoordElement] = None
@@ -296,11 +337,13 @@ class CoordRing:
             else:
                 raise QflagError("u_action: mixed weight shifts; apply "
                                  "monomials separately")
-        if out is None:
-            # fall back to the zero element at the source drop
-            return CoordElement(self, a.grade, a.gamma,
-                                [datum.zero()] * len(a.vec))
-        return out
+        if out is not None:
+            return out
+        fw, _nu, ew = next(iter(u.terms), ((), None, ()))
+        gamma = tuple(g + f - e for g, f, e in zip(
+            a.gamma, _content(fw, datum.rank), _content(ew, datum.rank)))
+        return CoordElement(self, a.grade, gamma, [datum.zero()] *
+                            self.factory(a.grade).slice_dim(gamma))
 
     # -- extremal elements and Ore sets --------------------------------------------
 

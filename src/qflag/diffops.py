@@ -244,6 +244,8 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
                 rhs = window.op_zero(g)
                 for u0, u1 in sweedler_pairs(alg, u):
                     act = ring.u_action(u0, phi)
+                    if act.is_zero():
+                        continue
                     rhs = rhs + window.op_mult(act, "left").compose(
                         window.op_partial(u1))
                 results.append(_entry(
@@ -252,6 +254,8 @@ def relations_check(window: DWindow, corrupt: bool = False) -> dict:
                 rhs2 = window.op_zero(g)
                 for u0, u1 in sweedler_pairs(alg, u):
                     tw = ring.u_action(alg.antipode(u0, inverse=True), phi)
+                    if tw.is_zero():
+                        continue
                     rhs2 = rhs2 + window.op_partial(u1).compose(
                         window.op_mult(tw, "left"))
                 results.append(_entry(

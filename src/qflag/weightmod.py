@@ -17,12 +17,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
-                     weyl_character)
-from .enveloping import UAlgebra, UElement
+                     weyl_character, weyl_multiplicity)
+from .enveloping import UAlgebra, UElement, _content
 from .errors import DominanceError, QflagError, SideMismatchError, TruncationError
 from .linalg import Matrix, Vector
 from .memo import Memo
-from .scalars import QScalar, exp_t_coefficient
+from .scalars import QScalar, exp_t_coefficient, quantum_integer
 
 
 class WeightModule:
@@ -130,17 +130,16 @@ class WeightModule:
             return a if kind == "e" else tuple(-x for x in a)
         return tuple(-x for x in a) if kind == "e" else a
 
-    def path_valid(self, start: Weight, word) -> bool:
-        """True when applying the raw word to a vector of the given weight
-        never passes through a truncated-away weight space."""
-        w = tuple(start)
-        for kind, v in self.applied_letters(word):
-            if kind == "k":
-                continue
-            w = self.datum.weight_add(w, self.step_delta(kind, v))
-            if w not in self._weight_set and not self.missing_exact(w):
-                return False
-        return True
+    def step(self, w: Weight, letter) -> Optional[Weight]:
+        """The weight that one raw letter takes weight w to, or None when
+        that weight space is truncated away."""
+        kind, v = letter
+        if kind == "k":
+            return w
+        w = self.datum.weight_add(w, self.step_delta(kind, v))
+        if w not in self._weight_set and not self.missing_exact(w):
+            return None
+        return w
 
     # -- reporting -------------------------------------------------------------
 
@@ -192,8 +191,15 @@ def raising_kernel(algebra: UAlgebra, lam: Weight, gamma: RootSum, i: int,
     """The letter that raises the drop, evaluated at lam: e_i f^w v_lam on
     left modules, v_lam e^w f_i on right modules.  A matrix from the free
     words of drop gamma to those of gamma - alpha_i (no rows when that is
-    not a drop): the normal form's terms that do not kill v_lam, with their
-    torus part evaluated at lam.  Memoized on the algebra."""
+    not a drop), by the commutator formula
+    e_i f^w v_lam = sum_{k: w_k = i} [<mu_k, alpha_i^vee>]_{q_i} f^{w-k} v_lam:
+    e_i passes each f_j, j != i, and meets each f_i as
+    [e_i, f_i] = (k_i - k_i^-1)/(q_i - q_i^-1), which acts on the weight
+    mu_k of the vector it meets; w-k is w without its k-th letter, reduced
+    by ``GradedBasis.reduce_word``.  mu_k is lam less the roots of w[k+1:]
+    on left modules and of w[:k] on right ones.  The word e_i f^w (or
+    e^w f_i) is held to the algebra's height cap like any normal form.
+    Memoized on the algebra."""
     key = ("raise", tuple(lam), tuple(gamma), i, side)
     return algebra.memo.get(key, lambda: _raising_kernel(algebra, *key[1:]))
 
@@ -203,17 +209,26 @@ def _raising_kernel(algebra: UAlgebra, lam: Weight, gamma: RootSum, i: int,
     datum = algebra.datum
     src = algebra.basis(gamma).free_words
     gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
-    tgt = algebra.basis(gm).free_pos if all(c >= 0 for c in gm) else {}
-    out = linalg.zeros(len(tgt), len(src), datum.l0)
+    tgt = algebra.basis(gm) if all(c >= 0 for c in gm) else None
+    out = linalg.zeros(0 if tgt is None else tgt.dim, len(src), datum.l0)
     for col, w in enumerate(src):
-        word = (("e", i),) + tuple(("f", j) for j in w) if side == "left" \
-            else tuple(("e", j) for j in w) + (("f", i),)
-        for (fw, nu, ew), c in algebra.normal_form_word(word).items():
-            kept, killed = (fw, ew) if side == "left" else (ew, fw)
-            if killed:
+        algebra._check_cap(
+            (("e", i),) + tuple(("f", j) for j in w) if side == "left"
+            else tuple(("e", j) for j in w) + (("f", i),))
+        for k, j in enumerate(w):
+            if j != i:
                 continue
-            row = out[tgt[kept]]
-            row[col] = row[col] + c * datum.q_pair(lam, nu)
+            passed = w[k + 1:] if side == "left" else w[:k]
+            mu = datum.weight_sub_root(lam, _content(passed, datum.rank))
+            if mu[i] == 0:
+                continue
+            # [-n] = -[n]
+            c = quantum_integer(abs(mu[i]), datum.d(i), datum.l0)
+            if mu[i] < 0:
+                c = -c
+            for wb, x in tgt.reduce_word(w[:k] + w[k + 1:]).items():
+                row = out[tgt.free_pos[wb]]
+                row[col] = row[col] + c * x
     return out
 
 
@@ -295,7 +310,9 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
 
 class SimpleFactory:
     """Per-weight-space construction of the simple module V(lam).  Use
-    ``simple_factory``: it keeps one factory per algebra and lam."""
+    ``simple_factory``: it keeps one factory per algebra and lam.  A weight
+    space's dimension is read per drop (``multiplicity``); the full
+    character and the list of drops are built only when asked for."""
 
     def __init__(self, algebra: UAlgebra, lam: Weight):
         datum = algebra.datum
@@ -305,19 +322,29 @@ class SimpleFactory:
         self.algebra = algebra
         self.datum = datum
         self.lam = lam
-        self.char = weyl_character(datum, lam)
-        self.drops: Dict[RootSum, int] = {}
-        for w in self.char.terms:
-            g = datum.weight_to_root(datum.weight_sub(lam, w))
-            assert g is not None and all(c >= 0 for c in g)
-            self.drops[g] = self.char.terms[w]
         self.memo = Memo()
+
+    @property
+    def char(self) -> CharacterPoly:
+        """The Weyl character of V(lam), shared through the datum's memo."""
+        return weyl_character(self.datum, self.lam)
+
+    @property
+    def drops(self) -> Dict[RootSum, int]:
+        """Every drop of V(lam) with its multiplicity; do not mutate."""
+        return self.memo.get("drops", lambda: {
+            self.datum.weight_to_root(self.datum.weight_sub(self.lam, w)): m
+            for w, m in self.char.terms.items()})
+
+    def multiplicity(self, gamma: RootSum) -> int:
+        """Dimension of the weight space at drop gamma (0 off V(lam))."""
+        return weyl_multiplicity(self.datum, self.lam, gamma)
 
     def slice(self, gamma: RootSum) -> Optional[dict]:
         """Class data of the weight space at drop gamma, or None if zero.
         Memoized, so concurrent readers see one table."""
         gamma = tuple(gamma)
-        if gamma not in self.drops:
+        if not self.multiplicity(gamma):
             return None
         return self.memo.get(("slice", gamma), lambda: self._slice(gamma))
 
@@ -337,10 +364,10 @@ class SimpleFactory:
                 row = [linalg.row_dot(row, col) for col in zip(*step)]
             gram.append(row)
         ech, pivots = linalg.rref(gram)
-        if len(pivots) != self.drops[gamma]:
+        if len(pivots) != self.multiplicity(gamma):
             raise QflagError(
                 f"contravariant-form rank {len(pivots)} at drop {gamma} "
-                f"!= Weyl character dimension {self.drops[gamma]}")
+                f"!= Weyl character dimension {self.multiplicity(gamma)}")
         # class coordinates of the b-th basis word = column b of the echelon
         reduce_cols = linalg.transpose(ech)
         return {
@@ -392,7 +419,7 @@ class SimpleFactory:
         tgt = tuple(a + sign * b
                     for a, b in zip(gamma, self.datum.alpha_root(i)))
         src = self.slice(gamma)
-        if src is None or tgt not in self.drops:
+        if src is None or not self.multiplicity(tgt):
             return None
         kernel = deepening_kernel(self.algebra, gamma, i) if kind == "f" \
             else raising_kernel(self.algebra, self.lam, gamma, i)
@@ -668,13 +695,28 @@ def check_module_relations(mod: WeightModule) -> List[str]:
     """Verify the defining relations on the exact region of the module,
     one basis column at a time: each term's word acts on e_col as a sparse
     vector, through the nonzero cells of each letter's matrix listed by
-    column (for this call only).  Returns a list of failure descriptions,
-    at the first nonzero row of each failing column."""
+    column.  A term is checked only where its word's path stays in the
+    exact region, walked through a table (weight, letter) -> next weight.
+    Both tables are built for this call only.  Returns a list of failure
+    descriptions, at the first nonzero row of each failing column."""
     failures = []
     zero = mod.datum.zero()
     cells: Dict[tuple, List[List[Tuple[int, QScalar]]]] = {}
+    steps: Dict[tuple, Optional[Weight]] = {}
+
+    def path_valid(wt: Weight, word) -> bool:
+        # the word never passes through a truncated-away weight space
+        for letter in mod.applied_letters(word):
+            key = (wt, letter)
+            if key not in steps:
+                steps[key] = mod.step(wt, letter)
+            wt = steps[key]
+            if wt is None:
+                return False
+        return True
+
     for name, terms in defining_relations(mod.algebra):
-        valid = {wt: all(mod.path_valid(wt, w) for _c, w in terms)
+        valid = {wt: all(path_valid(wt, w) for _c, w in terms)
                  for wt in set(mod.index_weights)}
         for col, wt in enumerate(mod.index_weights):
             if not valid[wt]:

@@ -8,7 +8,7 @@ import pytest
 from qflag import cartan
 from qflag.cartan import CartanDatum, CharacterPoly, box, by_height, \
     kostant_dim, kostant_table, preset, verma_character, weyl_character, \
-    within
+    weyl_multiplicity, within
 from qflag.errors import DominanceError, ParseError
 from qflag.scalars import QScalar
 
@@ -190,6 +190,42 @@ def test_weyl_character_matches_long_division(name):
     for lam in box(bound):
         assert weyl_character(datum, lam) == \
             _weyl_character_by_division(datum, lam), lam
+
+
+def _weyl_character_by_verma_windows(datum, lam):
+    """ch V(lam) as sum_w det(w) ch M(w.lam): one Kostant table for the box
+    of lam - w0 lam, each Verma character read off it through its own
+    window; {drop: multiplicity}, zeros included."""
+    low = datum.lowest_drop(lam)
+    table = kostant_table(datum, low)
+    by_drop = {}
+    for word in datum.all_weyl_words():
+        w_lam = datum.weyl_act(word, lam, shifted=True)
+        drop = datum.weight_to_root(datum.weight_sub(lam, w_lam))
+        window = tuple(a - b for a, b in zip(low, drop))
+        if any(c < 0 for c in window):
+            continue
+        for g in box(window):
+            d = tuple(a + b for a, b in zip(drop, g))
+            by_drop[d] = by_drop.get(d, 0) + datum.weyl_det(word) * table[g]
+    return by_drop
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_weyl_multiplicity_matches_the_verma_character_sum(name):
+    datum = preset(name)
+    bound = {"A1": (6,), "A2": (3, 3), "B2": (3, 3), "G2": (2, 2)}[name]
+    for lam in box(bound):
+        old = _weyl_character_by_verma_windows(datum, lam)
+        low = datum.lowest_drop(lam)
+        assert set(old) == set(box(low))
+        assert {g: weyl_multiplicity(datum, lam, g) for g in old} == old
+        # off the box of V(lam)'s drops, and below zero, the space is zero
+        for i in range(datum.rank):
+            past = tuple(c + (k == i) for k, c in enumerate(low))
+            below = tuple(-(k == i) for k in range(datum.rank))
+            assert weyl_multiplicity(datum, lam, past) == 0
+            assert weyl_multiplicity(datum, lam, below) == 0
 
 
 def test_weight_to_root(a1, a2, g2):

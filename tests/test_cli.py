@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -190,10 +191,22 @@ def test_height_cap_exits_three(monkeypatch, capsys):
     assert "error: height cap:" in capsys.readouterr().err
 
 
+# sha256 of `qflag verify all --type T --json` at QFLAG_MAX_HEIGHT=3: which
+# checks fit under the cap and which are skipped is part of the report
+LOW_CAP_REPORT_SHA256 = {
+    "A1": "4218e547221a5a7aa031b2606a81abc7408d7df5444aaf6e4fead2b17909a226",
+    "A2": "906a438fd740e4d544cb7ebcef118272b3202c1184c1cdf9e8317d93194f313b",
+    "B2": "8b92c5077f79fbf7cf2ac235c7a6803de8655711d167a159fe94ceb95e1b71d2",
+    "G2": "22f11e73888e9ac1acc6d44d594edde14798bc8b11002e225aadde8fb1911e91",
+}
+
+
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
 def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
     """At a cap of 3 many modules do not fit; every check that needs one
-    is reported skipped, and none fails or crashes."""
+    is reported skipped, and none fails or crashes.  The report is pinned
+    byte for byte, so a module route that drops the cap (and reaches a
+    different verdict or skips other checks) fails here."""
     monkeypatch.setenv("QFLAG_MAX_HEIGHT", "3")
     code, out = run_cli(["verify", "all", "--type", typ, "--json"], capsys)
     assert code == 0
@@ -201,6 +214,8 @@ def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
                for r in rep["results"]]
     assert all(r["pass"] is True for r in entries)
     assert any(r.get("note") == "skipped: above height cap" for r in entries)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        LOW_CAP_REPORT_SHA256[typ]
 
 
 def test_cap_error_is_a_skip_not_a_failure(monkeypatch, capsys):

@@ -5,9 +5,10 @@ import pytest
 
 from qflag import coordring, suites
 from qflag import linalg as la
-from qflag.cartan import verma_character
+from qflag.cartan import preset, verma_character
 from qflag.config import RunConfig
 from qflag.coordring import CoordRing
+from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, OreSearchError, QflagError
 from qflag.thetarep import ThetaDirect, theta_formula
 from qflag.weightmod import braid_word
@@ -63,6 +64,17 @@ def test_u_action_examples(ring1, alg1):
     assert scaled.vec == [d.q_pair((1,), c.weight) * v for v in c.vec]
     # the unit is killed by the raising operators
     assert ring1.u_action(alg1.e(0), ring1.unit()).is_zero()
+
+
+def test_a_vanishing_u_image_lands_at_the_target_drop(ring1, alg1):
+    # e raises the highest line off V(w); f lowers V(4)'s lowest line off it
+    top = ring1.unit()
+    up = ring1.u_action(alg1.e(0), top)
+    assert (up.grade, up.gamma, up.vec) == ((0,), (-1,), [])
+    low = ring1.slice_basis((4,), (4,))[0]
+    down = ring1.u_action(alg1.f(0), low)
+    assert (down.grade, down.gamma, down.vec) == ((4,), (5,), [])
+    assert down.evaluations() == [ring1.datum.zero()]
 
 
 def test_u_action_derivation_rule(ring2, alg2):
@@ -363,3 +375,55 @@ def test_grading_surjectivity(ring2):
         for y in ring2.grade_basis((0, 1)):
             cols.append(ring2.embed_full(tgt, ring2.mult(x, y)))
     assert la.rank(cols) == tgt.dim
+
+
+def test_a_repeated_product_is_computed_once(monkeypatch):
+    """Products are memoized on the ring by both factors' grade, drop and
+    coordinates: an equal pair asked for again is not recomputed, and the
+    product equals the one a fresh ring computes."""
+    computed = Counter()
+    real = CoordRing._product_evaluations
+
+    def spy(self, a, b):
+        computed[(a.grade, a.gamma, tuple(a.vec),
+                  b.grade, b.gamma, tuple(b.vec))] += 1
+        return real(self, a, b)
+    monkeypatch.setattr(CoordRing, "_product_evaluations", spy)
+    ring = CoordRing(UAlgebra(preset("A2")))
+    a = ring.grade_basis((1, 0))[1]
+    b = ring.grade_basis((0, 1))[0]
+    first = ring.mult(a, b)
+    copy = ring.element(a.grade, a.gamma, list(a.vec))
+    assert ring.mult(copy, b) is first
+    assert ring.product_evaluations(copy, b)[2] == first.evaluations()
+    assert ring.mult(b, a) is not first
+    assert sorted(computed.values()) == [1, 1]
+    fresh = CoordRing(UAlgebra(preset("A2")))
+    assert fresh.mult(fresh.grade_basis((1, 0))[1],
+                      fresh.grade_basis((0, 1))[0]) == first
+
+
+def test_from_evaluations_checks_every_row(ring2):
+    """The values are solved through one independent block of the
+    evaluation matrix, and every row is checked: a corrupted value that
+    leaves the column space raises exactly where the solve would fail."""
+    one = ring2.datum.one()
+    raised = 0
+    for lam in [(1, 0), (1, 1), (2, 1)]:
+        for gamma in sorted(ring2.factory(lam).drops):
+            mat, _words, d = ring2.eval_solver(lam, gamma)
+            for phi in ring2.slice_basis(lam, gamma):
+                values = phi.evaluations()
+                assert ring2.from_evaluations(lam, gamma, values) == phi
+                for r in range(len(values)):
+                    bad = list(values)
+                    bad[r] = bad[r] + one
+                    sol = la.solve(mat, bad)
+                    if sol is None:
+                        with pytest.raises(QflagError, match="inconsistent"):
+                            ring2.from_evaluations(lam, gamma, bad)
+                        raised += 1
+                    else:
+                        assert ring2.from_evaluations(lam, gamma,
+                                                      bad).vec == sol
+    assert raised

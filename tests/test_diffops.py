@@ -266,6 +266,19 @@ def test_theta_ore_images_read_the_evaluations_of_products(
     assert checked
 
 
+def test_theta_act_f_on_every_model_degree(ring1, pairing1):
+    """At probe 0 the model is V(4): f_0 kills its lowest line, and the
+    zero image lands at drop (5,), with the Ore products."""
+    trunc = theta_formula(pairing1, 4).trunc
+    direct = ThetaDirect(ring1, trunc, (0,))
+    assert direct.level == (4,)
+    for g in trunc.degrees:
+        for frac in direct.model_basis(g):
+            den, gamma, values = direct.act_f(0, frac)
+            assert gamma == (g[0] + 1,)
+            assert len(values) == len(ring1.algebra.basis(gamma).free_words)
+
+
 def test_theta_direct_route_solves_no_ore_image(monkeypatch):
     """theta_build solves no product and builds no simple module inside
     act_f, apart from the Ore witness search it starts."""

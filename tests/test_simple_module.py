@@ -2,7 +2,8 @@
 space, and Verma modules and V(lam) from two free-word kernels and one
 assembler.  The routes the production code replaced live on here as
 oracles: the normal-form loop of e_i on the pivot words of a slice, the
-chain of top coefficients that built the evaluation matrix, the Verma
+normal form of e_i f^w (e^w f_i) that the raising kernel was read from,
+the chain of top coefficients that built the evaluation matrix, the Verma
 module's own reduce and normal-form loops, the per-pivot reduction of
 V(lam)'s f-step and the plus part's right multiplication loop."""
 
@@ -15,7 +16,7 @@ from qflag import weightmod
 from qflag.cartan import box, by_height, preset
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
-from qflag.errors import DominanceError
+from qflag.errors import DegreeCapError, DominanceError
 from qflag.rmatrix import DrinfeldPairing
 from qflag.thetarep import ThetaFormula, UPlusTruncation
 from qflag.weightmod import SimpleFactory, simple, simple_factory, verma
@@ -128,6 +129,68 @@ def test_e_step_matches_the_normal_form_loop(rings, typ, lams):
                 new, old = fac.e_step(g, i), old_e_step(fac, g, i)
                 assert (new is None) == (old is None)
                 assert new is None or la.mat_eq(new, old)
+
+
+def old_raising_kernel(alg, lam, gamma, i, side):
+    """e_i f^w v_lam (left) or v_lam e^w f_i (right) on each free word w of
+    drop gamma, by the normal form of the word in U: the terms that do not
+    kill v_lam, their torus part evaluated at lam."""
+    datum = alg.datum
+    src = alg.basis(gamma).free_words
+    gm = tuple(a - b for a, b in zip(gamma, datum.alpha_root(i)))
+    tgt = alg.basis(gm).free_pos if all(c >= 0 for c in gm) else {}
+    out = la.zeros(len(tgt), len(src), datum.l0)
+    for col, w in enumerate(src):
+        word = (("e", i),) + tuple(("f", j) for j in w) if side == "left" \
+            else tuple(("e", j) for j in w) + (("f", i),)
+        for (fw, nu, ew), c in alg.normal_form_word(word).items():
+            kept, killed = (fw, ew) if side == "left" else (ew, fw)
+            if killed:
+                continue
+            row = out[tgt[kept]]
+            row[col] = row[col] + c * datum.q_pair(lam, nu)
+    return out
+
+
+def _kernel_or_cap(kernel, alg, lam, gamma, i, side):
+    try:
+        return kernel(alg, lam, gamma, i, side)
+    except DegreeCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_raising_kernel_matches_the_normal_form(typ, cap):
+    """The commutator formula against the normal form, on both sides, for
+    dominant and non-dominant lam; at cap 3 both raise the same
+    DegreeCapError on the same drops."""
+    datum = preset(typ, max_height=cap)
+    alg = UAlgebra(datum)
+    lams = box((2,) * datum.rank, lo=(-2,) * datum.rank)
+    capped = 0
+    for lam in lams[::3] if datum.rank > 1 else lams:
+        for gamma in box((4,) * datum.rank, height=4):
+            for i in range(datum.rank):
+                for side in ("left", "right"):
+                    new = _kernel_or_cap(weightmod._raising_kernel, alg, lam,
+                                         gamma, i, side)
+                    old = _kernel_or_cap(old_raising_kernel, alg, lam,
+                                         gamma, i, side)
+                    assert new == old, (lam, gamma, i, side)
+                    capped += isinstance(new, str)
+    assert (capped > 0) == (cap == 3)
+
+
+def test_a_slice_reads_no_full_character(monkeypatch, alg2):
+    # the weight spaces of V(lam) are sized one drop at a time
+    built = []
+    monkeypatch.setattr(weightmod, "weyl_character",
+                        lambda *a: built.append(a))
+    fac = SimpleFactory(alg2, (3, 2))
+    assert [fac.slice_dim(g) for g in [(0, 0), (1, 0), (1, 1), (9, 9)]] == \
+        [1, 1, 2, 0]
+    assert fac.e_step((1, 1), 0) is not None and not built
 
 
 def old_left_verma_e(alg, lam, depth, i):
