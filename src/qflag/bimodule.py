@@ -49,8 +49,7 @@ class EBimodule:
         self.multiplicities = [self.layer_weights.count(w) for w in self.nu]
 
     def _drop(self, idx: int) -> RootSum:
-        g = self.datum.weight_to_root(self.datum.weight_sub(
-            self.mu, self.vmod.index_weights[idx]))
+        g = self.datum.drop(self.mu, self.vmod.index_weights[idx])
         assert g is not None
         return g
 

@@ -167,6 +167,14 @@ class CartanDatum:
             out.append(c)
         return tuple(out)
 
+    def drop(self, hi: Sequence[int], lo: Sequence[int]) -> Optional[RootSum]:
+        """Root coordinates of hi - lo when they lie in Q^+ (lo is hi less
+        a sum of positive roots); None otherwise."""
+        g = self.weight_to_root(self.weight_sub(hi, lo))
+        if g is None or any(c < 0 for c in g):
+            return None
+        return g
+
     def weight_sub_root(self, lam: Weight, gamma: Sequence[int]) -> Weight:
         g = self.root_to_weight(gamma)
         return tuple(a - b for a, b in zip(lam, g))
@@ -312,8 +320,7 @@ class CartanDatum:
     def lowest_drop(self, lam: Sequence[int]) -> RootSum:
         """Root coordinates of lam - w0 lam, the drop from the highest to
         the lowest weight of V(lam) when lam is dominant."""
-        return self.weight_to_root(self.weight_sub(
-            lam, self.weyl_act(self.longest_word(), lam)))
+        return self.drop(lam, self.weyl_act(self.longest_word(), lam))
 
     # -- roots -------------------------------------------------------------
 
@@ -542,9 +549,9 @@ def _kostant_count(datum: CartanDatum, gamma: RootSum) -> int:
     # P(gamma - (rho - w rho)), every term at a smaller drop
     out = 0 if any(gamma) else 1
     for sign, shift in datum.memo.get("kostant-shifts", lambda: [
-            (datum.weyl_det(w), datum.weight_to_root(datum.weight_sub(
-                datum.zero_weight, datum.weyl_act(w, datum.zero_weight,
-                                                  shifted=True))))
+            (datum.weyl_det(w), datum.drop(
+                datum.zero_weight,
+                datum.weyl_act(w, datum.zero_weight, shifted=True)))
             for w in datum.all_weyl_words() if w]):
         rest = tuple(a - b for a, b in zip(gamma, shift))
         if all(c >= 0 for c in rest):
@@ -607,8 +614,8 @@ def _weyl_multiplicity(datum: CartanDatum, lam: Weight,
                        gamma: RootSum) -> int:
     low, shifts = datum.memo.get(("weyl_shifts", lam), lambda: (
         datum.lowest_drop(lam),
-        [(datum.weyl_det(w), datum.weight_to_root(datum.weight_sub(
-            lam, datum.weyl_act(w, lam, shifted=True))))
+        [(datum.weyl_det(w), datum.drop(lam, datum.weyl_act(w, lam,
+                                                             shifted=True)))
          for w in datum.all_weyl_words()]))
     if not all(0 <= g <= h for g, h in zip(gamma, low)):
         return 0

@@ -190,36 +190,25 @@ def _shape_commutator(algebra: UAlgebra, shape, kind: str, i: int):
     out = []
     if kind == "e":
         # right: y k_mu (x e_i) -- concatenation stays in the plus part
-        for xw, c in _concat(algebra, ew, (i,)).items():
+        for xw, c in algebra._in_basis(ew + (i,)).items():
             out.append((fw, datum.zero_weight, xw, c, zero_root))
         # left: (e_i y) k_mu x, commuting k_mu through the raised tail
         word = (("e", i),) + tuple(("f", j) for j in fw)
         for (fw1, nu1, ew1), c in algebra.normal_form_word(word).items():
             twist = _content(ew1, rank)
-            for xw, cx in _concat(algebra, ew1, ew).items():
+            for xw, cx in algebra._in_basis(ew1 + ew).items():
                 out.append((fw1, nu1, xw, -(c * cx), twist))
     else:
         # right: y k_mu (x f_i), commuting k_mu through the lowered tail
         word = tuple(("e", j) for j in ew) + (("f", i),)
         for (fw2, nu2, ew2), c in algebra.normal_form_word(word).items():
             twist = _content(fw2, rank)
-            for yw, cy in _concat(algebra, fw, fw2).items():
+            for yw, cy in algebra._in_basis(fw + fw2).items():
                 out.append((yw, nu2, ew2, c * cy, twist))
         # left: (f_i y) k_mu x -- concatenation stays in the minus part
-        for yw, c in _concat(algebra, (i,), fw).items():
+        for yw, c in algebra._in_basis((i,) + fw).items():
             out.append((yw, datum.zero_weight, ew, -c, zero_root))
     return out
-
-
-def _concat(algebra: UAlgebra, left, right):
-    """Basis coordinates of the concatenated word (the plus and minus parts
-    share their word bases)."""
-    if not left:
-        return {right: algebra.datum.one()}
-    if not right:
-        return {left: algebra.datum.one()}
-    word = left + right
-    return algebra.basis(_content(word, algebra.datum.rank)).reduce_word(word)
 
 
 def commutes_with_generators(algebra: UAlgebra, z: UElement) -> bool:

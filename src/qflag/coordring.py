@@ -232,7 +232,7 @@ class CoordRing:
             return []
         return self.algebra.basis(gamma).free_words
 
-    def _eval_factor(self, lam: Weight, gamma: RootSum
+    def eval_factor(self, lam: Weight, gamma: RootSum
                      ) -> Tuple[List[int], Matrix]:
         """(rows, inverse): d independent rows of the evaluation matrix of
         the (lam, gamma)-slice (d > 0) and the inverse of the d x d block
@@ -256,7 +256,7 @@ class CoordRing:
                 raise QflagError("evaluations of the zero weight space "
                                  "must vanish")
             return CoordElement(self, lam, gamma, [])
-        rows, inv = self._eval_factor(lam, gamma)
+        rows, inv = self.eval_factor(lam, gamma)
         sol = linalg.mat_vec(inv, [values[r] for r in rows])
         if linalg.mat_vec(mat, sol) != values:
             raise QflagError(
@@ -500,14 +500,12 @@ class CoordRing:
 
     def _twisted_drop(self, word, grade: Weight,
                       gamma: RootSum) -> Optional[RootSum]:
-        """Drop of the weight w^{-1}(grade - gamma) below grade."""
+        """Drop of the weight w^{-1}(grade - gamma) below grade; None when
+        it is not below."""
         datum = self.datum
         winv = tuple(reversed(datum.weyl_canonical(word)))
         w = datum.weyl_act(winv, datum.weight_sub_root(grade, gamma))
-        g = datum.weight_to_root(datum.weight_sub(grade, w))
-        if g is None or any(c < 0 for c in g):
-            return None
-        return g
+        return datum.drop(grade, w)
 
     def _step_injective(self, word, grade: Weight, drop: RootSum) -> bool:
         """Injectivity of right multiplication by c^w_rho out of the
@@ -576,8 +574,8 @@ class CoordRing:
         # gamma = w^{-1}lam - weight(phi)
         table: Dict[str, List[str]] = {}
         target = datum.weyl_act(tuple(reversed(word)), phi.grade)
-        g = datum.weight_to_root(datum.weight_sub(target, phi.weight))
-        if g is not None and all(c >= 0 for c in g):
+        g = datum.drop(target, phi.weight)
+        if g is not None:
             table[datum.root_str(g)] = [
                 linalg.row_dot(self._schubert_row(mod, tw, xw), vfull).to_str()
                 for xw in self.algebra.basis(g).free_words]
@@ -604,8 +602,8 @@ class CoordRing:
         target = datum.weyl_act(tuple(reversed(word)), tuple(lam))
         rows: List[Vector] = []
         for w in mod.weights():
-            g = datum.weight_to_root(datum.weight_sub(target, w))
-            if g is None or any(c < 0 for c in g):
+            g = datum.drop(target, w)
+            if g is None:
                 continue
             rows.extend(self._schubert_row(mod, tw, xw)
                         for xw in self.algebra.basis(g).free_words)

@@ -390,7 +390,7 @@ def _apply_braid_to_element(window: DWindow, i: int, phi: CoordElement,
     mat = window.op_braid(i, inverse).blocks[tuple(phi.grade)]
     vec = linalg.mat_vec(mat, ring.embed_full(mod, phi))
     target = datum.weyl_act((i,), phi.weight)
-    g = datum.weight_to_root(datum.weight_sub(phi.grade, target))
+    g = datum.drop(phi.grade, target)
     out = [datum.zero()] * ring.factory(phi.grade).slice_dim(g)
     for idx, c in enumerate(vec):
         if c.is_zero():
@@ -409,8 +409,8 @@ def extremal_transport_check(window: DWindow, word: Sequence[int],
     datum = window.datum
     word = datum.weyl_canonical(word)
     alpha_i_img = datum.weyl_act(word, datum.alpha(i))
-    gr = datum.weight_to_root(alpha_i_img)
-    positive = gr is not None and all(c >= 0 for c in gr) and any(gr)
+    gr = datum.drop(alpha_i_img, datum.zero_weight)
+    positive = gr is not None and any(gr)
     c_w = ring.extremal(word, lam)
     z_img = z_conjugate(window, i, window.op_mult(c_w, "left"))
     t_img = _apply_braid_to_element(window, i, c_w, inverse=True)

@@ -142,8 +142,8 @@ def contributing_degrees(datum, m1: WeightModule, m2: WeightModule) -> List[Root
     out = set()
     for w1 in ws:
         for w2 in ws:
-            g = datum.weight_to_root(datum.weight_sub(w2, w1))
-            if g is not None and all(c >= 0 for c in g):
+            g = datum.drop(w2, w1)
+            if g is not None:
                 out.add(g)
     return sorted(out, key=by_height)
 

@@ -14,91 +14,42 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import coordring, linalg
-from .cartan import RootSum, Weight, box, by_height, kostant_dim
+from .cartan import RootSum, Weight, kostant_dim
 from .coordring import CoordElement, CoordRing
-from .enveloping import UAlgebra, _content
+from .enveloping import _content
 from .errors import QflagError
 from .linalg import Matrix, Vector
 from .memo import Memo
 from .rmatrix import DrinfeldPairing
-from .scalars import QScalar
-from .weightmod import deepening_kernel
-
-
-class UPlusTruncation:
-    """Basis bookkeeping for the plus part up to a height cap."""
-
-    def __init__(self, algebra: UAlgebra, depth_ht: int):
-        self.algebra = algebra
-        self.datum = algebra.datum
-        self.depth_ht = depth_ht
-        self.degrees: List[RootSum] = sorted(
-            box((depth_ht,) * self.datum.rank, height=depth_ht), key=by_height)
-        self.bases = {g: algebra.basis(g) for g in self.degrees}
-        self.words: Dict[RootSum, List[Tuple[int, ...]]] = {
-            g: b.free_words for g, b in self.bases.items()}
-        self.offsets: Dict[RootSum, int] = {}
-        n = 0
-        for g in self.degrees:
-            self.offsets[g] = n
-            n += len(self.words[g])
-        self.dim = n
-
-    def index(self, gamma: RootSum, word: Tuple[int, ...]) -> int:
-        return self.offsets[gamma] + self.bases[gamma].free_pos[word]
-
-    def zero_matrix(self) -> Matrix:
-        return linalg.zeros(self.dim, self.dim, self.datum.l0)
-
-    def reduce_into(self, mat: Matrix, col: int, gamma: RootSum,
-                    coords: Dict[Tuple[int, ...], QScalar]) -> None:
-        for w, c in coords.items():
-            row = mat[self.index(gamma, w)]
-            row[col] = row[col] + c
+from .weightmod import WeightModule, plus_part
 
 
 class ThetaFormula:
-    """The generator images built from the displayed structural operators.
-    Use ``theta_formula``: it keeps one per pairing and truncation depth, so
+    """The generator images built from the displayed structural operators
+    on the plus part ``plus`` (``weightmod.plus_part``).  Use
+    ``theta_formula``: it keeps one per pairing and truncation depth, so
     that every probe reads the same memoized operators."""
 
-    def __init__(self, trunc: UPlusTruncation, pairing: DrinfeldPairing):
-        self.trunc = trunc
+    def __init__(self, plus: WeightModule, pairing: DrinfeldPairing):
+        self.plus = plus
         self.pairing = pairing
-        self.algebra = trunc.algebra
-        self.datum = trunc.datum
+        self.algebra = plus.algebra
+        self.datum = plus.datum
         self.memo = Memo()
 
     # -- structural operators on the plus part (memoized; do not mutate) ----------
 
     def m_right(self, i: int) -> Matrix:
-        """Right multiplication by the i-th raising generator."""
-        return self.memo.get(("m", i), lambda: self._m_right(i))
-
-    def _m_right(self, i: int) -> Matrix:
-        # the right module's deepening kernel, degree by degree
-        trunc = self.trunc
-        out = trunc.zero_matrix()
-        ai = self.datum.alpha_root(i)
-        for g in trunc.degrees:
-            gp = tuple(a + b for a, b in zip(g, ai))
-            if gp in trunc.offsets:
-                linalg.set_block(out, trunc.offsets[gp], trunc.offsets[g],
-                                 deepening_kernel(self.algebra, g, i,
-                                                  "right"))
-        return out
+        """Right multiplication by the i-th raising generator: the plus
+        part's e_i."""
+        return self.plus.gen[("e", i)]
 
     def n_conj(self, mu: Weight) -> Matrix:
-        """Torus conjugation u -> k_mu u k_mu^{-1}: diagonal q^{(mu, deg)}."""
+        """Torus conjugation u -> k_mu u k_mu^{-1}: diagonal q^{(mu, deg)},
+        the plus part's k_{-mu}."""
         mu = tuple(mu)
-        return self.memo.get(("n", mu), lambda: self._n_conj(mu))
-
-    def _n_conj(self, mu: Weight) -> Matrix:
-        trunc = self.trunc
-        return linalg.diagonal(
-            [self.datum.q_pair(mu, self.datum.root_to_weight(g))
-             for g in trunc.degrees for _w in trunc.words[g]],
-            self.datum.l0)
+        return self.memo.get(("n", mu), lambda: self.plus.k_matrix(
+            tuple(-x for x in mu)))
 
     def conv(self, i: int, leg: int) -> Matrix:
         """The convolution u -> sum phi_i(u_(leg)) u_(other leg), where the
@@ -108,35 +59,36 @@ class ThetaFormula:
         return self.memo.get(("conv", i), lambda: self._convs(i))[leg]
 
     def _convs(self, i: int) -> Tuple[Matrix, Matrix]:
-        trunc = self.trunc
+        plus = self.plus
         alg = self.algebra
         rank = self.datum.rank
         ai = self.datum.alpha_root(i)
-        out = (trunc.zero_matrix(), trunc.zero_matrix())
-        for g in trunc.degrees:
+        out = tuple(linalg.zeros(plus.dim, plus.dim, self.datum.l0)
+                    for _leg in (0, 1))
+        for col, (g, r) in enumerate(plus.slot_keys):
             gp = tuple(a - b for a, b in zip(g, ai))
             if any(c < 0 for c in gp):
                 continue
-            for w in trunc.words[g]:
-                col = trunc.index(g, w)
-                accs: Tuple[Dict, Dict] = ({}, {})
-                for monos, c in alg.coproduct(alg.e_word(w)).items():
-                    ews = (monos[0][2], monos[1][2])
-                    for leg, acc in enumerate(accs):
-                        ew = ews[leg]
-                        if _content(ew, rank) != ai:
-                            continue
-                        val = self.pairing.pair_words(ew, (i,))
-                        if val.is_zero():
-                            continue
-                        rest = ews[1 - leg]
-                        s = acc.get(rest)
-                        v = c * val
-                        acc[rest] = v if s is None else s + v
-                for mat, acc in zip(out, accs):
-                    trunc.reduce_into(mat, col, gp,
-                                      {w1: c for w1, c in acc.items()
-                                       if not c.is_zero()})
+            accs: Tuple[Dict, Dict] = ({}, {})
+            for monos, c in alg.coproduct(
+                    alg.e_word(alg.basis(g).free_words[r])).items():
+                ews = (monos[0][2], monos[1][2])
+                for leg, acc in enumerate(accs):
+                    ew = ews[leg]
+                    if _content(ew, rank) != ai:
+                        continue
+                    val = self.pairing.pair_words(ew, (i,))
+                    if val.is_zero():
+                        continue
+                    rest = ews[1 - leg]
+                    s = acc.get(rest)
+                    v = c * val
+                    acc[rest] = v if s is None else s + v
+            pos = alg.basis(gp).free_pos
+            for mat, acc in zip(out, accs):
+                for w1, c in acc.items():
+                    if not c.is_zero():
+                        mat[plus.slot[(gp, pos[w1])]][col] = c
         return out
 
     # -- generator images -----------------------------------------------------------
@@ -146,7 +98,7 @@ class ThetaFormula:
         partial_{k_mu} per the displayed formulas."""
         datum = self.datum
         if kind == "sigma":
-            return linalg.diagonal([datum.q_pair(arg, probe)] * self.trunc.dim,
+            return linalg.diagonal([datum.q_pair(arg, probe)] * self.plus.dim,
                                    datum.l0)
         if kind == "de":
             return self.m_right(arg)
@@ -170,18 +122,16 @@ def theta_formula(pairing: DrinfeldPairing, depth_ht: int) -> ThetaFormula:
     pairing and depth (memoized on the pairing)."""
     return pairing.memo.get(
         ("theta-formula", depth_ht),
-        lambda: ThetaFormula(UPlusTruncation(pairing.algebra, depth_ht),
-                             pairing))
+        lambda: ThetaFormula(plus_part(pairing.algebra, depth_ht), pairing))
 
 
 class ThetaDirect:
     """Transpose action computed on the stabilized fraction model of a
     localized graded piece."""
 
-    def __init__(self, ring: CoordRing, trunc: UPlusTruncation,
-                 probe: Weight):
+    def __init__(self, ring: CoordRing, plus: WeightModule, probe: Weight):
         self.ring = ring
-        self.trunc = trunc
+        self.plus = plus
         self.datum = ring.datum
         self.probe = tuple(probe)
         self.level = ring.first_level(self.probe, self._stable)
@@ -193,16 +143,14 @@ class ThetaDirect:
 
     def _stable(self, grade: Weight) -> bool:
         fac = self.ring.factory(grade)
-        degrees = self.trunc.degrees
+        drops = _drops(self.plus)
         return all(fac.slice_dim(g) == kostant_dim(self.datum, g)
-                   for g in degrees) and \
-            all(self._gram_ok(grade, g) for g in degrees)
+                   for g in drops) and \
+            all(self._gram_ok(grade, g) for g in drops)
 
     def _gram_ok(self, grade: Weight, gamma: RootSum) -> bool:
         mat, _w, d = self.ring.eval_solver(grade, gamma)
-        if d == 0:
-            return len(self.trunc.words[gamma]) == 0
-        return len(mat) == d and linalg.rank(mat) == d
+        return d > 0 and len(mat) == d and linalg.rank(mat) == d
 
     # -- fraction bookkeeping ----------------------------------------------------
 
@@ -272,20 +220,34 @@ class ThetaDirect:
     # -- transposed matrices ------------------------------------------------------
 
     def gram_inverse(self, gamma: RootSum) -> Matrix:
+        """The inverse of the model's Gram matrix q^{-(level, gamma)} E^T,
+        E the evaluation matrix of its drop-gamma slice: q^{(level, gamma)}
+        times the transpose of the ring's inverse of E."""
         gamma = tuple(gamma)
-        return self.memo.get(("gram_inv", gamma), lambda: linalg.inverse(
-            [self.functional_vector(self._image(*fr))
-             for fr in self.model_basis(gamma)]))
+        return self.memo.get(("gram_inv", gamma),
+                             lambda: self._gram_inverse(gamma))
+
+    def _gram_inverse(self, gamma: RootSum) -> Matrix:
+        datum = self.datum
+        grade = datum.weight_add(self.probe, self.level)
+        mat, _words, d = self.ring.eval_solver(grade, gamma)
+        rows, inv = self.ring.eval_factor(grade, gamma)
+        if not len(mat) == len(rows) == d:
+            raise QflagError(f"evaluation matrix at grade {grade}, drop "
+                             f"{gamma} is not square and invertible")
+        return linalg.mat_scale(
+            linalg.transpose(inv),
+            datum.q_pair(self.level, datum.root_to_weight(gamma)))
 
     def theta(self, kind: str, arg) -> Matrix:
         """The transpose matrix on the full plus-part truncation, computed
         from <phi_a, Theta(d)(x_b)> = <d(phi_a), x_b>."""
         datum = self.datum
-        trunc = self.trunc
+        plus = self.plus
         if kind == "sigma":
-            return linalg.diagonal([datum.q_pair(arg, self.probe)] * trunc.dim,
+            return linalg.diagonal([datum.q_pair(arg, self.probe)] * plus.dim,
                                    datum.l0)
-        out = trunc.zero_matrix()
+        out = linalg.zeros(plus.dim, plus.dim, datum.l0)
         # Theta(de_i) raises the plus-part degree, Theta(df_i) lowers it
         shift = {"de": datum.alpha_root(arg) if kind == "de" else None,
                  "df": tuple(-x for x in datum.alpha_root(arg))
@@ -295,10 +257,10 @@ class ThetaDirect:
         act = {"de": lambda fr: self.act_u(alg.e(arg), datum.alpha(arg), fr),
                "df": lambda fr: self.act_f(arg, fr),
                "dk": lambda fr: self.act_u(alg.k(arg), arg, fr)}[kind]
-        for g in trunc.degrees:
+        for g in _drops(plus):
             # target degree of Theta(d) on U^+_g
             tgt = tuple(a + b for a, b in zip(g, shift))
-            if any(c < 0 for c in tgt) or tgt not in trunc.offsets:
+            if (tgt, 0) not in plus.slot:
                 continue
             basis = self.model_basis(tgt)
             if not basis:
@@ -313,7 +275,7 @@ class ThetaDirect:
                                      "unexpected drop")
                 vals.append(fv)
             ginv = self.gram_inverse(tgt)
-            linalg.set_block(out, trunc.offsets[tgt], trunc.offsets[g],
+            linalg.set_block(out, plus.slot[(tgt, 0)], plus.slot[(g, 0)],
                              linalg.mat_mul(ginv, vals))
         return out
 
@@ -323,7 +285,6 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
     """Build the generator family both ways and compare exactly."""
     datum = ring.datum
     formula = theta_formula(pairing, depth_ht)
-    trunc = formula.trunc
     results = []
     gens: List[Tuple[str, object]] = []
     for i in range(datum.rank):
@@ -332,11 +293,11 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
     gens.append(("dk", datum.rho))
     gens.append(("sigma", datum.rho))
     for probe in probes:
-        direct = ThetaDirect(ring, trunc, probe)
+        direct = ThetaDirect(ring, formula.plus, probe)
         for kind, arg in gens:
             mf = formula.theta(tuple(probe), kind, arg)
             md = direct.theta(kind, arg)
-            ok, cex = _compare(trunc, kind, mf, md)
+            ok, cex = _compare(formula.plus, mf, md)
             entry = {
                 "instance": f"probe {datum.weight_str(tuple(probe))} "
                             f"{kind}({arg})",
@@ -349,22 +310,25 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
             "pass": all(r["pass"] for r in results), "results": results}
 
 
-def _compare(trunc: UPlusTruncation, kind: str, mf: Matrix,
+def _drops(plus: WeightModule) -> List[RootSum]:
+    """The degrees of the plus part in layout order."""
+    return [g for g, r in plus.slot_keys if r == 0]
+
+
+def _compare(plus: WeightModule, mf: Matrix,
              md: Matrix) -> Tuple[bool, Optional[dict]]:
-    """Compare entrywise; at boundary degrees of the truncation both
-    routes produce the same truncated zero blocks."""
-    datum = trunc.datum
-    for g in trunc.degrees:
-        goff = trunc.offsets[g]
-        for cidx, w in enumerate(trunc.words[g]):
-            col = goff + cidx
-            for row in range(trunc.dim):
-                if mf[row][col] != md[row][col]:
-                    return False, {
-                        "degree": datum.root_str(g), "word": list(w),
-                        "row": row,
-                        "formula": mf[row][col].to_str(),
-                        "direct": md[row][col].to_str()}
+    """Compare entrywise, column by column; at boundary degrees of the
+    truncation both routes produce the same truncated zero blocks."""
+    datum = plus.datum
+    for col, (g, r) in enumerate(plus.slot_keys):
+        for row in range(plus.dim):
+            if mf[row][col] != md[row][col]:
+                return False, {
+                    "degree": datum.root_str(g),
+                    "word": list(plus.algebra.basis(g).free_words[r]),
+                    "row": row,
+                    "formula": mf[row][col].to_str(),
+                    "direct": md[row][col].to_str()}
     return True, None
 
 
@@ -375,7 +339,6 @@ def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,
     measure the joint rank against the span size (linear independence on
     the window, not a proof of injectivity)."""
     formula = theta_formula(pairing, depth_ht)
-    trunc = formula.trunc
     rows: List[Vector] = []
     for word in span:
         vec: Vector = []
@@ -383,7 +346,8 @@ def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,
             # op-algebra: Theta(d1 d2) = Theta(d2) Theta(d1)
             mat = linalg.ordered_product(
                 (formula.theta(tuple(probe), kind, arg)
-                 for kind, arg in word), trunc.dim, ring.datum.l0, left=True)
+                 for kind, arg in word), formula.plus.dim, ring.datum.l0,
+                left=True)
             for r in mat:
                 vec.extend(r)
         rows.append(vec)

@@ -83,43 +83,77 @@ class WeightModule:
 
     # -- actions -------------------------------------------------------------
 
+    def k_diagonal(self, lam: Sequence[int]) -> List[QScalar]:
+        """q^(lam, wt) per basis vector, the diagonal of k_lam.  Memoized;
+        do not mutate."""
+        lam = tuple(lam)
+        return self.memo.get(("k", lam), lambda: [
+            self.datum.q_pair(lam, w) for w in self.index_weights])
+
     def k_matrix(self, lam: Sequence[int]) -> Matrix:
-        return linalg.diagonal([self.datum.q_pair(lam, w)
-                                for w in self.index_weights], self.datum.l0)
+        return linalg.diagonal(self.k_diagonal(lam), self.datum.l0)
 
     def gen_matrix(self, kind: str, i: int) -> Matrix:
         return self.gen[(kind, i)]
 
-    def letter_matrix(self, letter) -> Matrix:
-        kind, v = letter
-        if kind == "k":
-            return self.k_matrix(v)
-        return self.gen[(kind, v)]
-
-    def word_matrix(self, word) -> Matrix:
-        """Matrix of a raw letter word acting on this module.  For a left
-        module the word l1...ln acts by l1(l2(...(ln v))); for a right
-        module v.(l1...ln) applies l1 first.  The result is a new matrix,
-        never a generator matrix of the module itself."""
-        return linalg.ordered_product(
-            map(self.letter_matrix, self.applied_letters(word)),
-            self.dim, self.datum.l0, left=True)
+    def _cells(self, kind: str, i: int) -> List[List[Tuple[int, QScalar]]]:
+        """The nonzero cells of the generator matrix of (kind, i) by column:
+        a list of (row, value) per column.  Memoized; do not mutate."""
+        def build():
+            cols: List[List[Tuple[int, QScalar]]] = [[] for _ in
+                                                     range(self.dim)]
+            for r, row in enumerate(self.gen[(kind, i)]):
+                for j, x in enumerate(row):
+                    if not x.is_zero():
+                        cols[j].append((r, x))
+            return cols
+        return self.memo.get(("cells", kind, i), build)
 
     def applied_letters(self, word):
-        """The letters of a raw word in the order they act on a vector."""
+        """The letters of a raw word in the order they act on a vector: for
+        a left module l1...ln acts by l1(l2(...(ln v))), for a right module
+        v.(l1...ln) applies l1 first."""
         return reversed(word) if self.side == "left" else word
 
+    def walk(self, word, vec: Dict[int, QScalar]) -> Dict[int, QScalar]:
+        """A raw letter word applied to a sparse vector {index: value}: an
+        e or f letter through the nonzero cells of its matrix, a k_mu
+        letter as the scalar q^(mu, wt) on each index."""
+        zero = self.datum.zero()
+        for kind, v in self.applied_letters(word):
+            if kind == "k":
+                diag = self.k_diagonal(v)
+                vec = {j: diag[j] * x for j, x in vec.items()}
+                continue
+            cols = self._cells(kind, v)
+            out: Dict[int, QScalar] = {}
+            for j, x in vec.items():
+                for r, y in cols[j]:
+                    out[r] = out.get(r, zero) + y * x
+            vec = out
+        return vec
+
     def act(self, u: UElement) -> Matrix:
-        """Matrix of u (left action) or of right multiplication by u."""
+        """Matrix of u (left action) or of right multiplication by u, a new
+        matrix: each term's word walked from every basis vector."""
         n = self.dim
         out = linalg.zeros(n, n, self.datum.l0)
         for (fw, lam, ew), c in u.terms.items():
             word = self.algebra.monomial_word(fw, lam, ew)
-            linalg.add_scaled(out, self.word_matrix(word), c)
+            for col in range(n):
+                for r, x in self.walk(word, {col: c}).items():
+                    out[r][col] = out[r][col] + x
         return out
 
     def apply(self, u: UElement, v: Vector) -> Vector:
-        return linalg.mat_vec(self.act(u), v)
+        """u applied to the vector v, each term's word walked from v."""
+        out = self.zero_vector()
+        start = {j: x for j, x in enumerate(v) if not x.is_zero()}
+        for (fw, lam, ew), c in u.terms.items():
+            word = self.algebra.monomial_word(fw, lam, ew)
+            for r, x in self.walk(word, start).items():
+                out[r] = out[r] + c * x
+        return out
 
     # -- exactness bookkeeping --------------------------------------------------
 
@@ -285,9 +319,29 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
           side: str = "left") -> WeightModule:
     """Verma module truncated to weight drops gamma <= depth componentwise,
     on the free words f^w v_lam (left) or v_lam e^w (right) of each drop."""
+    depth = tuple(depth)
+    return _truncated_verma(algebra, lam, side,
+                            sorted(box(depth), key=by_height), str(depth))
+
+
+def plus_part(algebra: UAlgebra, height: int) -> WeightModule:
+    """The plus part up to ``height``: the right Verma module T_r(0) on
+    the drops of height at most ``height``.  Its basis vector at slot
+    (gamma, r) is the r-th free word of degree gamma, its e_i generator is
+    right multiplication by e_i, and k_mu is the diagonal q^{-(mu, deg)}."""
+    rank = algebra.datum.rank
+    return _truncated_verma(
+        algebra, algebra.datum.zero_weight, "right",
+        sorted(box((height,) * rank, height=height), key=by_height),
+        f"ht<={height}")
+
+
+def _truncated_verma(algebra: UAlgebra, lam: Weight, side: str,
+                     drops: Sequence[RootSum], cut: str) -> WeightModule:
+    """The Verma module of highest weight lam on the given drops, on the
+    free words f^w v_lam (left) or v_lam e^w (right) of each drop."""
     datum = algebra.datum
     lam = tuple(lam)
-    depth = tuple(depth)
 
     def label(g: RootSum, r: int, w: Weight) -> str:
         tag = "".join(str(i + 1) for i in algebra.basis(g).free_words[r])
@@ -295,17 +349,15 @@ def verma(algebra: UAlgebra, lam: Weight, depth: RootSum,
 
     def missing_exact(w: Weight) -> bool:
         # above the highest weight it is genuinely zero, below it is cut
-        gr = datum.weight_to_root(datum.weight_sub(lam, w))
-        return gr is None or any(c < 0 for c in gr)
+        return datum.drop(lam, w) is None
 
     return _assemble(
-        algebra, lam, side, sorted(box(depth), key=by_height),
-        lambda g: algebra.basis(g).dim, label,
+        algebra, lam, side, drops, lambda g: algebra.basis(g).dim, label,
         lambda g, i: deepening_kernel(algebra, g, i, side),
         lambda g, i: raising_kernel(algebra, lam, g, i, side),
         missing_exact, exact=False,
         name=f"T{'r' if side == 'right' else ''}"
-             f"({datum.weight_str(lam)})|{depth}")
+             f"({datum.weight_str(lam)})|{cut}")
 
 
 class SimpleFactory:
@@ -333,7 +385,7 @@ class SimpleFactory:
     def drops(self) -> Dict[RootSum, int]:
         """Every drop of V(lam) with its multiplicity; do not mutate."""
         return self.memo.get("drops", lambda: {
-            self.datum.weight_to_root(self.datum.weight_sub(self.lam, w)): m
+            self.datum.drop(self.lam, w): m
             for w, m in self.char.terms.items()})
 
     def multiplicity(self, gamma: RootSum) -> int:
@@ -693,15 +745,13 @@ def defining_relations(algebra: UAlgebra):
 
 def check_module_relations(mod: WeightModule) -> List[str]:
     """Verify the defining relations on the exact region of the module,
-    one basis column at a time: each term's word acts on e_col as a sparse
-    vector, through the nonzero cells of each letter's matrix listed by
-    column.  A term is checked only where its word's path stays in the
-    exact region, walked through a table (weight, letter) -> next weight.
-    Both tables are built for this call only.  Returns a list of failure
+    one basis column at a time: each term's word is walked from e_col
+    (``WeightModule.walk``).  A term is checked only where its word's path
+    stays in the exact region, walked through a table (weight, letter) ->
+    next weight built for this call.  Returns a list of failure
     descriptions, at the first nonzero row of each failing column."""
     failures = []
     zero = mod.datum.zero()
-    cells: Dict[tuple, List[List[Tuple[int, QScalar]]]] = {}
     steps: Dict[tuple, Optional[Weight]] = {}
 
     def path_valid(wt: Weight, word) -> bool:
@@ -723,19 +773,7 @@ def check_module_relations(mod: WeightModule) -> List[str]:
                 continue
             acc: Dict[int, QScalar] = {}
             for c, w in terms:
-                vec = {col: c}
-                for letter in mod.applied_letters(w):
-                    if letter not in cells:
-                        m = mod.letter_matrix(letter)
-                        cells[letter] = [[(r, row[j]) for r, row in enumerate(m)
-                                          if not row[j].is_zero()]
-                                         for j in range(mod.dim)]
-                    out: Dict[int, QScalar] = {}
-                    for j, x in vec.items():
-                        for r, y in cells[letter][j]:
-                            out[r] = out.get(r, zero) + y * x
-                    vec = out
-                for r, x in vec.items():
+                for r, x in mod.walk(w, {col: c}).items():
                     acc[r] = acc.get(r, zero) + x
             bad = [r for r, x in sorted(acc.items()) if not x.is_zero()]
             if bad:

@@ -253,6 +253,22 @@ def test_weight_to_root_round_trip(name):
 
 
 @pytest.mark.parametrize("name", PRESETS)
+def test_drop_is_the_root_difference_in_the_positive_cone(name):
+    datum = preset(name)
+    n = datum.rank
+    seen = Counter()
+    for hi in box((2,) * n, lo=(-2,) * n):
+        for lo in box((2,) * n, lo=(-2,) * n):
+            g = datum.weight_to_root(datum.weight_sub(hi, lo))
+            old = g if g is not None and all(c >= 0 for c in g) else None
+            assert datum.drop(hi, lo) == old, (hi, lo)
+            seen["off the lattice" if g is None else
+                 "below zero" if old is None else "in the cone"] += 1
+    # the G2 weight lattice is its root lattice
+    assert len(seen) == (2 if name == "G2" else 3)
+
+
+@pytest.mark.parametrize("name", PRESETS)
 def test_lowest_drop(name):
     datum = preset(name)
     w0 = datum.longest_word()

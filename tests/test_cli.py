@@ -218,6 +218,39 @@ def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
         LOW_CAP_REPORT_SHA256[typ]
 
 
+# sha256 of `qflag verify SUITE --type T --json` at the default cap for the
+# suites that read the plus part's layout (theta) and walk words on every
+# module (presentation)
+SUITE_REPORT_SHA256 = {
+    ("theta", "A1"):
+        "f3ab7f4ce18b796e9fc8ae5d5da037c5aa7c5a269fbb083af35e71b6fdebbbec",
+    ("theta", "A2"):
+        "1a422e6faa3de90fc88d8b7c31f08c3fe782c03839cebdab55232d9a845809a3",
+    ("theta", "B2"):
+        "085958580fca8638b6f602b4ea11e360bb6009eb8005fd81faf229d6b924b248",
+    ("theta", "G2"):
+        "8dd66fc82455c5c2f4bcd023fdf9118e5830f3d1fc49e606c3b3e859477f0c8c",
+    ("presentation", "A1"):
+        "d0a20e817114f744fd0b5d2dba0c2724b53f8fd519390969d0370a68f5135169",
+    ("presentation", "A2"):
+        "89ccc496294732d411f60406f54cd97143f357c5b73560cf4e5f4213780565d0",
+    ("presentation", "B2"):
+        "654c9d5fb0a471adf2748c64d1ccdbca52f4378fb71fed4e088679b1ec5e27c9",
+    ("presentation", "G2"):
+        "8876511b1e5c78e1c3bbc6f749217b0a9995699e6e3f5ff6870dc88bb334d984",
+}
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("suite", ["theta", "presentation"])
+def test_module_suite_reports_are_pinned(monkeypatch, capsys, suite, typ):
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
+    code, out = run_cli(["verify", suite, "--type", typ, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SUITE_REPORT_SHA256[(suite, typ)]
+
+
 def test_cap_error_is_a_skip_not_a_failure(monkeypatch, capsys):
     # two A2 Ore witnesses need a word of f-height 4 under a cap of 3
     monkeypatch.setenv("QFLAG_MAX_HEIGHT", "3")

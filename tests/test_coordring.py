@@ -235,9 +235,9 @@ def test_localization_reports_failure(ring1, pairing1, monkeypatch):
     drops = ring1.theta_check((-1,), (2,))["drops"]
     assert [d.get("reason") for d in drops] == \
         [None] + ["no stabilization level found"] * 2
-    trunc = theta_formula(pairing1, 4).trunc
+    plus = theta_formula(pairing1, 4).plus
     with pytest.raises(QflagError, match="within 1 steps"):
-        ThetaDirect(ring1, trunc, (0,))
+        ThetaDirect(ring1, plus, (0,))
 
 
 def test_level_search_stops_at_the_first_stable_level(ring1):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from qflag import diffops
+from qflag import diffops, thetarep
 from qflag import linalg as la
 from qflag.center import (annihilator_check, center_solve,
                           commutes_with_generators, partial_z_is_sigma_zeta,
@@ -12,11 +12,12 @@ from qflag.diffops import (DWindow, extremal_transport_check, lemma_rl_check,
 from qflag.cartan import preset
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
+from qflag.errors import QflagError
 from qflag.rmatrix import DrinfeldPairing
-from qflag.thetarep import (ThetaDirect, ThetaFormula, UPlusTruncation,
-                            theta_build, theta_faithfulness_probe,
-                            theta_formula)
-from qflag.weightmod import SimpleFactory, WeightModule, braid_on_module
+from qflag.thetarep import (ThetaDirect, ThetaFormula, theta_build,
+                            theta_faithfulness_probe, theta_formula)
+from qflag.weightmod import (SimpleFactory, WeightModule, braid_on_module,
+                             plus_part)
 
 
 @pytest.fixture(scope="module")
@@ -243,17 +244,17 @@ def test_theta_ore_images_read_the_evaluations_of_products(
     probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
                             tuple(2 * x for x in datum.fundamental(0)),
                             datum.rho])
-    trunc = theta_formula(pairing, depth).trunc
+    plus = theta_formula(pairing, depth).plus
     checked = 0
     for probe in probes:
-        direct = ThetaDirect(ring, trunc, probe)
+        direct = ThetaDirect(ring, plus, probe)
         for i in range(datum.rank):
             if direct._ore_data(i) is None:
                 continue
             ai = datum.alpha_root(i)
-            for g in trunc.degrees:
+            for g in plus_degrees(plus):
                 # the degrees theta reads: f_i lands inside the truncation
-                if tuple(a + b for a, b in zip(g, ai)) not in trunc.offsets:
+                if (tuple(a + b for a, b in zip(g, ai)), 0) not in plus.slot:
                     continue
                 for frac in direct.model_basis(g):
                     image = direct.act_f(i, frac)
@@ -269,14 +270,54 @@ def test_theta_ore_images_read_the_evaluations_of_products(
 def test_theta_act_f_on_every_model_degree(ring1, pairing1):
     """At probe 0 the model is V(4): f_0 kills its lowest line, and the
     zero image lands at drop (5,), with the Ore products."""
-    trunc = theta_formula(pairing1, 4).trunc
-    direct = ThetaDirect(ring1, trunc, (0,))
+    plus = theta_formula(pairing1, 4).plus
+    direct = ThetaDirect(ring1, plus, (0,))
     assert direct.level == (4,)
-    for g in trunc.degrees:
+    for g in plus_degrees(plus):
         for frac in direct.model_basis(g):
             den, gamma, values = direct.act_f(0, frac)
             assert gamma == (g[0] + 1,)
             assert len(values) == len(ring1.algebra.basis(gamma).free_words)
+
+
+def old_gram_inverse(direct, gamma):
+    """The inverse of the Gram matrix of the model's functionals at drop
+    gamma, built from those functionals."""
+    return la.inverse([direct.functional_vector(direct._image(*fr))
+                       for fr in direct.model_basis(gamma)])
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "G2"])
+def test_gram_inverse_reads_the_evaluation_inverse(typ, ring1, ring2,
+                                                   pairing1, pairing2):
+    """On every (probe, degree) slice of the theta suite."""
+    if typ == "G2":
+        alg = UAlgebra(preset("G2"))
+        ring, pairing = CoordRing(alg), DrinfeldPairing(alg)
+    else:
+        ring, pairing = (ring1, pairing1) if typ == "A1" else (ring2, pairing2)
+    datum = ring.datum
+    plus = theta_formula(pairing, 4 if datum.rank == 1 else 3).plus
+    probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
+                            tuple(2 * x for x in datum.fundamental(0)),
+                            datum.rho])
+    checked = 0
+    for probe in probes:
+        direct = ThetaDirect(ring, plus, probe)
+        for g in plus_degrees(plus):
+            assert la.mat_eq(direct.gram_inverse(g),
+                             old_gram_inverse(direct, g)), (probe, g)
+            checked += 1
+    assert checked == len(probes) * len(plus_degrees(plus))
+
+
+def test_gram_inverse_refuses_a_partial_factor(monkeypatch, ring1, pairing1):
+    direct = ThetaDirect(ring1, theta_formula(pairing1, 4).plus, (1,))
+    real = CoordRing.eval_factor
+    monkeypatch.setattr(CoordRing, "eval_factor", lambda self, lam, gamma: (
+        real(self, lam, gamma)[0][:-1], real(self, lam, gamma)[1]))
+    with pytest.raises(QflagError, match="not square and invertible"):
+        direct.gram_inverse((2,))
 
 
 def test_theta_direct_route_solves_no_ore_image(monkeypatch):
@@ -316,8 +357,7 @@ def test_theta_direct_route_solves_no_ore_image(monkeypatch):
 
 
 def test_theta_sigma_scalar(ring1, pairing1, alg1):
-    trunc = UPlusTruncation(alg1, 3)
-    formula = ThetaFormula(trunc, pairing1)
+    formula = ThetaFormula(plus_part(alg1, 3), pairing1)
     d = alg1.datum
     m = formula.theta((2,), "sigma", (1,))
     assert m[0][0] == d.q_pair((1,), (2,))
@@ -327,49 +367,59 @@ def test_theta_anti_compatible(ring2, pairing2, alg2):
     # Theta reverses composition: the image of partial_{e_i e_j} (apply
     # e_j, then e_i) is right multiplication by the product word, i.e. the
     # flipped composite of the single-letter images
-    trunc = UPlusTruncation(alg2, 3)
-    formula = ThetaFormula(trunc, pairing2)
+    plus = plus_part(alg2, 3)
+    formula = ThetaFormula(plus, pairing2)
     m1 = formula.theta((0, 0), "de", 0)
     m2 = formula.theta((0, 0), "de", 1)
     # right multiplication by e_1 e_2 as one matrix
-    prod = trunc.zero_matrix()
-    for g in trunc.degrees:
+    prod = la.zeros(plus.dim, plus.dim, alg2.datum.l0)
+    for col, (g, r) in enumerate(plus.slot_keys):
         gp = tuple(a + b for a, b in zip(g, (1, 1)))
-        if gp not in trunc.offsets:
+        if (gp, 0) not in plus.slot:
             continue
-        for w in trunc.words[g]:
-            col = trunc.index(g, w)
-            red = alg2.basis(gp).reduce_word(w + (0, 1))
-            trunc.reduce_into(prod, col, gp, red)
+        red = alg2.basis(gp).reduce_word(alg2.basis(g).free_words[r] + (0, 1))
+        reduce_into(plus, prod, col, gp, red)
     # partial_{e1 e2} = partial_{e1} o partial_{e2}; Theta flips the order
     assert la.mat_eq(prod, la.mat_mul(m2, m1))
     assert not la.mat_eq(la.mat_mul(m2, m1), la.mat_mul(m1, m2))
 
 
+def plus_degrees(plus):
+    """The degrees of the plus part in layout order."""
+    return list(dict.fromkeys(g for g, _r in plus.slot_keys))
+
+
+def reduce_into(plus, mat, col, gamma, coords):
+    """Add free-word coordinates of degree gamma into column col."""
+    pos = plus.algebra.basis(gamma).free_pos
+    for w, c in coords.items():
+        row = mat[plus.slot[(gamma, pos[w])]]
+        row[col] = row[col] + c
+
+
 def old_conv(formula, i, eaten):
     """The convolution by its own coproduct loop per leg: the functional
     eats leg 0 (the operator p_i) or leg 1 (q_i)."""
-    trunc, alg = formula.trunc, formula.algebra
+    plus, alg = formula.plus, formula.algebra
     rank = alg.datum.rank
     ai = alg.datum.alpha_root(i)
-    out = trunc.zero_matrix()
-    for g in trunc.degrees:
+    out = la.zeros(plus.dim, plus.dim, alg.datum.l0)
+    for col, (g, r) in enumerate(plus.slot_keys):
         gp = tuple(a - b for a, b in zip(g, ai))
         if any(c < 0 for c in gp):
             continue
-        for w in trunc.words[g]:
-            acc = {}
-            for monos, c in alg.coproduct(alg.e_word(w)).items():
-                ew, rest = monos[eaten][2], monos[1 - eaten][2]
-                if _content(ew, rank) != ai:
-                    continue
-                val = formula.pairing.pair_words(ew, (i,))
-                if not val.is_zero():
-                    acc[rest] = acc[rest] + c * val if rest in acc \
-                        else c * val
-            trunc.reduce_into(out, trunc.index(g, w), gp,
-                              {r: c for r, c in acc.items()
-                               if not c.is_zero()})
+        acc = {}
+        for monos, c in alg.coproduct(
+                alg.e_word(alg.basis(g).free_words[r])).items():
+            ew, rest = monos[eaten][2], monos[1 - eaten][2]
+            if _content(ew, rank) != ai:
+                continue
+            val = formula.pairing.pair_words(ew, (i,))
+            if not val.is_zero():
+                acc[rest] = acc[rest] + c * val if rest in acc \
+                    else c * val
+        reduce_into(plus, out, col, gp,
+                    {w: c for w, c in acc.items() if not c.is_zero()})
     return out
 
 
@@ -383,19 +433,27 @@ def test_theta_convolutions_match_their_leg_loops(which, depth, pairing1,
 
 
 def test_theta_operators_built_once_per_depth(monkeypatch, ring1, alg1):
+    """One plus part per depth; each convolution pair and each torus
+    conjugation diagonal is built once."""
     built = Counter()
-    for name in ("_m_right", "_n_conj", "_convs"):
-        def spy(self, arg, _real=getattr(ThetaFormula, name), _name=name):
-            built[(_name, arg)] += 1
-            return _real(self, arg)
-        monkeypatch.setattr(ThetaFormula, name, spy)
+    real_plus, real_convs = thetarep.plus_part, ThetaFormula._convs
+    real_k = WeightModule.k_matrix
+    monkeypatch.setattr(thetarep, "plus_part", lambda alg, depth: (
+        built.update([("plus_part", depth)]) or real_plus(alg, depth)))
+    monkeypatch.setattr(ThetaFormula, "_convs", lambda self, i: (
+        built.update([("_convs", i)]) or real_convs(self, i)))
+    monkeypatch.setattr(WeightModule, "k_matrix", lambda self, lam: (
+        built.update([("k_matrix", self.name, tuple(lam))])
+        or real_k(self, lam)))
     pairing = DrinfeldPairing(alg1)
     probes = [(0,), (1,), (2,)]
     assert theta_build(ring1, pairing, 3, probes)["pass"]
     span = [[("de", 0)], [("df", 0)], [("dk", (2,))], []]
     assert theta_faithfulness_probe(ring1, pairing, 3, probes, span)["pass"]
     assert theta_formula(pairing, 3) is theta_formula(pairing, 3)
-    assert ("_convs", 0) in built and set(built.values()) == {1}
+    assert {("plus_part", 3), ("_convs", 0)} <= set(built)
+    assert ("k_matrix", "Tr([0])|ht<=3", (-2,)) in built
+    assert set(built.values()) == {1}
 
 
 def test_theta_faithfulness(ring1, pairing1):
@@ -415,7 +473,7 @@ def test_theta_faithfulness_multiplies_no_identity(monkeypatch, ring1,
     probes = [(0,), (1,)]
     span = [[("de", 0), ("dk", (2,))], [("de", 0)], []]
     formula = theta_formula(pairing1, 3)
-    ident = la.identity(formula.trunc.dim, ring1.datum.l0)
+    ident = la.identity(formula.plus.dim, ring1.datum.l0)
     rows = []   # the same rows with every product started at the identity
     for word in span:
         vec = []

@@ -18,8 +18,9 @@ from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
 from qflag.errors import DegreeCapError, DominanceError
 from qflag.rmatrix import DrinfeldPairing
-from qflag.thetarep import ThetaFormula, UPlusTruncation
-from qflag.weightmod import SimpleFactory, simple, simple_factory, verma
+from qflag.thetarep import ThetaFormula
+from qflag.weightmod import (SimpleFactory, check_module_relations,
+                             plus_part, simple, simple_factory, verma)
 
 # every module whose slices the evaluation oracle covers
 EVAL_CASES = {
@@ -370,18 +371,26 @@ def old_simple(fac):
     return slot, weights, labels, gen
 
 
-def old_m_right(trunc, i):
+def old_m_right(plus, i):
     """Right multiplication by e_i on the plus part, word by word."""
-    alg = trunc.algebra
-    out = trunc.zero_matrix()
-    for g in trunc.degrees:
+    alg = plus.algebra
+    out = la.zeros(plus.dim, plus.dim, alg.datum.l0)
+    for col, (g, r) in enumerate(plus.slot_keys):
         gp = tuple(a + b for a, b in zip(g, alg.datum.alpha_root(i)))
-        if gp not in trunc.offsets:
+        if (gp, 0) not in plus.slot:
             continue
-        for w in trunc.words[g]:
-            trunc.reduce_into(out, trunc.index(g, w), gp,
-                              alg.basis(gp).reduce_word(w + (i,)))
+        tgt = alg.basis(gp)
+        for wb, c in tgt.reduce_word(alg.basis(g).free_words[r]
+                                     + (i,)).items():
+            out[plus.slot[(gp, tgt.free_pos[wb])]][col] = c
     return out
+
+
+def old_n_conj(plus, mu):
+    """Torus conjugation by k_mu on the plus part: q^{(mu, deg)} per word."""
+    datum = plus.datum
+    return la.diagonal([datum.q_pair(mu, datum.root_to_weight(g))
+                        for g, _r in plus.slot_keys], datum.l0)
 
 
 def _gen_equal(new, old):
@@ -435,6 +444,30 @@ def test_simple_matches_the_per_pivot_reduction(rings, typ, lams):
                                        ("G2", 3)])
 def test_m_right_is_the_right_deepening_kernel(rings, typ, depth):
     alg = rings[typ].algebra
-    formula = ThetaFormula(UPlusTruncation(alg, depth), DrinfeldPairing(alg))
+    formula = ThetaFormula(plus_part(alg, depth), DrinfeldPairing(alg))
     for i in range(alg.datum.rank):
-        assert la.mat_eq(formula.m_right(i), old_m_right(formula.trunc, i))
+        assert la.mat_eq(formula.m_right(i), old_m_right(formula.plus, i))
+
+
+@pytest.mark.parametrize("typ,depth,dim", [("A1", 4, 5), ("A2", 3, 13),
+                                           ("B2", 3, 14), ("G2", 3, 14)])
+def test_plus_part_is_the_right_verma_module_cut_at_a_height(
+        rings, typ, depth, dim):
+    """The plus part keeps the layout of the truncation it replaced
+    (degrees by height, free words within a degree), its e_i and k blocks
+    are right multiplication and torus conjugation, and it is a module."""
+    alg = rings[typ].algebra
+    datum = alg.datum
+    plus = plus_part(alg, depth)
+    degrees = sorted(box((depth,) * datum.rank, height=depth), key=by_height)
+    assert plus.slot_keys == [(g, r) for g in degrees
+                              for r in range(len(alg.basis(g).free_words))]
+    assert plus.dim == dim and plus.side == "right"
+    assert plus.index_weights == [datum.weight_sub_root(datum.zero_weight, g)
+                                  for g, _r in plus.slot_keys]
+    assert check_module_relations(plus) == []
+    formula = ThetaFormula(plus, DrinfeldPairing(alg))
+    for i in range(datum.rank):
+        assert la.mat_eq(formula.m_right(i), old_m_right(plus, i))
+    for mu in [datum.alpha(i) for i in range(datum.rank)] + [datum.rho]:
+        assert formula.n_conj(mu) == old_n_conj(plus, mu)

@@ -249,30 +249,29 @@ def test_module_json_description(alg2):
     assert "highest" in desc["distinguished"]
 
 
-def test_word_matrix_multiplies_no_identity(monkeypatch, alg2):
+def test_act_multiplies_no_matrices(monkeypatch, alg2):
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append(1) or real(a, b))
+    u = alg2.f(0) * alg2.k((1, 0)) * alg2.f(1)
     for side in ("left", "right"):
         mod = verma(alg2, (1, 0), (2, 2), side=side)
-        word = (("f", 0), ("k", (1, 0)), ("f", 1))
-        ordered = reversed(word) if side == "left" else word
-        expected = la.identity(mod.dim, alg2.datum.l0)
-        for letter in ordered:
-            expected = la.mat_mul(mod.letter_matrix(letter), expected)
-        calls = []
-        real = la.mat_mul
-        monkeypatch.setattr(la, "mat_mul",
-                            lambda a, b: calls.append(1) or real(a, b))
-        assert la.mat_eq(mod.word_matrix(word), expected)
-        assert len(calls) == 2
-        monkeypatch.undo()
-    # a one-letter word is a copy: changing it leaves the generator alone
+        assert mod.act(u) == dense_act(mod, u)
+        calls.clear()
+        mod.act(u)
+        assert calls == []
+    monkeypatch.undo()
+    # a one-letter element gives a new matrix: changing it leaves the
+    # generator alone
     mod = simple(alg2, (1, 0))
     gen = mod.gen_matrix("f", 0)
     before = [list(row) for row in gen]
-    one = mod.word_matrix((("f", 0),))
+    one = mod.act(alg2.f(0))
     assert la.mat_eq(one, gen) and one is not gen
     one[0][0] = alg2.datum.one()
     assert gen == before
-    assert la.mat_eq(mod.word_matrix(()), la.identity(mod.dim, alg2.datum.l0))
+    assert la.mat_eq(mod.act(alg2.one()), la.identity(mod.dim, alg2.datum.l0))
 
 
 def test_exp_matrix_multiplies_no_identity(monkeypatch, alg1):
@@ -320,11 +319,22 @@ def dense_tensor_gen(m1, m2):
     return out
 
 
+def word_matrix(mod, word):
+    """The dense matrix of a raw letter word: the product of its letters'
+    matrices, a k letter as the diagonal ``k_matrix``, in the order
+    ``applied_letters`` gives."""
+    out = la.identity(mod.dim, mod.datum.l0)
+    for kind, v in mod.applied_letters(word):
+        m = mod.k_matrix(v) if kind == "k" else mod.gen[(kind, v)]
+        out = la.mat_mul(m, out)
+    return out
+
+
 def dense_act(mod, u):
     """The dense route ``act`` replaced: mat_add of mat_scale per term."""
     out = la.zeros(mod.dim, mod.dim, mod.datum.l0)
     for (fw, lam, ew), c in u.terms.items():
-        m = mod.word_matrix(mod.algebra.monomial_word(fw, lam, ew))
+        m = word_matrix(mod, mod.algebra.monomial_word(fw, lam, ew))
         out = la.mat_add(out, la.mat_scale(m, c))
     return out
 
@@ -374,7 +384,7 @@ def dense_relation_failures(mod):
     ``check_module_relations``."""
     failures = []
     for name, terms in weightmod.defining_relations(mod.algebra):
-        mats = [(c, mod.word_matrix(w)) for c, w in terms]
+        mats = [(c, word_matrix(mod, w)) for c, w in terms]
         for col, wt in enumerate(mod.index_weights):
             if not all(path_valid(mod, wt, w) for _c, w in terms):
                 continue
@@ -428,13 +438,23 @@ def test_relation_check_reports_a_corrupted_cell(typ, alg1, alg2):
 def test_act_matches_dense_sum(alg2):
     e0, f0, e1, f1 = alg2.e(0), alg2.f(0), alg2.e(1), alg2.f(1)
     q = alg2.datum.q_power(1)
+    rho = alg2.datum.rho
     elements = [
         e0 * f0,                        # f e + (k - k^-1)/(q - q^-1)
         e0 * f0 * e1 * f1 + f1 * e1.scale(q) - alg2.k((1, 0)),
         e0 * e1 * f0 + f1 * f0 * e0,
+        # a k letter between the f and e letters of a monomial
+        f1 * alg2.k(rho) * e0 + (e1 * alg2.k((1, 0)) * f1).scale(q),
     ]
     assert all(len(u.terms) >= 2 for u in elements)
-    for mod in (simple(alg2, (1, 1)), restricted_dual(simple(alg2, (1, 0))),
+    assert any(fw and ew and any(lam) for fw, lam, ew in elements[-1].terms)
+    dual = restricted_dual(simple(alg2, (1, 0)))
+    for mod in (simple(alg2, (1, 1)), dual, tensor(dual, dual),
+                verma(alg2, rho, (2, 2)),
                 verma(alg2, (1, 0), (2, 2), side="right")):
+        v = [q if j % 2 else alg2.datum.zero() for j in range(mod.dim)]
         for u in elements:
-            assert mod.act(u) == dense_act(mod, u), (mod.name, u.to_str())
+            dense = dense_act(mod, u)
+            assert mod.act(u) == dense, (mod.name, u.to_str())
+            assert mod.apply(u, v) == la.mat_vec(dense, v)
+
