@@ -208,36 +208,36 @@ def lp_exact_div(a: Lp, b: Lp) -> Lp:
 # QScalar
 # ---------------------------------------------------------------------------
 
+# The one den of every polynomial (and num of one): shared, never mutated.
+_ONE: Lp = {0: 1}
+
+
 class QScalar:
-    """An element of Q(q^(1/l0)) in canonical form."""
+    """An element of Q(q^(1/l0)) in canonical form.  Its num and den dicts
+    may be shared with other scalars and must not be mutated."""
 
     __slots__ = ("num", "den", "l0", "_hash")
 
-    def __init__(self, num: Lp, den: Lp, l0: int, _canonical: bool = False):
-        if l0 <= 0:
-            raise ValueError("l0 must be a positive integer")
+    def __init__(self, num: Lp, den: Lp, l0: int):
+        self.l0 = _valid_l0(l0)
         if not den:
             raise ScalarDivisionError("zero denominator")
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
-        self.l0 = l0
+        self.num, self.den = _canonicalize(num, den)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, l0: int) -> "QScalar":
-        return cls({}, {0: 1}, l0, _canonical=True)
+        return _canon({}, _ONE, _valid_l0(l0))
 
     @classmethod
     def one(cls, l0: int) -> "QScalar":
-        return cls({0: 1}, {0: 1}, l0, _canonical=True)
+        return _canon(_ONE, _ONE, _valid_l0(l0))
 
     @classmethod
     def integer(cls, n: int, l0: int) -> "QScalar":
-        return cls(lp_const(n), {0: 1}, l0, _canonical=True)
+        return _canon(lp_const(n), _ONE, _valid_l0(l0))
 
     @classmethod
     def q_power(cls, exp, l0: int) -> "QScalar":
@@ -251,11 +251,11 @@ class QScalar:
     @classmethod
     def q_l0(cls, n: int, l0: int) -> "QScalar":
         """The monomial q**(n/l0) for an integer n."""
-        return cls({n: 1}, {0: 1}, l0, _canonical=True)
+        return _canon({n: 1}, _ONE, _valid_l0(l0))
 
     @classmethod
     def from_poly(cls, num: Lp, l0: int) -> "QScalar":
-        return cls(dict(num), {0: 1}, l0)
+        return cls(dict(num), _ONE, l0)
 
     # -- predicates ---------------------------------------------------------
 
@@ -263,12 +263,15 @@ class QScalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == {0: 1} and self.den == {0: 1}
+        return self.is_polynomial() and self.num == _ONE
 
     def is_polynomial(self) -> bool:
-        return self.den == {0: 1}
+        return self.den is _ONE or self.den == _ONE
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # Each operation hands its canonical pair straight to _canon.  The
+    # shortcuts test ``den is _ONE``; any other {0: 1} takes the full route.
 
     def _check(self, other: "QScalar") -> None:
         if self.l0 != other.l0:
@@ -276,45 +279,52 @@ class QScalar:
 
     def __add__(self, other: "QScalar") -> "QScalar":
         self._check(other)
-        if not other.num:
+        a, c = self.num, other.num
+        if not c:
             return self
-        if not self.num:
+        if not a:
             return other
-        if self.den == other.den:
-            if self.den == {0: 1}:  # a sum of polynomials is canonical
-                return QScalar(lp_add(self.num, other.num), {0: 1}, self.l0,
-                               _canonical=True)
-            return QScalar(lp_add(self.num, other.num), dict(self.den), self.l0)
-        num = lp_add(lp_mul(self.num, other.den), lp_mul(other.num, self.den))
-        return QScalar(num, lp_mul(self.den, other.den), self.l0)
+        b, d = self.den, other.den
+        if b is _ONE and d is _ONE:  # a sum of polynomials is canonical
+            return _canon(lp_add(a, c), _ONE, self.l0)
+        if b == d:
+            return _canon(*_canonicalize(lp_add(a, c), b), self.l0)
+        return _canon(*_henrici(a, b, c, d), self.l0)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __neg__(self) -> "QScalar":
-        return QScalar(lp_neg(self.num), dict(self.den), self.l0, _canonical=True)
+        return _canon(lp_neg(self.num), self.den, self.l0)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
         self._check(other)
-        if not self.num:
+        a, c = self.num, other.num
+        if not a:
             return self
-        if not other.num:
+        if not c:
             return other
-        if self.is_polynomial() and other.is_polynomial():
-            return QScalar(lp_mul(self.num, other.num), {0: 1}, self.l0,
-                           _canonical=True)
+        b, d = self.den, other.den
+        if d is _ONE and len(c) == 1:
+            (e, s), = c.items()
+            if s == 1 or s == -1:
+                return _shifted(self, e, s)
+        if b is _ONE and len(a) == 1:
+            (e, s), = a.items()
+            if s == 1 or s == -1:
+                return _shifted(other, e, s)
+        if b is _ONE and d is _ONE:
+            return _canon(lp_mul(a, c), _ONE, self.l0)
         # for coprime pairs gcd(a*c, b*d) = gcd(a, d) * gcd(c, b)
-        a, d = _cancel(self.num, other.den)
-        c, b = _cancel(other.num, self.den)
-        return QScalar(*_normalize(lp_mul(a, c), lp_mul(b, d)), self.l0,
-                       _canonical=True)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _canon(*_normalize(lp_mul(a, c), lp_mul(b, d)), self.l0)
 
     def inverse(self) -> "QScalar":
         if not self.num:
             raise ScalarDivisionError("inverting zero")
         # num and den stay coprime: only units need normalizing
-        return QScalar(*_normalize(self.den, self.num), self.l0,
-                       _canonical=True)
+        return _canon(*_normalize(self.den, self.num), self.l0)
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         self._check(other)
@@ -322,8 +332,7 @@ class QScalar:
             raise ScalarDivisionError("division by zero")
         a, c = _cancel(self.num, other.num)
         d, b = _cancel(other.den, self.den)
-        return QScalar(*_normalize(lp_mul(a, d), lp_mul(b, c)), self.l0,
-                       _canonical=True)
+        return _canon(*_normalize(lp_mul(a, d), lp_mul(b, c)), self.l0)
 
     def __pow__(self, n: int) -> "QScalar":
         if n < 0:
@@ -362,7 +371,7 @@ class QScalar:
 
     def to_str(self) -> str:
         num = _poly_str(self.num, self.l0)
-        if self.den == {0: 1}:
+        if self.is_polynomial():
             return num
         den = _poly_str(self.den, self.l0)
         return f"({num})/({den})"
@@ -370,6 +379,45 @@ class QScalar:
     @classmethod
     def parse(cls, text: str, l0: int) -> "QScalar":
         return _parse_scalar(text, l0)
+
+
+def _canon(num: Lp, den: Lp, l0: int) -> QScalar:
+    """The scalar of a pair already in canonical form, with den _ONE when
+    it is 1: the internal constructor, without the public one's checks."""
+    x = object.__new__(QScalar)
+    x.num, x.den, x.l0, x._hash = num, den, l0, None
+    return x
+
+
+def _valid_l0(l0: int) -> int:
+    if l0 <= 0:
+        raise ValueError("l0 must be a positive integer")
+    return l0
+
+
+def _shifted(x: QScalar, e: int, s: int) -> QScalar:
+    """x times the unit s*q^(e/l0), s = +-1: a unit shift and a sign keep
+    the pair coprime and both contents, so den is reused untouched."""
+    if s == 1:
+        if not e:
+            return x
+        num = {k + e: c for k, c in x.num.items()}
+    else:
+        num = {k + e: -c for k, c in x.num.items()}
+    return _canon(num, x.den, x.l0)
+
+
+def _henrici(a: Lp, b: Lp, c: Lp, d: Lp) -> Tuple[Lp, Lp]:
+    """The canonical pair of a/b + c/d, b != d, by Henrici's method (Knuth,
+    TAOCP vol. 2, 4.5.1): with g = gcd(b, d), no factor of b/g or d/g
+    divides n = a(d/g) + c(b/g), so only gcd(n, g) cancels.  When g = 1
+    only the integer contents and the sign are left to normalize."""
+    g = lp_gcd(b, d) if len(b) > 1 and len(d) > 1 else _ONE
+    if g == _ONE:
+        return _normalize(lp_add(lp_mul(a, d), lp_mul(c, b)), lp_mul(b, d))
+    bg, dg = lp_exact_div(b, g), lp_exact_div(d, g)
+    n, h = _cancel(lp_add(lp_mul(a, dg), lp_mul(c, bg)), g)
+    return _normalize(n, lp_mul(bg, lp_mul(dg, h)))
 
 
 def _canonicalize(num: Lp, den: Lp) -> Tuple[Lp, Lp]:
@@ -381,7 +429,7 @@ def _cancel(x: Lp, y: Lp) -> Tuple[Lp, Lp]:
     # a monomial c*q^k has no nonconstant factor: its gcd with anything is 1
     if len(x) > 1 and len(y) > 1:
         g = lp_gcd(x, y)
-        if g != {0: 1}:
+        if g != _ONE:
             return lp_exact_div(x, g), lp_exact_div(y, g)
     return x, y
 
@@ -390,7 +438,7 @@ def _normalize(num: Lp, den: Lp) -> Tuple[Lp, Lp]:
     """Normalize the units of a coprime pair: lowest exponent of den 0,
     coprime integer contents, lowest coefficient of den positive."""
     if not num:
-        return {}, {0: 1}
+        return {}, _ONE
     # exponent normalization: pull q-power out of den so its lowest exp is 0
     md = lp_min_exp(den)
     if md:
@@ -404,7 +452,7 @@ def _normalize(num: Lp, den: Lp) -> Tuple[Lp, Lp]:
     if den[lp_min_exp(den)] < 0:
         num = lp_neg(num)
         den = lp_neg(den)
-    return num, den
+    return num, _ONE if den == _ONE else den
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,13 @@ class ThetaDirect:
             all(self._gram_ok(grade, g) for g in drops)
 
     def _gram_ok(self, grade: Weight, gamma: RootSum) -> bool:
+        """Square, and its factor (read by gram_inverse) takes every row."""
         mat, _w, d = self.ring.eval_solver(grade, gamma)
-        return d > 0 and len(mat) == d and linalg.rank(mat) == d
+        try:
+            return 0 < d == len(mat) == len(
+                self.ring.eval_factor(grade, gamma)[0])
+        except ArithmeticError:
+            return False
 
     # -- fraction bookkeeping ----------------------------------------------------
 

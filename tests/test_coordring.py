@@ -10,6 +10,7 @@ from qflag.config import RunConfig
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, OreSearchError, QflagError
+from qflag.scalars import QScalar
 from qflag.thetarep import ThetaDirect, theta_formula
 from qflag.weightmod import braid_word
 
@@ -427,3 +428,56 @@ def test_from_evaluations_checks_every_row(ring2):
                         assert ring2.from_evaluations(lam, gamma,
                                                       bad).vec == sol
     assert raised
+
+
+def transpose_route_factor(mat):
+    """(rows, inverse) from the row reduction of the transpose: the factor
+    of every shape before square slices were inverted whole."""
+    _ech, rows = la.rref(la.transpose(mat))
+    return rows, la.inverse([mat[r] for r in rows])
+
+
+def test_eval_factor_inverts_a_square_slice_whole(ring2):
+    shapes = Counter()
+    for lam in [(1, 0), (1, 1), (2, 1), (2, 2)]:
+        for gamma in sorted(ring2.factory(lam).drops):
+            mat, _words, d = ring2.eval_solver(lam, gamma)
+            rows, inv = ring2.eval_factor(lam, gamma)
+            old_rows, old_inv = transpose_route_factor(mat)
+            assert rows == old_rows and la.mat_eq(inv, old_inv)
+            shapes["square" if len(mat) == d else "tall"] += 1
+    assert shapes["square"] and shapes["tall"]
+
+
+def test_a_singular_square_slice_takes_the_transpose_route(monkeypatch, alg1,
+                                                           ring1, pairing1):
+    """A singular square evaluation matrix gets the transpose route's
+    factor, is no stable slice, and raises what that factor raises."""
+    d = alg1.datum
+    one, q = d.one(), QScalar.q_power(1, d.l0)
+    singular = [[one, q], [q.inverse(), one]]
+    new, old = CoordRing(alg1), CoordRing(alg1)
+    for ring in (new, old):
+        monkeypatch.setattr(ring, "eval_solver",
+                            lambda lam, gamma: (singular, [(1,), (1,)], 2))
+    monkeypatch.setattr(old, "eval_factor", lambda lam, gamma:
+                        transpose_route_factor(singular))
+    rows, inv = new.eval_factor((3,), (1,))
+    old_rows, old_inv = transpose_route_factor(singular)
+    assert rows == old_rows == [0] and la.mat_eq(inv, old_inv)
+
+    def outcome(call):
+        try:
+            return call().vec
+        except (ArithmeticError, QflagError) as exc:
+            return type(exc)
+    for values in ([q, one], [one, q], [one, one]):
+        assert outcome(lambda: new.from_evaluations((3,), (1,), values)) \
+            == outcome(lambda: old.from_evaluations((3,), (1,), values))
+    plus = theta_formula(pairing1, 4).plus
+    for ring in (new, old):
+        direct = ThetaDirect(ring1, plus, (1,))
+        direct.ring = ring
+        assert not direct._gram_ok((3,), (1,))
+        with pytest.raises(QflagError, match="not square and invertible"):
+            direct.gram_inverse((1,))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflag import scalars
 from qflag.errors import ScalarDivisionError, ScalarMixError
-from qflag.scalars import QScalar, exp_t_coefficient, lp_exact_div, lp_gcd, \
-    lp_mul, quantum_factorial, quantum_integer
+from qflag.scalars import QScalar, exp_t_coefficient, lp_add, lp_exact_div, \
+    lp_gcd, lp_mul, lp_neg, quantum_factorial, quantum_integer
 
 L0 = 2
 
@@ -46,6 +47,19 @@ def test_division_by_zero_is_distinct_error():
 def test_l0_mixing_is_an_error():
     with pytest.raises(ScalarMixError):
         QScalar.one(2) + QScalar.one(3)
+    # the +-1 and +-q^k shortcuts come after the l0 check, on either side
+    units = [QScalar.one(3), -QScalar.one(3), QScalar.q_l0(2, 3),
+             -QScalar.q_l0(-1, 3)]
+    others = [QScalar.zero(L0), QScalar.one(L0), q(1), q(1) + q(-1),
+              QScalar({0: 1}, {0: 1, 1: 1}, L0)]
+    for u in units:
+        for x in others:
+            for op in (lambda a, b: a * b, lambda a, b: a + b,
+                       lambda a, b: a / b):
+                with pytest.raises(ScalarMixError):
+                    op(u, x)
+                with pytest.raises(ScalarMixError):
+                    op(x, u)
 
 
 def test_quantum_integer_values():
@@ -258,3 +272,134 @@ def test_exact_division_rejects_a_remainder(x, y, e, c):
     p = {k: v for k, v in p.items() if v}
     with pytest.raises(ArithmeticError):
         lp_exact_div(p, y)
+
+
+# -- canonical pairs by construction: each operation against the full route --
+#
+# The oracle cross-multiplies and hands the pair to the public constructor,
+# which cancels the gcd of the whole numerator and denominator.  The
+# strategies aim at every shortcut: +-1, +-q^k, c*q^k with |c| >= 2,
+# polynomials, and rationals whose denominators are equal, coprime, share
+# a factor (also to a higher power on one side) or share only an integer.
+
+units = st.builds(lambda s, k: QScalar({k: s}, {0: 1}, L0),
+                  st.sampled_from((1, -1)), st.integers(-6, 6))
+monomials = st.builds(lambda c, k: QScalar({k: c}, {0: 1}, L0),
+                      st.integers(2, 6) | st.integers(-6, -2),
+                      st.integers(-6, 6))
+polynomials = st.builds(lambda n: QScalar(n, {0: 1}, L0), laurent)
+operands = st.one_of(units, monomials, polynomials, oracle_scalars)
+
+
+@st.composite
+def fraction_pairs(draw):
+    f, g, h = (_IRREDUCIBLE[i] for i in
+               draw(st.permutations(range(len(_IRREDUCIBLE))))[:3])
+    shape = draw(st.sampled_from(
+        ("equal", "coprime", "shared", "power", "content")))
+    if shape == "equal":
+        b = d = lp_mul(f, g)
+    elif shape == "coprime":
+        b, d = f, lp_mul(g, h)
+    elif shape == "shared":
+        b, d = lp_mul(f, g), lp_mul(f, h)
+    elif shape == "power":
+        b, d = lp_mul(f, f), lp_mul(f, g)
+    else:
+        b, d = lp_mul({0: 2}, f), lp_mul({0: 6}, g)
+    return QScalar(draw(laurent), b, L0), QScalar(draw(laurent), d, L0)
+
+
+operand_pairs = st.one_of(st.tuples(operands, operands), fraction_pairs())
+
+
+def _full_route(op, a, b):
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if op == "+":
+        return QScalar(lp_add(lp_mul(an, bd), lp_mul(bn, ad)),
+                       lp_mul(ad, bd), L0)
+    if op == "-":
+        return QScalar(lp_add(lp_mul(an, bd), lp_neg(lp_mul(bn, ad))),
+                       lp_mul(ad, bd), L0)
+    if op == "*":
+        return QScalar(lp_mul(an, bn), lp_mul(ad, bd), L0)
+    return QScalar(lp_mul(an, bd), lp_mul(ad, bn), L0)
+
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def test_the_example_sum_keeps_its_content_step():
+    # coprime denominators sharing the integer 2: 1/(2q+2) + 1/(2q+4) is
+    # (4q+6)/(4(q+1)(q+2)) before the contents are made coprime
+    x = QScalar({0: 1}, {0: 2, L0: 2}, L0) + QScalar({0: 1}, {0: 4, L0: 2}, L0)
+    assert (x.num, x.den) == ({0: 3, L0: 2}, {0: 4, L0: 6, 2 * L0: 2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs)
+def test_every_result_is_the_canonical_pair_of_the_full_route(pair):
+    one_den = QScalar.one(L0).den
+    for x, y in (pair, pair[::-1]):
+        for op, fn in _OPS.items():
+            if op == "/" and y.is_zero():
+                continue
+            got, want = fn(x, y), _full_route(op, x, y)
+            assert (got.num, got.den) == (want.num, want.den), (x, op, y)
+            # every polynomial result holds the one shared denominator
+            assert (got.den is one_den) == (got.den == {0: 1})
+    for x in pair:
+        if not x.is_zero():
+            inv, want = x.inverse(), QScalar(x.den, x.num, L0)
+            assert (inv.num, inv.den) == (want.num, want.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs)
+def test_no_operation_mutates_its_operands(pair):
+    before = [(dict(x.num), dict(x.den)) for x in pair]
+    for op, fn in _OPS.items():
+        for x, y in (pair, pair[::-1]):
+            if op != "/" or not y.is_zero():
+                fn(x, y)
+    for x in pair:
+        -x
+        if not x.is_zero():
+            x.inverse()
+    assert [(x.num, x.den) for x in pair] == before
+    assert QScalar.one(L0).den == {0: 1} and QScalar.one(L0).num == {0: 1}
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    real = scalars.lp_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    monkeypatch.setattr(scalars, "lp_gcd", spy)
+    return calls
+
+
+def test_unit_factors_and_polynomial_sums_take_no_gcd(gcd_calls):
+    rational = QScalar({0: 1, L0: 3}, {0: 1, L0: 1, 2 * L0: 1}, L0)
+    poly = q(2) - QScalar.integer(3, L0)
+    gcd_calls.clear()  # building the operands may take gcds
+    for u in (QScalar.one(L0), -QScalar.one(L0), q(3), -q(-2)):
+        for x in (rational, poly, u):
+            assert u * x == x * u
+            assert x / u == x * u.inverse()
+    assert (poly + (q(1) + q(-1))).is_polynomial()
+    assert gcd_calls == []
+
+
+def test_a_sum_over_coprime_denominators_takes_one_gcd(gcd_calls):
+    b, d = {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}
+    x, y = QScalar({0: 1}, b, L0), QScalar({0: 1, 1: -1}, d, L0)
+    gcd_calls.clear()
+    s = x + y
+    # the gcd of the two denominators, not of the cross-multiplied pair
+    assert gcd_calls == [(b, d)]
+    assert s == _full_route("+", x, y)
