@@ -282,13 +282,14 @@ def test_exact_division_rejects_a_remainder(x, y, e, c):
 # polynomials, and rationals whose denominators are equal, coprime, share
 # a factor (also to a higher power on one side) or share only an integer.
 
-units = st.builds(lambda s, k: QScalar({k: s}, {0: 1}, L0),
-                  st.sampled_from((1, -1)), st.integers(-6, 6))
-monomials = st.builds(lambda c, k: QScalar({k: c}, {0: 1}, L0),
-                      st.integers(2, 6) | st.integers(-6, -2),
-                      st.integers(-6, 6))
-polynomials = st.builds(lambda n: QScalar(n, {0: 1}, L0), laurent)
-operands = st.one_of(units, monomials, polynomials, oracle_scalars)
+unit_scalars = st.builds(lambda s, k: QScalar({k: s}, {0: 1}, L0),
+                         st.sampled_from((1, -1)), st.integers(-6, 6))
+monomial_scalars = st.builds(lambda c, k: QScalar({k: c}, {0: 1}, L0),
+                             st.integers(2, 6) | st.integers(-6, -2),
+                             st.integers(-6, 6))
+polynomial_scalars = st.builds(lambda n: QScalar(n, {0: 1}, L0), laurent)
+operands = st.one_of(unit_scalars, monomial_scalars, polynomial_scalars,
+                     oracle_scalars)
 
 
 @st.composite
