@@ -110,6 +110,8 @@ class CartanDatum:
                           for row in inv)
         self.max_height = max_height if max_height is not None else max_height_in_force()
         self.memo = Memo()
+        # no code mutates a scalar, so every caller shares these two
+        self._zero, self._one = QScalar.zero(self.l0), QScalar.one(self.l0)
 
     # -- element constructors -------------------------------------------------
 
@@ -213,10 +215,10 @@ class CartanDatum:
         return QScalar.q_l0(self.pair_l0(lam, mu), self.l0)
 
     def one(self) -> QScalar:
-        return QScalar.one(self.l0)
+        return self._one
 
     def zero(self) -> QScalar:
-        return QScalar.zero(self.l0)
+        return self._zero
 
     def scalar(self, n: int) -> QScalar:
         return QScalar.integer(n, self.l0)

@@ -9,8 +9,10 @@ of degree gamma.  The ring reads V(lam) from the algebra's one
 time, only as far as they are asked for.  The evaluation matrix of a
 weight space is the contravariant-form Gram matrix the factory builds it
 from, on its pivot columns.  A product is computed as its evaluations
-(``product_evaluations``), which callers that only pair it against words
-read as they are; ``mult`` takes those to coordinates through one
+(``product_evaluations``): the graded dual of the plus part is the quantum
+shuffle algebra, so each is a q-shuffle of the two factors' evaluations,
+with no coproduct walked.  Callers that only pair a product against words
+read those as they are; ``mult`` takes them to coordinates through one
 factorization per slice (the inverse of an independent block of rows,
 every row checked).  Each product is computed once per ring: both are
 memoized by the grade, drop and coordinates of the two factors.  On top
@@ -151,6 +153,35 @@ def _pair_key(a: CoordElement, b: CoordElement) -> tuple:
     return (a.grade, a.gamma, tuple(a.vec), b.grade, b.gamma, tuple(b.vec))
 
 
+def _shuffles(word: Tuple[int, ...], need: RootSum, start: Tuple[int, ...],
+              pair: List[List[int]]):
+    """Each split of ``word`` into the subword on a position set S of
+    content ``need`` and the subword on the other positions, with the
+    exponent l0 e(S): walking from the right, a letter i off S adds
+    lin[i], where lin starts at ``start`` and each letter j put in S adds
+    the column ``pair[.][j]`` to it."""
+    # left[t][i]: the letters i among positions 0..t
+    left, count = [], [0] * len(need)
+    for i in word:
+        count[i] += 1
+        left.append(tuple(count))
+    out: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = []
+
+    def walk(t, need, lin, wa, wb, e):
+        if t < 0:
+            out.append((wa, wb, e))
+            return
+        i = word[t]
+        if need[i]:
+            walk(t - 1, need[:i] + (need[i] - 1,) + need[i + 1:],
+                 tuple(x + row[i] for x, row in zip(lin, pair)),
+                 (i,) + wa, wb, e)
+        if left[t][i] > need[i]:
+            walk(t - 1, need, lin, wa, (i,) + wb, e + lin[i])
+    walk(len(word) - 1, tuple(need), start, (), (), 0)
+    return out
+
+
 class CoordRing:
     """Lazy exact model of the Lambda^+-graded coordinate ring."""
 
@@ -211,7 +242,7 @@ class CoordRing:
     def evaluations(self, a: CoordElement) -> List[QScalar]:
         mat, words, d = self.eval_solver(a.grade, a.gamma)
         if d == 0:
-            return [self.datum.zero() for _ in words]
+            return [self.datum.zero()] * len(words)
         return linalg.mat_vec(mat, a.vec)
 
     def eval_solver(self, lam: Weight, gamma: RootSum) -> tuple:
@@ -278,44 +309,74 @@ class CoordRing:
 
     def product_evaluations(self, a: CoordElement, b: CoordElement
                             ) -> Tuple[Weight, RootSum, List[QScalar]]:
-        """(grade, drop, evaluations) of the product ab, from the functional
-        identity <ab, x> = <v* (x) v*, Delta(x)(v_a (x) v_b)> over the
-        plus-part words x, without solving for its coordinates.  Memoized
-        on the ring by both factors; callers must not mutate the values."""
+        """(grade, drop, evaluations) of the product ab over the plus-part
+        basis words, as q-shuffles of the factors' evaluations, without
+        solving for its coordinates.  Memoized on the ring by both
+        factors; callers must not mutate the values."""
         return self.memo.get(("product",) + _pair_key(a, b),
                              lambda: self._product_evaluations(a, b))
 
     def _product_evaluations(self, a: CoordElement, b: CoordElement
                              ) -> Tuple[Weight, RootSum, List[QScalar]]:
+        # the graded dual of the plus part is the quantum shuffle algebra:
+        # <ab, x_w> = sum over the position sets S of w of content gamma(a)
+        # of q^{e(S)} <a, x_{w|S}> <b, x_{w|S^c}>, where each letter w_t
+        # off S contributes (alpha_{w_t}, wt(a) + alpha of w|S right of t),
+        # the twist of Delta(e_i) = e_i (x) 1 + k_i (x) e_i
         datum = self.datum
         grade = datum.weight_add(a.grade, b.grade)
         gamma = tuple(x + y for x, y in zip(a.gamma, b.gamma))
-        faca, facb = self.factory(a.grade), self.factory(b.grade)
-        words = self._words(gamma)
+        if a.is_zero() or b.is_zero():
+            return grade, gamma, [datum.zero()] * len(self._words(gamma))
+        ev_a, ev_b = self._word_values(a), self._word_values(b)
         values = []
-        for w in words:
-            # Sweedler branches: e_i acts as e_i (x) 1 + k_i (x) e_i
-            branches = [(a.gamma, a.vec, b.gamma, b.vec, datum.one())]
-            for i in reversed(w):
-                nxt = []
-                for (ga, va, gb, vb, c) in branches:
-                    res = faca.apply_word(ga, va, "e", (i,))
-                    if res is not None:
-                        nxt.append((*res, gb, vb, c))
-                    res = facb.apply_word(gb, vb, "e", (i,))
-                    if res is not None:
-                        tw = datum.q_pair(
-                            datum.alpha(i),
-                            datum.weight_sub_root(a.grade, ga))
-                        nxt.append((ga, va, *res, c * tw))
-                branches = nxt
+        for splits in self._splits(gamma, a.gamma, a.weight):
             val = datum.zero()
-            for (ga, va, gb, vb, c) in branches:
-                if any(ga) or any(gb):
+            for wa, wb, e in splits:
+                x = ev_a(wa)
+                if x.is_zero():
                     continue
-                val = val + c * va[0] * vb[0]
+                y = ev_b(wb)
+                if not y.is_zero():
+                    val = val + QScalar.q_l0(e, datum.l0) * (x * y)
             values.append(val)
         return grade, gamma, values
+
+    def _splits(self, gamma: RootSum, need: RootSum, weight: Weight
+                ) -> List[List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]]:
+        """Per plus-part basis word of degree gamma, its ``_shuffles`` for
+        a left factor of drop need and weight ``weight``.  Memoized."""
+        def build():
+            datum = self.datum
+            alphas = [datum.alpha(i) for i in range(datum.rank)]
+            pair = [[datum.pair_l0(x, y) for y in alphas] for x in alphas]
+            start = tuple(datum.pair_l0(x, weight) for x in alphas)
+            return [_shuffles(w, need, start, pair)
+                    for w in self._words(gamma)]
+        return self.memo.get(("splits", gamma, need, weight), build)
+
+    def _word_values(self, a: CoordElement
+                     ) -> Callable[[Tuple[int, ...]], QScalar]:
+        """u -> <a, x_u> for the raw words u of degree gamma(a): the
+        free-word coordinates of x_u dotted with the evaluations of a.  One
+        table per factor on the ring, filled as words are asked for."""
+        def build():
+            basis = self.algebra.basis(a.gamma)
+            evals = dict(zip(basis.free_words, self.evaluations(a)))
+            table: Dict[Tuple[int, ...], QScalar] = {}
+
+            def value(u: Tuple[int, ...]) -> QScalar:
+                v = table.get(u)
+                if v is None:
+                    v = self.datum.zero()
+                    for w, c in basis.reduce_word(u).items():
+                        if not evals[w].is_zero():
+                            v = v + c * evals[w]
+                    table[u] = v
+                return v
+            return value
+        key = ("word_values", a.grade, a.gamma, tuple(a.vec))
+        return self.memo.get(key, build)
 
     def u_action(self, u: UElement, a: CoordElement) -> CoordElement:
         """The left action of u; all monomials of u must shift the weight

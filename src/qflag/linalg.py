@@ -340,6 +340,14 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[0])
 
 
+def nonsingular(a: Matrix) -> bool:
+    """Whether the square matrix a is invertible: full rank in the pass
+    mod P decides it without elimination; otherwise its exact rank."""
+    keep = _rows_independent_mod_p(a) if a else []
+    return (keep is not None and len(keep) == len(a)) or \
+        rank(a) == len(a)
+
+
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One exact solution of a x = b, or None if inconsistent."""
     if not a:

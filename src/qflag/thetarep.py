@@ -7,7 +7,8 @@ turns the operator into an endomorphism family indexed by probe weights.
 The formula route builds the family from right multiplications, torus
 conjugations and the two pairing-defined convolution operators; the direct
 route transposes the honest action on a stabilized fraction model.  Both
-are exact and must agree entrywise."""
+are exact and must agree entrywise; the formula matrix is checked against
+the model's polynomial Gram, without inverting it."""
 
 from __future__ import annotations
 
@@ -127,7 +128,11 @@ def theta_formula(pairing: DrinfeldPairing, depth_ht: int) -> ThetaFormula:
 
 class ThetaDirect:
     """Transpose action computed on the stabilized fraction model of a
-    localized graded piece."""
+    localized graded piece.  On each block it is G^{-1} V, G the model
+    slice's polynomial Gram and V the functionals of the images; ``check``
+    tests a formula matrix F as G F == V, so a passing check inverts
+    nothing, and ``theta`` (through ``gram_inverse``) is built only to
+    locate a mismatch."""
 
     def __init__(self, ring: CoordRing, plus: WeightModule, probe: Weight):
         self.ring = ring
@@ -149,13 +154,9 @@ class ThetaDirect:
             all(self._gram_ok(grade, g) for g in drops)
 
     def _gram_ok(self, grade: Weight, gamma: RootSum) -> bool:
-        """Square, and its factor (read by gram_inverse) takes every row."""
+        """The evaluation matrix of the slice is square and nonsingular."""
         mat, _w, d = self.ring.eval_solver(grade, gamma)
-        try:
-            return 0 < d == len(mat) == len(
-                self.ring.eval_factor(grade, gamma)[0])
-        except ArithmeticError:
-            return False
+        return 0 < d == len(mat) and linalg.nonsingular(mat)
 
     # -- fraction bookkeeping ----------------------------------------------------
 
@@ -244,15 +245,29 @@ class ThetaDirect:
             linalg.transpose(inv),
             datum.q_pair(self.level, datum.root_to_weight(gamma)))
 
-    def theta(self, kind: str, arg) -> Matrix:
-        """The transpose matrix on the full plus-part truncation, computed
-        from <phi_a, Theta(d)(x_b)> = <d(phi_a), x_b>."""
+    def gram(self, gamma: RootSum) -> Matrix:
+        """The model's Gram matrix q^{-(level, gamma)} E^T, E the evaluation
+        matrix of its drop-gamma slice: row a holds the functionals of the
+        a-th model fraction.  Polynomial, and square and nonsingular at
+        this level (``_gram_ok``).  Memoized; do not mutate."""
+        gamma = tuple(gamma)
+
+        def build():
+            datum = self.datum
+            grade = datum.weight_add(self.probe, self.level)
+            mat, _words, _d = self.ring.eval_solver(grade, gamma)
+            return linalg.mat_scale(linalg.transpose(mat), datum.q_pair(
+                datum.weight_neg(self.level), datum.root_to_weight(gamma)))
+        return self.memo.get(("gram", gamma), build)
+
+    def _blocks(self, kind: str, arg):
+        """(target degree, source degree g, V) for each degree g of the
+        truncation whose target degree under the generator lies in it: row
+        a of V is <d(phi_a), x_b> over the degree-g words x_b, phi_a the
+        a-th model fraction at the target degree.  The transpose matrix is
+        G^{-1} V on each block (G the target's ``gram``) and zero off them."""
         datum = self.datum
         plus = self.plus
-        if kind == "sigma":
-            return linalg.diagonal([datum.q_pair(arg, self.probe)] * plus.dim,
-                                   datum.l0)
-        out = linalg.zeros(plus.dim, plus.dim, datum.l0)
         # Theta(de_i) raises the plus-part degree, Theta(df_i) lowers it
         shift = {"de": datum.alpha_root(arg) if kind == "de" else None,
                  "df": tuple(-x for x in datum.alpha_root(arg))
@@ -273,16 +288,51 @@ class ThetaDirect:
             vals = []
             for fr in basis:
                 image = act(fr)
-                fv = self.functional_vector(image)
                 # restrict to the source degree g
                 if image[1] != g:
                     raise QflagError("fraction action landed at an "
                                      "unexpected drop")
-                vals.append(fv)
-            ginv = self.gram_inverse(tgt)
+                vals.append(self.functional_vector(image))
+            yield tgt, g, vals
+
+    def theta(self, kind: str, arg) -> Matrix:
+        """The transpose matrix on the full plus-part truncation, computed
+        from <phi_a, Theta(d)(x_b)> = <d(phi_a), x_b>."""
+        datum = self.datum
+        plus = self.plus
+        if kind == "sigma":
+            return linalg.diagonal([datum.q_pair(arg, self.probe)] * plus.dim,
+                                   datum.l0)
+        out = linalg.zeros(plus.dim, plus.dim, datum.l0)
+        for tgt, g, vals in self._blocks(kind, arg):
             linalg.set_block(out, plus.slot[(tgt, 0)], plus.slot[(g, 0)],
-                             linalg.mat_mul(ginv, vals))
+                             linalg.mat_mul(self.gram_inverse(tgt), vals))
         return out
+
+    def check(self, mf: Matrix, kind: str,
+              arg) -> Tuple[bool, Optional[dict]]:
+        """What ``_compare(plus, mf, theta(kind, arg))`` returns, decided
+        without inverting a Gram matrix: each block F of mf must satisfy
+        G F == V (G nonsingular, so F == G^{-1} V), and mf must vanish off
+        the blocks.  Only a mismatch builds theta(kind, arg), to report
+        the counterexample."""
+        if kind != "sigma" and self._satisfies(mf, kind, arg):
+            return True, None
+        return _compare(self.plus, mf, self.theta(kind, arg))
+
+    def _satisfies(self, mf: Matrix, kind: str, arg) -> bool:
+        plus = self.plus
+        rows_of = {}
+        for tgt, g, vals in self._blocks(kind, arg):
+            r0, c0 = plus.slot[(tgt, 0)], plus.slot[(g, 0)]
+            rows = range(r0, r0 + len(vals))
+            block = [mf[r][c0:c0 + len(vals[0])] for r in rows]
+            if linalg.mat_mul(self.gram(tgt), block) != vals:
+                return False
+            rows_of[g] = rows
+        return all(mf[r][col].is_zero()
+                   for col, (g, _r) in enumerate(plus.slot_keys)
+                   for r in range(plus.dim) if r not in rows_of.get(g, ()))
 
 
 def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
@@ -300,9 +350,8 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
     for probe in probes:
         direct = ThetaDirect(ring, formula.plus, probe)
         for kind, arg in gens:
-            mf = formula.theta(tuple(probe), kind, arg)
-            md = direct.theta(kind, arg)
-            ok, cex = _compare(formula.plus, mf, md)
+            ok, cex = direct.check(formula.theta(tuple(probe), kind, arg),
+                                   kind, arg)
             entry = {
                 "instance": f"probe {datum.weight_str(tuple(probe))} "
                             f"{kind}({arg})",

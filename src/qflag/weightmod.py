@@ -74,7 +74,7 @@ class WeightModule:
         return CharacterPoly(self.datum, terms)
 
     def zero_vector(self) -> Vector:
-        return [self.datum.zero() for _ in range(self.dim)]
+        return [self.datum.zero()] * self.dim
 
     def basis_vector(self, i: int) -> Vector:
         v = self.zero_vector()
@@ -440,7 +440,7 @@ class SimpleFactory:
         if data is None:
             return None
         pos = self.algebra.basis(gamma).free_pos
-        out = [self.datum.zero() for _ in data["pivots"]]
+        out = [self.datum.zero()] * len(data["pivots"])
         for w, c in coords.items():
             col = data["reduce_cols"][pos[w]]
             for r, x in enumerate(col):

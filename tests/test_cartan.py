@@ -486,3 +486,11 @@ def test_pair_l0_and_q_pair_match_rational_form(datum):
             assert datum.pair_l0(lam, mu) == datum.l0 * form
             assert datum.pair_ww(lam, mu) == form
             assert datum.q_pair(lam, mu) == QScalar.q_power(form, datum.l0)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_zero_and_one_are_shared_per_datum(name):
+    datum = preset(name)
+    assert datum.zero() is datum.zero() and datum.zero().is_zero()
+    assert datum.one() is datum.one() and datum.one().is_one()
+    assert datum.zero().l0 == datum.one().l0 == datum.l0

@@ -12,7 +12,7 @@ from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, OreSearchError, QflagError
 from qflag.scalars import QScalar
 from qflag.thetarep import ThetaDirect, theta_formula
-from qflag.weightmod import braid_word
+from qflag.weightmod import SimpleFactory, braid_word
 
 
 def test_unit_laws(ring1):
@@ -481,3 +481,80 @@ def test_a_singular_square_slice_takes_the_transpose_route(monkeypatch, alg1,
         assert not direct._gram_ok((3,), (1,))
         with pytest.raises(QflagError, match="not square and invertible"):
             direct.gram_inverse((1,))
+
+
+def sweedler_product_evaluations(ring, a, b):
+    """<ab, x_w> for each plus-part basis word w by walking the coproduct:
+    e_i acts on v_a (x) v_b as e_i (x) 1 + k_i (x) e_i, one branch per
+    letter and side, through the slice matrices of both factors."""
+    datum = ring.datum
+    grade = datum.weight_add(a.grade, b.grade)
+    gamma = tuple(x + y for x, y in zip(a.gamma, b.gamma))
+    faca, facb = ring.factory(a.grade), ring.factory(b.grade)
+    values = []
+    for w in ring._words(gamma):
+        branches = [(a.gamma, a.vec, b.gamma, b.vec, datum.one())]
+        for i in reversed(w):
+            nxt = []
+            for (ga, va, gb, vb, c) in branches:
+                res = faca.apply_word(ga, va, "e", (i,))
+                if res is not None:
+                    nxt.append((*res, gb, vb, c))
+                res = facb.apply_word(gb, vb, "e", (i,))
+                if res is not None:
+                    tw = datum.q_pair(datum.alpha(i),
+                                      datum.weight_sub_root(a.grade, ga))
+                    nxt.append((ga, va, *res, c * tw))
+            branches = nxt
+        val = datum.zero()
+        for (ga, va, gb, vb, c) in branches:
+            if not any(ga) and not any(gb):
+                val = val + c * va[0] * vb[0]
+        values.append(val)
+    return grade, gamma, values
+
+
+def oracle_factors(ring, grades):
+    """Every slice-basis element of the given grades, a combination of
+    each slice's basis, and the extremal elements of those grades."""
+    datum = ring.datum
+    out = []
+    for lam in grades:
+        for g in sorted(ring.factory(lam).drops, key=lambda g: (sum(g), g)):
+            basis = ring.slice_basis(lam, g)
+            out.extend(basis)
+            if len(basis) > 1:
+                vec = [datum.scalar(k + 1) * datum.q_power(k)
+                       for k in range(len(basis))]
+                out.append(ring.element(lam, g, vec))
+        out.extend(ring.extremal(w, lam) for w in datum.all_weyl_words())
+    return out
+
+
+@pytest.mark.parametrize("typ,grades,height", [
+    ("A1", [(0,), (1,), (2,), (3,)], None),
+    ("A2", [(0, 0), (1, 0), (0, 1), (1, 1)], None),
+    ("B2", [(0, 0), (1, 0), (0, 1)], None),
+    # the walk takes minutes on the deepest G2 pairs: products up to height 8
+    ("G2", [(0, 1)], 8),
+])
+def test_shuffle_products_match_the_sweedler_walk(monkeypatch, typ, grades,
+                                                  height):
+    """On every ordered pair of factors, the shuffle route's evaluations
+    equal the coproduct walk's exactly, and no slice matrix is applied."""
+    ring = CoordRing(UAlgebra(preset(typ)))
+    factors = oracle_factors(ring, grades)
+    expected = {(i, j): sweedler_product_evaluations(ring, a, b)
+                for i, a in enumerate(factors)
+                for j, b in enumerate(factors)
+                if height is None or sum(a.gamma) + sum(b.gamma) <= height}
+    applied = []
+    real = SimpleFactory.apply_word
+    monkeypatch.setattr(SimpleFactory, "apply_word", lambda *args: (
+        applied.append(args[1:]) or real(*args)))
+    for (i, j), want in expected.items():
+        assert ring.product_evaluations(factors[i], factors[j]) == want, \
+            (typ, i, j)
+    assert applied == []
+    assert sum(any(not v.is_zero() for v in want[2])
+               for want in expected.values()) > len(factors)

@@ -307,6 +307,9 @@ def test_gram_inverse_reads_the_evaluation_inverse(typ, ring1, ring2,
         for g in plus_degrees(plus):
             assert la.mat_eq(direct.gram_inverse(g),
                              old_gram_inverse(direct, g)), (probe, g)
+            assert la.mat_eq(direct.gram(g), [
+                direct.functional_vector(direct._image(*fr))
+                for fr in direct.model_basis(g)]), (probe, g)
             checked += 1
     assert checked == len(probes) * len(plus_degrees(plus))
 
@@ -318,6 +321,92 @@ def test_gram_inverse_refuses_a_partial_factor(monkeypatch, ring1, pairing1):
         real(self, lam, gamma)[0][:-1], real(self, lam, gamma)[1]))
     with pytest.raises(QflagError, match="not square and invertible"):
         direct.gram_inverse((2,))
+
+
+def theta_suite(typ, ring1, ring2, pairing1, pairing2):
+    """(ring, formula, probes, generators) of the theta suite on A1 or A2."""
+    ring, pairing = (ring1, pairing1) if typ == "A1" else (ring2, pairing2)
+    datum = ring.datum
+    formula = theta_formula(pairing, 4 if datum.rank == 1 else 3)
+    probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
+                            tuple(2 * x for x in datum.fundamental(0)),
+                            datum.rho])
+    gens = [(kind, i) for i in range(datum.rank) for kind in ("de", "df")]
+    gens += [("dk", datum.rho), ("sigma", datum.rho)]
+    return ring, formula, probes, gens
+
+
+def theta_cells(plus, kind, arg):
+    """(inside, outside): the cells (row, col) of a generator's blocks, from
+    a column's degree to its target degree, and every other cell."""
+    datum = plus.datum
+    shift = {"de": datum.alpha_root(arg) if kind == "de" else None,
+             "df": tuple(-x for x in datum.alpha_root(arg))
+             if kind == "df" else None}.get(kind, datum.zero_root)
+    inside, outside = [], []
+    for col, (g, _c) in enumerate(plus.slot_keys):
+        tgt = tuple(a + b for a, b in zip(g, shift))
+        for row, (h, _r) in enumerate(plus.slot_keys):
+            (inside if h == tgt else outside).append((row, col))
+    return inside, outside
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2"])
+def test_theta_gram_check_agrees_with_the_inverse_route(typ, ring1, ring2,
+                                                        pairing1, pairing2):
+    """On every (probe, generator) of the theta suite, the Gram check gives
+    what comparing against the inverse route's matrix gives: with the
+    formula's own matrix, and with one cell corrupted inside a block or
+    outside every block."""
+    ring, formula, probes, gens = theta_suite(typ, ring1, ring2, pairing1,
+                                              pairing2)
+    plus = formula.plus
+    one = ring.datum.one()
+    failed = Counter()
+    for probe in probes:
+        direct = ThetaDirect(ring, plus, probe)
+        for kind, arg in gens:
+            mf = formula.theta(probe, kind, arg)
+            md = direct.theta(kind, arg)
+            assert direct.check(mf, kind, arg) == \
+                thetarep._compare(plus, mf, md) == (True, None)
+            inside, outside = theta_cells(plus, kind, arg)
+            for where, cells in (("inside", inside), ("outside", outside)):
+                for row, col in dict.fromkeys([cells[0], cells[-1]]):
+                    bad = [list(r) for r in mf]
+                    bad[row][col] = bad[row][col] + one
+                    ok, cex = direct.check(bad, kind, arg)
+                    assert (ok, cex) == thetarep._compare(plus, bad, md)
+                    assert not ok and cex["row"] == row, (probe, kind, where)
+                    failed[where] += 1
+    assert failed["inside"] and failed["outside"]
+
+
+def test_a_passing_theta_build_inverts_no_gram(monkeypatch):
+    """theta_build checks every block against the polynomial Gram: it reads
+    no gram_inverse and inverts no matrix outside the Ore witness search
+    (which solves its products through the ring)."""
+    alg = UAlgebra(preset("A2"))
+    ring, pairing = CoordRing(alg), DrinfeldPairing(alg)
+    where, inverted, gram_inverses = [], [], []
+    real_ore = CoordRing.ore_witness
+
+    def ore(*args, **kwargs):
+        where.append("ore")
+        try:
+            return real_ore(*args, **kwargs)
+        finally:
+            where.pop()
+    monkeypatch.setattr(CoordRing, "ore_witness", ore)
+    real_inverse = la.inverse
+    monkeypatch.setattr(la, "inverse", lambda a: (
+        inverted.append(list(where)) or real_inverse(a)))
+    monkeypatch.setattr(ThetaDirect, "gram_inverse", lambda self, gamma: (
+        gram_inverses.append(gamma)))
+    rep = theta_build(ring, pairing, 3, [(0, 0), (1, 0), (2, 0), (1, 1)])
+    assert rep["pass"]
+    assert gram_inverses == []
+    assert [w for w in inverted if w != ["ore"]] == []
 
 
 def test_theta_direct_route_solves_no_ore_image(monkeypatch):

@@ -118,6 +118,7 @@ def test_inverse_matches_dense_reference(n, seed):
             mat[i][i] = rnd.choice(_POOL)
     got = _production(la.inverse, mat)
     assert _same(got, _reference(la.inverse, mat))
+    assert la.nonsingular(mat) == (not isinstance(got, type))
     if not isinstance(got, type):
         assert la.mat_eq(la.mat_mul(mat, got), la.identity(n, L0))
 
@@ -202,6 +203,20 @@ def test_rank_drop_at_the_point_falls_back(monkeypatch):
     # the kept row alone misses row 0 exactly: eliminate every row instead
     assert calls == [1, 3]
     _assert_matches_reference(mat, random.Random(8))
+
+
+def test_nonsingular_falls_back_to_the_exact_rank(monkeypatch):
+    """A square matrix whose rank drops at the point, or with a pole
+    there, is decided by exact elimination."""
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    root = QScalar({1: 1, 0: -la._T}, {0: 1}, L0)  # q^(1/2) - T
+    pole = root.inverse()
+    calls = _count_eliminations(monkeypatch)
+    assert la.nonsingular([[root, zero], [zero, one]])
+    assert la.nonsingular([[pole, zero], [zero, one]])
+    assert not la.nonsingular([[root, one], [root, one]])
+    assert calls == [2, 2, 2]
+    assert la.nonsingular([[one, zero], [one, one]]) and calls == [2, 2, 2]
 
 
 def test_tall_inconsistent_solve():
