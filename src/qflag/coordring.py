@@ -154,7 +154,8 @@ def _pair_key(a: CoordElement, b: CoordElement) -> tuple:
 
 
 def _shuffles(word: Tuple[int, ...], need: RootSum, start: Tuple[int, ...],
-              pair: List[List[int]]):
+              pair: List[List[int]]
+              ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """Each split of ``word`` into the subword on a position set S of
     content ``need`` and the subword on the other positions, with the
     exponent l0 e(S): walking from the right, a letter i off S adds
@@ -326,6 +327,8 @@ class CoordRing:
         datum = self.datum
         grade = datum.weight_add(a.grade, b.grade)
         gamma = tuple(x + y for x, y in zip(a.gamma, b.gamma))
+        # a zero factor, also one at a drop off its module (no coordinates
+        # and a drop that may be negative), has nothing to split
         if a.is_zero() or b.is_zero():
             return grade, gamma, [datum.zero()] * len(self._words(gamma))
         ev_a, ev_b = self._word_values(a), self._word_values(b)
