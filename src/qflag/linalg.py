@@ -1,15 +1,15 @@
 """Exact dense linear algebra over Q(q^(1/l0)).
 
 Matrices are lists of lists of QScalar.  Every answer comes from exact
-fraction arithmetic; there is no pivoting heuristic beyond "first nonzero",
-which keeps results deterministic.  Elimination skips zero cells, which is
-most of them in the sparse systems qflag solves, and so does assembly:
-products read each row of their right factor as its list of nonzero
-cells, and ``add_kron``/``add_scaled`` add into a matrix in place.  For a
-matrix with more rows than columns, a rank pass over a prime field
-(q^(1/l0) evaluated at a fixed point) first picks independent rows; it
-only decides which rows enter the exact elimination, never the answer
-(see ``rref``).
+fraction arithmetic.  Elimination pivots on the sparsest candidate row,
+which changes its work but not its answer (the reduced echelon form is
+unique), and skips zero cells, which are most of them in the sparse
+systems qflag solves.  So does assembly: products read each row of their
+right factor as its list of nonzero cells, and ``add_kron``/``add_scaled``
+add into a matrix in place.  For a matrix with more rows than columns, a
+rank pass over a prime field (q^(1/l0) evaluated at a fixed point) first
+picks independent rows; it only decides which rows enter the exact
+elimination, never the answer (see ``rref``).
 """
 
 from __future__ import annotations
@@ -228,8 +228,9 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
 def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
     """Exact Gauss-Jordan elimination of every row (copy).
 
-    The pivot row is scaled once, and every other row is updated in place
-    on the pivot row's nonzero columns only: a zero cell costs nothing."""
+    The pivot row is the sparsest candidate (``_pivot_row``); it is scaled
+    once, and every other row is updated in place on the pivot row's
+    nonzero columns only: a zero cell costs nothing."""
     if not rows:
         return [], []
     mat = [list(r) for r in rows]
@@ -237,8 +238,7 @@ def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not mat[i][c].is_zero()),
-                  None)
+        pr = _pivot_row(mat, r, c)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
@@ -266,6 +266,26 @@ def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
     return mat[:r], pivots
 
 
+def _pivot_row(mat: Matrix, r: int, c: int) -> Optional[int]:
+    """The row at or below r with a nonzero in column c that has the fewest
+    nonzero cells, the lowest index on a tie; None if there is none.
+
+    A sparse pivot row updates few cells of every other row (Markowitz's
+    rule for a fixed column).  Rows at or below r are zero left of c, so
+    their cells from c on are all of them.  Which candidate is taken
+    changes only the work: the reduced echelon form of a row space is
+    unique, so the pivots and the echelon rows are the same."""
+    best, fewest = None, 0
+    for i in range(r, len(mat)):
+        row = mat[i]
+        if row[c].is_zero():
+            continue
+        n = sum(1 for x in row[c:] if x.num)  # nonzero cells
+        if best is None or n < fewest:
+            best, fewest = i, n
+    return best
+
+
 # The rank pass evaluates q^(1/l0) at the fixed point _T of the field of
 # _P elements.  Both are constants, so every run makes the same choices;
 # a point where the pass is unlucky only costs the full elimination.
@@ -280,23 +300,24 @@ def _rows_independent_mod_p(rows: Matrix) -> Optional[List[int]]:
     Evaluation is a ring homomorphism on entries whose denominators do not
     vanish at the point, so it can only lower rank: a nonzero minor mod P
     is a nonzero minor exactly, and the kept rows are independent over
-    Q(q^(1/l0)).  Stops once the rows kept span every column."""
+    Q(q^(1/l0)).  Stops once the rows kept span every column.  Each
+    distinct value is evaluated once per call, and a polynomial has no
+    denominator to evaluate."""
     ncols = len(rows[0])
-
-    def at_t(p) -> int:
-        return sum(c * pow(_T, e, _P) for e, c in p.items()) % _P
-
+    values: Dict[QScalar, int] = {}
     basis: Dict[int, Dict[int, int]] = {}  # leading column -> row, lead 1
     keep: List[int] = []
     for i, row in enumerate(rows):
         v: Dict[int, int] = {}
         for j, x in enumerate(row):
-            if x.is_zero():
+            if not x.num:  # zero: most cells, so no method call
                 continue
-            den = at_t(x.den)
-            if not den:
-                return None
-            val = at_t(x.num) * pow(den, -1, _P) % _P
+            val = values.get(x)
+            if val is None:
+                val = _mod_p(x)
+                if val is None:
+                    return None
+                values[x] = val
             if val:
                 v[j] = val
         while v:
@@ -317,6 +338,19 @@ def _rows_independent_mod_p(rows: Matrix) -> Optional[List[int]]:
         if len(keep) == ncols:
             break
     return keep
+
+
+def _mod_p(x: QScalar) -> Optional[int]:
+    """x at q^(1/l0) = _T mod _P; None if its denominator vanishes there."""
+    num = _poly_mod_p(x.num)
+    if x.is_polynomial():
+        return num
+    den = _poly_mod_p(x.den)
+    return num * pow(den, -1, _P) % _P if den else None
+
+
+def _poly_mod_p(p: Dict[int, int]) -> int:
+    return sum(c * pow(_T, e, _P) for e, c in p.items()) % _P
 
 
 def _in_row_space(row: Vector, ech: Matrix, pivots: List[int]) -> bool:

@@ -219,8 +219,9 @@ def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
 
 
 # sha256 of `qflag verify SUITE --type T --json` at the default cap for the
-# suites that read the plus part's layout (theta) and walk words on every
-# module (presentation)
+# suites that read the plus part's layout (theta), walk words on every
+# module (presentation) and solve for central elements by nullspaces
+# (center, annihilator)
 SUITE_REPORT_SHA256 = {
     ("theta", "A1"):
         "f3ab7f4ce18b796e9fc8ae5d5da037c5aa7c5a269fbb083af35e71b6fdebbbec",
@@ -238,11 +239,28 @@ SUITE_REPORT_SHA256 = {
         "654c9d5fb0a471adf2748c64d1ccdbca52f4378fb71fed4e088679b1ec5e27c9",
     ("presentation", "G2"):
         "8876511b1e5c78e1c3bbc6f749217b0a9995699e6e3f5ff6870dc88bb334d984",
+    ("center", "A1"):
+        "e57eccb63e905db0d3ed7b780231aca2f4a3739896e2b085c7f1d66644b589cd",
+    ("center", "A2"):
+        "3f6320a51bd48bc18c8e1bca5cb1c619c8f31e534c168776c4f2b1c19e0219ce",
+    ("center", "B2"):
+        "ea48f2c6eda1ff0dd3a2d9fd2febc6c4eedac7c0e0bd750b8d90913b777ec483",
+    ("center", "G2"):
+        "687ff0b0f1b6357265089869ae95478aeb39c5968a78aa3dee0a503931b4f4af",
+    ("annihilator", "A1"):
+        "e7ffb6d6cb3f915edfb88261edd2150917fdbae17ddfa661f08b3b9cddb4fadc",
+    ("annihilator", "A2"):
+        "c5164f42cad0fab798bfbfc80e9b6fe170b4a5e9700195be61f7836d26cf4272",
+    ("annihilator", "B2"):
+        "e14bb7fc5cabc0a96353db17ffe4ae8f6f564b773bb3924a37c9fa407505d64c",
+    ("annihilator", "G2"):
+        "404e7d3c823379d9ae6f6279905ce7a5bb5928697a9ff76f1adc53d5eab727ac",
 }
 
 
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
-@pytest.mark.parametrize("suite", ["theta", "presentation"])
+@pytest.mark.parametrize("suite", ["theta", "presentation", "center",
+                                   "annihilator"])
 def test_module_suite_reports_are_pinned(monkeypatch, capsys, suite, typ):
     monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
     code, out = run_cli(["verify", suite, "--type", typ, "--json"], capsys)

@@ -430,6 +430,51 @@ def test_from_evaluations_checks_every_row(ring2):
     assert raised
 
 
+def _slices(ring, grades):
+    for lam in grades:
+        for gamma in sorted(ring.factory(lam).drops):
+            mat, _words, d = ring.eval_solver(lam, gamma)
+            if d:
+                yield lam, gamma, mat
+
+
+def test_from_evaluations_checks_rows_outside_the_block(ring2):
+    """On a tall slice a value corrupted in any row outside the solved
+    block still raises."""
+    one = ring2.datum.one()
+    checked = 0
+    for lam, gamma, mat in _slices(ring2, [(1, 1), (2, 1)]):
+        rows, _inv = ring2.eval_factor(lam, gamma)
+        for r in sorted(set(range(len(mat))) - set(rows)):
+            for phi in ring2.slice_basis(lam, gamma):
+                bad = list(phi.evaluations())
+                bad[r] = bad[r] + one
+                with pytest.raises(QflagError, match="inconsistent"):
+                    ring2.from_evaluations(lam, gamma, bad)
+                checked += 1
+    assert checked
+
+
+def test_a_square_slice_is_solved_by_one_mat_vec(monkeypatch, ring2):
+    """A square slice has no row outside its block: the solve is the one
+    product with the inverse, and a tall slice adds one check."""
+    calls = []
+    real = la.mat_vec
+    monkeypatch.setattr(la, "mat_vec",
+                        lambda a, v: calls.append(len(a)) or real(a, v))
+    shapes = Counter()
+    for lam, gamma, mat in _slices(ring2, [(1, 0), (1, 1), (2, 1)]):
+        values = ring2.slice_basis(lam, gamma)[0].evaluations()
+        rows, _inv = ring2.eval_factor(lam, gamma)
+        calls.clear()
+        ring2.from_evaluations(lam, gamma, values)
+        square = len(rows) == len(mat)
+        assert calls == ([len(rows)] if square
+                         else [len(rows), len(mat) - len(rows)])
+        shapes["square" if square else "tall"] += 1
+    assert shapes["square"] and shapes["tall"]
+
+
 def transpose_route_factor(mat):
     """(rows, inverse) from the row reduction of the transpose: the factor
     of every shape before square slices were inverted whole."""
