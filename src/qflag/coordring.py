@@ -299,9 +299,8 @@ class CoordRing:
         rows, inv = self.eval_factor(lam, gamma)
         sol = linalg.mat_vec(inv, [values[r] for r in rows])
         block = set(rows)
-        others = [r for r in range(len(mat)) if r not in block]
-        if others and linalg.mat_vec([mat[r] for r in others], sol) != \
-                [values[r] for r in others]:
+        if any(linalg.row_dot(mat[r], sol) != values[r]
+               for r in range(len(mat)) if r not in block):
             raise QflagError(
                 f"evaluation system inconsistent at grade {lam}, drop {gamma}")
         return CoordElement(self, lam, gamma, sol)

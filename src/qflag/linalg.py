@@ -272,15 +272,15 @@ def _pivot_row(mat: Matrix, r: int, c: int) -> Optional[int]:
 
     A sparse pivot row updates few cells of every other row (Markowitz's
     rule for a fixed column).  Rows at or below r are zero left of c, so
-    their cells from c on are all of them.  Which candidate is taken
-    changes only the work: the reduced echelon form of a row space is
-    unique, so the pivots and the echelon rows are the same."""
+    counting from c counts all their nonzero cells.  Which candidate is
+    taken changes only the work: the reduced echelon form of a row space
+    is unique, so the pivots and the echelon rows are the same."""
     best, fewest = None, 0
     for i in range(r, len(mat)):
         row = mat[i]
         if row[c].is_zero():
             continue
-        n = sum(1 for x in row[c:] if x.num)  # nonzero cells
+        n = sum(1 for x in row[c:] if x.num)
         if best is None or n < fewest:
             best, fewest = i, n
     return best

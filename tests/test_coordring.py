@@ -456,22 +456,29 @@ def test_from_evaluations_checks_rows_outside_the_block(ring2):
 
 
 def test_a_square_slice_is_solved_by_one_mat_vec(monkeypatch, ring2):
-    """A square slice has no row outside its block: the solve is the one
-    product with the inverse, and a tall slice adds one check."""
-    calls = []
-    real = la.mat_vec
-    monkeypatch.setattr(la, "mat_vec",
-                        lambda a, v: calls.append(len(a)) or real(a, v))
+    """Every slice is solved by one product with the inverse of its block;
+    a square slice has no row outside the block and checks none, a tall
+    one checks each other row once."""
+    mat_vecs, rows_read = [], [0]
+    real_mat_vec, real_row_dot = la.mat_vec, la.row_dot
+
+    def row_dot(row, v):
+        rows_read[0] += 1
+        return real_row_dot(row, v)
+    monkeypatch.setattr(la, "mat_vec", lambda a, v:
+                        mat_vecs.append(len(a)) or real_mat_vec(a, v))
+    monkeypatch.setattr(la, "row_dot", row_dot)
     shapes = Counter()
     for lam, gamma, mat in _slices(ring2, [(1, 0), (1, 1), (2, 1)]):
         values = ring2.slice_basis(lam, gamma)[0].evaluations()
         rows, _inv = ring2.eval_factor(lam, gamma)
-        calls.clear()
+        mat_vecs.clear()
+        rows_read[0] = 0
         ring2.from_evaluations(lam, gamma, values)
-        square = len(rows) == len(mat)
-        assert calls == ([len(rows)] if square
-                         else [len(rows), len(mat) - len(rows)])
-        shapes["square" if square else "tall"] += 1
+        assert mat_vecs == [len(rows)]
+        # d products for the solve, one per row outside the block
+        assert rows_read[0] == len(mat)
+        shapes["square" if len(rows) == len(mat) else "tall"] += 1
     assert shapes["square"] and shapes["tall"]
 
 
