@@ -105,27 +105,32 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
         return []
     # The straightenings in [y k_mu x, g] do not involve the torus part:
     # mu only contributes exponent twists.  Compute the commutator of each
-    # word shape against each generator once, then specialize over mu.
+    # word shape against each generator once, then specialize over mu;
+    # each power q^{-(mu, twist)} is computed once.
     shapes = sorted({(fw, ew) for (fw, _mu, ew) in cands})
+    gens = _solver_generators(datum)
     shape_comms = {
         (shape, gi): _shape_commutator(algebra, shape, kind, i)
         for shape in shapes
-        for gi, (kind, i) in enumerate(_solver_generators(datum))
+        for gi, (kind, i) in enumerate(gens)
     }
+    twists: Dict[tuple, QScalar] = {}  # (mu, twist weight) -> q^{-(mu, tw)}
     rows_index: Dict[tuple, int] = {}
     cols: List[Dict[int, QScalar]] = []
-    ngens = len(_solver_generators(datum))
     for (fw, mu, ew) in cands:
         col: Dict[int, QScalar] = {}
-        for gi in range(ngens):
-            for (fw2, nu2, ew2, coeff, twist) in shape_comms[((fw, ew), gi)]:
-                c = coeff
-                if any(twist):
-                    c = c * datum.q_pair(datum.weight_neg(mu),
-                                         datum.root_to_weight(twist))
-                rk = (gi, (fw2, datum.weight_add(nu2, mu), ew2))
+        for gi in range(len(gens)):
+            for (fw2, nu2, ew2, c, tw) in shape_comms[((fw, ew), gi)]:
+                if tw is not None:
+                    t = twists.get((mu, tw))
+                    if t is None:
+                        t = twists[(mu, tw)] = datum.q_pair(
+                            datum.weight_neg(mu), tw)
+                    c = c * t
+                rk = (gi, (fw2, tuple(a + b for a, b in zip(nu2, mu)), ew2))
                 idx = rows_index.setdefault(rk, len(rows_index))
-                col[idx] = col.get(idx, datum.zero()) + c
+                old = col.get(idx)
+                col[idx] = c if old is None else old + c
         cols.append(col)
     # candidates only interact through shared commutator components, so
     # the nullspace splits into small connected blocks
@@ -182,32 +187,35 @@ def _solver_generators(datum):
 def _shape_commutator(algebra: UAlgebra, shape, kind: str, i: int):
     """Terms of [y 1 x, g] for a torus-free word shape (y, x): entries
     (fw, nu, ew, coeff, twist) meaning the monomial fw k_{nu+mu} ew with
-    coefficient coeff * q^{-(mu, twist)} once k_mu is inserted."""
+    coefficient coeff * q^{-(mu, twist)} once k_mu is inserted; twist is a
+    weight, or None for no twist."""
     datum = algebra.datum
     rank = datum.rank
     fw, ew = shape
-    zero_root = datum.zero_root
+
+    def as_weight(content):
+        return datum.root_to_weight(content) if any(content) else None
     out = []
     if kind == "e":
         # right: y k_mu (x e_i) -- concatenation stays in the plus part
         for xw, c in algebra._in_basis(ew + (i,)).items():
-            out.append((fw, datum.zero_weight, xw, c, zero_root))
+            out.append((fw, datum.zero_weight, xw, c, None))
         # left: (e_i y) k_mu x, commuting k_mu through the raised tail
         word = (("e", i),) + tuple(("f", j) for j in fw)
         for (fw1, nu1, ew1), c in algebra.normal_form_word(word).items():
-            twist = _content(ew1, rank)
+            twist = as_weight(_content(ew1, rank))
             for xw, cx in algebra._in_basis(ew1 + ew).items():
                 out.append((fw1, nu1, xw, -(c * cx), twist))
     else:
         # right: y k_mu (x f_i), commuting k_mu through the lowered tail
         word = tuple(("e", j) for j in ew) + (("f", i),)
         for (fw2, nu2, ew2), c in algebra.normal_form_word(word).items():
-            twist = _content(fw2, rank)
+            twist = as_weight(_content(fw2, rank))
             for yw, cy in algebra._in_basis(fw + fw2).items():
                 out.append((yw, nu2, ew2, c * cy, twist))
         # left: (f_i y) k_mu x -- concatenation stays in the minus part
         for yw, c in algebra._in_basis((i,) + fw).items():
-            out.append((yw, datum.zero_weight, ew, -c, zero_root))
+            out.append((yw, datum.zero_weight, ew, -c, None))
     return out
 
 

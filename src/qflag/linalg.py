@@ -8,7 +8,8 @@ systems qflag solves.  So does assembly: products read each row of their
 right factor as its list of nonzero cells, and ``add_kron``/``add_scaled``
 add into a matrix in place.  For a matrix with more rows than columns, a
 rank pass over a prime field (q^(1/l0) evaluated at a fixed point) first
-picks independent rows; it only decides which rows enter the exact
+picks independent rows, visiting the sparsest rows first so that its
+basis stays sparse; it only decides which rows enter the exact
 elimination, never the answer (see ``rref``).
 """
 
@@ -40,7 +41,7 @@ def identity(n: int, l0: int) -> Matrix:
 
 
 def _nonzero_columns(row: Sequence[QScalar]) -> List[int]:
-    return [j for j, x in enumerate(row) if not x.is_zero()]
+    return [j for j, x in enumerate(row) if x.num]  # no method call
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -208,19 +209,25 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     rows kept by the pass are eliminated, and every other row is checked
     exactly to lie in their row space; since the reduced echelon form of a
     row space is unique, the answer is the same as eliminating every row,
-    which is what happens when a check fails or the pass cannot run."""
+    which is what happens when a check fails or the pass cannot run.  The
+    pass and the checks share one scan of the rows for their nonzero
+    cells."""
     if not rows or not rows[0]:
         return [], []
     ncols = len(rows[0])
     if len(rows) > ncols:
-        keep = _rows_independent_mod_p(rows)
+        supports = [_nonzero_columns(row) for row in rows]
+        keep = _rows_independent_mod_p(rows, supports)
         if keep is not None:
             if len(keep) == ncols:
                 return identity(ncols, rows[0][0].l0), list(range(ncols))
             ech, pivots = _eliminate([rows[i] for i in keep])
+            echelon = {p: (e, _nonzero_columns(e))
+                       for p, e in zip(pivots, ech)}
             kept = set(keep)
-            if all(_in_row_space(row, ech, pivots)
-                   for i, row in enumerate(rows) if i not in kept):
+            if all(_in_row_space(row, support, echelon)
+                   for i, (row, support) in enumerate(zip(rows, supports))
+                   if i not in kept):
                 return ech, pivots
     return _eliminate(rows)
 
@@ -293,25 +300,35 @@ _P = (1 << 61) - 1
 _T = 1234567890123456789
 
 
-def _rows_independent_mod_p(rows: Matrix) -> Optional[List[int]]:
-    """Indices of rows, greedy in order, that are independent after
-    evaluation at q^(1/l0) = _T mod _P; None if a denominator vanishes.
+def _rows_independent_mod_p(rows: Matrix,
+                            supports: Optional[List[List[int]]] = None
+                            ) -> Optional[List[int]]:
+    """Increasing indices of rows that are independent after evaluation at
+    q^(1/l0) = _T mod _P; None if a denominator vanishes in a row it reads.
+    ``supports`` lists each row's nonzero columns (scanned here if not
+    given).
 
     Evaluation is a ring homomorphism on entries whose denominators do not
     vanish at the point, so it can only lower rank: a nonzero minor mod P
     is a nonzero minor exactly, and the kept rows are independent over
-    Q(q^(1/l0)).  Stops once the rows kept span every column.  Each
-    distinct value is evaluated once per call, and a polynomial has no
-    denominator to evaluate."""
+    Q(q^(1/l0)).  Rows are visited by fewest nonzero cells, the lowest
+    index on a tie, and a row is kept when it is independent of the rows
+    kept so far: sparse rows make few updates and keep the basis sparse.
+    The rank of all the rows does not depend on the order, so neither does
+    stopping once the rows kept span every column; and ``rref`` gets the
+    same answer from any kept set.  Each distinct value is evaluated once
+    per call, and a polynomial has no denominator to evaluate."""
     ncols = len(rows[0])
+    if supports is None:
+        supports = [_nonzero_columns(row) for row in rows]
     values: Dict[QScalar, int] = {}
     basis: Dict[int, Dict[int, int]] = {}  # leading column -> row, lead 1
     keep: List[int] = []
-    for i, row in enumerate(rows):
+    for i in sorted(range(len(rows)), key=lambda i: len(supports[i])):
+        row = rows[i]
         v: Dict[int, int] = {}
-        for j, x in enumerate(row):
-            if not x.num:  # zero: most cells, so no method call
-                continue
+        for j in supports[i]:
+            x = row[j]
             val = values.get(x)
             if val is None:
                 val = _mod_p(x)
@@ -337,7 +354,7 @@ def _rows_independent_mod_p(rows: Matrix) -> Optional[List[int]]:
                     v.pop(j, None)
         if len(keep) == ncols:
             break
-    return keep
+    return sorted(keep)
 
 
 def _mod_p(x: QScalar) -> Optional[int]:
@@ -353,19 +370,28 @@ def _poly_mod_p(p: Dict[int, int]) -> int:
     return sum(c * pow(_T, e, _P) for e, c in p.items()) % _P
 
 
-def _in_row_space(row: Vector, ech: Matrix, pivots: List[int]) -> bool:
-    """Whether row reduces to zero by the reduced echelon rows: subtracting
-    row[p]·(echelon row of pivot p) for every pivot p is the whole
-    reduction, so the row lies in their span iff what is left is zero."""
-    terms = [(row[p], e) for p, e in zip(pivots, ech) if not row[p].is_zero()]
-    pivot_set = set(pivots)
-    for j, x in enumerate(row):
-        if j in pivot_set:
-            continue
+def _in_row_space(row: Vector, support: List[int],
+                  echelon: Dict[int, Tuple[Vector, List[int]]]) -> bool:
+    """Whether row (nonzero on the columns ``support``) reduces to zero by
+    the reduced echelon rows, given by pivot column with their nonzero
+    columns: subtracting row[p]·(echelon row of pivot p) for every pivot p
+    is the whole reduction, so the row lies in their span iff what is left
+    is zero.  Only columns where the row or a subtracted echelon row is
+    nonzero are read; the pivot columns are left zero by construction."""
+    terms = []
+    cols = set(support)
+    for p in support:
+        hit = echelon.get(p)
+        if hit is not None:
+            terms.append((row[p], hit[0]))
+            cols.update(hit[1])
+    cols.difference_update(echelon)
+    for j in sorted(cols):
+        x = row[j]
         for f, e in terms:
-            if not e[j].is_zero():
+            if e[j].num:
                 x = x - f * e[j]
-        if not x.is_zero():
+        if x.num:
             return False
     return True
 

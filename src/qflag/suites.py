@@ -190,8 +190,8 @@ def suite_rmatrix(config: RunConfig) -> dict:
     for beta in sorted(box((4,) * datum.rank, height=4), key=by_height):
         if any(beta):
             results += _check(f"nondegenerate {datum.root_str(beta)}",
-                              lambda: linalg.rank(pairing.table(beta))
-                              == len(pairing.table(beta)))
+                              lambda: linalg.nonsingular(
+                                  pairing.table(beta)))
     lam1 = _fitting_fundamental(datum)
     lam2 = datum.fundamental(datum.rank - 1)
     # rank 1 keeps its repeated pair, so A1 reports (and their pinned

@@ -1,8 +1,9 @@
 """Dual-route oracles for linalg: the production ``rref`` (zero-skipping,
 in place, sparsest pivot row) against the plain dense first-row
 elimination it replaced, the rank pass against the per-cell evaluation it
-replaced, and the zero-skipping products and in-place sums against naive
-loops over every cell, kept here as small-size references."""
+replaced (in the same sparsest-first order, and in row order), and the
+zero-skipping products and in-place sums against naive loops over every
+cell, kept here as small-size references."""
 
 import random
 
@@ -46,23 +47,30 @@ def dense_rref(rows):
     return mat[:r], pivots
 
 
-def per_cell_rank_pass(rows):
-    """Reference rank pass: every nonzero cell is evaluated on its own, its
-    denominator included, also when it is the constant 1."""
+def per_cell_rank_pass(rows, in_order=False):
+    """Reference rank pass: (kept indices in increasing order or None, mod-P
+    cells updated).  Rows are visited by fewest nonzero cells, the lowest
+    index on a tie (in their own order with ``in_order``, the rule the
+    sparsest-first order replaced), and every nonzero cell of a visited row
+    is evaluated on its own, its denominator included, also when it is the
+    constant 1."""
     ncols = len(rows[0])
 
     def at_t(p):
         return sum(c * pow(la._T, e, la._P) for e, c in p.items()) % la._P
 
-    basis, keep = {}, []
-    for i, row in enumerate(rows):
+    order = range(len(rows)) if in_order else sorted(
+        range(len(rows)),
+        key=lambda i: sum(1 for x in rows[i] if not x.is_zero()))
+    basis, keep, updates = {}, [], 0
+    for i in order:
         v = {}
-        for j, x in enumerate(row):
+        for j, x in enumerate(rows[i]):
             if x.is_zero():
                 continue
             den = at_t(x.den)
             if not den:
-                return None
+                return None, updates
             val = at_t(x.num) * pow(den, -1, la._P) % la._P
             if val:
                 v[j] = val
@@ -74,6 +82,7 @@ def per_cell_rank_pass(rows):
                 basis[c] = {j: y * inv % la._P for j, y in v.items()}
                 keep.append(i)
                 break
+            updates += len(b)
             f = v[c]
             for j, y in b.items():
                 z = (v.get(j, 0) - f * y) % la._P
@@ -83,7 +92,7 @@ def per_cell_rank_pass(rows):
                     v.pop(j, None)
         if len(keep) == ncols:
             break
-    return keep
+    return sorted(keep), updates
 
 
 def first_candidate(mat, r, c):
@@ -416,13 +425,13 @@ def _rank_pass_cases(center_blocks):
 
 
 def test_rank_pass_matches_per_cell_evaluation(monkeypatch, center_blocks):
-    """The rank pass keeps the rows the per-cell evaluation keeps (None at
-    a pole), evaluating each distinct nonzero value at most once and a
-    polynomial without its denominator; a pass that reads every row
-    evaluates every distinct value."""
+    """The rank pass keeps the rows the per-cell evaluation in the same
+    order keeps (None at a pole), evaluating each distinct nonzero value at
+    most once and a polynomial without its denominator; a pass that reads
+    every row evaluates every distinct value."""
     results = []
     for mat in _rank_pass_cases(center_blocks):
-        want = per_cell_rank_pass(mat)
+        want, _updates = per_cell_rank_pass(mat)
         with pytest.MonkeyPatch.context() as mp:
             scalars, polys = _spy_evaluations(mp)
             keep = la._rows_independent_mod_p(mat)
@@ -437,6 +446,52 @@ def test_rank_pass_matches_per_cell_evaluation(monkeypatch, center_blocks):
         results.append(keep)
     assert None in results  # the pole case
     assert [1] in results  # the rank drop at the point
+
+
+def test_rank_pass_keeps_a_basis_of_the_row_space_mod_p(center_blocks):
+    """The kept rows are independent mod P and as many as the rank mod P of
+    all the rows (which the pass in row order also finds), so they span the
+    row space mod P; they come in increasing order."""
+    for mat in _rank_pass_cases(center_blocks):
+        in_order, _updates = per_cell_rank_pass(mat, in_order=True)
+        keep = la._rows_independent_mod_p(mat)
+        if in_order is None:  # the pole case: every row is read either way
+            assert keep is None
+            continue
+        assert keep == sorted(set(keep))
+        assert len(keep) == len(in_order)
+        assert per_cell_rank_pass([mat[i] for i in keep])[0] == \
+            list(range(len(keep)))
+
+
+def test_sparsest_first_updates_fewer_cells_on_the_center_blocks(
+        center_blocks):
+    """On the 28 A2 center blocks, visiting the sparsest rows first updates
+    far fewer cells mod P than visiting them in order (7,963 against 59,560
+    when this test was written: 6,205 against 15,960 row subtractions)."""
+    blocks, _eliminated = center_blocks
+    sparsest = sum(per_cell_rank_pass(b)[1] for b in blocks)
+    in_order = sum(per_cell_rank_pass(b, in_order=True)[1] for b in blocks)
+    assert sparsest < in_order
+
+
+def test_a_pole_in_a_visited_row_gives_none(monkeypatch):
+    """The sparsest row is visited first, so its pole stops the pass even
+    though the rows before it already span every column; a pole in a row
+    the pass never visits does not.  Either way rref is exact."""
+    zero, one = QScalar.zero(L0), QScalar.one(L0)
+    q = QScalar.parse("q", L0)
+    pole = QScalar({0: 1}, {1: 1, 0: -la._T}, L0)  # 1/(q^(1/2) - T)
+    visited = [[one, q], [q, one], [pole, zero]]
+    assert per_cell_rank_pass(visited, in_order=True)[0] == [0, 1]
+    assert la._rows_independent_mod_p(visited) is None
+    unvisited = [[one, zero], [zero, one], [pole, one]]
+    assert la._rows_independent_mod_p(unvisited) == [0, 1]
+    calls = _count_eliminations(monkeypatch)
+    for mat in (visited, unvisited):
+        assert la.rref(mat) == (la.identity(2, L0), [0, 1]) == \
+            dense_rref(mat)
+    assert calls == [3]
 
 
 # -- assembly kernels against naive loops over every cell ---------------------
