@@ -59,7 +59,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     nz: List[Optional[List[int]]] = [None] * k
     for ai, oi in zip(a, out):
         for t, c in enumerate(ai):
-            if c.is_zero():
+            if not c.num:
                 continue
             cols = nz[t]
             if cols is None:
@@ -151,7 +151,7 @@ def add_kron(acc: Matrix, a: Matrix, b: Matrix) -> None:
     nz: Optional[List[List[int]]] = None
     for i, ai in enumerate(a):
         for j, c in enumerate(ai):
-            if c.is_zero():
+            if not c.num:
                 continue
             if nz is None:
                 nz = [_nonzero_columns(row) for row in b]
@@ -165,7 +165,7 @@ def add_scaled(acc: Matrix, a: Matrix, c: QScalar) -> None:
     """acc += c·a in place, on the nonzero cells of a."""
     for orow, arow in zip(acc, a):
         for j, x in enumerate(arow):
-            if not x.is_zero():
+            if x.num:
                 orow[j] = orow[j] + c * x
 
 
@@ -182,7 +182,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+    return not any(x.num for row in a for x in row)
 
 
 def is_identity(a: Matrix) -> bool:

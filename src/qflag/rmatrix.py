@@ -10,7 +10,7 @@ w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .cartan import RootSum, by_height
@@ -18,8 +18,8 @@ from .enveloping import UAlgebra, UElement, _content
 from .errors import BorelError, QflagError, TruncationError
 from .linalg import Matrix
 from .memo import Memo
-from .scalars import QScalar
-from .weightmod import WeightModule, _exp_matrix, braid_on_module, tensor
+from .scalars import QScalar, exp_t_coefficient
+from .weightmod import WeightModule, braid_on_module, tensor
 
 
 class DrinfeldPairing:
@@ -122,10 +122,15 @@ class DrinfeldPairing:
 
     def inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
         """The degree-beta summands x_p (x) y_p of
-        sum_beta q^{(beta,beta)} (1 (x) k_beta)(S (x) id)(Xi_beta)."""
+        sum_beta q^{(beta,beta)} (1 (x) k_beta)(S (x) id)(Xi_beta).
+        Memoized; callers must not mutate them."""
+        beta = tuple(beta)
+        return self.memo.get(("inverse", beta),
+                             lambda: self._inverse_components(beta))
+
+    def _inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
         alg = self.algebra
         datum = self.datum
-        beta = tuple(beta)
         bw = datum.root_to_weight(beta)
         tw = datum.q_pair(bw, bw)
         kbeta = alg.k(bw)
@@ -214,18 +219,65 @@ def theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
 
 
 def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
+    """Theta with its rows held as {column: value} of nonzero cells: each
+    factor X_k = I + N_k multiplies as P <- P + N_k P, reading only the
+    cells of N_k and of the rows of P they select."""
     datum = m1.datum
+    n = m1.dim * m2.dim
+    one = datum.one()
+    rows = [{r: one} for r in range(n)]
+    for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
+                       root_vectors(m2, "f")):
+        step = {}   # the new rows; N_k P reads the old ones
+        for r, cells in _series_cells(e, f, datum.d(i), datum).items():
+            new = dict(rows[r])
+            for c, v in cells.items():
+                for j, x in rows[c].items():
+                    y = new.get(j)
+                    new[j] = v * x if y is None else y + v * x
+            step[r] = {j: x for j, x in new.items() if x.num}
+        for r, new in step.items():
+            rows[r] = new
+    out = linalg.zeros(n, n, datum.l0)
+    for orow, row in zip(out, rows):
+        for j, x in row.items():
+            orow[j] = x
+    return out
 
-    def factors():
-        for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
-                           root_vectors(m2, "f")):
-            qi = datum.q_power(datum.d(i))
-            x = linalg.kron(linalg.mat_scale(e, qi.inverse() - qi), f)
-            if not linalg.is_zero_matrix(x):   # exp of zero is the identity
-                yield _exp_matrix(x, -datum.d(i), datum.l0)
 
-    return linalg.ordered_product(factors(), m1.dim * m2.dim, datum.l0,
-                                  left=True)
+def _series_cells(e: Matrix, f: Matrix, di: int,
+                  datum) -> Dict[int, Dict[int, QScalar]]:
+    """The nonzero cells of X - I by row, X = exp_t(c E (x) F) with
+    t = q_i^-1 = q^-di and c = q_i^-1 - q_i, on the basis v_a (x) w_b at
+    index a*n2 + b.  By (A (x) B)^n = A^n (x) B^n the n-th term is
+    a_n c^n E^n (x) F^n, so the series stops at the first zero power of E
+    or of F, and no carrier-sized matrix is formed.  Each cell comes from
+    one n (E^n raises the weight by n beta), so it is written once."""
+    l0 = datum.l0
+    qi = datum.q_power(di)
+    c = qi.inverse() - qi
+    n2 = len(f)
+    out: Dict[int, Dict[int, QScalar]] = {}
+    ep, fp, cn, n = e, f, c, 1
+    while not (linalg.is_zero_matrix(ep) or linalg.is_zero_matrix(fp)):
+        if n > max(len(e), n2):
+            raise TruncationError("exponential series does not terminate; "
+                                  "the matrix is not nilpotent")
+        coeff = exp_t_coefficient(n, -di, l0) * cn
+        fcells = [[(d, y) for d, y in enumerate(row) if y.num] for row in fp]
+        for a, erow in enumerate(ep):
+            for col, x in enumerate(erow):
+                if not x.num:
+                    continue
+                cx = coeff * x
+                for b, cells in enumerate(fcells):
+                    if cells:
+                        orow = out.setdefault(a * n2 + b, {})
+                        for d, y in cells:
+                            orow[col * n2 + d] = cx * y
+        ep, fp, cn, n = linalg.mat_mul(e, ep), linalg.mat_mul(f, fp), \
+            cn * c, n + 1
+    return out
 
 
 def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,

@@ -547,9 +547,15 @@ def restricted_dual(mod: WeightModule) -> WeightModule:
 def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
     """Tensor product with the coproduct twist: Delta(e_i) = e_i (x) 1 +
     k_i (x) e_i and Delta(f_i) = f_i (x) k_i^-1 + 1 (x) f_i, with the k
-    factors read as the diagonals q^(alpha_i, wt)."""
+    factors read as the diagonals q^(alpha_i, wt).  Memoized on m1 per
+    partner module, so every operator on one pair shares the carrier (and
+    the braids memoized on it); callers must not mutate it."""
     if m1.side != m2.side:
         raise SideMismatchError("tensor factors must share a side")
+    return m1.memo.get(("tensor", m2), lambda: _tensor(m1, m2))
+
+
+def _tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
     alg = m1.algebra
     datum = alg.datum
     n1, n2 = m1.dim, m2.dim

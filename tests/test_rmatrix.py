@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from qflag import linalg as la
-from qflag import rmatrix, suites
+from qflag import rmatrix, suites, weightmod
 from qflag.cartan import preset
 from qflag.enveloping import UAlgebra
 from qflag.errors import BorelError, TruncationError
@@ -45,6 +45,19 @@ def dense_r_inverse(pairing, m1, m2):
         for x, y in pairing.inverse_components(beta):
             acc = la.mat_add(acc, la.kron(m1.act(x), m2.act(y)))
     return la.mat_mul(acc, kappa_matrix(m1, m2))
+
+
+def dense_theta(m1, m2, roots=rmatrix.root_vectors):
+    """The dense route ``theta_matrix`` replaced: each factor X_k is
+    ``_exp_matrix`` of the carrier-sized kron(c E_k, F_k), and the factors
+    multiply from the identity, later ones on the left."""
+    datum = m1.datum
+    out = la.identity(m1.dim * m2.dim, datum.l0)
+    for i, e, f in zip(datum.longest_word(), roots(m1, "e"), roots(m2, "f")):
+        qi = datum.q_power(datum.d(i))
+        x = la.kron(la.mat_scale(e, qi.inverse() - qi), f)
+        out = la.mat_mul(_exp_matrix(x, -datum.d(i), datum.l0), out)
+    return out
 
 
 def table_route_r(pairing, m1, m2):
@@ -388,15 +401,6 @@ def test_ordered_products_start_at_their_first_factor(monkeypatch):
                                                 tinv)))
         return out
 
-    def old_theta(m1, m2):
-        factors = []
-        for i, e, f in zip(w0, old_root_vectors(m1, "e"),
-                           old_root_vectors(m2, "f")):
-            qi = datum.q_power(datum.d(i))
-            x = la.kron(la.mat_scale(e, qi.inverse() - qi), f)
-            factors.append(_exp_matrix(x, -datum.d(i), datum.l0))
-        return from_identity(factors, m1.dim * m2.dim, left=True)
-
     expected = {
         "T_w0": from_identity([braid_on_module(v1, i) for i in w0], v1.dim),
         "T_w0^-1": from_identity([braid_on_module(v1, i, inverse=True)
@@ -404,7 +408,7 @@ def test_ordered_products_start_at_their_first_factor(monkeypatch):
         "along": from_identity([braid_on_module(v2, i) for i in (0, 1, 0)],
                                v2.dim),
         "E": old_root_vectors(v2, "e"),
-        "Theta": old_theta(v2, v1),
+        "Theta": dense_theta(v2, v1, old_root_vectors),
     }
     calls = []
     real = la.mat_mul
@@ -453,7 +457,8 @@ def test_assembly_uses_no_dense_helpers(monkeypatch, a2):
                 dense_r_inverse(DrinfeldPairing(alg), v1, v2))
     for name in ("mat_add", "mat_scale", "kron"):
         monkeypatch.setattr(la, name, refuse)
-    got = (tensor(v1, v2).gen, v1.act(u),
+    # tensor is memoized on v1: rebuild the carrier past the memo
+    got = (weightmod._tensor(v1, v2).gen, v1.act(u),
            r_operator(pairing, v1, v2, "R-inverse").matrix)
     assert got == expected
 
@@ -507,3 +512,81 @@ def test_theta_and_root_vectors_are_built_once(monkeypatch):
     assert roots == Counter({(v1.name, "e"): 1, (v1.name, "f"): 1,
                              (v2.name, "e"): 1, (v2.name, "f"): 1,
                              (v21, "e"): 1})
+
+
+def _theta_carriers():
+    """(m1, m2) pairs for Theta: the A1 and A2 fundamental pairs, the B2
+    hexagon carrier (V(w2) (x) V(w1)) (x) V(w2) and G2 V(w2) (x) V(w2)."""
+    out = []
+    for typ in ("A1", "A2"):
+        datum = preset(typ)
+        alg = UAlgebra(datum)
+        mods = [simple(alg, datum.fundamental(i)) for i in range(datum.rank)]
+        out += [(a, b) for a in mods for b in mods]
+    b2 = UAlgebra(preset("B2"))
+    v1, v2 = simple(b2, (1, 0)), simple(b2, (0, 1))
+    out.append((tensor(v2, v1), v2))
+    g2 = UAlgebra(preset("G2"))
+    v = simple(g2, g2.datum.fundamental(1))
+    out.append((v, v))
+    return out
+
+
+def test_theta_matches_the_dense_route():
+    for m1, m2 in _theta_carriers():
+        assert rmatrix.theta_matrix(m1, m2) == dense_theta(m1, m2), \
+            (m1.name, m2.name)
+
+
+def test_theta_builds_no_carrier_sized_matrix(monkeypatch):
+    """Theta on an n-dim carrier calls no identity(n), no kron and no
+    _exp_matrix: the factors are Kronecker sums of small powers."""
+    b2 = UAlgebra(preset("B2"))
+    v1, v2 = simple(b2, (1, 0)), simple(b2, (0, 1))
+    m1 = tensor(v2, v1)
+    expected = dense_theta(m1, v2)   # also memoizes the root vectors
+    n = m1.dim * v2.dim
+    sizes = []
+    identity = la.identity
+
+    def spy(k, l0):
+        sizes.append(k)
+        return identity(k, l0)
+
+    def refuse(*args):
+        raise AssertionError("carrier-sized route")
+
+    monkeypatch.setattr(la, "identity", spy)
+    monkeypatch.setattr(la, "kron", refuse)
+    monkeypatch.setattr(weightmod, "_exp_matrix", refuse)
+    assert rmatrix.theta_matrix(m1, v2) == expected
+    assert n not in sizes
+
+
+def test_theta_of_a_non_nilpotent_pair_raises(monkeypatch, alg1):
+    v = simple(alg1, (1,))
+    ident = la.identity(v.dim, v.datum.l0)
+    monkeypatch.setattr(rmatrix, "root_vectors", lambda mod, kind: [ident])
+    with pytest.raises(TruncationError, match="not nilpotent"):
+        rmatrix._theta_matrix(v, v)
+
+
+def test_inverse_components_are_computed_once(monkeypatch, a2):
+    alg = UAlgebra(a2)
+    pairing = DrinfeldPairing(alg)
+    calls = Counter()
+    real = DrinfeldPairing._inverse_components
+
+    def spy(self, beta):
+        calls[beta] += 1
+        return real(self, beta)
+
+    monkeypatch.setattr(DrinfeldPairing, "_inverse_components", spy)
+    betas = [(1, 0), (1, 1), (2, 1), (1, 1)]
+    got = [pairing.inverse_components(list(b)) for b in betas]
+    assert got[1] is got[3]
+    assert calls == Counter({(1, 0): 1, (1, 1): 1, (2, 1): 1})
+    fresh = DrinfeldPairing(UAlgebra(a2))
+    for beta, comps in zip(betas, got):
+        assert [(x.terms, y.terms) for x, y in comps] == \
+            [(x.terms, y.terms) for x, y in fresh.inverse_components(beta)]

@@ -357,6 +357,18 @@ def test_tensor_matches_dense_kron_route(typ):
         assert tensor(m1, m2).gen == dense_tensor_gen(m1, m2)
 
 
+def test_tensor_is_memoized_per_pair(alg2):
+    v, w = simple(alg2, (1, 0)), simple(alg2, (0, 1))
+    for m1, m2 in [(v, w), (w, v), (v, v)]:
+        mod = tensor(m1, m2)
+        assert tensor(m1, m2) is mod
+        fresh = weightmod._tensor(m1, m2)
+        assert fresh is not mod
+        assert (mod.gen, mod.labels, mod.index_weights) == \
+            (fresh.gen, fresh.labels, fresh.index_weights)
+    assert tensor(v, w) is not tensor(w, v)
+
+
 def test_tensor_of_a_tensor_keeps_the_relations(alg2):
     v = simple(alg2, (1, 0))
     for m in (v, restricted_dual(v)):
