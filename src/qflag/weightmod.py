@@ -119,7 +119,6 @@ class WeightModule:
         """A raw letter word applied to a sparse vector {index: value}: an
         e or f letter through the nonzero cells of its matrix, a k_mu
         letter as the scalar q^(mu, wt) on each index."""
-        zero = self.datum.zero()
         for kind, v in self.applied_letters(word):
             if kind == "k":
                 diag = self.k_diagonal(v)
@@ -129,7 +128,8 @@ class WeightModule:
             out: Dict[int, QScalar] = {}
             for j, x in vec.items():
                 for r, y in cols[j]:
-                    out[r] = out.get(r, zero) + y * x
+                    z = y * x
+                    out[r] = out[r] + z if r in out else z
             vec = out
         return vec
 
@@ -749,44 +749,195 @@ def defining_relations(algebra: UAlgebra):
     return rels
 
 
+# A term of a relation grouped by its k-free core: (non-unit part of the
+# coefficient or None, sign, exponent in units of 1/l0, k weight on the
+# column, k weight on the row), a k weight None when that end has no k.
+_CoreTerm = Tuple[Optional[QScalar], int, int, Optional[Weight],
+                  Optional[Weight]]
+
+
+def _core_groups(mod: WeightModule, terms) -> List[Tuple[tuple, List[_CoreTerm]]]:
+    """The terms of a relation grouped by core, in order of first
+    appearance.  A raw word is split into its k letters before its first
+    e/f letter, the core from there to its last e/f letter, and the k
+    letters after it; of the two k ends, the one applied first acts on the
+    column and the other on the row.  A coefficient is held as its unit
+    sign*q^exp times a non-unit part whose numerator has lowest exponent 0
+    and a positive lowest coefficient (None when the coefficient is a unit),
+    so c and -c share one part."""
+    datum = mod.datum
+
+    def k_sum(letters) -> Optional[Weight]:
+        out = None
+        for _k, mu in letters:
+            out = mu if out is None else datum.weight_add(out, mu)
+        return out
+
+    groups: Dict[tuple, List[_CoreTerm]] = {}
+    for c, word in terms:
+        letters = [n for n, (kind, _v) in enumerate(word) if kind != "k"]
+        lo, hi = (letters[0], letters[-1] + 1) if letters else (0, 0)
+        head, tail = k_sum(word[:lo]), k_sum(word[hi:])
+        col_mu, row_mu = (tail, head) if mod.side == "left" else (head, tail)
+        exp = min(c.num)
+        sign = 1 if c.num[exp] > 0 else -1
+        part = None
+        if not (c.is_polynomial() and len(c.num) == 1 and c.num[exp] == sign):
+            part = c * QScalar.q_l0(-exp, datum.l0)
+            part = part if sign > 0 else -part
+        groups.setdefault(word[lo:hi], []).append(
+            (part, sign, exp, col_mu, row_mu))
+    return list(groups.items())
+
+
+def _core_factor(core_terms, row: int, col: int,
+                 l0: int) -> Optional[QScalar]:
+    """The sum over a group's terms of coefficient times the k letters at
+    the word's ends, read as q^(mu, wt) on the column's and the row's
+    weights (given by weight id, the k weights of ``_core_groups`` turned
+    into tables of l0*(mu, wt) by weight id): one integer Laurent
+    polynomial per non-unit part, multiplied by that part only where it is
+    nonzero.  None when the sum is zero."""
+    polys: Dict[Optional[QScalar], Dict[int, int]] = {}
+    for part, sign, e, col_pairs, row_pairs in core_terms:
+        if col_pairs is not None:
+            e += col_pairs[col]
+        if row_pairs is not None:
+            e += row_pairs[row]
+        p = polys.setdefault(part, {})
+        p[e] = p.get(e, 0) + sign
+    out = None
+    for part, p in polys.items():
+        p = {e: x for e, x in p.items() if x}
+        if not p:
+            continue
+        y = QScalar.from_poly(p, l0)
+        if part is not None:
+            y = part * y
+        out = y if out is None else out + y
+    return out if out is not None and out.num else None
+
+
 def check_module_relations(mod: WeightModule) -> List[str]:
     """Verify the defining relations on the exact region of the module,
-    one basis column at a time: each term's word is walked from e_col
-    (``WeightModule.walk``).  A term is checked only where its word's path
-    stays in the exact region, walked through a table (weight, letter) ->
-    next weight built for this call.  Returns a list of failure
-    descriptions, at the first nonzero row of each failing column."""
-    failures = []
-    zero = mod.datum.zero()
-    steps: Dict[tuple, Optional[Weight]] = {}
+    one basis column at a time.  Each relation's terms are grouped by the
+    k-free core of their words (``_core_groups``), and each core is walked
+    once per column from e_col (``WeightModule.walk``): its last applied
+    letter from the walk of the letters before it, so relations share the
+    walks of common cores and prefixes.  The k letters at a word's ends and
+    a unit coefficient +-q^e are read as exponents of the column's and the
+    row's weights, so a group's factor at (row, col) is an integer Laurent
+    polynomial, times a non-unit coefficient only where it is nonzero
+    (``_core_factor``); scalar arithmetic is left for the e/f cells and
+    those products.  A relation is checked only at weights where every
+    core's path stays in the exact region (k letters never leave it), each
+    (weight, core) decided once.  Every table is local to the call.
+    Returns a list of failure descriptions, at the first nonzero row of
+    each failing column."""
+    datum = mod.datum
+    one = datum.one()
+    left = mod.side == "left"
+    wid: Dict[Weight, int] = {}
+    ids = [wid.setdefault(w, len(wid)) for w in mod.index_weights]
+    pair_rows: Dict[Weight, List[int]] = {}
 
-    def path_valid(wt: Weight, word) -> bool:
-        # the word never passes through a truncated-away weight space
-        for letter in mod.applied_letters(word):
-            key = (wt, letter)
-            if key not in steps:
-                steps[key] = mod.step(wt, letter)
-            wt = steps[key]
-            if wt is None:
-                return False
-        return True
+    def pairs(mu: Optional[Weight]) -> Optional[List[int]]:
+        # l0*(mu, wt) by weight id
+        if mu is not None and mu not in pair_rows:
+            pair_rows[mu] = [datum.pair_l0(mu, w) for w in wid]
+        return None if mu is None else pair_rows[mu]
 
+    # every core and each of its prefixes in applied order by id, with the
+    # id of the letters applied before its last one and that last letter;
+    # id 0 is the empty core, and a prefix's id is below its core's
+    core_ids: Dict[tuple, int] = {(): 0}
+    before: List[int] = [0]
+    last: List[tuple] = [()]
+    rels = []
     for name, terms in defining_relations(mod.algebra):
-        valid = {wt: all(path_valid(wt, w) for _c, w in terms)
-                 for wt in set(mod.index_weights)}
-        for col, wt in enumerate(mod.index_weights):
-            if not valid[wt]:
+        groups = []
+        for core, core_terms in _core_groups(mod, terms):
+            n = len(core)
+            for pre in ([core[k:] for k in range(n - 1, -1, -1)] if left
+                        else [core[:k] for k in range(1, n + 1)]):
+                if pre not in core_ids:
+                    core_ids[pre] = len(last)
+                    before.append(core_ids[pre[1:] if left else pre[:-1]])
+                    last.append(pre[:1] if left else pre[-1:])
+            # a group with no k letter has one factor at every cell
+            fixed = all(t[3] is None and t[4] is None for t in core_terms)
+            groups.append((core_ids[core], fixed, [
+                (part, sign, e, pairs(col_mu), pairs(row_mu))
+                for part, sign, e, col_mu, row_mu in core_terms]))
+        rels.append((name, groups))
+
+    # the weight each core takes each module weight (by id) to, None once
+    # its path passes through a truncated-away weight space
+    steps: Dict[tuple, Optional[Weight]] = {}
+    reach: List[List[Optional[Weight]]] = [list(wid)]
+    for c in range(1, len(last)):
+        out = []
+        for w in reach[before[c]]:
+            if w is not None:
+                key = (w, last[c][0])
+                if key not in steps:
+                    steps[key] = mod.step(*key)
+                w = steps[key]
+            out.append(w)
+        reach.append(out)
+    valid = []
+    for _name, groups in rels:
+        ok = [True] * len(wid)
+        for c, _f, _t in groups:
+            for k, w in enumerate(reach[c]):
+                if w is None:
+                    ok[k] = False
+        valid.append(ok)
+
+    def walked(walks: List[Optional[Dict[int, QScalar]]], c: int,
+               col: int) -> Dict[int, QScalar]:
+        # core c walked from e_col, each letter from the walk of the letters
+        # before it; a first e/f letter is read off the column's cells
+        chain = []
+        while c and walks[c] is None:
+            chain.append(c)
+            c = before[c]
+        vec = walks[c] if c else {col: one}
+        for c in reversed(chain):
+            vec = walks[c] = mod.walk(last[c], vec) if before[c] \
+                else dict(mod._cells(*last[c][0])[col])
+        return vec
+
+    factors: List[Dict[tuple, Dict[int, Optional[QScalar]]]] = \
+        [{} for _ in rels]
+    failures: List[List[str]] = [[] for _ in rels]
+    # column by column, so only one column's walks are held at a time
+    for col in range(mod.dim):
+        walks: List[Optional[Dict[int, QScalar]]] = [None] * len(last)
+        for (name, groups), ok, rel_factors, fails in zip(rels, valid, factors,
+                                                         failures):
+            if not ok[ids[col]]:
                 continue
             acc: Dict[int, QScalar] = {}
-            for c, w in terms:
-                for r, x in mod.walk(w, {col: c}).items():
-                    acc[r] = acc.get(r, zero) + x
-            bad = [r for r, x in sorted(acc.items()) if not x.is_zero()]
+            for g, (c, fixed, core_terms) in enumerate(groups):
+                # the group's factors at this column's weight, by row weight
+                row_f = rel_factors.setdefault(
+                    (g, 0 if fixed else ids[col]), {})
+                for r, x in walked(walks, c, col).items():
+                    k = 0 if fixed else ids[r]
+                    if k not in row_f:
+                        row_f[k] = _core_factor(core_terms, k, ids[col],
+                                                datum.l0)
+                    f = row_f[k]
+                    if f is not None:
+                        y = x * f
+                        acc[r] = acc[r] + y if r in acc else y
+            bad = [r for r, x in sorted(acc.items()) if x.num]
             if bad:
-                failures.append(
+                fails.append(
                     f"{mod.name}: relation {name} fails at basis {mod.labels[col]}"
                     f" -> {mod.labels[bad[0]]}: {acc[bad[0]].to_str()}")
-    return failures
+    return [f for fails in failures for f in fails]
 
 
 def module_map_commutes(source: WeightModule, target: WeightModule,

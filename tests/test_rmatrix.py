@@ -60,6 +60,26 @@ def dense_theta(m1, m2, roots=rmatrix.root_vectors):
     return out
 
 
+def dense_hexagon_check(pairing, m1, m2, m3):
+    """The dense route ``hexagon_check`` replaced: both legs as
+    carrier-sized krons with identities, one dense mat_mul, and
+    ``first_mismatch`` over every cell."""
+    l0 = pairing.datum.l0
+    r23 = rmatrix.r_operator(pairing, m2, m3, "R-check").matrix
+    r13 = rmatrix.r_operator(pairing, m1, m3, "R-check").matrix
+    lhs = la.mat_mul(la.kron(r13, la.identity(m2.dim, l0)),
+                     la.kron(la.identity(m1.dim, l0), r23))
+    rhs = rmatrix.r_operator(pairing, tensor(m1, m2), m3, "R-check").matrix
+    mismatch = la.first_mismatch(lhs, rhs)
+    report = {"instance": f"{m1.name} (x) {m2.name} (x) {m3.name}",
+              "pass": mismatch is None}
+    if mismatch is not None:
+        i, j, a, b = mismatch
+        report["counterexample"] = {
+            "row": i, "col": j, "lhs": a.to_str(), "rhs": b.to_str()}
+    return report
+
+
 def table_route_r(pairing, m1, m2):
     return la.mat_mul(la.inverse(kappa_matrix(m1, m2)),
                       xi_operator(pairing, m1, m2))
@@ -590,3 +610,65 @@ def test_inverse_components_are_computed_once(monkeypatch, a2):
     for beta, comps in zip(betas, got):
         assert [(x.terms, y.terms) for x, y in comps] == \
             [(x.terms, y.terms) for x, y in fresh.inverse_components(beta)]
+
+
+def _hexagon_cases():
+    """The B2 hexagon V(w2) (x) V(w1) (x) V(w2) and G2 V(w2) (x) V(w2) (x)
+    V(w2), each with its pairing."""
+    b2 = UAlgebra(preset("B2"))
+    v1, v2 = simple(b2, (1, 0)), simple(b2, (0, 1))
+    g2 = UAlgebra(preset("G2"))
+    w = simple(g2, g2.datum.fundamental(1))
+    return [(DrinfeldPairing(b2), (v2, v1, v2)),
+            (DrinfeldPairing(g2), (w, w, w))]
+
+
+def test_hexagon_matches_the_dense_route(monkeypatch):
+    """The sparse left side gives the dense route's report, also when one
+    R-check has a corrupted cell: the last nonzero cell of the right side
+    negated, or q written into the first zero cell of the right side or
+    of r23, a cell that only one side then carries.  It forms no
+    carrier-sized identity, kron or product."""
+    real = rmatrix.r_operator
+    for pairing, (m1, m2, m3) in _hexagon_cases():
+        expected = dense_hexagon_check(pairing, m1, m2, m3)
+        assert expected["pass"]
+        n = m1.dim * m2.dim * m3.dim
+        sizes = []
+        identity = la.identity
+
+        def refuse(*args):
+            raise AssertionError("carrier-sized route")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(la, "identity",
+                       lambda k, l0: sizes.append(k) or identity(k, l0))
+            mp.setattr(la, "kron", refuse)
+            mp.setattr(la, "mat_mul", refuse)
+            assert hexagon_check(pairing, m1, m2, m3) == expected
+        assert n not in sizes
+
+        def negate_rhs(mat):
+            r, c = [(r, c) for r, row in enumerate(mat)
+                    for c, x in enumerate(row) if x.num][-1]
+            mat[r][c] = -mat[r][c]
+
+        def fill(mat):
+            r, c = next((r, c) for r, row in enumerate(mat)
+                        for c, x in enumerate(row) if not x.num)
+            mat[r][c] = pairing.datum.q_power(1)
+
+        for target, corrupt in ((m1.dim * m2.dim, negate_rhs),
+                                (m1.dim * m2.dim, fill), (m2.dim, fill)):
+            def spoiled(p, a, b, flavor="R", target=target, corrupt=corrupt):
+                op = real(p, a, b, flavor)
+                if a.dim == target and b is m3:
+                    op.matrix = [list(row) for row in op.matrix]
+                    corrupt(op.matrix)
+                return op
+
+            with monkeypatch.context() as mp:
+                mp.setattr(rmatrix, "r_operator", spoiled)
+                bad = dense_hexagon_check(pairing, m1, m2, m3)
+                assert not bad["pass"]
+                assert hexagon_check(pairing, m1, m2, m3) == bad

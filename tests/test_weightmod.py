@@ -1,12 +1,12 @@
 import pytest
 
 from qflag import linalg as la
-from qflag import weightmod
+from qflag import suites, weightmod
 from qflag.cartan import (kostant_dim, preset, verma_character,
                           weyl_character)
 from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
-from qflag.scalars import exp_t_coefficient
+from qflag.scalars import QScalar, exp_t_coefficient
 from qflag.weightmod import (braid_on_module, braid_word,
                              check_module_relations, restricted_dual, simple,
                              tensor, transpose_braid, verma)
@@ -411,40 +411,101 @@ def dense_relation_failures(mod):
     return failures
 
 
+@pytest.fixture(scope="module")
+def algebras(alg1, alg2):
+    return {"A1": alg1, "A2": alg2, "B2": UAlgebra(preset("B2")),
+            "G2": UAlgebra(preset("G2"))}
+
+
 def relation_modules(alg):
-    lam = alg.datum.fundamental(0)
-    depth = (3,) * alg.datum.rank
+    """Both sides of a Verma truncation, the fitting V(lam) and its dual,
+    V(rho) where it fits under the cap, and tensor squares."""
+    datum = alg.datum
+    lam = suites._fitting_fundamental(datum)
+    depth = (3,) * datum.rank
     v = simple(alg, lam)
-    return [verma(alg, lam, depth), verma(alg, lam, depth, side="right"),
-            v, restricted_dual(v), simple(alg, alg.datum.rho),
-            tensor(v, v), tensor(restricted_dual(v), restricted_dual(v))]
+    mods = [verma(alg, lam, depth), verma(alg, lam, depth, side="right"),
+            v, restricted_dual(v)]
+    if suites._constructible(datum, datum.rho):
+        mods.append(simple(alg, datum.rho))
+    return mods + [tensor(v, v),
+                   tensor(restricted_dual(v), restricted_dual(v))]
 
 
-@pytest.mark.parametrize("typ", ["A1", "A2"])
-def test_relation_check_matches_the_dense_oracle(typ, alg1, alg2):
-    for mod in relation_modules(alg1 if typ == "A1" else alg2):
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_relation_check_matches_the_dense_oracle(typ, algebras):
+    for mod in relation_modules(algebras[typ]):
         assert check_module_relations(mod) == dense_relation_failures(mod) \
             == [], mod.name
 
 
-@pytest.mark.parametrize("typ", ["A1", "A2"])
-def test_relation_check_reports_a_corrupted_cell(typ, alg1, alg2):
-    alg = alg1 if typ == "A1" else alg2
-    for mod in (simple(alg, alg.datum.rho), verma(alg, alg.datum.rho,
-                                                  (2,) * alg.datum.rank)):
-        # a copy of the module with one nonzero cell of e_0 doubled
-        gen = dict(mod.gen)
-        e0 = [list(row) for row in gen[("e", 0)]]
+def corrupted(mod, how):
+    """A copy of the module with one cell of e_0 changed: the first nonzero
+    cell doubled, zeroed or negated, or ("off-weight") q written at the
+    first cell whose row weight is not the column weight plus the weight
+    shift of e_0, so its e_0 no longer moves weights by that shift."""
+    e0 = [list(row) for row in mod.gen[("e", 0)]]
+    if how == "off-weight":
+        shift = mod.step_delta("e", 0)
+        wts = mod.index_weights
+        r, c = next((r, c) for r in range(mod.dim) for c in range(mod.dim)
+                    if wts[r] != mod.datum.weight_add(wts[c], shift))
+        e0[r][c] = mod.datum.q_power(1)
+    else:
         r, c = next((r, c) for r, row in enumerate(e0)
                     for c, x in enumerate(row) if not x.is_zero())
-        e0[r][c] = e0[r][c] + e0[r][c]
-        gen[("e", 0)] = e0
-        bad = weightmod.WeightModule(
-            alg, mod.side, mod.index_weights, gen, mod.missing_exact,
-            mod.exact, labels=mod.labels, name="corrupted " + mod.name)
-        fails = check_module_relations(bad)
-        assert fails and fails == dense_relation_failures(bad)
-        assert fails[0].startswith(f"corrupted {mod.name}: relation ")
+        e0[r][c] = {"doubled": e0[r][c] + e0[r][c],
+                    "zeroed": mod.datum.zero(), "negated": -e0[r][c]}[how]
+    gen = dict(mod.gen)
+    gen[("e", 0)] = e0
+    return weightmod.WeightModule(
+        mod.algebra, mod.side, mod.index_weights, gen, mod.missing_exact,
+        mod.exact, labels=mod.labels, name=f"{how} {mod.name}")
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_relation_check_reports_a_corrupted_cell(typ, algebras):
+    alg = algebras[typ]
+    datum = alg.datum
+    depth = (2,) * datum.rank
+    top = datum.rho if suites._constructible(datum, datum.rho) \
+        else suites._fitting_fundamental(datum)
+    v = simple(alg, top)
+    for mod in (verma(alg, datum.rho, depth),
+                verma(alg, datum.rho, depth, side="right"), v,
+                restricted_dual(v)):
+        for how in ("doubled", "zeroed", "negated", "off-weight"):
+            bad = corrupted(mod, how)
+            fails = check_module_relations(bad)
+            assert fails and fails == dense_relation_failures(bad), bad.name
+            assert fails[0].startswith(f"{bad.name}: relation ")
+            if how == "off-weight":
+                # a k-relation sees the weight the cell breaks
+                assert any(f.split(": relation ")[1].startswith("k")
+                           for f in fails), bad.name
+
+
+def test_relation_check_halves_the_scalar_products(monkeypatch):
+    """On the modules of the A2 and B2 presentation suites at the default
+    cap, the check multiplies scalars at most 12,925 times, half of what
+    walking every term's word from every column took (25,850)."""
+    mods = []
+    for typ in ("A2", "B2"):
+        datum = preset(typ)
+        alg = UAlgebra(datum)
+        depth = (2,) * datum.rank
+        for lam in suites._dominant_weights(datum, 2):
+            v = simple(alg, lam)
+            mods += [verma(alg, lam, depth),
+                     verma(alg, lam, depth, side="right"), v,
+                     restricted_dual(v)]
+    assert len(mods) == 48
+    calls = []
+    real = QScalar.__mul__
+    monkeypatch.setattr(QScalar, "__mul__",
+                        lambda x, y: calls.append(1) or real(x, y))
+    assert all(check_module_relations(mod) == [] for mod in mods)
+    assert len(calls) <= 25850 // 2
 
 
 def test_act_matches_dense_sum(alg2):
