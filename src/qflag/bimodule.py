@@ -232,36 +232,27 @@ def key_lemma_characters(ring: CoordRing, pairing: DrinfeldPairing,
     e = EBimodule(ring, pairing, mu, mu)
     nu = e.nu
     r = len(nu)
-    mu_low = nu[0]
     key2_pre = datum.is_dominant(datum.weight_add(lam, datum.rho))
     key3_pre = datum.is_dominant(lam)
-    key2_layers = []
-    key2_ok = True
-    for k in range(r):
-        xi = datum.weight_sub(datum.weight_add(lam, nu[k]), mu_low)
-        wit = datum.linked(lam, xi)
-        is_linked = wit is not None
-        key2_layers.append({
-            "nu_k": datum.weight_str(nu[k]),
-            "linked": is_linked,
-            "witness": list(wit) if wit is not None else None,
-        })
-        if is_linked != (k == 0):
-            key2_ok = False
-    key3_layers = []
-    key3_ok = True
-    top = datum.weight_add(lam, mu)
-    for k in range(r):
-        xi = datum.weight_add(lam, nu[k])
-        wit = datum.linked(top, xi)
-        is_linked = wit is not None
-        key3_layers.append({
-            "nu_k": datum.weight_str(nu[k]),
-            "linked": is_linked,
-            "witness": list(wit) if wit is not None else None,
-        })
-        if is_linked != (k == r - 1):
-            key3_ok = False
+
+    def linkage(base: Weight, shift: Weight, expected: int):
+        """The layers nu_k, each with whether lam + nu_k - shift is linked
+        to base, and whether that holds exactly at k == expected."""
+        layers = []
+        for k in range(r):
+            wit = datum.linked(base, datum.weight_sub(
+                datum.weight_add(lam, nu[k]), shift))
+            layers.append({
+                "nu_k": datum.weight_str(nu[k]),
+                "linked": wit is not None,
+                "witness": list(wit) if wit is not None else None,
+            })
+        return layers, all(layer["linked"] == (k == expected)
+                           for k, layer in enumerate(layers))
+
+    key2_layers, key2_ok = linkage(lam, nu[0], 0)
+    key3_layers, key3_ok = linkage(datum.weight_add(lam, mu),
+                                   datum.zero_weight, r - 1)
     return {
         "lam": datum.weight_str(lam),
         "mu": datum.weight_str(mu),

@@ -180,8 +180,10 @@ def _kappa_diagonal(m1: WeightModule, m2: WeightModule) -> List[QScalar]:
 
 
 def _scale_columns(mat: Matrix, diag: List[QScalar]) -> Matrix:
-    """mat composed with the diagonal operator diag (applied first)."""
-    return [[x * c for x, c in zip(row, diag)] for row in mat]
+    """mat composed with the diagonal operator diag (applied first); zero
+    cells are kept as they are."""
+    return [[x if x.is_zero() else x * c for x, c in zip(row, diag)]
+            for row in mat]
 
 
 def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:

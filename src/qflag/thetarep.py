@@ -8,7 +8,8 @@ The formula route builds the family from right multiplications, torus
 conjugations and the two pairing-defined convolution operators; the direct
 route transposes the honest action on a stabilized fraction model.  Both
 are exact and must agree entrywise; the formula matrix is checked against
-the model's polynomial Gram, without inverting it."""
+the model's polynomial Gram, and only the columns of a failing block are
+solved for, to report it: no Gram is inverted."""
 
 from __future__ import annotations
 
@@ -130,9 +131,9 @@ class ThetaDirect:
     """Transpose action computed on the stabilized fraction model of a
     localized graded piece.  On each block it is G^{-1} V, G the model
     slice's polynomial Gram and V the functionals of the images; ``check``
-    tests a formula matrix F as G F == V, so a passing check inverts
-    nothing, and ``theta`` (through ``gram_inverse``) is built only to
-    locate a mismatch."""
+    tests a formula block F as G F == V, so a passing check solves
+    nothing, and a failing block is solved column by column to report the
+    first differing cell."""
 
     def __init__(self, ring: CoordRing, plus: WeightModule, probe: Weight):
         self.ring = ring
@@ -225,26 +226,6 @@ class ThetaDirect:
 
     # -- transposed matrices ------------------------------------------------------
 
-    def gram_inverse(self, gamma: RootSum) -> Matrix:
-        """The inverse of the model's Gram matrix q^{-(level, gamma)} E^T,
-        E the evaluation matrix of its drop-gamma slice: q^{(level, gamma)}
-        times the transpose of the ring's inverse of E."""
-        gamma = tuple(gamma)
-        return self.memo.get(("gram_inv", gamma),
-                             lambda: self._gram_inverse(gamma))
-
-    def _gram_inverse(self, gamma: RootSum) -> Matrix:
-        datum = self.datum
-        grade = datum.weight_add(self.probe, self.level)
-        mat, _words, d = self.ring.eval_solver(grade, gamma)
-        rows, inv = self.ring.eval_factor(grade, gamma)
-        if not len(mat) == len(rows) == d:
-            raise QflagError(f"evaluation matrix at grade {grade}, drop "
-                             f"{gamma} is not square and invertible")
-        return linalg.mat_scale(
-            linalg.transpose(inv),
-            datum.q_pair(self.level, datum.root_to_weight(gamma)))
-
     def gram(self, gamma: RootSum) -> Matrix:
         """The model's Gram matrix q^{-(level, gamma)} E^T, E the evaluation
         matrix of its drop-gamma slice: row a holds the functionals of the
@@ -295,44 +276,47 @@ class ThetaDirect:
                 vals.append(self.functional_vector(image))
             yield tgt, g, vals
 
-    def theta(self, kind: str, arg) -> Matrix:
-        """The transpose matrix on the full plus-part truncation, computed
-        from <phi_a, Theta(d)(x_b)> = <d(phi_a), x_b>."""
-        datum = self.datum
-        plus = self.plus
-        if kind == "sigma":
-            return linalg.diagonal([datum.q_pair(arg, self.probe)] * plus.dim,
-                                   datum.l0)
-        out = linalg.zeros(plus.dim, plus.dim, datum.l0)
-        for tgt, g, vals in self._blocks(kind, arg):
-            linalg.set_block(out, plus.slot[(tgt, 0)], plus.slot[(g, 0)],
-                             linalg.mat_mul(self.gram_inverse(tgt), vals))
-        return out
-
     def check(self, mf: Matrix, kind: str,
               arg) -> Tuple[bool, Optional[dict]]:
-        """What ``_compare(plus, mf, theta(kind, arg))`` returns, decided
-        without inverting a Gram matrix: each block F of mf must satisfy
-        G F == V (G nonsingular, so F == G^{-1} V), and mf must vanish off
-        the blocks.  Only a mismatch builds theta(kind, arg), to report
-        the counterexample."""
-        if kind != "sigma" and self._satisfies(mf, kind, arg):
-            return True, None
-        return _compare(self.plus, mf, self.theta(kind, arg))
-
-    def _satisfies(self, mf: Matrix, kind: str, arg) -> bool:
+        """Compare mf with the transpose matrix entrywise, column by column,
+        and report the first differing cell.  The transpose matrix is zero
+        off the blocks (diagonal q^{(arg, probe)} for sigma), and G^{-1} V
+        on each block: mf's own block F when G F == V (G is nonsingular),
+        else the solutions of G x = v for the columns v of V.  No Gram is
+        inverted, and each image is computed once."""
+        datum = self.datum
         plus = self.plus
-        rows_of = {}
-        for tgt, g, vals in self._blocks(kind, arg):
-            r0, c0 = plus.slot[(tgt, 0)], plus.slot[(g, 0)]
-            rows = range(r0, r0 + len(vals))
-            block = [mf[r][c0:c0 + len(vals[0])] for r in rows]
-            if linalg.mat_mul(self.gram(tgt), block) != vals:
-                return False
-            rows_of[g] = rows
-        return all(mf[r][col].is_zero()
-                   for col, (g, _r) in enumerate(plus.slot_keys)
-                   for r in range(plus.dim) if r not in rows_of.get(g, ()))
+        blocks = {}             # source degree -> (first row, block)
+        if kind == "sigma":
+            c = datum.q_pair(arg, self.probe)
+            for g in _drops(plus):
+                d = len(plus.algebra.basis(g).free_words)
+                blocks[g] = (plus.slot[(g, 0)], linalg.diagonal([c] * d,
+                                                                datum.l0))
+        else:
+            for tgt, g, vals in self._blocks(kind, arg):
+                r0, c0 = plus.slot[(tgt, 0)], plus.slot[(g, 0)]
+                block = [mf[r][c0:c0 + len(vals[0])]
+                         for r in range(r0, r0 + len(vals))]
+                gram = self.gram(tgt)
+                if linalg.mat_mul(gram, block) != vals:
+                    block = linalg.transpose(
+                        [linalg.solve(gram, v) for v in linalg.transpose(vals)])
+                blocks[g] = (r0, block)
+        zero = datum.zero()
+        for col, (g, r) in enumerate(plus.slot_keys):
+            r0, block = blocks.get(g, (0, []))
+            for row in range(plus.dim):
+                i = row - r0
+                direct = block[i][r] if 0 <= i < len(block) else zero
+                if mf[row][col] != direct:
+                    return False, {
+                        "degree": datum.root_str(g),
+                        "word": list(plus.algebra.basis(g).free_words[r]),
+                        "row": row,
+                        "formula": mf[row][col].to_str(),
+                        "direct": direct.to_str()}
+        return True, None
 
 
 def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
@@ -367,23 +351,6 @@ def theta_build(ring: CoordRing, pairing: DrinfeldPairing, depth_ht: int,
 def _drops(plus: WeightModule) -> List[RootSum]:
     """The degrees of the plus part in layout order."""
     return [g for g, r in plus.slot_keys if r == 0]
-
-
-def _compare(plus: WeightModule, mf: Matrix,
-             md: Matrix) -> Tuple[bool, Optional[dict]]:
-    """Compare entrywise, column by column; at boundary degrees of the
-    truncation both routes produce the same truncated zero blocks."""
-    datum = plus.datum
-    for col, (g, r) in enumerate(plus.slot_keys):
-        for row in range(plus.dim):
-            if mf[row][col] != md[row][col]:
-                return False, {
-                    "degree": datum.root_str(g),
-                    "word": list(plus.algebra.basis(g).free_words[r]),
-                    "row": row,
-                    "formula": mf[row][col].to_str(),
-                    "direct": md[row][col].to_str()}
-    return True, None
 
 
 def theta_faithfulness_probe(ring: CoordRing, pairing: DrinfeldPairing,

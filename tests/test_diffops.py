@@ -12,7 +12,6 @@ from qflag.diffops import (DWindow, extremal_transport_check, lemma_rl_check,
 from qflag.cartan import preset
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
-from qflag.errors import QflagError
 from qflag.rmatrix import DrinfeldPairing
 from qflag.thetarep import (ThetaDirect, ThetaFormula, theta_build,
                             theta_faithfulness_probe, theta_formula)
@@ -287,15 +286,49 @@ def old_gram_inverse(direct, gamma):
                        for fr in direct.model_basis(gamma)])
 
 
+def inverse_route_theta(direct, kind, arg):
+    """The transpose matrix on the full plus-part truncation, G^{-1} V on
+    each block from the inverse of the model's functionals, and zero off
+    the blocks."""
+    datum, plus = direct.datum, direct.plus
+    if kind == "sigma":
+        return la.diagonal([datum.q_pair(arg, direct.probe)] * plus.dim,
+                           datum.l0)
+    out = la.zeros(plus.dim, plus.dim, datum.l0)
+    for tgt, g, vals in direct._blocks(kind, arg):
+        la.set_block(out, plus.slot[(tgt, 0)], plus.slot[(g, 0)],
+                     la.mat_mul(old_gram_inverse(direct, tgt), vals))
+    return out
+
+
+def compare_cells(plus, mf, md):
+    """(ok, counterexample) comparing mf with md entrywise, column by
+    column, at the first differing cell."""
+    datum = plus.datum
+    for col, (g, r) in enumerate(plus.slot_keys):
+        for row in range(plus.dim):
+            if mf[row][col] != md[row][col]:
+                return False, {
+                    "degree": datum.root_str(g),
+                    "word": list(plus.algebra.basis(g).free_words[r]),
+                    "row": row,
+                    "formula": mf[row][col].to_str(),
+                    "direct": md[row][col].to_str()}
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def theta_ctx(ring1, ring2, pairing1, pairing2, g2):
+    """(ring, pairing) per type, for the theta suite's probes."""
+    alg = UAlgebra(g2)
+    return {"A1": (ring1, pairing1), "A2": (ring2, pairing2),
+            "G2": (CoordRing(alg), DrinfeldPairing(alg))}
+
+
 @pytest.mark.parametrize("typ", ["A1", "A2", "G2"])
-def test_gram_inverse_reads_the_evaluation_inverse(typ, ring1, ring2,
-                                                   pairing1, pairing2):
+def test_gram_reads_the_model_functionals(typ, theta_ctx):
     """On every (probe, degree) slice of the theta suite."""
-    if typ == "G2":
-        alg = UAlgebra(preset("G2"))
-        ring, pairing = CoordRing(alg), DrinfeldPairing(alg)
-    else:
-        ring, pairing = (ring1, pairing1) if typ == "A1" else (ring2, pairing2)
+    ring, pairing = theta_ctx[typ]
     datum = ring.datum
     plus = theta_formula(pairing, 4 if datum.rank == 1 else 3).plus
     probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
@@ -305,8 +338,6 @@ def test_gram_inverse_reads_the_evaluation_inverse(typ, ring1, ring2,
     for probe in probes:
         direct = ThetaDirect(ring, plus, probe)
         for g in plus_degrees(plus):
-            assert la.mat_eq(direct.gram_inverse(g),
-                             old_gram_inverse(direct, g)), (probe, g)
             assert la.mat_eq(direct.gram(g), [
                 direct.functional_vector(direct._image(*fr))
                 for fr in direct.model_basis(g)]), (probe, g)
@@ -314,18 +345,9 @@ def test_gram_inverse_reads_the_evaluation_inverse(typ, ring1, ring2,
     assert checked == len(probes) * len(plus_degrees(plus))
 
 
-def test_gram_inverse_refuses_a_partial_factor(monkeypatch, ring1, pairing1):
-    direct = ThetaDirect(ring1, theta_formula(pairing1, 4).plus, (1,))
-    real = CoordRing.eval_factor
-    monkeypatch.setattr(CoordRing, "eval_factor", lambda self, lam, gamma: (
-        real(self, lam, gamma)[0][:-1], real(self, lam, gamma)[1]))
-    with pytest.raises(QflagError, match="not square and invertible"):
-        direct.gram_inverse((2,))
-
-
-def theta_suite(typ, ring1, ring2, pairing1, pairing2):
-    """(ring, formula, probes, generators) of the theta suite on A1 or A2."""
-    ring, pairing = (ring1, pairing1) if typ == "A1" else (ring2, pairing2)
+def theta_suite(typ, theta_ctx):
+    """(ring, formula, probes, generators) of the theta suite on a type."""
+    ring, pairing = theta_ctx[typ]
     datum = ring.datum
     formula = theta_formula(pairing, 4 if datum.rank == 1 else 3)
     probes = dict.fromkeys([datum.zero_weight, datum.fundamental(0),
@@ -337,29 +359,31 @@ def theta_suite(typ, ring1, ring2, pairing1, pairing2):
 
 
 def theta_cells(plus, kind, arg):
-    """(inside, outside): the cells (row, col) of a generator's blocks, from
-    a column's degree to its target degree, and every other cell."""
+    """(inside, outside, blockless): the cells (row, col) of a generator's
+    blocks, from a column's degree to its target degree; every other cell;
+    and the cells of the columns whose target degree leaves the
+    truncation, which have no block."""
     datum = plus.datum
     shift = {"de": datum.alpha_root(arg) if kind == "de" else None,
              "df": tuple(-x for x in datum.alpha_root(arg))
              if kind == "df" else None}.get(kind, datum.zero_root)
-    inside, outside = [], []
+    inside, outside, blockless = [], [], []
     for col, (g, _c) in enumerate(plus.slot_keys):
         tgt = tuple(a + b for a, b in zip(g, shift))
         for row, (h, _r) in enumerate(plus.slot_keys):
             (inside if h == tgt else outside).append((row, col))
-    return inside, outside
+            if (tgt, 0) not in plus.slot:
+                blockless.append((row, col))
+    return inside, outside, blockless
 
 
-@pytest.mark.parametrize("typ", ["A1", "A2"])
-def test_theta_gram_check_agrees_with_the_inverse_route(typ, ring1, ring2,
-                                                        pairing1, pairing2):
+@pytest.mark.parametrize("typ", ["A1", "A2", "G2"])
+def test_theta_gram_check_agrees_with_the_inverse_route(typ, theta_ctx):
     """On every (probe, generator) of the theta suite, the Gram check gives
     what comparing against the inverse route's matrix gives: with the
-    formula's own matrix, and with one cell corrupted inside a block or
-    outside every block."""
-    ring, formula, probes, gens = theta_suite(typ, ring1, ring2, pairing1,
-                                              pairing2)
+    formula's own matrix, and with one cell corrupted inside a block,
+    outside every block, or in a column whose degree has no block."""
+    ring, formula, probes, gens = theta_suite(typ, theta_ctx)
     plus = formula.plus
     one = ring.datum.one()
     failed = Counter()
@@ -367,28 +391,50 @@ def test_theta_gram_check_agrees_with_the_inverse_route(typ, ring1, ring2,
         direct = ThetaDirect(ring, plus, probe)
         for kind, arg in gens:
             mf = formula.theta(probe, kind, arg)
-            md = direct.theta(kind, arg)
+            md = inverse_route_theta(direct, kind, arg)
             assert direct.check(mf, kind, arg) == \
-                thetarep._compare(plus, mf, md) == (True, None)
-            inside, outside = theta_cells(plus, kind, arg)
-            for where, cells in (("inside", inside), ("outside", outside)):
-                for row, col in dict.fromkeys([cells[0], cells[-1]]):
+                compare_cells(plus, mf, md) == (True, None)
+            inside, outside, blockless = theta_cells(plus, kind, arg)
+            for where, cells in (("inside", inside), ("outside", outside),
+                                 ("blockless", blockless)):
+                for row, col in dict.fromkeys(cells[:1] + cells[-1:]):
                     bad = [list(r) for r in mf]
                     bad[row][col] = bad[row][col] + one
                     ok, cex = direct.check(bad, kind, arg)
-                    assert (ok, cex) == thetarep._compare(plus, bad, md)
+                    assert (ok, cex) == compare_cells(plus, bad, md)
                     assert not ok and cex["row"] == row, (probe, kind, where)
                     failed[where] += 1
-    assert failed["inside"] and failed["outside"]
+    assert failed["inside"] and failed["outside"] and failed["blockless"]
+
+
+def test_a_failing_theta_check_computes_each_image_once(monkeypatch,
+                                                        ring2, pairing2):
+    """A corrupted block is reported from one pass over the images, with
+    no evaluation inverse."""
+    formula = theta_formula(pairing2, 3)
+    plus = formula.plus
+    direct = ThetaDirect(ring2, plus, (1, 0))
+    mf = formula.theta((1, 0), "df", 0)
+    row, col = theta_cells(plus, "df", 0)[0][0]
+    bad = [list(r) for r in mf]
+    bad[row][col] = bad[row][col] + ring2.datum.one()
+    md = inverse_route_theta(direct, "df", 0)
+    calls = Counter()
+    for owner, name in ((CoordRing, "eval_factor"), (ThetaDirect, "_blocks")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: (
+            calls.update([name]) or real(*a)))
+    assert direct.check(bad, "df", 0) == compare_cells(plus, bad, md)
+    assert calls == Counter({"_blocks": 1})
 
 
 def test_a_passing_theta_build_inverts_no_gram(monkeypatch):
-    """theta_build checks every block against the polynomial Gram: it reads
-    no gram_inverse and inverts no matrix outside the Ore witness search
-    (which solves its products through the ring)."""
+    """theta_build checks every block against the polynomial Gram: it
+    inverts no matrix outside the Ore witness search (which solves its
+    products through the ring)."""
     alg = UAlgebra(preset("A2"))
     ring, pairing = CoordRing(alg), DrinfeldPairing(alg)
-    where, inverted, gram_inverses = [], [], []
+    where, inverted = [], []
     real_ore = CoordRing.ore_witness
 
     def ore(*args, **kwargs):
@@ -401,11 +447,8 @@ def test_a_passing_theta_build_inverts_no_gram(monkeypatch):
     real_inverse = la.inverse
     monkeypatch.setattr(la, "inverse", lambda a: (
         inverted.append(list(where)) or real_inverse(a)))
-    monkeypatch.setattr(ThetaDirect, "gram_inverse", lambda self, gamma: (
-        gram_inverses.append(gamma)))
     rep = theta_build(ring, pairing, 3, [(0, 0), (1, 0), (2, 0), (1, 1)])
     assert rep["pass"]
-    assert gram_inverses == []
     assert [w for w in inverted if w != ["ore"]] == []
 
 
