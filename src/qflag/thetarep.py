@@ -13,6 +13,7 @@ solved for, to report it: no Gram is inverted."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import coordring, linalg
@@ -289,10 +290,9 @@ class ThetaDirect:
         blocks = {}             # source degree -> (first row, block)
         if kind == "sigma":
             c = datum.q_pair(arg, self.probe)
-            for g in _drops(plus):
-                d = len(plus.algebra.basis(g).free_words)
-                blocks[g] = (plus.slot[(g, 0)], linalg.diagonal([c] * d,
-                                                                datum.l0))
+            for g, d in Counter(g for g, _r in plus.slot_keys).items():
+                blocks[g] = (plus.slot[(g, 0)],
+                             linalg.diagonal([c] * d, datum.l0))
         else:
             for tgt, g, vals in self._blocks(kind, arg):
                 r0, c0 = plus.slot[(tgt, 0)], plus.slot[(g, 0)]
