@@ -5,6 +5,13 @@ equations over a finite monomial window; each solution carries its image
 in the group algebra of the weight lattice (read off the torus part),
 which must be invariant under the shifted Weyl action.  Central characters
 and annihilation of highest-weight modules are then verified exactly.
+
+The solve splits into connected blocks of candidates.  Each block's rank
+is decided first mod P (``linalg``'s rank core, on the columns' values at
+the point where ``linalg.rref`` evaluates): a block of full column rank
+there has full column rank exactly, so no kernel, and forms no exact
+product.  Only the other blocks, on A2 at height 2 the 3 of 28 that have
+a kernel, are built as exact matrices and passed to ``linalg.nullspace``.
 """
 
 from __future__ import annotations
@@ -105,8 +112,7 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
         return []
     # The straightenings in [y k_mu x, g] do not involve the torus part:
     # mu only contributes exponent twists.  Compute the commutator of each
-    # word shape against each generator once, then specialize over mu;
-    # each power q^{-(mu, twist)} is computed once.
+    # word shape against each generator once, then specialize over mu.
     shapes = sorted({(fw, ew) for (fw, _mu, ew) in cands})
     gens = _solver_generators(datum)
     shape_comms = {
@@ -114,24 +120,62 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
         for shape in shapes
         for gi, (kind, i) in enumerate(gens)
     }
-    twists: Dict[tuple, QScalar] = {}  # (mu, twist weight) -> q^{-(mu, tw)}
-    rows_index: Dict[tuple, int] = {}
-    cols: List[Dict[int, QScalar]] = []
-    for (fw, mu, ew) in cands:
-        col: Dict[int, QScalar] = {}
+    # A row (generator, fw2, nu2 + mu, ew2) is numbered by one integer: the
+    # number of (generator, fw2, ew2) times ``width`` plus the code of the
+    # weight, which is linear in the weight; so a term's row number is its
+    # shape entry's number plus the code of mu.  Row ids count the rows in
+    # order of first appearance.
+    kb = max(max(map(abs, mu)) for (_fw, mu, _ew) in cands)
+    spread = kb + max((abs(a) for entries in shape_comms.values()
+                       for entry in entries for a in entry[1]), default=0)
+    code = _weight_code(2 * spread + 1)
+    width = (2 * spread + 1) ** datum.rank
+    bases: Dict[tuple, int] = {}
+    # Each shape's entries against every generator, in order: (row number
+    # less the code of mu, coefficient, twist weight, coefficient mod P),
+    # each distinct coefficient evaluated once.
+    coeff_vals: Dict[QScalar, Optional[int]] = {}
+    comms: Dict[tuple, List[tuple]] = {}
+    for shape in shapes:
+        entries = comms[shape] = []
         for gi in range(len(gens)):
-            for (fw2, nu2, ew2, c, tw) in shape_comms[((fw, ew), gi)]:
-                if tw is not None:
-                    t = twists.get((mu, tw))
-                    if t is None:
-                        t = twists[(mu, tw)] = datum.q_pair(
-                            datum.weight_neg(mu), tw)
-                    c = c * t
-                rk = (gi, (fw2, tuple(a + b for a, b in zip(nu2, mu)), ew2))
-                idx = rows_index.setdefault(rk, len(rows_index))
-                old = col.get(idx)
-                col[idx] = c if old is None else old + c
-        cols.append(col)
+            for (fw2, nu2, ew2, c, tw) in shape_comms[(shape, gi)]:
+                if c not in coeff_vals:
+                    coeff_vals[c] = linalg._mod_p(c)
+                base = bases.setdefault((gi, fw2, ew2), len(bases))
+                entries.append((base * width + code(nu2), c, tw,
+                                coeff_vals[c]))
+    # Each candidate column is held as its terms (row id, coefficient,
+    # twist weight), with no product formed, and as its values mod P, or
+    # None when a coefficient has a pole at the point; each twist
+    # q^{-(mu, tw)} mod P is a power of T computed once per (mu, tw).
+    twist_vals: Dict[Weight, Dict[Weight, int]] = {}
+    rows_index: Dict[int, int] = {}
+    col_terms: List[List[tuple]] = []
+    col_vals: List[Optional[Dict[int, int]]] = []
+    for (fw, mu, ew) in cands:
+        shift = code(mu)
+        twist_at = twist_vals.setdefault(mu, {})
+        ts = []
+        col: Optional[Dict[int, int]] = {}
+        for (number, c, tw, x) in comms[(fw, ew)]:
+            idx = rows_index.setdefault(number + shift, len(rows_index))
+            ts.append((idx, c, tw))
+            if x is None:
+                col = None
+            if col is None:
+                continue
+            if tw is not None:
+                t = twist_at.get(tw)
+                if t is None:
+                    t = twist_at[tw] = linalg._q_l0_mod_p(
+                        datum.pair_l0(datum.weight_neg(mu), tw))
+                x = x * t
+            col[idx] = col.get(idx, 0) + x
+        col_terms.append(ts)
+        col_vals.append(None if col is None else
+                        {idx: r for idx, x in col.items()
+                         if (r := x % linalg._P)})
     # candidates only interact through shared commutator components, so
     # the nullspace splits into small connected blocks
     parent = list(range(len(cands)))
@@ -148,8 +192,8 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
             parent[rb] = ra
 
     row_owner: Dict[int, int] = {}
-    for j, col in enumerate(cols):
-        for ridx in col:
+    for j, ts in enumerate(col_terms):
+        for ridx, _c, _tw in ts:
             if ridx in row_owner:
                 union(row_owner[ridx], j)
             else:
@@ -157,19 +201,35 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
     groups: Dict[int, List[int]] = {}
     for j in range(len(cands)):
         groups.setdefault(find(j), []).append(j)
+    twists: Dict[tuple, QScalar] = {}  # (mu, twist weight) -> q^{-(mu, tw)}
     out = []
     for members in groups.values():
-        row_ids = sorted({ridx for j in members for ridx in cols[j]})
-        rpos = {r: i for i, r in enumerate(row_ids)}
+        row_ids = sorted({ridx for j in members for ridx, _c, _tw in
+                          col_terms[j]})
         if not row_ids:
             for j in members:
                 out.append(CenterElement(algebra, UElement(
                     algebra, {cands[j]: datum.one()})))
             continue
+        # full column rank mod P is full column rank exactly (a minor that
+        # is nonzero at the point is nonzero), so the kernel is trivial and
+        # the block adds nothing; every other block is solved exactly
+        if all(col_vals[j] is not None for j in members) and \
+                _full_column_rank_mod_p([col_vals[j] for j in members]):
+            continue
+        rpos = {r: i for i, r in enumerate(row_ids)}
         mat = linalg.zeros(len(row_ids), len(members), datum.l0)
         for jj, j in enumerate(members):
-            for ridx, c in cols[j].items():
-                mat[rpos[ridx]][jj] = c
+            mu = cands[j][1]
+            for ridx, c, tw in col_terms[j]:
+                if tw is not None:
+                    t = twists.get((mu, tw))
+                    if t is None:
+                        t = twists[(mu, tw)] = datum.q_pair(
+                            datum.weight_neg(mu), tw)
+                    c = c * t
+                row = mat[rpos[ridx]]
+                row[jj] = row[jj] + c
         for vec in linalg.nullspace(mat):
             terms = {}
             for jj, c in zip(range(len(members)), vec):
@@ -177,6 +237,28 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
                     terms[cands[members[jj]]] = c
             out.append(CenterElement(algebra, UElement(algebra, terms)))
     return out
+
+
+def _weight_code(radix: int):
+    """The code sum_i w_i radix^i of a weight w: linear in w, and distinct
+    for weights whose coordinates lie in an interval of ``radix`` integers
+    (two such codes differ by sum_i d_i radix^i with every |d_i| < radix,
+    which is zero only when every d_i is)."""
+    return lambda w: sum(a * radix ** i for i, a in enumerate(w))
+
+
+def _full_column_rank_mod_p(cols: List[Dict[int, int]]) -> bool:
+    """Whether the columns ({row id: nonzero value mod P}) are independent
+    mod P.  The rank core is fed the rows, sparsest first, as ``rref``'s
+    pass feeds it, and stops once the rows kept span every column: on the
+    A2 blocks that reduces far fewer cells than feeding it the columns."""
+    rows: Dict[int, Dict[int, int]] = {}
+    for jj, col in enumerate(cols):
+        for ridx, x in col.items():
+            rows.setdefault(ridx, {})[jj] = x
+    keep = linalg._independent_mod_p(
+        sorted(rows.items(), key=lambda row: len(row[1])), len(cols))
+    return len(keep) == len(cols)
 
 
 def _solver_generators(datum):

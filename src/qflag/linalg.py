@@ -10,7 +10,9 @@ add into a matrix in place.  For a matrix with more rows than columns, a
 rank pass over a prime field (q^(1/l0) evaluated at a fixed point) first
 picks independent rows, visiting the sparsest rows first so that its
 basis stays sparse; it only decides which rows enter the exact
-elimination, never the answer (see ``rref``).
+elimination, never the answer (see ``rref``).  Its rank core,
+``_independent_mod_p`` on sparse vectors mod P, also decides which blocks
+of the center solve have a kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ Vector = List[QScalar]
 
 def zeros(rows: int, cols: int, l0: int) -> Matrix:
     z = QScalar.zero(l0)
-    return [[z for _ in range(cols)] for _ in range(rows)]
+    return [[z] * cols for _ in range(rows)]
 
 
 def diagonal(entries: Sequence[QScalar], l0: int) -> Matrix:
@@ -103,7 +105,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 def row_dot(row: Sequence[QScalar], v: Sequence[QScalar]) -> QScalar:
     out = None
     for c, x in zip(row, v):
-        if c.is_zero() or x.is_zero():
+        if not c.num or not x.num:
             continue
         term = c * x
         out = term if out is None else out + term
@@ -176,7 +178,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
         if len(ra) != len(rb):
             return False
         for x, y in zip(ra, rb):
-            if x != y:
+            if x is not y and x != y:
                 return False
     return True
 
@@ -252,7 +254,7 @@ def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
         prow = mat[r]
         # left of c the pivot row is zero: earlier columns are pivots
         # cleared by elimination or have no nonzero entry at row r or below
-        nz = [j for j in range(c + 1, ncols) if not prow[j].is_zero()]
+        nz = [j for j in range(c + 1, ncols) if prow[j].num]
         inv = prow[c].inverse()
         for j in nz:
             prow[j] = prow[j] * inv
@@ -260,7 +262,7 @@ def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
         zero = QScalar.zero(inv.l0)
         for i, row in enumerate(mat):
             f = row[c]
-            if i == r or f.is_zero():
+            if i == r or not f.num:
                 continue
             f = -f
             for j in nz:
@@ -285,7 +287,7 @@ def _pivot_row(mat: Matrix, r: int, c: int) -> Optional[int]:
     best, fewest = None, 0
     for i in range(r, len(mat)):
         row = mat[i]
-        if row[c].is_zero():
+        if not row[c].num:
             continue
         n = sum(1 for x in row[c:] if x.num)
         if best is None or n < fewest:
@@ -293,9 +295,10 @@ def _pivot_row(mat: Matrix, r: int, c: int) -> Optional[int]:
     return best
 
 
-# The rank pass evaluates q^(1/l0) at the fixed point _T of the field of
-# _P elements.  Both are constants, so every run makes the same choices;
-# a point where the pass is unlucky only costs the full elimination.
+# The rank pass (and the center solve) evaluates q^(1/l0) at the fixed
+# point _T of the field of _P elements.  Both are constants, so every run
+# makes the same choices; a point where the pass is unlucky only costs the
+# full elimination.
 _P = (1 << 61) - 1
 _T = 1234567890123456789
 
@@ -312,38 +315,59 @@ def _rows_independent_mod_p(rows: Matrix,
     vanish at the point, so it can only lower rank: a nonzero minor mod P
     is a nonzero minor exactly, and the kept rows are independent over
     Q(q^(1/l0)).  Rows are visited by fewest nonzero cells, the lowest
-    index on a tie, and a row is kept when it is independent of the rows
-    kept so far: sparse rows make few updates and keep the basis sparse.
-    The rank of all the rows does not depend on the order, so neither does
-    stopping once the rows kept span every column; and ``rref`` gets the
-    same answer from any kept set.  Each distinct value is evaluated once
-    per call, and a polynomial has no denominator to evaluate."""
+    index on a tie, and handed to the rank core (``_independent_mod_p``)
+    one at a time: a row is evaluated only when the core asks for it, so
+    the pass reads no row after the rows kept span every column.  Sparse
+    rows make few updates and keep the basis sparse.  The rank of all the
+    rows does not depend on the order, so neither does stopping once the
+    rows kept span every column; and ``rref`` gets the same answer from
+    any kept set.  Each distinct value is evaluated once per call, and a
+    polynomial has no denominator to evaluate."""
     ncols = len(rows[0])
     if supports is None:
         supports = [_nonzero_columns(row) for row in rows]
     values: Dict[QScalar, int] = {}
-    basis: Dict[int, Dict[int, int]] = {}  # leading column -> row, lead 1
-    keep: List[int] = []
-    for i in sorted(range(len(rows)), key=lambda i: len(supports[i])):
-        row = rows[i]
-        v: Dict[int, int] = {}
-        for j in supports[i]:
-            x = row[j]
-            val = values.get(x)
-            if val is None:
-                val = _mod_p(x)
+    poles: List[int] = []
+
+    def evaluated() -> Iterator[Tuple[int, Dict[int, int]]]:
+        for i in sorted(range(len(rows)), key=lambda i: len(supports[i])):
+            row = rows[i]
+            v: Dict[int, int] = {}
+            for j in supports[i]:
+                x = row[j]
+                val = values.get(x)
                 if val is None:
-                    return None
-                values[x] = val
-            if val:
-                v[j] = val
+                    val = _mod_p(x)
+                    if val is None:
+                        poles.append(i)
+                        return
+                    values[x] = val
+                if val:
+                    v[j] = val
+            yield i, v
+    keep = _independent_mod_p(evaluated(), ncols)
+    return None if poles else sorted(keep)
+
+
+def _independent_mod_p(vectors: Iterable[Tuple[int, Dict[int, int]]],
+                       full: int) -> List[int]:
+    """The rank core mod _P: the labels, in visiting order, of the sparse
+    vectors ({index: nonzero value mod _P}, reduced in place) that are
+    independent of the vectors before them, stopping once ``full`` are
+    kept (the dimension they live in, or the number of vectors when only
+    their independence is asked).  Each vector is reduced by the basis
+    kept so far, held by leading index with leading value 1, and joins it
+    when something is left."""
+    basis: Dict[int, Dict[int, int]] = {}
+    keep: List[int] = []
+    for label, v in vectors:
         while v:
             c = min(v)
             b = basis.get(c)
             if b is None:
                 inv = pow(v[c], -1, _P)
                 basis[c] = {j: y * inv % _P for j, y in v.items()}
-                keep.append(i)
+                keep.append(label)
                 break
             f = v[c]
             for j, y in b.items():
@@ -352,9 +376,9 @@ def _rows_independent_mod_p(rows: Matrix,
                     v[j] = z
                 else:
                     v.pop(j, None)
-        if len(keep) == ncols:
+        if len(keep) == full:
             break
-    return sorted(keep)
+    return keep
 
 
 def _mod_p(x: QScalar) -> Optional[int]:
@@ -366,8 +390,13 @@ def _mod_p(x: QScalar) -> Optional[int]:
     return num * pow(den, -1, _P) % _P if den else None
 
 
+def _q_l0_mod_p(n: int) -> int:
+    """q^(n/l0) at q^(1/l0) = _T mod _P, for any integer n."""
+    return pow(_T, n, _P)
+
+
 def _poly_mod_p(p: Dict[int, int]) -> int:
-    return sum(c * pow(_T, e, _P) for e, c in p.items()) % _P
+    return sum(c * _q_l0_mod_p(e) for e, c in p.items()) % _P
 
 
 def _in_row_space(row: Vector, support: List[int],

@@ -278,7 +278,8 @@ class QScalar:
             raise ScalarMixError(f"l0 mismatch: {self.l0} vs {other.l0}")
 
     def __add__(self, other: "QScalar") -> "QScalar":
-        self._check(other)
+        if self.l0 != other.l0:
+            self._check(other)
         a, c = self.num, other.num
         if not c:
             return self
@@ -298,7 +299,8 @@ class QScalar:
         return _canon(lp_neg(self.num), self.den, self.l0)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        self._check(other)
+        if self.l0 != other.l0:
+            self._check(other)
         a, c = self.num, other.num
         if not a:
             return self

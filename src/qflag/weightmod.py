@@ -756,7 +756,17 @@ _CoreTerm = Tuple[Optional[QScalar], int, int, Optional[Weight],
                   Optional[Weight]]
 
 
-def _core_groups(mod: WeightModule, terms) -> List[Tuple[tuple, List[_CoreTerm]]]:
+def _relation_cores(algebra: UAlgebra, side: str):
+    """``defining_relations`` with each relation's terms grouped by core
+    (``_core_groups``) for modules on ``side``: (name, groups) pairs,
+    memoized on the algebra, as they depend on nothing else."""
+    return algebra.memo.get(("relation-cores", side), lambda: [
+        (name, _core_groups(algebra.datum, side, terms))
+        for name, terms in defining_relations(algebra)])
+
+
+def _core_groups(datum, side: str,
+                 terms) -> List[Tuple[tuple, List[_CoreTerm]]]:
     """The terms of a relation grouped by core, in order of first
     appearance.  A raw word is split into its k letters before its first
     e/f letter, the core from there to its last e/f letter, and the k
@@ -765,7 +775,6 @@ def _core_groups(mod: WeightModule, terms) -> List[Tuple[tuple, List[_CoreTerm]]
     sign*q^exp times a non-unit part whose numerator has lowest exponent 0
     and a positive lowest coefficient (None when the coefficient is a unit),
     so c and -c share one part."""
-    datum = mod.datum
 
     def k_sum(letters) -> Optional[Weight]:
         out = None
@@ -778,7 +787,7 @@ def _core_groups(mod: WeightModule, terms) -> List[Tuple[tuple, List[_CoreTerm]]
         letters = [n for n, (kind, _v) in enumerate(word) if kind != "k"]
         lo, hi = (letters[0], letters[-1] + 1) if letters else (0, 0)
         head, tail = k_sum(word[:lo]), k_sum(word[hi:])
-        col_mu, row_mu = (tail, head) if mod.side == "left" else (head, tail)
+        col_mu, row_mu = (tail, head) if side == "left" else (head, tail)
         exp = min(c.num)
         sign = 1 if c.num[exp] > 0 else -1
         part = None
@@ -821,7 +830,8 @@ def _core_factor(core_terms, row: int, col: int,
 def check_module_relations(mod: WeightModule) -> List[str]:
     """Verify the defining relations on the exact region of the module,
     one basis column at a time.  Each relation's terms are grouped by the
-    k-free core of their words (``_core_groups``), and each core is walked
+    k-free core of their words (``_core_groups``, memoized on the algebra
+    per side by ``_relation_cores``), and each core is walked
     once per column from e_col (``WeightModule.walk``): its last applied
     letter from the walk of the letters before it, so relations share the
     walks of common cores and prefixes.  The k letters at a word's ends and
@@ -831,7 +841,8 @@ def check_module_relations(mod: WeightModule) -> List[str]:
     (``_core_factor``); scalar arithmetic is left for the e/f cells and
     those products.  A relation is checked only at weights where every
     core's path stays in the exact region (k letters never leave it), each
-    (weight, core) decided once.  Every table is local to the call.
+    (weight, core) decided once.  Every other table is local to the
+    call.
     Returns a list of failure descriptions, at the first nonzero row of
     each failing column."""
     datum = mod.datum
@@ -854,9 +865,9 @@ def check_module_relations(mod: WeightModule) -> List[str]:
     before: List[int] = [0]
     last: List[tuple] = [()]
     rels = []
-    for name, terms in defining_relations(mod.algebra):
+    for name, cores in _relation_cores(mod.algebra, mod.side):
         groups = []
-        for core, core_terms in _core_groups(mod, terms):
+        for core, core_terms in cores:
             n = len(core)
             for pre in ([core[k:] for k in range(n - 1, -1, -1)] if left
                         else [core[:k] for k in range(1, n + 1)]):

@@ -322,10 +322,10 @@ def test_tall_zero_and_zero_column_matrices():
 
 
 @pytest.fixture(scope="module")
-def center_blocks(a2):
-    """The 28 matrices the A2 center solve at height 2 passes to
-    ``nullspace``, and the inputs of the exact eliminations it runs."""
-    from qflag import center
+def center_blocks(a2, dense_center):
+    """The 28 matrices the dense-block A2 center solve at height 2 passes to
+    ``nullspace`` (every connected block of its candidates), and the inputs
+    of the exact eliminations it runs."""
     from qflag.enveloping import UAlgebra
     blocks, eliminated = [], []
     null, elim = la.nullspace, la._eliminate
@@ -333,7 +333,7 @@ def center_blocks(a2):
         mp.setattr(la, "nullspace", lambda a: blocks.append(a) or null(a))
         mp.setattr(la, "_eliminate",
                    lambda rows: eliminated.append(rows) or elim(rows))
-        center.center_solve(UAlgebra(a2), 2)
+        dense_center(UAlgebra(a2), 2)
     assert len(blocks) == 28
     return blocks, eliminated
 
@@ -462,6 +462,51 @@ def test_rank_pass_keeps_a_basis_of_the_row_space_mod_p(center_blocks):
         assert len(keep) == len(in_order)
         assert per_cell_rank_pass([mat[i] for i in keep])[0] == \
             list(range(len(keep)))
+
+
+def _evaluated_rows(mat):
+    """The rows of mat as sparse {column: value mod P} vectors, each cell
+    evaluated on its own; None at a pole."""
+    rows = []
+    for row in mat:
+        v = {}
+        for j, x in enumerate(row):
+            if x.is_zero():
+                continue
+            val = la._mod_p(x)
+            if val is None:
+                return None
+            if val:
+                v[j] = val
+        rows.append(v)
+    return rows
+
+
+def test_rank_core_matches_per_cell_evaluation(center_blocks):
+    """The rank core on sparse vectors mod P, fed the evaluated rows
+    sparsest first, keeps the rows the per-cell pass keeps; fed them in
+    order it keeps as many, and fed the columns of a matrix it finds them
+    independent exactly when the rows have full column rank."""
+    for mat in _rank_pass_cases(center_blocks):
+        rows = _evaluated_rows(mat)
+        if rows is None:  # the pole case
+            continue
+        ncols = len(mat[0])
+        want, _updates = per_cell_rank_pass(mat)
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+        keep = la._independent_mod_p(((i, dict(rows[i])) for i in order),
+                                     ncols)
+        assert sorted(keep) == want
+        in_order = la._independent_mod_p(
+            ((i, dict(v)) for i, v in enumerate(rows)), ncols)
+        assert len(in_order) == len(want)
+        cols = {}
+        for i, v in enumerate(rows):
+            for j, x in v.items():
+                cols.setdefault(j, {})[i] = x
+        independent = la._independent_mod_p(
+            ((j, cols.get(j, {})) for j in range(ncols)), ncols)
+        assert (len(independent) == ncols) == (len(want) == ncols)
 
 
 def test_sparsest_first_updates_fewer_cells_on_the_center_blocks(

@@ -508,6 +508,24 @@ def test_relation_check_halves_the_scalar_products(monkeypatch):
     assert len(calls) <= 25850 // 2
 
 
+def test_relation_cores_are_built_once_per_algebra_and_side(monkeypatch,
+                                                             a2):
+    """Two modules of one algebra and side share the relations grouped by
+    core; the other side builds its own groups once."""
+    alg = UAlgebra(a2)
+    built = []
+    real = weightmod._core_groups
+    monkeypatch.setattr(weightmod, "_core_groups",
+                        lambda d, side, terms: built.append(side) or
+                        real(d, side, terms))
+    nrels = len(weightmod.defining_relations(alg))
+    for side in ("left", "right"):
+        for lam in ((1, 0), (0, 1)):
+            mod = verma(alg, lam, (2, 2), side=side)
+            assert check_module_relations(mod) == []
+        assert built.count(side) == nrels
+
+
 def test_act_matches_dense_sum(alg2):
     e0, f0, e1, f1 = alg2.e(0), alg2.f(0), alg2.e(1), alg2.f(1)
     q = alg2.datum.q_power(1)
