@@ -10,8 +10,12 @@ The solve splits into connected blocks of candidates.  Each block's rank
 is decided first mod P (``linalg``'s rank core, on the columns' values at
 the point where ``linalg.rref`` evaluates): a block of full column rank
 there has full column rank exactly, so no kernel, and forms no exact
-product.  Only the other blocks, on A2 at height 2 the 3 of 28 that have
-a kernel, are built as exact matrices and passed to ``linalg.nullspace``.
+product.  For the other blocks, on A2 at height 2 the 3 of 28 that have
+a kernel, the rows the rank core kept are independent exactly: exact
+cells are formed on those rows only and passed to ``linalg.nullspace``,
+and the kernel found is checked against every other row of the block,
+read on the kernel's support.  A block whose check fails is solved
+exactly on all its rows.
 """
 
 from __future__ import annotations
@@ -202,35 +206,80 @@ def _solve(algebra: UAlgebra, max_height: int) -> List[CenterElement]:
     for j in range(len(cands)):
         groups.setdefault(find(j), []).append(j)
     twists: Dict[tuple, QScalar] = {}  # (mu, twist weight) -> q^{-(mu, tw)}
+
+    def exact_cells(j: int, wanted) -> Dict[int, QScalar]:
+        """Column j's exact cells q^{-(mu, tw)}·c on the row ids for which
+        ``wanted`` holds; no product is formed for any other row."""
+        mu = cands[j][1]
+        cells: Dict[int, QScalar] = {}
+        for ridx, c, tw in col_terms[j]:
+            if not wanted(ridx):
+                continue
+            if tw is not None:
+                t = twists.get((mu, tw))
+                if t is None:
+                    t = twists[(mu, tw)] = datum.q_pair(
+                        datum.weight_neg(mu), tw)
+                c = c * t
+            old = cells.get(ridx)
+            cells[ridx] = c if old is None else old + c
+        return cells
+
+    def kernel(members: List[int], rows: List[int]) -> List[linalg.Vector]:
+        """The exact kernel of the block's cells on ``rows``."""
+        rpos = {r: i for i, r in enumerate(rows)}
+        mat = linalg.zeros(len(rows), len(members), datum.l0)
+        for jj, j in enumerate(members):
+            for ridx, c in exact_cells(j, rpos.__contains__).items():
+                mat[rpos[ridx]][jj] = c
+        return linalg.nullspace(mat)
+
+    def kills_other_rows(members: List[int], kept: set,
+                         basis: List[linalg.Vector]) -> bool:
+        """Whether every row of the block outside ``kept`` kills every
+        vector of ``basis``, each row read on the vectors' support only."""
+        sums: List[Dict[int, QScalar]] = [{} for _ in basis]
+        for jj, j in enumerate(members):
+            hits = [(v[jj], acc) for v, acc in zip(basis, sums)
+                    if v[jj].num]
+            if not hits:
+                continue
+            for ridx, c in exact_cells(
+                    j, lambda r: r not in kept).items():
+                for x, acc in hits:
+                    old = acc.get(ridx)
+                    acc[ridx] = c * x if old is None else old + c * x
+        return not any(s.num for acc in sums for s in acc.values())
+
     out = []
     for members in groups.values():
-        row_ids = sorted({ridx for j in members for ridx, _c, _tw in
-                          col_terms[j]})
-        if not row_ids:
+        if not any(col_terms[j] for j in members):
             for j in members:
                 out.append(CenterElement(algebra, UElement(
                     algebra, {cands[j]: datum.one()})))
             continue
-        # full column rank mod P is full column rank exactly (a minor that
-        # is nonzero at the point is nonzero), so the kernel is trivial and
-        # the block adds nothing; every other block is solved exactly
-        if all(col_vals[j] is not None for j in members) and \
-                _full_column_rank_mod_p([col_vals[j] for j in members]):
-            continue
-        rpos = {r: i for i, r in enumerate(row_ids)}
-        mat = linalg.zeros(len(row_ids), len(members), datum.l0)
-        for jj, j in enumerate(members):
-            mu = cands[j][1]
-            for ridx, c, tw in col_terms[j]:
-                if tw is not None:
-                    t = twists.get((mu, tw))
-                    if t is None:
-                        t = twists[(mu, tw)] = datum.q_pair(
-                            datum.weight_neg(mu), tw)
-                    c = c * t
-                row = mat[rpos[ridx]]
-                row[jj] = row[jj] + c
-        for vec in linalg.nullspace(mat):
+        # The rows the rank core keeps are independent mod P, so exactly
+        # (a minor that is nonzero at the point is nonzero).  As many as
+        # the columns: full column rank, no kernel, and the block adds
+        # nothing.  Fewer: the block's kernel lies in the kernel K of the
+        # kept rows, and equals it iff every other row kills K, since the
+        # rows that kill K are the kept rows' span.  Then the block's row
+        # space is the kept rows', with the same reduced echelon form and
+        # so the same nullspace vectors.  A block with a pole at the
+        # point, no kept row, or a failed check is solved on all its rows.
+        basis = None
+        if all(col_vals[j] is not None for j in members):
+            kept = _kept_rows_mod_p([col_vals[j] for j in members])
+            if len(kept) == len(members):
+                continue
+            if kept:
+                basis = kernel(members, sorted(kept))
+                if not kills_other_rows(members, set(kept), basis):
+                    basis = None
+        if basis is None:
+            basis = kernel(members, sorted({
+                ridx for j in members for ridx, _c, _tw in col_terms[j]}))
+        for vec in basis:
             terms = {}
             for jj, c in zip(range(len(members)), vec):
                 if not c.is_zero():
@@ -247,18 +296,19 @@ def _weight_code(radix: int):
     return lambda w: sum(a * radix ** i for i, a in enumerate(w))
 
 
-def _full_column_rank_mod_p(cols: List[Dict[int, int]]) -> bool:
-    """Whether the columns ({row id: nonzero value mod P}) are independent
-    mod P.  The rank core is fed the rows, sparsest first, as ``rref``'s
-    pass feeds it, and stops once the rows kept span every column: on the
-    A2 blocks that reduces far fewer cells than feeding it the columns."""
+def _kept_rows_mod_p(cols: List[Dict[int, int]]) -> List[int]:
+    """The ids of rows that form a basis mod P of the rows of the block
+    whose columns are ``cols`` ({row id: nonzero value mod P}): as many
+    as the columns exactly when these are independent.  The rank core is
+    fed the rows, sparsest first, as ``rref``'s pass feeds it, and stops
+    once the rows kept span every column: on the A2 blocks that reduces
+    far fewer cells than feeding it the columns."""
     rows: Dict[int, Dict[int, int]] = {}
     for jj, col in enumerate(cols):
         for ridx, x in col.items():
             rows.setdefault(ridx, {})[jj] = x
-    keep = linalg._independent_mod_p(
+    return linalg._independent_mod_p(
         sorted(rows.items(), key=lambda row: len(row[1])), len(cols))
-    return len(keep) == len(cols)
 
 
 def _solver_generators(datum):
@@ -326,12 +376,12 @@ def zeta_separation_scan(algebra: UAlgebra, centers: Sequence[CenterElement],
     """Joint scan: the family of characters evaluated on all found central
     elements separates exactly the shifted-Weyl orbits among ``lams``."""
     datum = algebra.datum
+    chars = [[zc.zeta_at(tuple(lam)) for zc in centers] for lam in lams]
     results = []
     ok = True
-    for l1 in lams:
-        for l2 in lams:
-            eq = all(zc.zeta_at(tuple(l1)) == zc.zeta_at(tuple(l2))
-                     for zc in centers)
+    for l1, z1 in zip(lams, chars):
+        for l2, z2 in zip(lams, chars):
+            eq = z1 == z2
             orb = datum.linked(l1, l2) is not None
             if eq != orb:
                 ok = False

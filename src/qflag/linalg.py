@@ -12,7 +12,8 @@ picks independent rows, visiting the sparsest rows first so that its
 basis stays sparse; it only decides which rows enter the exact
 elimination, never the answer (see ``rref``).  Its rank core,
 ``_independent_mod_p`` on sparse vectors mod P, also decides which blocks
-of the center solve have a kernel.
+of the center solve have a kernel, and on which rows the solve forms
+their exact cells.
 """
 
 from __future__ import annotations
