@@ -2,9 +2,12 @@
 
 Elements are kept in triangular normal form: every monomial is an F-word
 times a torus element times an E-word, with the word parts expressed in
-computed graded bases of the plus/minus parts.  The bases are obtained per
-degree by exact row reduction of the quadratic-Serre ideal inside the free
-word space; their sizes are checked against the partition-count oracle.
+computed graded bases of the plus/minus parts.  Each degree's basis is
+built from the bases one degree below: its candidates are free words of
+the degree below times one letter, and the only relations to row-reduce
+are the Serre elements at the right end of a free word.  Their sizes are
+checked against the partition-count oracle.  Braid images of F- and
+E-words are likewise built from the images of their prefixes.
 
 Letters of raw words are ('f', i), ('k', weight-tuple) or ('e', i).
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cartan import CartanDatum, RootSum, Weight, box, kostant_dim
+from .cartan import CartanDatum, RootSum, Weight, kostant_dim
 from .errors import BorelError, DegreeCapError, ParseError, QflagError
 from .memo import Memo
 from .scalars import QScalar, quantum_factorial
@@ -49,40 +52,46 @@ def _content(indices: Sequence[int], rank: int) -> RootSum:
 
 class GradedBasis:
     """Basis data of U^+_gamma (and, by the mirror symmetry of the Serre
-    presentation, of U^-_{-gamma}) inside the degree-gamma word space."""
+    presentation, of U^-_{-gamma}), built from the bases one degree below.
+
+    The free words are the words that lead no element of the Serre ideal
+    I, leading meaning least in the sorted order, and a word reduces to
+    the larger free words.  That order is compatible with concatenation,
+    so a factor of a free word is free (Bergman's diamond lemma): every
+    free word is a candidate u.i, u a free word of degree gamma - alpha_i.
+    A word w'.i maps to phi(w'.i) = reduce(w').i over the candidates,
+    which is w'.i mod I.  A relation u.S.v with v nonempty maps to 0, as
+    its prefix lies in I, so the relations left are phi(u.S) for each
+    Serre element S and free word u of degree gamma - deg S.  Their
+    reduced echelon form over the sorted candidates rewrites each pivot
+    candidate; the other candidates are the free words."""
 
     def __init__(self, algebra: "UAlgebra", gamma: RootSum):
         self.algebra = algebra
         self.degree = tuple(gamma)
         datum = algebra.datum
-        rank = datum.rank
-        words = _words_of_content(self.degree)
-        self.words = words
-        self.word_pos = {w: i for i, w in enumerate(words)}
-        ideal_rows: List[List[QScalar]] = []
+        cands = sorted(u + (i,) for i in range(datum.rank) if self.degree[i]
+                       for u in algebra.basis(_less(self.degree, i)).free_words
+                       ) or [()]
+        pos = {w: k for k, w in enumerate(cands)}
         zero = datum.zero()
-        for (i, j), (serre_words, serre_coeffs) in algebra.serre_elements().items():
-            sdeg = _content(serre_words[0], rank)
-            rest = tuple(g - s for g, s in zip(self.degree, sdeg))
+        rows: List[List[QScalar]] = []
+        for serre_words, serre_coeffs in algebra.serre_elements().values():
+            rest = _less(self.degree, *serre_words[0])
             if any(c < 0 for c in rest):
                 continue
-            for left_c in box(rest):
-                right_c = tuple(a - b for a, b in zip(rest, left_c))
-                for u in _words_of_content(left_c):
-                    for v in _words_of_content(right_c):
-                        row = [zero] * len(words)
-                        for sw, sc in zip(serre_words, serre_coeffs):
-                            w = u + sw + v
-                            p = self.word_pos[w]
-                            row[p] = row[p] + sc
-                        ideal_rows.append(row)
-        if ideal_rows:
-            ech, pivots = linalg.rref(ideal_rows)
-        else:
-            ech, pivots = [], []
-        self._echelon = ech
-        self._pivots = pivots
-        self.free_words = [w for k, w in enumerate(words) if k not in pivots]
+            for u in algebra.basis(rest).free_words:
+                row = [zero] * len(cands)
+                for sw, sc in zip(serre_words, serre_coeffs):
+                    for w, c in self._lift(u + sw).items():
+                        row[pos[w]] = row[pos[w]] + sc * c
+                rows.append(row)
+        ech, pivots = linalg.rref(rows) if rows else ([], [])
+        # each pivot candidate is minus the rest of its echelon row
+        self._rules = {cands[p]: [(cands[k], -x) for k, x in enumerate(row)
+                                  if k != p and x.num]
+                       for row, p in zip(ech, pivots)}
+        self.free_words = [w for w in cands if w not in self._rules]
         expected = kostant_dim(datum, self.degree)
         if len(self.free_words) != expected:
             raise QflagError(
@@ -96,49 +105,36 @@ class GradedBasis:
         return len(self.free_words)
 
     def reduce_word(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
-        """Coordinates of a raw degree-gamma word in the free-word basis."""
+        """Coordinates of a raw degree-gamma word in the free-word basis,
+        in free-word order."""
         return self.memo.get(word, lambda: self._reduce(word))
 
+    def _lift(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
+        """phi(word): its prefix reduced one degree below, times its last
+        letter; a vector over the candidates."""
+        prefix, last = word[:-1], word[-1:]
+        return {u + last: c for u, c in self.algebra._in_basis(prefix).items()}
+
     def _reduce(self, word: Tuple[int, ...]) -> Dict[Tuple[int, ...], QScalar]:
-        datum = self.algebra.datum
-        vec = {self.word_pos[word]: datum.one()}
-        for row, pc in zip(self._echelon, self._pivots):
-            c = vec.get(pc)
-            if c is None or c.is_zero():
+        if word in self.free_pos:
+            return {word: self.algebra.datum.one()}
+        out: Dict[Tuple[int, ...], QScalar] = {}
+        for w, c in self._lift(word).items():
+            rule = self._rules.get(w)
+            if rule is None:
+                _add_term(out, w, c)
                 continue
-            del vec[pc]
-            for k, x in enumerate(row):
-                if k == pc or x.is_zero():
-                    continue
-                s = vec.get(k, datum.zero()) - c * x
-                if s.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        return {self.words[k]: c for k, c in vec.items() if not c.is_zero()}
+            for wb, x in rule:
+                _add_term(out, wb, c * x)
+        return {w: out[w] for w in sorted(out) if not out[w].is_zero()}
 
 
-def _words_of_content(gamma: RootSum) -> List[Tuple[int, ...]]:
-    rank = len(gamma)
-    letters: List[int] = []
-    for i in range(rank):
-        letters.extend([i] * gamma[i])
-    if not letters:
-        return [()]
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], remaining: Tuple[int, ...]):
-        if not any(remaining):
-            out.append(prefix)
-            return
-        for i in range(rank):
-            if remaining[i]:
-                rem = list(remaining)
-                rem[i] -= 1
-                rec(prefix + (i,), tuple(rem))
-
-    rec((), gamma)
-    return sorted(out)
+def _less(gamma: RootSum, *letters: int) -> RootSum:
+    """gamma less one alpha_i per letter i (entries may go negative)."""
+    out = list(gamma)
+    for i in letters:
+        out[i] -= 1
+    return tuple(out)
 
 
 class UElement:
@@ -536,8 +532,7 @@ class UAlgebra:
         datum = self.datum
         if kind == "k":
             return self.k(datum.weyl_act((i,), v))
-        return self.memo.get(("braid_inv", i, kind, v),
-                             lambda: self._braid_inverse_solve(i, kind, v))
+        return self._braid_inverse_solve(i, kind, v)
 
     def _braid_inverse_solve(self, i: int, kind: str, v: int) -> UElement:
         datum = self.datum
@@ -570,18 +565,40 @@ class UAlgebra:
 
     def braid_on_element(self, i: int, u: UElement,
                          inverse: bool = False) -> UElement:
-        image = self.braid_inverse_image if inverse else self.braid_generator_image
-        out = self.zero()
+        """T_i(u) (T_i^-1(u) when ``inverse``).  A term's image is the
+        image of its F-word times T_i(k_lam) times that of its E-word,
+        and products in U are canonical, so the association order
+        changes no output."""
+        out: Dict[MonoKey, QScalar] = {}
         for (fw, lam, ew), c in u.terms.items():
-            acc = self.one()
-            for j in fw:
-                acc = acc * image(i, ("f", j))
+            acc = self._braid_word(i, inverse, "f", fw)
             if any(lam):
-                acc = acc * image(i, ("k", lam))
-            for j in ew:
-                acc = acc * image(i, ("e", j))
-            out = out + acc.scale(c)
-        return out
+                acc = acc * self._braid_word(i, inverse, "k", (lam,))
+            if ew:
+                acc = acc * self._braid_word(i, inverse, "e", ew)
+            for key, x in acc.terms.items():
+                _add_term(out, key, c * x)
+        return UElement(self, out)
+
+    def _braid_word(self, i: int, inverse: bool, kind: str,
+                    word: tuple) -> UElement:
+        """T_i (or T_i^-1) of a word of letters of one kind: the image of
+        its prefix times that of its last letter, memoized per word on
+        the algebra, so each letter's image is formed once."""
+        if not word:
+            return self.one()
+        return self.memo.get(("braid-word", i, inverse, kind, word),
+                             lambda: self._braid_word_step(i, inverse, kind,
+                                                           word))
+
+    def _braid_word_step(self, i: int, inverse: bool, kind: str,
+                         word: tuple) -> UElement:
+        if len(word) == 1:
+            image = self.braid_inverse_image if inverse \
+                else self.braid_generator_image
+            return image(i, (kind, word[0]))
+        return self._braid_word(i, inverse, kind, word[:-1]) \
+            * self._braid_word(i, inverse, kind, word[-1:])
 
     def braid_word_on_element(self, word: Sequence[int], u: UElement,
                               inverse: bool = False) -> UElement:

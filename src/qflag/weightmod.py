@@ -401,20 +401,8 @@ class SimpleFactory:
         return self.memo.get(("slice", gamma), lambda: self._slice(gamma))
 
     def _slice(self, gamma: RootSum) -> dict:
-        alg, datum, lam = self.algebra, self.datum, self.lam
-        words = alg.basis(gamma).free_words
-        # contravariant Gram: row a is the top coefficient of the raising
-        # word of a applied across the free space, built by row propagation
-        gram = []
-        for wa in words:
-            drop = datum.zero_root
-            row = [datum.one()]
-            for i in wa:
-                drop = tuple(x + y for x, y in
-                             zip(drop, datum.alpha_root(i)))
-                step = raising_kernel(alg, lam, drop, i)
-                row = [linalg.row_dot(row, col) for col in zip(*step)]
-            gram.append(row)
+        words = self.algebra.basis(gamma).free_words
+        gram = [self.gram_row(wa) for wa in words]
         ech, pivots = linalg.rref(gram)
         if len(pivots) != self.multiplicity(gamma):
             raise QflagError(
@@ -431,6 +419,22 @@ class SimpleFactory:
             # pivot columns is the slice's evaluation matrix
             "eval": [[row[p] for p in pivots] for row in gram],
         }
+
+    def gram_row(self, word: Tuple[int, ...]) -> Vector:
+        """Row of the contravariant Gram at drop deg(word): the top
+        coefficient of the raising word e_word applied across the free
+        words of that drop.  A free word's prefix is free, and the row of
+        w.i is the row of w times ``raising_kernel(lam, deg(w.i), i)``;
+        memoized per word."""
+        if not word:
+            return [self.datum.one()]
+        return self.memo.get(("gram-row", word), lambda: self._gram_row(word))
+
+    def _gram_row(self, word: Tuple[int, ...]) -> Vector:
+        row = self.gram_row(word[:-1])
+        step = raising_kernel(self.algebra, self.lam,
+                              _content(word, self.datum.rank), word[-1])
+        return [linalg.row_dot(row, col) for col in zip(*step)]
 
     def reduce_uminus(self, gamma: RootSum,
                       coords: Dict[Tuple[int, ...], QScalar]) -> Optional[Vector]:

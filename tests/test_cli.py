@@ -42,6 +42,16 @@ def test_basis_dimension(capsys):
     assert data["dimension"] == 2
 
 
+def test_basis_at_height_twelve(capsys):
+    # each degree is built from the one below, so a deep degree costs a
+    # few small eliminations, not one over every word (924 at <6,6>)
+    code, out = run_cli(["basis", "--type", "A2", "--degree", "<6,6>",
+                         "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["dimension"] == 7 == len(data["words"])
+
+
 def test_basis_minus_sign(capsys):
     code, out = run_cli(["basis", "--type", "A1", "--degree", "<2>",
                          "--sign", "minus", "--json"], capsys)

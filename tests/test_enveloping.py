@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import threading
 
 import pytest
 
-from qflag.cartan import kostant_dim, preset
-from qflag.enveloping import UAlgebra
+from qflag import linalg
+from qflag.cartan import box, kostant_dim, preset
+from qflag.enveloping import UAlgebra, _content
 from qflag.errors import BorelError, DegreeCapError
 from qflag.scalars import QScalar
 
@@ -44,6 +46,71 @@ def _degrees(datum, ht):
     if datum.rank == 1:
         out = [(a,) for a in range(ht + 1)]
     return out
+
+
+def _words_of_content(gamma):
+    letters = [i for i, n in enumerate(gamma) for _ in range(n)]
+    return sorted(set(itertools.permutations(letters)))
+
+
+def serre_echelon_basis(alg, gamma):
+    """Oracle for ``GradedBasis``: every Serre row u.S.v over all words of
+    degree gamma, row-reduced in one dense echelon.  The free words are
+    the non-pivot words, and a word reduces by the echelon rows.  Returns
+    (free words, reduce)."""
+    datum = alg.datum
+    words = _words_of_content(gamma)
+    pos = {w: k for k, w in enumerate(words)}
+    rows = []
+    for serre_words, coeffs in alg.serre_elements().values():
+        sdeg = _content(serre_words[0], datum.rank)
+        rest = tuple(g - s for g, s in zip(gamma, sdeg))
+        if min(rest) < 0:
+            continue
+        for left in box(rest):
+            right = tuple(a - b for a, b in zip(rest, left))
+            for u in _words_of_content(left):
+                for v in _words_of_content(right):
+                    row = [datum.zero()] * len(words)
+                    for sw, sc in zip(serre_words, coeffs):
+                        p = pos[u + sw + v]
+                        row[p] = row[p] + sc
+                    rows.append(row)
+    ech, pivots = linalg.rref(rows) if rows else ([], [])
+
+    def reduce(word):
+        vec = {pos[word]: datum.one()}
+        for row, pc in zip(ech, pivots):
+            c = vec.pop(pc, None)
+            if c is None:
+                continue
+            for k, x in enumerate(row):
+                if k == pc or x.is_zero():
+                    continue
+                s = vec.get(k, datum.zero()) - c * x
+                if s.is_zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = s
+        return {words[k]: c for k, c in vec.items()}
+
+    return [w for k, w in enumerate(words) if k not in pivots], reduce
+
+
+@pytest.mark.parametrize("typ,ht", [("A1", 7), ("A2", 7), ("B2", 7),
+                                    ("G2", 6)])
+def test_basis_matches_the_serre_echelon(typ, ht):
+    """The degree-by-degree basis against the dense Serre echelon: the same
+    free words, and every word of every degree reduces to the same
+    coordinates in the same key order."""
+    alg = UAlgebra(preset(typ))
+    for gamma in box((ht,) * alg.datum.rank, height=ht):
+        free, reduce = serre_echelon_basis(alg, gamma)
+        basis = alg.basis(gamma)
+        assert basis.free_words == free, gamma
+        for w in _words_of_content(gamma):
+            assert list(basis.reduce_word(w).items()) == \
+                list(reduce(w).items()), (gamma, w)
 
 
 def test_commutator_normal_form(alg1):
@@ -367,6 +434,26 @@ def test_braid_inverse_round_trip(alg2):
     for g in [alg2.e(0), alg2.e(1), alg2.f(0), alg2.f(1), alg2.k((1, 2))]:
         img = alg2.braid_on_element(0, g)
         assert alg2.braid_on_element(0, img, inverse=True) == g
+
+
+def test_a_braid_relation_check_forms_each_letter_image_once(monkeypatch):
+    """T_i of an F- or E-word is the image of its prefix times that of its
+    last letter, memoized on the algebra: along both reduced words of w0,
+    each T_i(letter) is formed once."""
+    from qflag.suites import _braid_element
+    alg = UAlgebra(preset("B2"))
+    calls = []
+    real = UAlgebra.braid_generator_image
+
+    def spy(self, i, letter):
+        calls.append((i, letter))
+        return real(self, i, letter)
+
+    monkeypatch.setattr(UAlgebra, "braid_generator_image", spy)
+    g = alg.e(1)
+    assert _braid_element(alg, g, (0, 1, 0, 1)) \
+        == _braid_element(alg, g, (1, 0, 1, 0))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_braid_relation_on_generators(alg2):

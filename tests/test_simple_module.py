@@ -18,6 +18,7 @@ from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, _content
 from qflag.errors import DegreeCapError, DominanceError
 from qflag.rmatrix import DrinfeldPairing
+from qflag.suites import _dominant_weights
 from qflag.thetarep import ThetaFormula
 from qflag.weightmod import (SimpleFactory, check_module_relations,
                              plus_part, simple, simple_factory, verma)
@@ -181,6 +182,30 @@ def test_raising_kernel_matches_the_normal_form(typ, cap):
                     assert new == old, (lam, gamma, i, side)
                     capped += isinstance(new, str)
     assert (capped > 0) == (cap == 3)
+
+
+def propagated_gram_row(fac, word):
+    """Oracle for ``SimpleFactory.gram_row``: the row of one word propagated
+    from the empty word, letter by letter, sharing no prefix."""
+    datum = fac.datum
+    drop = datum.zero_root
+    row = [datum.one()]
+    for i in word:
+        drop = tuple(x + y for x, y in zip(drop, datum.alpha_root(i)))
+        step = weightmod.raising_kernel(fac.algebra, fac.lam, drop, i)
+        row = [la.row_dot(row, col) for col in zip(*step)]
+    return row
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2"])
+def test_gram_rows_match_the_per_word_propagation(typ):
+    alg = UAlgebra(preset(typ))
+    for lam in _dominant_weights(alg.datum, 2):
+        fac = SimpleFactory(alg, lam)
+        for gamma in fac.drops:
+            for w in alg.basis(gamma).free_words:
+                assert fac.gram_row(w) == propagated_gram_row(fac, w), \
+                    (lam, w)
 
 
 def test_a_slice_reads_no_full_character(monkeypatch, alg2):
