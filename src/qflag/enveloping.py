@@ -7,7 +7,10 @@ built from the bases one degree below: its candidates are free words of
 the degree below times one letter, and the only relations to row-reduce
 are the Serre elements at the right end of a free word.  Their sizes are
 checked against the partition-count oracle.  Braid images of F- and
-E-words are likewise built from the images of their prefixes.
+E-words are likewise built from the images of their prefixes.  A
+letter's image under T_i and under T_i^-1 comes from one closed formula:
+the inverse takes each term's factors in reverse order with each k
+inverted.
 
 Letters of raw words are ('f', i), ('k', weight-tuple) or ('e', i).
 """
@@ -464,14 +467,12 @@ class UAlgebra:
         return out
 
     def _antipode_letter(self, letter: Letter, inverse: bool) -> UElement:
+        """S(e_i) = -k_i^-1 e_i and S(f_i) = -f_i k_i; S^-1 takes the two
+        factors in reverse order."""
         kind, i = letter
-        if kind == "e":
-            if inverse:
-                return -(self.e(i) * self.k_alpha(i, -1))
-            return -(self.k_alpha(i, -1) * self.e(i))
-        if inverse:
-            return -(self.k_alpha(i, 1) * self.f(i))
-        return -(self.f(i) * self.k_alpha(i, 1))
+        a, b = (self.k_alpha(i, -1), self.e(i)) if kind == "e" \
+            else (self.f(i), self.k_alpha(i, 1))
+        return -(b * a) if inverse else -(a * b)
 
     # -- characters on Borel parts -----------------------------------------------
 
@@ -497,70 +498,51 @@ class UAlgebra:
     # -- braid automorphisms -----------------------------------------------------
 
     def braid_generator_image(self, i: int, letter: Letter) -> UElement:
+        return self._braid_letter(i, letter, inverse=False)
+
+    def braid_inverse_image(self, i: int, letter: Letter) -> UElement:
+        return self._braid_letter(i, letter, inverse=True)
+
+    def _braid_letter(self, i: int, letter: Letter, inverse: bool) -> UElement:
+        """T_i of a letter, or T_i^-1 = sigma T_i sigma when ``inverse``,
+        where the anti-automorphism sigma fixes e_j and f_j and sends k_lam
+        to k_-lam (Lusztig, *Introduction to Quantum Groups*, 37.1.3 and
+        37.2.4): each term's factors in reverse order, each k inverted.
+        T_i(k_lam) = T_i^-1(k_lam) = k_{s_i lam}."""
         # The sign prefactor (-1)^{a_ij} on the j != i images makes the
         # algebra automorphism compatible with the triple-exponential
         # operator on modules, T_i(u v) = T_i(u) T_i(v); it was pinned by
         # conjugating generator actions on faithful desk modules.
-        kind, v = letter
+        kind, j = letter
         datum = self.datum
         if kind == "k":
-            return self.k(datum.weyl_act((i,), v))
-        if kind == "e":
-            j = v
-            if j == i:
-                return -(self.f(i) * self.k_alpha(i))
-            m = -datum.cartan[i][j]
-            out = self.zero()
-            for k in range(m + 1):
-                term = (self.divided_e(i, m - k) * self.e(j)
-                        * self.divided_e(i, k)).scale(self.qi(i, -k))
-                out = out + (term if (k + m) % 2 == 0 else -term)
-            return out
-        j = v
+            return self.k(datum.weyl_act((i,), j))
+        inv = -1 if inverse else 1
         if j == i:
-            return -(self.k_alpha(i, -1) * self.e(i))
-        m = -datum.cartan[i][j]
-        out = self.zero()
-        for k in range(m + 1):
-            term = (self.divided_f(i, k) * self.f(j)
-                    * self.divided_f(i, m - k)).scale(self.qi(i, k))
-            out = out + (term if (k + m) % 2 == 0 else -term)
-        return out
-
-    def braid_inverse_image(self, i: int, letter: Letter) -> UElement:
-        kind, v = letter
-        datum = self.datum
-        if kind == "k":
-            return self.k(datum.weyl_act((i,), v))
-        return self._braid_inverse_solve(i, kind, v)
-
-    def _braid_inverse_solve(self, i: int, kind: str, v: int) -> UElement:
-        datum = self.datum
-        target = self.e(v) if kind == "e" else self.f(v)
-        if kind == "e" and v == i:
-            candidates = [self.k_alpha(i, -1) * self.f(i)]
-        elif kind == "f" and v == i:
-            candidates = [self.e(i) * self.k_alpha(i)]
+            # T_i(e_i) = -f_i k_i and T_i(f_i) = -k_i^-1 e_i
+            terms = [(-datum.one(), [self.f(i), self.k_alpha(i, inv)]
+                      if kind == "e" else [self.k_alpha(i, -inv), self.e(i)])]
         else:
-            gamma = _content((v,), datum.rank)
-            ai = datum.alpha_root(i)
-            m = -datum.cartan[i][v]
-            gamma = tuple(g + m * a for g, a in zip(gamma, ai))
-            words = self.basis(gamma).free_words
-            candidates = [self.e_word(w) if kind == "e" else self.f_word(w)
-                          for w in words]
-        images = [self.braid_on_element(i, c) for c in candidates]
-        keys = sorted({k for img in images for k in img.terms}
-                      | set(target.terms), key=_mono_sort_key)
-        a = [[img.terms.get(k, datum.zero()) for img in images] for k in keys]
-        b = [target.terms.get(k, datum.zero()) for k in keys]
-        sol = linalg.solve(a, b)
-        if sol is None:
-            raise QflagError(
-                f"no braid inverse image for T_{i}^-1 of {(kind, v)}")
+            # T_i(e_j) = sum_k (-1)^{k+m} q_i^-k e_i^(m-k) e_j e_i^(k),
+            # T_i(f_j) = sum_k (-1)^{k+m} q_i^k f_i^(k) f_j f_i^(m-k)
+            m = -datum.cartan[i][j]
+            gen, divided, sgn = (self.e, self.divided_e, -1) if kind == "e" \
+                else (self.f, self.divided_f, 1)
+            terms = []
+            for k in range(m + 1):
+                outer = (m - k, k) if kind == "e" else (k, m - k)
+                c = self.qi(i, sgn * k)
+                terms.append((c if (k + m) % 2 == 0 else -c,
+                              [divided(i, outer[0]), gen(j),
+                               divided(i, outer[1])]))
         out = self.zero()
-        for c, cand in zip(sol, candidates):
-            out = out + cand.scale(c)
+        for c, factors in terms:
+            if inverse:
+                factors.reverse()
+            acc = factors[0]
+            for x in factors[1:]:
+                acc = acc * x
+            out = out + acc.scale(c)
         return out
 
     def braid_on_element(self, i: int, u: UElement,
@@ -602,7 +584,10 @@ class UAlgebra:
 
     def braid_word_on_element(self, word: Sequence[int], u: UElement,
                               inverse: bool = False) -> UElement:
-        """T_w for w given by any word (reduced internally)."""
+        """T_w for w given by any word.  The word is first replaced by
+        ``weyl_canonical(word)``, so all reduced words of one w take the
+        same route here; to compare two reduced words, compose
+        ``braid_on_element`` along each literal word instead."""
         red = self.datum.weyl_canonical(word)
         out = u
         if inverse:

@@ -8,8 +8,8 @@ import pytest
 
 from qflag import linalg
 from qflag.cartan import box, kostant_dim, preset
-from qflag.enveloping import UAlgebra, _content
-from qflag.errors import BorelError, DegreeCapError
+from qflag.enveloping import UAlgebra, _content, _mono_sort_key
+from qflag.errors import BorelError, DegreeCapError, QflagError
 from qflag.scalars import QScalar
 
 
@@ -430,10 +430,93 @@ def test_braid_images(alg1, alg2):
     assert t12 == -raw
 
 
-def test_braid_inverse_round_trip(alg2):
-    for g in [alg2.e(0), alg2.e(1), alg2.f(0), alg2.f(1), alg2.k((1, 2))]:
-        img = alg2.braid_on_element(0, g)
-        assert alg2.braid_on_element(0, img, inverse=True) == g
+_TYPES = ["A1", "A2", "B2", "G2"]
+
+
+def _generators(alg):
+    datum = alg.datum
+    return ([alg.e(j) for j in range(datum.rank)]
+            + [alg.f(j) for j in range(datum.rank)]
+            + [alg.k(datum.rho), alg.k(datum.alpha(0))])
+
+
+def test_braid_inverse_round_trip():
+    """T_i^-1 T_i and T_i T_i^-1 fix every generator, for every i on
+    A1/A2/B2/G2."""
+    for typ in _TYPES:
+        alg = UAlgebra(preset(typ))
+        for i, g in itertools.product(range(alg.datum.rank),
+                                      _generators(alg)):
+            img = alg.braid_on_element(i, g)
+            assert alg.braid_on_element(i, img, inverse=True) == g, (typ, i)
+            img = alg.braid_on_element(i, g, inverse=True)
+            assert alg.braid_on_element(i, img) == g, (typ, i)
+
+
+def braid_inverse_solve(alg, i, kind, v):
+    """Oracle for ``braid_inverse_image``: T_i^-1 of the letter (kind, v)
+    solved from T_i of the candidates of its degree, -k_i^-1 f_i or
+    -e_i k_i for j == i and the free words of degree alpha_j + m alpha_i
+    otherwise."""
+    datum = alg.datum
+    target = alg.e(v) if kind == "e" else alg.f(v)
+    if kind == "e" and v == i:
+        candidates = [alg.k_alpha(i, -1) * alg.f(i)]
+    elif kind == "f" and v == i:
+        candidates = [alg.e(i) * alg.k_alpha(i)]
+    else:
+        gamma = _content((v,), datum.rank)
+        ai = datum.alpha_root(i)
+        m = -datum.cartan[i][v]
+        gamma = tuple(g + m * a for g, a in zip(gamma, ai))
+        words = alg.basis(gamma).free_words
+        candidates = [alg.e_word(w) if kind == "e" else alg.f_word(w)
+                      for w in words]
+    images = [alg.braid_on_element(i, c) for c in candidates]
+    keys = sorted({k for img in images for k in img.terms}
+                  | set(target.terms), key=_mono_sort_key)
+    a = [[img.terms.get(k, datum.zero()) for img in images] for k in keys]
+    b = [target.terms.get(k, datum.zero()) for k in keys]
+    sol = linalg.solve(a, b)
+    if sol is None:
+        raise QflagError(
+            f"no braid inverse image for T_{i}^-1 of {(kind, v)}")
+    out = alg.zero()
+    for c, cand in zip(sol, candidates):
+        out = out + cand.scale(c)
+    return out
+
+
+def test_braid_inverse_closed_form_matches_the_solve():
+    """sigma T_i sigma against the linear solve, on all 26 e/f letter
+    images of A1/A2/B2/G2."""
+    checked = 0
+    for typ in _TYPES:
+        alg = UAlgebra(preset(typ))
+        rank = alg.datum.rank
+        for i, kind, j in itertools.product(range(rank), "ef", range(rank)):
+            assert alg.braid_inverse_image(i, (kind, j)) \
+                == braid_inverse_solve(alg, i, kind, j), (typ, i, kind, j)
+            checked += 1
+    assert checked == 26
+
+
+def test_a_braid_inverse_letter_image_solves_nothing(monkeypatch):
+    """T_i^-1 of a letter is a closed formula: it solves no linear system
+    and forms no forward image T_i of a candidate."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"T_i^-1 of a letter called {name}")
+        return call
+
+    monkeypatch.setattr(linalg, "solve", refuse("linalg.solve"))
+    monkeypatch.setattr(UAlgebra, "braid_on_element",
+                        refuse("braid_on_element"))
+    for typ in _TYPES:
+        alg = UAlgebra(preset(typ))
+        rank = alg.datum.rank
+        for i, kind, j in itertools.product(range(rank), "ef", range(rank)):
+            assert not alg.braid_inverse_image(i, (kind, j)).is_zero()
 
 
 def test_a_braid_relation_check_forms_each_letter_image_once(monkeypatch):
@@ -456,12 +539,18 @@ def test_a_braid_relation_check_forms_each_letter_image_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_braid_relation_on_generators(alg2):
-    for g in [alg2.e(0), alg2.e(1), alg2.f(0), alg2.f(1),
-              alg2.k((1, 0)), alg2.k((0, 1))]:
-        lhs = alg2.braid_word_on_element((0, 1, 0), g)
-        rhs = alg2.braid_word_on_element((1, 0, 1), g)
-        assert lhs == rhs
+def test_braid_relation_on_generators():
+    """T_w0 on each generator is the same along both reduced words of w0
+    on A2/B2/G2, composed letter by letter (``braid_word_on_element``
+    canonicalizes its word, so it would take one route for both)."""
+    from qflag.suites import _braid_element
+    for typ in ["A2", "B2", "G2"]:
+        alg = UAlgebra(preset(typ))
+        n = len(alg.datum.longest_word())
+        words = [tuple((s + t) % 2 for t in range(n)) for s in (0, 1)]
+        for g in _generators(alg):
+            assert _braid_element(alg, g, words[0]) \
+                == _braid_element(alg, g, words[1]), (typ, g)
 
 
 def test_braid_module_compatibility(alg2):
