@@ -125,10 +125,10 @@ def _datum_from_args(args) -> CartanDatum:
                          f"{exc}") from exc
 
 
-def _highest_weight(datum: CartanDatum, text: str):
+def _weight_arg(datum: CartanDatum, text: str, what="highest weight"):
     lam = datum.parse_weight(text)
     if any(c < 0 for c in lam):
-        raise ParseError(f"highest weight must be dominant: {text!r}")
+        raise ParseError(f"{what} has a negative coordinate: {text!r}")
     return lam
 
 
@@ -202,8 +202,8 @@ def _dispatch(args, as_json: bool) -> int:
         datum = _datum_from_args(args)
         alg = UAlgebra(datum)
         pairing = DrinfeldPairing(alg)
-        hw = _highest_weight(datum, args.hw)
-        hw2 = _highest_weight(datum, args.hw2) if args.hw2 else hw
+        hw = _weight_arg(datum, args.hw)
+        hw2 = _weight_arg(datum, args.hw2) if args.hw2 else hw
         op = r_operator(pairing, simple(alg, hw), simple(alg, hw2),
                         args.flavor)
         _emit({"schema": 1, **op.describe()}, as_json)
@@ -218,7 +218,7 @@ def _dispatch(args, as_json: bool) -> int:
             mod = verma(alg, datum.parse_weight(args.hw), depth,
                         side=args.side)
         else:
-            mod = simple(alg, _highest_weight(datum, args.hw))
+            mod = simple(alg, _weight_arg(datum, args.hw))
         if args.dual:
             mod = restricted_dual(mod)
         _emit({"schema": 1, **mod.describe()}, as_json)
@@ -228,7 +228,7 @@ def _dispatch(args, as_json: bool) -> int:
         datum = _datum_from_args(args)
         alg = UAlgebra(datum)
         ring = CoordRing(alg)
-        cutoff = datum.parse_weight(args.cutoff)
+        cutoff = _weight_arg(datum, args.cutoff, "cutoff")
         grades = {}
         for g in sorted(box(cutoff), key=by_height):
             grades[datum.weight_str(g)] = ring.grade_dim(g)
@@ -252,16 +252,19 @@ def _dispatch(args, as_json: bool) -> int:
         return 0
 
     if args.command == "verify":
-        suite = args.suite_flag or args.suite
-        if suite is None:
-            print("error: no suite given (positional or --suite)",
-                  file=sys.stderr)
-            return 2
+        given = sorted({args.suite, args.suite_flag} - {None})
+        if len(given) != 1:
+            raise ParseError("give one suite, positional or --suite, not "
+                             f"{' and '.join(given) or 'none'}")
+        suite = given[0]
+        if args.max < 0:
+            raise ParseError(f"--max must be nonnegative: {args.max}")
         datum = _datum_from_args(args)
         config = RunConfig(
             type=args.type,
             cartan_matrix=datum.cartan if args.cartan_matrix else None,
-            cutoff=datum.parse_weight(args.cutoff) if args.cutoff else None,
+            cutoff=_weight_arg(datum, args.cutoff, "cutoff")
+            if args.cutoff else None,
             depth=datum.parse_root(args.depth) if args.depth else None,
             seed=args.seed,
             max=args.max,

@@ -479,20 +479,16 @@ def quantum_factorial(n: int, d: int, l0: int) -> QScalar:
     return out
 
 
-def exp_t_coefficient(n: int, d: int, l0: int, inverse: bool = False) -> QScalar:
-    """Coefficient of x**n in exp_t(x) with t = q**d, or in its inverse
-    series exp_{t^-1}(-x) when ``inverse`` is set."""
+def exp_t_coefficient(n: int, d: int, l0: int) -> QScalar:
+    """Coefficient of x**n in exp_t(x) with t = q**d; the inverse series
+    exp_t(x)^-1 = exp_{t^-1}(-x) has (-1)**n times that at -d."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if d == 0:
         raise ValueError("exp coefficient requires a nonzero scale d")
-    t_exp = -d if inverse else d
-    tw = QScalar.q_power(Fraction(t_exp * n * (n - 1), 2), l0)
+    tw = QScalar.q_power(Fraction(d * n * (n - 1), 2), l0)
     # [n]_t! is invariant under t -> 1/t, so the factorial may use |d|
-    coeff = tw / quantum_factorial(n, abs(d), l0)
-    if inverse and n % 2:
-        coeff = -coeff
-    return coeff
+    return tw / quantum_factorial(n, abs(d), l0)
 
 
 # ---------------------------------------------------------------------------

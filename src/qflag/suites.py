@@ -101,6 +101,13 @@ def _compared(window, items: list) -> list:
     return items
 
 
+def _held(window, grade):
+    """``grade``, read by a check; ``_compared`` judges a window without it."""
+    if not within(window, grade):
+        _compared(window, [])
+    return grade
+
+
 def _sums_within(window, n: int) -> list:
     """The n-tuples of nonzero grades of ``window`` whose sum lies in it."""
     grades = [g for g in sorted(box(window), key=by_height) if any(g)]
@@ -461,8 +468,9 @@ def suite_lemma_rl(config: RunConfig) -> dict:
     lam = _fitting_fundamental(datum)
 
     def expansions() -> List[dict]:
+        psis = ring.grade_basis(_held(cutoff, lam))
         window = DWindow(ring, pairing, cutoff)
-        return [entry for psi in ring.grade_basis(lam)
+        return [entry for psi in psis
                 for entry in lemma_rl_check(window, psi)["results"]]
     return _report("lemma-rl", config, _check(
         f"rl1 and rl2 on {_vname(datum, lam)}*", expansions))
@@ -481,7 +489,8 @@ def suite_zw(config: RunConfig) -> dict:
                               lambda: z_w_check(window, i)["results"])
             results += _check(
                 f"w=[] i={i} lam={datum.weight_str(lam)}",
-                lambda: extremal_transport_check(window, (), i, lam))
+                lambda: extremal_transport_check(window, (), i,
+                                                 _held(cutoff, lam)))
         return results
     return _report("zw", config, _check(
         f"Z_w on window {datum.weight_str(cutoff)}", twists))

@@ -583,15 +583,11 @@ def _tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
         gen[("f", i)] = _coproduct_matrix(m1.gen[("f", i)], k2inv,
                                           None, m2.gen[("f", i)], datum.l0)
 
-    def missing_exact(w: Weight) -> bool:
-        if m1.exact and m2.exact:
-            return True
-        return False
-
-    mod = WeightModule(alg, m1.side, index_weights, gen, missing_exact,
-                       exact=m1.exact and m2.exact, labels=labels,
-                       name=f"({m1.name})(x)({m2.name})")
-    return mod
+    # a missing weight is genuinely zero when both factors are exact
+    exact = m1.exact and m2.exact
+    return WeightModule(alg, m1.side, index_weights, gen, lambda _w: exact,
+                        exact=exact, labels=labels,
+                        name=f"({m1.name})(x)({m2.name})")
 
 
 def _coproduct_matrix(x1: Matrix, d2: Optional[List[QScalar]],
@@ -642,26 +638,26 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
 
 def braid_on_module(mod: WeightModule, i: int,
                     inverse: bool = False) -> Matrix:
-    """The braid operator T_i on a finite-dimensional exact module; both
-    triple-exponential forms are computed and must agree.  Memoized on the
-    module (the exponentials dominate everything else at larger ranks);
-    the inverse is the matrix inverse of the memoized forward operator."""
+    """The braid operator T_i = exp(c) exp(b) exp(a) H on a
+    finite-dimensional exact module, or T_i^-1 = H^-1 exp(a)^-1 exp(b)^-1
+    exp(c)^-1 with each factor inverted in closed form, exp_t(x)^-1 =
+    exp_{t^-1}(-x) (Lusztig, *Introduction to Quantum Groups*, 37.1.3), so
+    no matrix is inverted.  Memoized on the module per i and direction
+    (the exponentials dominate everything else at larger ranks)."""
     if not mod.exact:
         raise TruncationError("braid operators require an exact module")
     if mod.side != "left":
         raise SideMismatchError("braid_on_module acts on left modules; use "
                                 "transpose_braid for right modules")
-    if inverse:
-        return mod.memo.get(("braid", i, True), lambda: linalg.inverse(
-            braid_on_module(mod, i)))
-    return mod.memo.get(("braid", i, False), lambda: _braid_operator(mod, i))
+    return mod.memo.get(("braid", i, inverse),
+                        lambda: _braid_operator(mod, i, inverse))
 
 
-def _braid_operator(mod: WeightModule, i: int) -> Matrix:
+def _braid_operator(mod: WeightModule, i: int, inverse: bool) -> Matrix:
     alg = mod.algebra
     datum = mod.datum
-    di = datum.d(i)
-    qi = datum.q_power(di)
+    qi = datum.q_power(datum.d(i))
+    di = -datum.d(i) if inverse else datum.d(i)   # negated: H^-1, t^-1
     # H_i: diagonal q_i^{m(m+1)/2} with m = (weight, alpha_i^vee)
     h = linalg.diagonal([datum.q_power(Fraction(di * w[i] * (w[i] + 1), 2))
                          for w in mod.index_weights], datum.l0)
@@ -669,18 +665,13 @@ def _braid_operator(mod: WeightModule, i: int) -> Matrix:
     ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
 
     def exp(x: UElement) -> Matrix:
-        return _exp_matrix(mod.act(x), -di, datum.l0)
+        return _exp_matrix(mod.act(-x if inverse else x), -di, datum.l0)
 
-    # exp(a) exp(b) exp(c) H, the factors listed from H, which acts first
-    form1 = linalg.ordered_product(
+    # the factors listed from H: T_i multiplies each on the left (H acts
+    # first), T_i^-1 their inverses on the right (exp(c)^-1 acts first)
+    return linalg.ordered_product(
         (h, exp((kiv * f_i).scale(qi.inverse())), exp(-e_i),
-         exp((ki * f_i).scale(qi))), mod.dim, datum.l0, left=True)
-    form2 = linalg.ordered_product(
-        (h, exp(-(ki * e_i).scale(qi.inverse())), exp(f_i),
-         exp(-(kiv * e_i).scale(qi))), mod.dim, datum.l0, left=True)
-    if not linalg.mat_eq(form1, form2):
-        raise QflagError("the two triple-exponential forms of T_i disagree")
-    return form1
+         exp((ki * f_i).scale(qi))), mod.dim, datum.l0, left=not inverse)
 
 
 def braid_word(mod: WeightModule, word: Sequence[int],

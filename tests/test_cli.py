@@ -157,6 +157,20 @@ def test_bad_input_exits_2(argv, capsys):
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "pbw", "--suite", "weyl-character", "--type", "A1"],
+    ["verify", "relations", "--type", "A1", "--cutoff", "[-1]"],
+    ["verify", "coord", "--type", "A2", "--cutoff", "[-1,0]"],
+    ["verify", "weyl-character", "--type", "A1", "--max", "-1"],
+])
+def test_bad_verify_input_exits_2(argv, capsys):
+    # input that a suite would otherwise run on: two different suites, a
+    # negative window coordinate, a negative bound
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("exc", [KeyError("injected"),
                                  ArithmeticError("injected"),
                                  ValueError("injected")])
@@ -302,6 +316,23 @@ def test_coord_with_an_empty_window_reaches_a_verdict(capsys):
         "schubert evaluation multiplicative"]
     assert all(r["pass"] is True and r["note"] == "skipped: above height cap"
                for r in results)
+
+
+@pytest.mark.parametrize("typ, window", [("A1", "[0]"), ("A2", "[0,0]"),
+                                         ("B2", "[0,0]"), ("G2", "[0,0]")])
+def test_all_with_an_empty_window_reaches_a_verdict(capsys, typ, window):
+    # the extremal transport of zw and lemma-rl read a fundamental grade,
+    # which the window does not hold: skipped, not a crash or a failure
+    code, out = run_cli(["verify", "all", "--type", typ, "--cutoff", window,
+                         "--json"], capsys)
+    assert code == 0
+    reports = {rep["suite"]: rep["results"]
+               for rep in json.loads(out)["results"]}
+    assert all(r["pass"] is True for rs in reports.values() for r in rs)
+    grade_reads = reports["lemma-rl"] + [
+        r for r in reports["zw"] if r["instance"].startswith("w=[]")]
+    assert len(grade_reads) == 1 + (1 if typ == "A1" else 2)
+    assert all(r["note"] == "skipped: above height cap" for r in grade_reads)
 
 
 def test_coord_covering_with_no_candidate_is_skipped(capsys):

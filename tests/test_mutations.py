@@ -5,7 +5,7 @@ own, so no defect leaks into the memos other tests share."""
 
 import pytest
 
-from qflag import suites
+from qflag import linalg, suites, weightmod
 from qflag.config import RunConfig
 from qflag.enveloping import UAlgebra
 from qflag.memo import Memo
@@ -23,6 +23,20 @@ def _flip_braid_inverse(pred):
     return apply
 
 
+def _scale_module_braid(inverse):
+    """Scale T_i on modules (T_i^-1 when ``inverse``) by q_i."""
+    def apply(monkeypatch):
+        real = weightmod._braid_operator
+
+        def mutant(mod, i, inv):
+            out = real(mod, i, inv)
+            if inv != inverse:
+                return out
+            return linalg.mat_scale(out, mod.datum.q_power(mod.datum.d(i)))
+        monkeypatch.setattr(weightmod, "_braid_operator", mutant)
+    return apply
+
+
 # name: (defect, suite, types where the suite must fail)
 MUTANTS = {
     # T_i^-1(e_i) negated
@@ -34,6 +48,12 @@ MUTANTS = {
         _flip_braid_inverse(lambda i, letter: letter[0] == "f"
                             and letter[1] != i),
         "zw", ["A2", "B2", "G2"]),
+    # T_i on modules scaled by q_i
+    "module-braid-scale": (_scale_module_braid(False), "braid",
+                           ["A1", "A2", "B2", "G2"]),
+    # T_i^-1 on modules scaled by q_i
+    "module-braid-inverse-scale": (_scale_module_braid(True), "braid",
+                                   ["A1", "A2", "B2", "G2"]),
 }
 
 CELLS = [(name, typ) for name, (_, _, types) in MUTANTS.items()

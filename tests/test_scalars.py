@@ -91,13 +91,15 @@ def test_exp_coefficients():
 
 
 def test_exp_inverse_series_truncated_product():
-    # sum over a+b = n of c_a(t) c^inv_b(t) is 1 at n=0 and 0 for n <= 6
+    # exp_t(x) exp_{t^-1}(-x) = 1: the sum over a+b = n of
+    # c_a(t) (-1)^b c_b(t^-1) is 1 at n=0 and 0 for n <= 6
     for d in (1, 2):
         for n in range(7):
             total = QScalar.zero(L0)
             for a in range(n + 1):
-                total = total + exp_t_coefficient(a, d, L0) * \
-                    exp_t_coefficient(n - a, d, L0, inverse=True)
+                term = exp_t_coefficient(a, d, L0) * \
+                    exp_t_coefficient(n - a, -d, L0)
+                total = total + (-term if (n - a) % 2 else term)
             if n == 0:
                 assert total.is_one()
             else:

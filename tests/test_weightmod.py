@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from qflag import linalg as la
-from qflag import suites, weightmod
-from qflag.cartan import (kostant_dim, preset, verma_character,
+from qflag import rmatrix, suites, weightmod
+from qflag.cartan import (box, kostant_dim, preset, verma_character,
                           weyl_character)
 from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
@@ -145,8 +147,11 @@ def test_braid_weight_transport(alg2):
 
 
 def test_braid_word_reduced_independence(alg2):
+    # composed along each literal word: braid_word canonicalizes its word,
+    # so it would take one route for both
     mod = simple(alg2, (1, 0))
-    assert la.mat_eq(braid_word(mod, (0, 1, 0)), braid_word(mod, (1, 0, 1)))
+    assert la.mat_eq(suites._braid_along(mod, (0, 1, 0)),
+                     suites._braid_along(mod, (1, 0, 1)))
     assert la.mat_eq(braid_word(mod, ()), la.identity(mod.dim, alg2.datum.l0))
 
 
@@ -183,17 +188,94 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_inverse_braid_reuses_forward_operator(monkeypatch, alg2):
+def _refuse_inverse(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("a braid operator inverted a matrix")
+    monkeypatch.setattr(la, "inverse", refuse)
+
+
+def test_inverse_braid_builds_three_exponentials(monkeypatch, alg2):
+    _refuse_inverse(monkeypatch)
     exps = _count_calls(monkeypatch, "_exp_matrix")
+    builds = _count_calls(monkeypatch, "_braid_operator")
     # a double dual is a fresh left module with an empty memo
     mod = restricted_dual(restricted_dual(simple(alg2, (1, 0))))
     tinv = braid_on_module(mod, 0, inverse=True)
-    assert len(exps) == 6  # both triple-exponential forms of T_0, once
+    assert len(exps) == 3  # its own three factors, no forward operator
+    assert builds == [(mod, 0, True)]
+    assert braid_on_module(mod, 0, inverse=True) is tinv
+    assert len(exps) == 3
     t = braid_on_module(mod, 0)
-    tinv_again = braid_on_module(mod, 0, inverse=True)
-    assert len(exps) == 6
-    assert tinv_again is tinv
+    monkeypatch.undo()
     assert la.mat_eq(tinv, la.inverse(t))
+
+
+def triple_exponential_forms(mod, i):
+    """Both triple-exponential forms of T_i on a left module (Jantzen,
+    *Lectures on Quantum Groups*, ch. 8), each as exp(c) exp(b) exp(a) H
+    with H acting first: production builds the first alone and inverts it
+    factor by factor."""
+    alg, datum = mod.algebra, mod.datum
+    di = datum.d(i)
+    qi = datum.q_power(di)
+    h = la.diagonal([datum.q_power(Fraction(di * w[i] * (w[i] + 1), 2))
+                     for w in mod.index_weights], datum.l0)
+    e_i, f_i = alg.e(i), alg.f(i)
+    ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
+
+    def exp(x):
+        return weightmod._exp_matrix(mod.act(x), -di, datum.l0)
+
+    form1 = la.ordered_product(
+        (h, exp((kiv * f_i).scale(qi.inverse())), exp(-e_i),
+         exp((ki * f_i).scale(qi))), mod.dim, datum.l0, left=True)
+    form2 = la.ordered_product(
+        (h, exp(-(ki * e_i).scale(qi.inverse())), exp(f_i),
+         exp(-(kiv * e_i).scale(qi))), mod.dim, datum.l0, left=True)
+    return form1, form2
+
+
+def braid_modules(alg):
+    """Every V(lam) with lam in the box of side 2 that fits under the cap,
+    and V (x) V for the first fitting fundamental V."""
+    datum = alg.datum
+    mods = [simple(alg, lam) for lam in box((2,) * datum.rank)
+            if suites._constructible(datum, lam)]
+    v = simple(alg, suites._fitting_fundamental(datum))
+    return mods + [tensor(v, v)]
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_braid_matches_both_forms_and_the_matrix_inverse(typ, algebras):
+    alg = algebras[typ]
+    for mod in braid_modules(alg):
+        for i in range(alg.datum.rank):
+            form1, form2 = triple_exponential_forms(mod, i)
+            t = braid_on_module(mod, i)
+            assert la.mat_eq(t, form1) and la.mat_eq(t, form2)
+            assert la.mat_eq(braid_on_module(mod, i, inverse=True),
+                             la.inverse(form1))
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_braid_operators_invert_nothing_and_build_one_form(monkeypatch,
+                                                           typ):
+    _refuse_inverse(monkeypatch)
+    exps = _count_calls(monkeypatch, "_exp_matrix")
+    builds = _count_calls(monkeypatch, "_braid_operator")
+    # a fresh algebra: nothing memoized on its modules yet
+    alg = UAlgebra(preset(typ))
+    datum = alg.datum
+    w0 = datum.longest_word()
+    v = simple(alg, suites._fitting_fundamental(datum))
+    for inverse in (False, True):
+        braid_word(v, w0, inverse=inverse)
+        transpose_braid(restricted_dual(v), w0, inverse=inverse)
+    rmatrix.root_vectors(tensor(v, v), "e")
+    # each operator built once, from three exponentials
+    assert {inverse for _mod, _i, inverse in builds} == {False, True}
+    assert len(builds) == len(set(builds))
+    assert len(exps) == 3 * len(builds)
 
 
 def test_transpose_braid_memoizes_dual(monkeypatch, alg2):
