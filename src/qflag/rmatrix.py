@@ -2,7 +2,9 @@
 
 The pairing is computed by structural recursion on the plus-side word via
 the coproduct axiom (x1 x2, y) = (x2 (x) x1, Delta(y)); inverting its
-degree tables gives the canonical elements behind R-inverse.  R itself is
+degree tables gives the canonical elements behind R-inverse, summed over
+the dual basis x_a* = sum_b C[a][b] y_b, one Kronecker product per free
+word, with no step shared with R.  R itself is
 R = Theta o kappa^-1 on the module, with Theta the ordered product of
 q-exponentials of root vectors E_beta (x) F_beta along a reduced word of
 w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).
@@ -20,6 +22,8 @@ from .linalg import Matrix
 from .memo import Memo
 from .scalars import QScalar, exp_t_coefficient
 from .weightmod import WeightModule, braid_on_module, tensor
+
+Legs = Tuple[List[UElement], List[UElement], Matrix]
 
 
 class DrinfeldPairing:
@@ -104,40 +108,37 @@ class DrinfeldPairing:
             raise QflagError(
                 f"pairing matrix singular at degree {beta}") from exc
 
-    def xi_element(self, beta: RootSum) -> List[Tuple[UElement, UElement, QScalar]]:
-        """Xi_beta as a list of (x_a, y_b, coefficient) triples."""
+    def inverse_legs(self, beta: RootSum) -> Legs:
+        """(xs, ys, C) with the degree-beta part of sum_beta q^{(beta,beta)}
+        (1 (x) k_beta)(S (x) id)(Xi_beta) = sum C[a][b] xs[a] (x) ys[b]:
+        xs[a] = q^{(beta,beta)} S(e_{w_a}) and ys[b] = k_beta f_{w_b} on the
+        free words w, C = ``xi_coefficients(beta)``.  Memoized; callers
+        must not mutate them."""
         beta = tuple(beta)
-        alg = self.algebra
-        if not any(beta):
-            return [(alg.one(), alg.one(), self.datum.one())]
+        return self.memo.get(("legs", beta), lambda: self._inverse_legs(beta))
+
+    def _inverse_legs(self, beta: RootSum) -> Legs:
+        alg, datum = self.algebra, self.datum
+        bw = datum.root_to_weight(beta)
+        tw, kbeta = datum.q_pair(bw, bw), alg.k(bw)
         words = alg.basis(beta).free_words
-        coeffs = self.xi_coefficients(beta)
-        out = []
-        for a, wa in enumerate(words):
-            for b, wb in enumerate(words):
-                c = coeffs[a][b]
-                if not c.is_zero():
-                    out.append((alg.e_word(wa), alg.f_word(wb), c))
-        return out
+        # Xi_0 = 1 (x) 1: no table to invert
+        coeffs = self.xi_coefficients(beta) if any(beta) else [[datum.one()]]
+        return ([alg.antipode(alg.e_word(w)).scale(tw) for w in words],
+                [kbeta * alg.f_word(w) for w in words], coeffs)
 
     def inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
-        """The degree-beta summands x_p (x) y_p of
-        sum_beta q^{(beta,beta)} (1 (x) k_beta)(S (x) id)(Xi_beta).
+        """The summands x_p (x) y_p = C[a][b] xs[a] (x) ys[b] of
+        ``inverse_legs(beta)``, one per nonzero C[a][b], row by row.
         Memoized; callers must not mutate them."""
         beta = tuple(beta)
         return self.memo.get(("inverse", beta),
                              lambda: self._inverse_components(beta))
 
     def _inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
-        alg = self.algebra
-        datum = self.datum
-        bw = datum.root_to_weight(beta)
-        tw = datum.q_pair(bw, bw)
-        kbeta = alg.k(bw)
-        out = []
-        for x, y, c in self.xi_element(beta):
-            out.append((alg.antipode(x).scale(tw * c), kbeta * y))
-        return out
+        xs, ys, coeffs = self.inverse_legs(beta)
+        return [(x.scale(c), y) for x, row in zip(xs, coeffs)
+                for y, c in zip(ys, row) if not c.is_zero()]
 
 
 def contributing_degrees(datum, m1: WeightModule, m2: WeightModule) -> List[RootSum]:
@@ -285,16 +286,24 @@ def _series_cells(e: Matrix, f: Matrix, di: int,
 def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
                      m2: WeightModule) -> Matrix:
     """The closed-form inverse: (sum_beta q^{(beta,beta)}(1 (x) k_beta)
-    (S (x) id)(Xi_beta)) o kappa, with the diagonal kappa applied as a
-    column scaling, as for R."""
+    (S (x) id)(Xi_beta)) o kappa.  A degree of dimension d is summed over
+    the dual basis as sum_a xs[a] (x) D_a, D_a = sum_b C[a][b] ys[b] on m2:
+    d Kronecker products and 2d module actions.  The diagonal kappa is
+    applied as a column scaling, as for R."""
     datum = pairing.datum
     n = m1.dim * m2.dim
     acc = linalg.identity(n, datum.l0)
     for beta in contributing_degrees(datum, m1, m2):
         if not any(beta):
             continue
-        for x, y in pairing.inverse_components(beta):
-            linalg.add_kron(acc, m1.act(x), m2.act(y))
+        xs, ys, coeffs = pairing.inverse_legs(beta)
+        acts = [m2.act(y) for y in ys]
+        for x, row in zip(xs, coeffs):
+            dual = linalg.zeros(m2.dim, m2.dim, datum.l0)
+            for act, c in zip(acts, row):
+                if c.num:
+                    linalg.add_scaled(dual, act, c)
+            linalg.add_kron(acc, m1.act(x), dual)
     return _scale_columns(acc, _kappa_diagonal(m1, m2))
 
 

@@ -293,6 +293,47 @@ def test_module_suite_reports_are_pinned(monkeypatch, capsys, suite, typ):
         SUITE_REPORT_SHA256[(suite, typ)]
 
 
+# sha256 of `qflag rmatrix --flavor R-inverse --json`: the exact R-inverse
+# matrices behind the rmatrix reports, B2 on the pair the hexagon reads
+R_INVERSE_SHA256 = {
+    "A2": "2c46527c2f2d740dab6fe4a4de26057fffd655833b41dac172092b7fa42989be",
+    "B2": "afb5b6d97fca9f4704cb1755cbbd98bdf3ece781563aa612cb1ed5b38f480f50",
+    "G2": "35f6afb12409383c23b8f6487511852737f576c883ea6b40be83dd2d96008c45",
+}
+
+
+@pytest.mark.parametrize("typ, weights", [
+    ("A2", ["--hw", "[1,0]", "--hw2", "[0,1]"]),
+    ("B2", ["--hw", "[1,0]", "--hw2", "[0,1]"]),
+    ("G2", ["--hw", "[0,1]"])], ids=["A2", "B2", "G2"])
+def test_r_inverse_exports_are_pinned(monkeypatch, capsys, typ, weights):
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
+    code, out = run_cli(["rmatrix", "--type", typ, "--flavor", "R-inverse",
+                         *weights, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == R_INVERSE_SHA256[typ]
+
+
+B2_MATRIX = "[[2,-2],[-1,2]]"
+
+
+@pytest.mark.parametrize("matrix", [B2_MATRIX,
+                                    "[[2,-1,0],[-1,2,-1],[0,-1,2]]"])
+@pytest.mark.parametrize("suite", ["center", "annihilator"])
+def test_center_verdicts_follow_the_datum(monkeypatch, capsys, suite, matrix):
+    # B2 and A3 have highest roots of height 3, so height 2 holds no
+    # nontrivial central element whatever the type label says
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
+    code, out = run_cli(["verify", suite, "--cartan-matrix", matrix,
+                         "--json"], capsys)
+    assert code == 0
+    if matrix == B2_MATRIX:
+        ref_code, ref = run_cli(["verify", suite, "--type", "B2", "--json"],
+                                capsys)
+        assert ref_code == 0
+        assert json.loads(out)["results"] == json.loads(ref)["results"]
+
+
 def test_cap_error_is_a_skip_not_a_failure(monkeypatch, capsys):
     # two A2 Ore witnesses need a word of f-height 4 under a cap of 3
     monkeypatch.setenv("QFLAG_MAX_HEIGHT", "3")

@@ -5,10 +5,11 @@ own, so no defect leaks into the memos other tests share."""
 
 import pytest
 
-from qflag import linalg, suites, weightmod
+from qflag import cartan, linalg, suites, weightmod
 from qflag.config import RunConfig
 from qflag.enveloping import UAlgebra
 from qflag.memo import Memo
+from qflag.rmatrix import DrinfeldPairing
 
 
 def _flip_braid_inverse(pred):
@@ -37,6 +38,30 @@ def _scale_module_braid(inverse):
     return apply
 
 
+def _wrong_dual_row(monkeypatch):
+    """Build the last free word's dual-basis matrix D_a = sum_b C[a][b] ys[b]
+    of R-inverse from the row of the word before it, in degrees of
+    dimension at least 2."""
+    real = DrinfeldPairing._inverse_legs
+
+    def mutant(self, beta):
+        xs, ys, coeffs = real(self, beta)
+        if len(coeffs) < 2:
+            return xs, ys, coeffs
+        return xs, ys, coeffs[:-1] + [coeffs[-2]]
+    monkeypatch.setattr(DrinfeldPairing, "_inverse_legs", mutant)
+
+
+def _kostant_off_by_one(monkeypatch):
+    """One Kostant partition count, P(alpha_1 + alpha_2), one too large;
+    the counts above it read it."""
+    real = cartan._kostant_count
+
+    def mutant(datum, gamma):
+        return real(datum, gamma) + (tuple(gamma) == (1, 1))
+    monkeypatch.setattr(cartan, "_kostant_count", mutant)
+
+
 # name: (defect, suite, types where the suite must fail)
 MUTANTS = {
     # T_i^-1(e_i) negated
@@ -54,6 +79,10 @@ MUTANTS = {
     # T_i^-1 on modules scaled by q_i
     "module-braid-inverse-scale": (_scale_module_braid(True), "braid",
                                    ["A1", "A2", "B2", "G2"]),
+    # R-inverse's last dual-basis matrix from the wrong row of C_beta
+    "r-inverse-dual-row": (_wrong_dual_row, "rmatrix", ["A2", "B2", "G2"]),
+    # P(alpha_1 + alpha_2) off by one
+    "kostant-count": (_kostant_off_by_one, "pbw", ["A2", "B2", "G2"]),
 }
 
 CELLS = [(name, typ) for name, (_, _, types) in MUTANTS.items()

@@ -13,6 +13,20 @@ from qflag.weightmod import (_exp_matrix, braid_on_module, braid_word,
                              module_map_commutes, simple, tensor, verma)
 
 
+def xi_element(pairing, beta):
+    """Xi_beta as a list of (x_a, y_b, coefficient) triples over the free
+    words of degree beta, one per nonzero cell of xi_coefficients(beta)."""
+    beta = tuple(beta)
+    alg = pairing.algebra
+    if not any(beta):
+        return [(alg.one(), alg.one(), pairing.datum.one())]
+    words = alg.basis(beta).free_words
+    coeffs = pairing.xi_coefficients(beta)
+    return [(alg.e_word(wa), alg.f_word(wb), coeffs[a][b])
+            for a, wa in enumerate(words) for b, wb in enumerate(words)
+            if not coeffs[a][b].is_zero()]
+
+
 def xi_operator(pairing, m1, m2):
     """sum_beta q^{(beta,beta)} (k_beta^{-1} (x) k_beta) Xi_beta on m1 (x) m2,
     summed degree by degree from the inverted pairing tables: an oracle
@@ -27,7 +41,7 @@ def xi_operator(pairing, m1, m2):
         tw = datum.q_power(datum.pair_ww(kb, kb))
         kminus = alg.k(tuple(-x for x in kb))
         kplus = alg.k(kb)
-        for x, y, c in pairing.xi_element(beta):
+        for x, y, c in xi_element(pairing, beta):
             left = m1.act(kminus * x)
             right = m2.act(kplus * y)
             out = la.mat_add(out, la.mat_scale(la.kron(left, right), tw * c))
@@ -35,8 +49,9 @@ def xi_operator(pairing, m1, m2):
 
 
 def dense_r_inverse(pairing, m1, m2):
-    """The dense route ``r_inverse_matrix`` replaced: every canonical-element
-    term summed with mat_add, then composed with the kappa matrix."""
+    """The pair-by-pair route ``r_inverse_matrix`` replaced: every pair of
+    ``inverse_components`` summed with mat_add, then composed with the
+    kappa matrix."""
     datum = pairing.datum
     acc = la.identity(m1.dim * m2.dim, datum.l0)
     for beta in contributing_degrees(datum, m1, m2):
@@ -139,8 +154,8 @@ def test_pairing_nondegenerate(alg1, alg2, pairing1, pairing2):
 
 
 def test_xi_examples(alg1, alg2, pairing1, pairing2):
-    assert pairing1.xi_element((0,))[0][2].is_one()
-    [(x, y, c)] = pairing1.xi_element((1,))
+    assert xi_element(pairing1, (0,))[0][2].is_one()
+    [(x, y, c)] = xi_element(pairing1, (1,))
     assert c == alg1.qi(0, -1) - alg1.qi(0)
     assert x == alg1.e(0) and y == alg1.f(0)
     # inverse-transpose of the pairing table at a 2x2 degree
@@ -156,7 +171,7 @@ def test_canonical_element_property(alg2, pairing2):
     words = alg2.basis(beta).free_words
     for wx in words:
         acc = {w: alg2.datum.zero() for w in words}
-        for x, y, c in pairing2.xi_element(beta):
+        for x, y, c in xi_element(pairing2, beta):
             val = pairing2.pair(alg2.e_word(wx), y)
             for (fw, lam, ew), cx in x.terms.items():
                 acc[ew] = acc[ew] + c * val * cx
@@ -449,16 +464,65 @@ def test_ordered_products_start_at_their_first_factor(monkeypatch):
         la.mat_eq(single, braid_on_module(v1, 0))
 
 
-@pytest.mark.parametrize("typ", ["A2", "B2"])
-def test_r_inverse_matches_dense_accumulation(typ):
+def _r_inverse_pairs(typ):
+    """Module pairs for the dense oracle: every pair of fundamental
+    modules (G2: V(w2) only, V(w1) is the 14-dimensional adjoint), and on
+    B2 the hexagon's carrier V(w2) (x) V(w1) as first factor."""
     datum = preset(typ)
     alg = UAlgebra(datum)
+    lams = [datum.fundamental(i) for i in range(datum.rank)]
+    mods = [simple(alg, lam) for lam in (lams[1:] if typ == "G2" else lams)]
+    pairs = [(a, b) for a in mods for b in mods]
+    if typ == "A1":
+        pairs.append((simple(alg, (2,)), mods[0]))
+    if typ == "B2":
+        pairs.append((tensor(mods[1], mods[0]), mods[1]))
+    return DrinfeldPairing(alg), pairs
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_r_inverse_matches_dense_accumulation(typ):
+    pairing, pairs = _r_inverse_pairs(typ)
+    for a, b in pairs:
+        rinv = r_operator(pairing, a, b, "R-inverse").matrix
+        assert rinv == dense_r_inverse(pairing, a, b), (a.name, b.name)
+
+
+def test_r_inverse_makes_one_kron_per_free_word(monkeypatch):
+    # the dual basis sums each degree's C[a][b] on m2 first, so B2
+    # V(w1) (x) V(w2) makes 12 Kronecker products where its 32 nonzero
+    # pairs made one each; each leg is formed once per word per pairing
+    datum = preset("B2")
+    alg = UAlgebra(datum)
     pairing = DrinfeldPairing(alg)
-    mods = [simple(alg, datum.fundamental(i)) for i in range(datum.rank)]
-    for a in mods:
-        for b in mods:
-            rinv = r_operator(pairing, a, b, "R-inverse").matrix
-            assert rinv == dense_r_inverse(pairing, a, b), (a.name, b.name)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(la, "add_kron", spy("add_kron", la.add_kron))
+    monkeypatch.setattr(UAlgebra, "antipode",
+                        spy("antipode", UAlgebra.antipode))
+    monkeypatch.setattr(UAlgebra, "f_word", spy("f_word", UAlgebra.f_word))
+    betas = [b for b in contributing_degrees(datum, v1, v2) if any(b)]
+    words = sum(alg.basis(b).dim for b in betas)
+    pairs = sum(c.num != 0 for b in betas
+                for row in pairing.xi_coefficients(b) for c in row)
+    assert (words, pairs) == (12, 32)
+    calls.clear()
+    first = r_operator(pairing, v1, v2, "R-inverse").matrix
+    assert calls == Counter(add_kron=12, antipode=12, f_word=12)
+    calls.clear()
+    assert r_operator(pairing, v1, v2, "R-inverse").matrix == first
+    for beta in betas:
+        pairing.inverse_components(beta)
+    assert calls == Counter(add_kron=12)
+    legs = pairing.inverse_legs(list(betas[-1]))
+    assert legs is pairing.inverse_legs(betas[-1])
 
 
 def test_assembly_uses_no_dense_helpers(monkeypatch, a2):
