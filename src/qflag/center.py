@@ -8,14 +8,14 @@ and annihilation of highest-weight modules are then verified exactly.
 
 The solve splits into connected blocks of candidates.  Each block's rank
 is decided first mod P (``linalg``'s rank core, on the columns' values at
-the point where ``linalg.rref`` evaluates): a block of full column rank
+q^(1/l0) = ``linalg._T`` mod ``linalg._P``): a block of full column rank
 there has full column rank exactly, so no kernel, and forms no exact
 product.  For the other blocks, on A2 at height 2 the 3 of 28 that have
 a kernel, the rows the rank core kept are independent exactly: exact
 cells are formed on those rows only and passed to ``linalg.nullspace``,
 and the kernel found is checked against every other row of the block,
-read on the kernel's support.  A block whose check fails is solved
-exactly on all its rows.
+read on the kernel's support.  A block with a pole at the point, no
+kept row or a failed check is solved exactly on all its rows.
 """
 
 from __future__ import annotations
@@ -300,9 +300,9 @@ def _kept_rows_mod_p(cols: List[Dict[int, int]]) -> List[int]:
     """The ids of rows that form a basis mod P of the rows of the block
     whose columns are ``cols`` ({row id: nonzero value mod P}): as many
     as the columns exactly when these are independent.  The rank core is
-    fed the rows, sparsest first, as ``rref``'s pass feeds it, and stops
-    once the rows kept span every column: on the A2 blocks that reduces
-    far fewer cells than feeding it the columns."""
+    fed the rows, sparsest first so that its basis stays sparse, and
+    stops once the rows kept span every column: on the A2 blocks that
+    reduces far fewer cells than feeding it the columns."""
     rows: Dict[int, Dict[int, int]] = {}
     for jj, col in enumerate(cols):
         for ridx, x in col.items():

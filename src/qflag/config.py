@@ -27,8 +27,10 @@ class RunConfig:
         return preset(self.type)
 
     def describe(self) -> dict:
+        """The run's settings; ``type`` is None when a matrix gives the
+        datum, since the label then names nothing."""
         return {
-            "type": self.type,
+            "type": self.type if self.cartan_matrix is None else None,
             "cartan_matrix": [list(r) for r in self.cartan_matrix]
             if self.cartan_matrix else None,
             "cutoff": list(self.cutoff) if self.cutoff else None,

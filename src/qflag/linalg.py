@@ -6,14 +6,12 @@ which changes its work but not its answer (the reduced echelon form is
 unique), and skips zero cells, which are most of them in the sparse
 systems qflag solves.  So does assembly: products read each row of their
 right factor as its list of nonzero cells, and ``add_kron``/``add_scaled``
-add into a matrix in place.  For a matrix with more rows than columns, a
-rank pass over a prime field (q^(1/l0) evaluated at a fixed point) first
-picks independent rows, visiting the sparsest rows first so that its
-basis stays sparse; it only decides which rows enter the exact
-elimination, never the answer (see ``rref``).  Its rank core,
-``_independent_mod_p`` on sparse vectors mod P, also decides which blocks
-of the center solve have a kernel, and on which rows the solve forms
-their exact cells.
+add into a matrix in place.  The one elimination is ``rref``; the
+inverse, the nullspace, the rank and solving go through it.  The rank
+core mod P (``_independent_mod_p``, on sparse vectors with q^(1/l0)
+evaluated at a fixed point of a prime field) serves the center solve,
+which finds with it which of its blocks have a kernel and on which rows
+to form their exact cells.
 """
 
 from __future__ import annotations
@@ -206,42 +204,11 @@ def first_mismatch(a: Matrix, b: Matrix) -> Optional[Tuple[int, int, QScalar, QS
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form (copy); returns (echelon, pivot columns).
 
-    A matrix with more rows than columns first goes through a rank pass
-    mod P (``_rows_independent_mod_p``).  Full column rank there means full
-    column rank exactly, and the answer is the identity.  Otherwise only the
-    rows kept by the pass are eliminated, and every other row is checked
-    exactly to lie in their row space; since the reduced echelon form of a
-    row space is unique, the answer is the same as eliminating every row,
-    which is what happens when a check fails or the pass cannot run.  The
-    pass and the checks share one scan of the rows for their nonzero
-    cells."""
+    Exact Gauss-Jordan elimination of every row.  The pivot row is the
+    sparsest candidate (``_pivot_row``); it is scaled once, and every other
+    row is updated in place on the pivot row's nonzero columns only: a zero
+    cell costs nothing."""
     if not rows or not rows[0]:
-        return [], []
-    ncols = len(rows[0])
-    if len(rows) > ncols:
-        supports = [_nonzero_columns(row) for row in rows]
-        keep = _rows_independent_mod_p(rows, supports)
-        if keep is not None:
-            if len(keep) == ncols:
-                return identity(ncols, rows[0][0].l0), list(range(ncols))
-            ech, pivots = _eliminate([rows[i] for i in keep])
-            echelon = {p: (e, _nonzero_columns(e))
-                       for p, e in zip(pivots, ech)}
-            kept = set(keep)
-            if all(_in_row_space(row, support, echelon)
-                   for i, (row, support) in enumerate(zip(rows, supports))
-                   if i not in kept):
-                return ech, pivots
-    return _eliminate(rows)
-
-
-def _eliminate(rows: Matrix) -> Tuple[Matrix, List[int]]:
-    """Exact Gauss-Jordan elimination of every row (copy).
-
-    The pivot row is the sparsest candidate (``_pivot_row``); it is scaled
-    once, and every other row is updated in place on the pivot row's
-    nonzero columns only: a zero cell costs nothing."""
-    if not rows:
         return [], []
     mat = [list(r) for r in rows]
     nrows, ncols = len(mat), len(mat[0])
@@ -296,58 +263,12 @@ def _pivot_row(mat: Matrix, r: int, c: int) -> Optional[int]:
     return best
 
 
-# The rank pass (and the center solve) evaluates q^(1/l0) at the fixed
-# point _T of the field of _P elements.  Both are constants, so every run
-# makes the same choices; a point where the pass is unlucky only costs the
-# full elimination.
+# The center solve evaluates q^(1/l0) at the fixed point _T of the field of
+# _P elements.  Both are constants, so every run makes the same choices; a
+# point where the rank mod P is unlucky only costs the elimination of every
+# row of a block.
 _P = (1 << 61) - 1
 _T = 1234567890123456789
-
-
-def _rows_independent_mod_p(rows: Matrix,
-                            supports: Optional[List[List[int]]] = None
-                            ) -> Optional[List[int]]:
-    """Increasing indices of rows that are independent after evaluation at
-    q^(1/l0) = _T mod _P; None if a denominator vanishes in a row it reads.
-    ``supports`` lists each row's nonzero columns (scanned here if not
-    given).
-
-    Evaluation is a ring homomorphism on entries whose denominators do not
-    vanish at the point, so it can only lower rank: a nonzero minor mod P
-    is a nonzero minor exactly, and the kept rows are independent over
-    Q(q^(1/l0)).  Rows are visited by fewest nonzero cells, the lowest
-    index on a tie, and handed to the rank core (``_independent_mod_p``)
-    one at a time: a row is evaluated only when the core asks for it, so
-    the pass reads no row after the rows kept span every column.  Sparse
-    rows make few updates and keep the basis sparse.  The rank of all the
-    rows does not depend on the order, so neither does stopping once the
-    rows kept span every column; and ``rref`` gets the same answer from
-    any kept set.  Each distinct value is evaluated once per call, and a
-    polynomial has no denominator to evaluate."""
-    ncols = len(rows[0])
-    if supports is None:
-        supports = [_nonzero_columns(row) for row in rows]
-    values: Dict[QScalar, int] = {}
-    poles: List[int] = []
-
-    def evaluated() -> Iterator[Tuple[int, Dict[int, int]]]:
-        for i in sorted(range(len(rows)), key=lambda i: len(supports[i])):
-            row = rows[i]
-            v: Dict[int, int] = {}
-            for j in supports[i]:
-                x = row[j]
-                val = values.get(x)
-                if val is None:
-                    val = _mod_p(x)
-                    if val is None:
-                        poles.append(i)
-                        return
-                    values[x] = val
-                if val:
-                    v[j] = val
-            yield i, v
-    keep = _independent_mod_p(evaluated(), ncols)
-    return None if poles else sorted(keep)
 
 
 def _independent_mod_p(vectors: Iterable[Tuple[int, Dict[int, int]]],
@@ -400,42 +321,13 @@ def _poly_mod_p(p: Dict[int, int]) -> int:
     return sum(c * _q_l0_mod_p(e) for e, c in p.items()) % _P
 
 
-def _in_row_space(row: Vector, support: List[int],
-                  echelon: Dict[int, Tuple[Vector, List[int]]]) -> bool:
-    """Whether row (nonzero on the columns ``support``) reduces to zero by
-    the reduced echelon rows, given by pivot column with their nonzero
-    columns: subtracting row[p]·(echelon row of pivot p) for every pivot p
-    is the whole reduction, so the row lies in their span iff what is left
-    is zero.  Only columns where the row or a subtracted echelon row is
-    nonzero are read; the pivot columns are left zero by construction."""
-    terms = []
-    cols = set(support)
-    for p in support:
-        hit = echelon.get(p)
-        if hit is not None:
-            terms.append((row[p], hit[0]))
-            cols.update(hit[1])
-    cols.difference_update(echelon)
-    for j in sorted(cols):
-        x = row[j]
-        for f, e in terms:
-            if e[j].num:
-                x = x - f * e[j]
-        if x.num:
-            return False
-    return True
-
-
 def rank(a: Matrix) -> int:
     return len(rref(a)[0])
 
 
 def nonsingular(a: Matrix) -> bool:
-    """Whether the square matrix a is invertible: full rank in the pass
-    mod P decides it without elimination; otherwise its exact rank."""
-    keep = _rows_independent_mod_p(a) if a else []
-    return (keep is not None and len(keep) == len(a)) or \
-        rank(a) == len(a)
+    """Whether the square matrix a is invertible: its exact rank is full."""
+    return rank(a) == len(a)
 
 
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:

@@ -145,16 +145,6 @@ class WeightModule:
                     out[r][col] = out[r][col] + x
         return out
 
-    def apply(self, u: UElement, v: Vector) -> Vector:
-        """u applied to the vector v, each term's word walked from v."""
-        out = self.zero_vector()
-        start = {j: x for j, x in enumerate(v) if not x.is_zero()}
-        for (fw, lam, ew), c in u.terms.items():
-            word = self.algebra.monomial_word(fw, lam, ew)
-            for r, x in self.walk(word, start).items():
-                out[r] = out[r] + c * x
-        return out
-
     # -- exactness bookkeeping --------------------------------------------------
 
     def step_delta(self, kind: str, i: int) -> Weight:

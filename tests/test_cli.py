@@ -315,10 +315,10 @@ def test_r_inverse_exports_are_pinned(monkeypatch, capsys, typ, weights):
 
 
 B2_MATRIX = "[[2,-2],[-1,2]]"
+A3_MATRIX = "[[2,-1,0],[-1,2,-1],[0,-1,2]]"
 
 
-@pytest.mark.parametrize("matrix", [B2_MATRIX,
-                                    "[[2,-1,0],[-1,2,-1],[0,-1,2]]"])
+@pytest.mark.parametrize("matrix", [B2_MATRIX, A3_MATRIX])
 @pytest.mark.parametrize("suite", ["center", "annihilator"])
 def test_center_verdicts_follow_the_datum(monkeypatch, capsys, suite, matrix):
     # B2 and A3 have highest roots of height 3, so height 2 holds no
@@ -332,6 +332,31 @@ def test_center_verdicts_follow_the_datum(monkeypatch, capsys, suite, matrix):
                                 capsys)
         assert ref_code == 0
         assert json.loads(out)["results"] == json.loads(ref)["results"]
+
+
+def test_pbw_window_follows_the_datum(capsys):
+    # B2 and C2 are one datum, so they get one window (up to height 5),
+    # and a report on a matrix names no type
+    degrees, types = [], []
+    for args in (["--type", "B2"], ["--type", "C2"],
+                 ["--cartan-matrix", B2_MATRIX]):
+        code, out = run_cli(["verify", "pbw", *args, "--json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        degrees.append([r["instance"] for r in report["results"]])
+        types.append(report["config"]["type"])
+    assert degrees[0] == degrees[1] == degrees[2]
+    assert len(degrees[0]) == 21
+    assert types == ["B2", "C2", None]
+
+
+def test_verify_all_on_a3_reaches_a_verdict(monkeypatch, capsys):
+    monkeypatch.delenv("QFLAG_MAX_HEIGHT", raising=False)
+    code, out = run_cli(["verify", "all", "--cartan-matrix", A3_MATRIX,
+                         "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True and report["config"]["type"] is None
 
 
 def test_cap_error_is_a_skip_not_a_failure(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Dual-route oracles for linalg: the production ``rref`` (zero-skipping,
 in place, sparsest pivot row) against the plain dense first-row
-elimination it replaced, the rank pass against the per-cell evaluation it
-replaced (in the same sparsest-first order, and in row order), and the
+elimination it replaced, the rank core mod P against a per-cell
+evaluation (in the same sparsest-first order, and in row order), and the
 zero-skipping products and in-place sums against naive loops over every
 cell, kept here as small-size references."""
 
@@ -48,7 +48,7 @@ def dense_rref(rows):
 
 
 def per_cell_rank_pass(rows, in_order=False):
-    """Reference rank pass: (kept indices in increasing order or None, mod-P
+    """Reference rank mod P: (kept indices in increasing order or None, mod-P
     cells updated).  Rows are visited by fewest nonzero cells, the lowest
     index on a tie (in their own order with ``in_order``, the rule the
     sparsest-first order replaced), and every nonzero cell of a visited row
@@ -209,11 +209,10 @@ def test_sparsest_pivot_row_matches_dense_reference(nrows, ncols, seed):
                   for j in range(ncols)]
     assert first_candidate(mat, 0, 0) == 0
     assert la._pivot_row(mat, 0, 0) == a
-    assert la._eliminate(mat) == dense_rref(mat)
     _assert_matches_reference(mat, rnd)
 
 
-# -- the rank pass mod P in front of the exact elimination -------------------
+# -- tall matrices, and cells with a pole or a zero at the point mod P ------
 
 def _tall_planted(rnd, ncols, nullity, extra):
     """A tall matrix of rank ncols - nullity: rows [I | R] with random sparse
@@ -239,56 +238,47 @@ def _tall_planted(rnd, ncols, nullity, extra):
 def _count_eliminations(monkeypatch):
     """Row counts of the exact eliminations that run from now on."""
     calls = []
-    real = la._eliminate
-    monkeypatch.setattr(la, "_eliminate",
+    real = la.rref
+    monkeypatch.setattr(la, "rref",
                         lambda rows: calls.append(len(rows)) or real(rows))
     return calls
 
 
 @pytest.mark.parametrize("nullity", [0, 1, 2])
 @pytest.mark.parametrize("seed", range(4))
-def test_tall_planted_rank_matches_dense_reference(monkeypatch, nullity,
-                                                   seed):
+def test_tall_planted_rank_matches_dense_reference(nullity, seed):
     rnd = random.Random(100 * nullity + seed)
     ncols = 3 + seed
     mat = _tall_planted(rnd, ncols, nullity, extra=ncols + 2)
-    calls = _count_eliminations(monkeypatch)
     ech, piv = la.rref(mat)
-    # full column rank needs no exact step; otherwise only the kept rows
-    assert calls == ([] if nullity == 0 else [ncols - nullity])
     assert len(piv) == ncols - nullity
     assert len(la.nullspace(mat)) == nullity
     _assert_matches_reference(mat, rnd)
 
 
-def test_vanishing_denominator_skips_the_pass(monkeypatch):
+def test_vanishing_denominator_skips_the_pass():
+    """A cell with a pole at the point mod P is an exact scalar like any
+    other."""
     rnd = random.Random(7)
     pole = QScalar({0: 1}, {1: 1, 0: -la._T}, L0)  # 1/(q^(1/2) - T)
     mat = _tall_planted(rnd, 3, 1, extra=3)
     mat[2] = [pole] + mat[2][1:]
-    assert la._rows_independent_mod_p(mat) is None
-    calls = _count_eliminations(monkeypatch)
-    la.rref(mat)
-    assert calls == [len(mat)]
     _assert_matches_reference(mat, rnd)
 
 
-def test_rank_drop_at_the_point_falls_back(monkeypatch):
+def test_rank_drop_at_the_point_falls_back():
+    """A row that vanishes at the point mod P still counts exactly."""
     zero, one = QScalar.zero(L0), QScalar.one(L0)
     root = QScalar({1: 1, 0: -la._T}, {0: 1}, L0)  # q^(1/2) - T
     two = QScalar.integer(2, L0)
     mat = [[root, zero], [zero, one], [zero, two]]
-    assert la._rows_independent_mod_p(mat) == [1]
-    calls = _count_eliminations(monkeypatch)
     assert la.rref(mat) == (la.identity(2, L0), [0, 1])
-    # the kept row alone misses row 0 exactly: eliminate every row instead
-    assert calls == [1, 3]
     _assert_matches_reference(mat, random.Random(8))
 
 
 def test_nonsingular_falls_back_to_the_exact_rank(monkeypatch):
     """A square matrix whose rank drops at the point, or with a pole
-    there, is decided by exact elimination."""
+    there, is decided like any other: by one exact elimination."""
     zero, one = QScalar.zero(L0), QScalar.one(L0)
     root = QScalar({1: 1, 0: -la._T}, {0: 1}, L0)  # q^(1/2) - T
     pole = root.inverse()
@@ -296,8 +286,8 @@ def test_nonsingular_falls_back_to_the_exact_rank(monkeypatch):
     assert la.nonsingular([[root, zero], [zero, one]])
     assert la.nonsingular([[pole, zero], [zero, one]])
     assert not la.nonsingular([[root, one], [root, one]])
-    assert calls == [2, 2, 2]
-    assert la.nonsingular([[one, zero], [one, one]]) and calls == [2, 2, 2]
+    assert la.nonsingular([[one, zero], [one, one]])
+    assert calls == [2, 2, 2, 2]
 
 
 def test_tall_inconsistent_solve():
@@ -324,37 +314,29 @@ def test_tall_zero_and_zero_column_matrices():
 @pytest.fixture(scope="module")
 def center_blocks(a2, dense_center):
     """The 28 matrices the dense-block A2 center solve at height 2 passes to
-    ``nullspace`` (every connected block of its candidates), and the inputs
-    of the exact eliminations it runs."""
+    ``nullspace`` (every connected block of its candidates)."""
     from qflag.enveloping import UAlgebra
-    blocks, eliminated = [], []
-    null, elim = la.nullspace, la._eliminate
+    blocks = []
+    null = la.nullspace
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(la, "nullspace", lambda a: blocks.append(a) or null(a))
-        mp.setattr(la, "_eliminate",
-                   lambda rows: eliminated.append(rows) or elim(rows))
         dense_center(UAlgebra(a2), 2)
     assert len(blocks) == 28
-    return blocks, eliminated
+    return blocks
 
 
-def test_largest_full_rank_center_block_needs_no_elimination(monkeypatch,
-                                                             a2,
-                                                             center_blocks):
-    blocks, _eliminated = center_blocks
+def test_largest_full_rank_center_block_reduces_to_the_identity(
+        a2, center_blocks):
+    blocks = center_blocks
     block = max(blocks, key=lambda b: (len(b), len(b[0])))
     assert (len(block), len(block[0])) == (364, 61)
-    calls = _count_eliminations(monkeypatch)
     ech, piv = la.rref(block)
-    assert calls == []
     assert piv == list(range(61)) and la.mat_eq(ech, la.identity(61, a2.l0))
     assert la.nullspace(block) == []
-    # the full exact elimination agrees
-    assert la._eliminate(block) == (ech, piv)
 
 
 def test_corank_one_center_blocks_match_dense_reference(center_blocks):
-    blocks, _eliminated = center_blocks
+    blocks = center_blocks
     corank_one = [b for b in blocks
                   if len(la.rref(b)[1]) == len(b[0]) - 1]
     assert sorted((len(b), len(b[0])) for b in corank_one) == \
@@ -362,7 +344,6 @@ def test_corank_one_center_blocks_match_dense_reference(center_blocks):
     for block in corank_one:
         want = dense_rref(block)
         assert la.rref(block) == want
-        assert la._eliminate(block) == want
 
 
 def _count_products(monkeypatch):
@@ -378,17 +359,14 @@ def _count_products(monkeypatch):
 
 
 def test_sparsest_pivot_multiplies_less_on_the_center_solve(center_blocks):
-    """On the eliminations of the A2 center solve the sparsest-row rule
-    gives the first-row rule's answers with fewer products (742 against
-    4,383 when this test was written)."""
-    _blocks, eliminated = center_blocks
-    assert eliminated
-
+    """On the 28 dense A2 center blocks the sparsest-row rule gives the
+    first-row rule's answers with fewer products (3,990 against 58,411
+    when this test was written)."""
     def run(pivot_row):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(la, "_pivot_row", pivot_row)
             count = _count_products(mp)
-            out = [la._eliminate(rows) for rows in eliminated]
+            out = [la.rref(rows) for rows in center_blocks]
         return out, count[0]
     sparsest, sparsest_products = run(la._pivot_row)
     first, first_products = run(first_candidate)
@@ -396,22 +374,7 @@ def test_sparsest_pivot_multiplies_less_on_the_center_solve(center_blocks):
     assert sparsest_products < first_products
 
 
-def _spy_evaluations(monkeypatch):
-    """The scalars the rank pass evaluates from now on, and the number of
-    polynomials (numerators and denominators) it evaluates for them."""
-    scalars, polys = [], [0]
-    real_scalar, real_poly = la._mod_p, la._poly_mod_p
-
-    def poly(p):
-        polys[0] += 1
-        return real_poly(p)
-    monkeypatch.setattr(la, "_mod_p",
-                        lambda x: scalars.append(x) or real_scalar(x))
-    monkeypatch.setattr(la, "_poly_mod_p", poly)
-    return scalars, polys
-
-
-def _rank_pass_cases(center_blocks):
+def _rank_cases(center_blocks):
     rnd = random.Random(11)
     cases = [_tall_planted(rnd, 3 + seed, nullity, extra=5 + seed)
              for nullity in range(3) for seed in range(4)]
@@ -421,47 +384,7 @@ def _rank_pass_cases(center_blocks):
     zero, one = QScalar.zero(L0), QScalar.one(L0)
     root = QScalar({1: 1, 0: -la._T}, {0: 1}, L0)  # q^(1/2) - T
     rank_drop = [[root, zero], [zero, one], [zero, QScalar.integer(2, L0)]]
-    return cases + [with_pole, rank_drop] + center_blocks[0]
-
-
-def test_rank_pass_matches_per_cell_evaluation(monkeypatch, center_blocks):
-    """The rank pass keeps the rows the per-cell evaluation in the same
-    order keeps (None at a pole), evaluating each distinct nonzero value at
-    most once and a polynomial without its denominator; a pass that reads
-    every row evaluates every distinct value."""
-    results = []
-    for mat in _rank_pass_cases(center_blocks):
-        want, _updates = per_cell_rank_pass(mat)
-        with pytest.MonkeyPatch.context() as mp:
-            scalars, polys = _spy_evaluations(mp)
-            keep = la._rows_independent_mod_p(mat)
-        assert keep == want
-        assert len(scalars) == len(set(scalars))
-        nonzero = {x for row in mat for x in row if not x.is_zero()}
-        assert set(scalars) <= nonzero
-        assert polys[0] == len(scalars) + \
-            sum(1 for x in scalars if not x.is_polynomial())
-        if keep is not None and len(keep) < len(mat[0]):
-            assert set(scalars) == nonzero
-        results.append(keep)
-    assert None in results  # the pole case
-    assert [1] in results  # the rank drop at the point
-
-
-def test_rank_pass_keeps_a_basis_of_the_row_space_mod_p(center_blocks):
-    """The kept rows are independent mod P and as many as the rank mod P of
-    all the rows (which the pass in row order also finds), so they span the
-    row space mod P; they come in increasing order."""
-    for mat in _rank_pass_cases(center_blocks):
-        in_order, _updates = per_cell_rank_pass(mat, in_order=True)
-        keep = la._rows_independent_mod_p(mat)
-        if in_order is None:  # the pole case: every row is read either way
-            assert keep is None
-            continue
-        assert keep == sorted(set(keep))
-        assert len(keep) == len(in_order)
-        assert per_cell_rank_pass([mat[i] for i in keep])[0] == \
-            list(range(len(keep)))
+    return cases + [with_pole, rank_drop] + center_blocks
 
 
 def _evaluated_rows(mat):
@@ -487,7 +410,7 @@ def test_rank_core_matches_per_cell_evaluation(center_blocks):
     sparsest first, keeps the rows the per-cell pass keeps; fed them in
     order it keeps as many, and fed the columns of a matrix it finds them
     independent exactly when the rows have full column rank."""
-    for mat in _rank_pass_cases(center_blocks):
+    for mat in _rank_cases(center_blocks):
         rows = _evaluated_rows(mat)
         if rows is None:  # the pole case
             continue
@@ -514,29 +437,23 @@ def test_sparsest_first_updates_fewer_cells_on_the_center_blocks(
     """On the 28 A2 center blocks, visiting the sparsest rows first updates
     far fewer cells mod P than visiting them in order (7,963 against 59,560
     when this test was written: 6,205 against 15,960 row subtractions)."""
-    blocks, _eliminated = center_blocks
+    blocks = center_blocks
     sparsest = sum(per_cell_rank_pass(b)[1] for b in blocks)
     in_order = sum(per_cell_rank_pass(b, in_order=True)[1] for b in blocks)
     assert sparsest < in_order
 
 
-def test_a_pole_in_a_visited_row_gives_none(monkeypatch):
-    """The sparsest row is visited first, so its pole stops the pass even
-    though the rows before it already span every column; a pole in a row
-    the pass never visits does not.  Either way rref is exact."""
+def test_a_pole_in_a_visited_row_gives_none():
+    """A pole at the point mod P, in the sparsest row or in a row after
+    two that already span every column, leaves rref exact."""
     zero, one = QScalar.zero(L0), QScalar.one(L0)
     q = QScalar.parse("q", L0)
     pole = QScalar({0: 1}, {1: 1, 0: -la._T}, L0)  # 1/(q^(1/2) - T)
     visited = [[one, q], [q, one], [pole, zero]]
-    assert per_cell_rank_pass(visited, in_order=True)[0] == [0, 1]
-    assert la._rows_independent_mod_p(visited) is None
     unvisited = [[one, zero], [zero, one], [pole, one]]
-    assert la._rows_independent_mod_p(unvisited) == [0, 1]
-    calls = _count_eliminations(monkeypatch)
     for mat in (visited, unvisited):
         assert la.rref(mat) == (la.identity(2, L0), [0, 1]) == \
             dense_rref(mat)
-    assert calls == [3]
 
 
 # -- assembly kernels against naive loops over every cell ---------------------

@@ -62,6 +62,32 @@ def _kostant_off_by_one(monkeypatch):
     monkeypatch.setattr(cartan, "_kostant_count", mutant)
 
 
+def _rref_clears_below_only(monkeypatch):
+    """rref with no back substitution: each pivot clears only the rows
+    below it, so an echelon row keeps its cells above later pivots."""
+    def mutant(rows):
+        if not rows or not rows[0]:
+            return [], []
+        mat = [list(r) for r in rows]
+        pivots, r = [], 0
+        for c in range(len(mat[0])):
+            pr = linalg._pivot_row(mat, r, c)
+            if pr is None:
+                continue
+            mat[r], mat[pr] = mat[pr], mat[r]
+            inv = mat[r][c].inverse()
+            mat[r] = [x * inv for x in mat[r]]
+            for i in range(r + 1, len(mat)):
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(mat):
+                break
+        return mat[:r], pivots
+    monkeypatch.setattr(linalg, "rref", mutant)
+
+
 # name: (defect, suite, types where the suite must fail)
 MUTANTS = {
     # T_i^-1(e_i) negated
@@ -83,6 +109,11 @@ MUTANTS = {
     "r-inverse-dual-row": (_wrong_dual_row, "rmatrix", ["A2", "B2", "G2"]),
     # P(alpha_1 + alpha_2) off by one
     "kostant-count": (_kostant_off_by_one, "pbw", ["A2", "B2", "G2"]),
+    # rref clears below each pivot only; A1 rmatrix is blind to it, and
+    # A1 center sees it
+    "rref-forward-only": (_rref_clears_below_only, "rmatrix",
+                          ["A2", "B2", "G2"]),
+    "rref-forward-only-center": (_rref_clears_below_only, "center", ["A1"]),
 }
 
 CELLS = [(name, typ) for name, (_, _, types) in MUTANTS.items()
