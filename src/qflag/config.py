@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cartan import CartanDatum, preset
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a suite run depends on; the seed fully determines any
-    randomized choices."""
+    randomized choices.  Immutable; a named tuple, so importing it pulls
+    in no ``dataclasses`` (and with it ``inspect`` and ``ast``)."""
 
     type: str = "A1"
     cartan_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None

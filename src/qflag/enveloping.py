@@ -94,6 +94,14 @@ class GradedBasis:
         self._rules = {cands[p]: [(cands[k], -x) for k, x in enumerate(row)
                                   if k != p and x.num]
                        for row, p in zip(ech, pivots)}
+        # a rule that keeps a pivot candidate would hand the degrees above
+        # words that are not free
+        for w, rule in self._rules.items():
+            kept = next((wb for wb, _x in rule if wb in self._rules), None)
+            if kept is not None:
+                raise QflagError(
+                    f"rewrite rule of {w} at degree {self.degree} keeps the "
+                    f"pivot word {kept}: the echelon form is not reduced")
         self.free_words = [w for w in cands if w not in self._rules]
         expected = kostant_dim(datum, self.degree)
         if len(self.free_words) != expected:

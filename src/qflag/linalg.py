@@ -22,6 +22,7 @@ from .scalars import QScalar
 
 Matrix = List[List[QScalar]]
 Vector = List[QScalar]
+Rows = List[Dict[int, QScalar]]   # a matrix as its rows of nonzero cells
 
 
 def zeros(rows: int, cols: int, l0: int) -> Matrix:
@@ -39,6 +40,15 @@ def diagonal(entries: Sequence[QScalar], l0: int) -> Matrix:
 
 def identity(n: int, l0: int) -> Matrix:
     return diagonal([QScalar.one(l0)] * n, l0)
+
+
+def from_rows(rows: Rows, cols: int, l0: int) -> Matrix:
+    """The dense matrix with the given rows of nonzero cells."""
+    out = zeros(len(rows), cols, l0)
+    for orow, row in zip(out, rows):
+        for j, x in row.items():
+            orow[j] = x
+    return out
 
 
 def _nonzero_columns(row: Sequence[QScalar]) -> List[int]:

@@ -7,18 +7,21 @@ the dual basis x_a* = sum_b C[a][b] y_b, one Kronecker product per free
 word, with no step shared with R.  R itself is
 R = Theta o kappa^-1 on the module, with Theta the ordered product of
 q-exponentials of root vectors E_beta (x) F_beta along a reduced word of
-w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).
+w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).  Every
+R-operator is held as its rows of nonzero cells; the hexagon reads only
+those rows, so it builds no carrier of the triple product.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from . import linalg
 from .cartan import RootSum, by_height
 from .enveloping import UAlgebra, UElement, _content
 from .errors import BorelError, QflagError, TruncationError
-from .linalg import Matrix
+from .linalg import Matrix, Rows
 from .memo import Memo
 from .scalars import QScalar, exp_t_coefficient
 from .weightmod import WeightModule, braid_on_module, tensor
@@ -155,14 +158,29 @@ def contributing_degrees(datum, m1: WeightModule, m2: WeightModule) -> List[Root
 
 
 class ROperator:
-    """An exact operator on (or between) tensor product carriers."""
+    """An exact operator on (or between) tensor product carriers, held as
+    its rows of nonzero cells {column: value}.  The carriers (``source``,
+    ``target``) and the dense ``matrix`` are built only when read."""
 
-    def __init__(self, source: WeightModule, target: WeightModule,
-                 matrix: Matrix, flavor: str):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
+    def __init__(self, m1: WeightModule, m2: WeightModule, rows: Rows,
+                 flavor: str):
+        self.m1 = m1
+        self.m2 = m2
+        self.rows = rows
         self.flavor = flavor
+
+    @cached_property
+    def source(self) -> WeightModule:
+        return tensor(self.m1, self.m2)
+
+    @cached_property
+    def target(self) -> WeightModule:
+        return tensor(self.m2, self.m1) if self.flavor == "R-check" \
+            else self.source
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return linalg.from_rows(self.rows, len(self.rows), self.m1.datum.l0)
 
     def describe(self) -> dict:
         return {
@@ -178,17 +196,6 @@ def _kappa_diagonal(m1: WeightModule, m2: WeightModule) -> List[QScalar]:
     """q^{(mu, nu)} on the basis vectors v_mu (x) w_nu of m1 (x) m2."""
     return [m1.datum.q_pair(w1, w2) for w1 in m1.index_weights
             for w2 in m2.index_weights]
-
-
-def _scale_columns(mat: Matrix, diag: List[QScalar]) -> Matrix:
-    """mat composed with the diagonal operator diag (applied first); zero
-    cells are kept as they are."""
-    return [[x if x.is_zero() else x * c for x, c in zip(row, diag)]
-            for row in mat]
-
-
-def kappa_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    return linalg.diagonal(_kappa_diagonal(m1, m2), m1.datum.l0)
 
 
 def root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
@@ -212,23 +219,23 @@ def _root_vectors(mod: WeightModule, kind: str) -> List[Matrix]:
     return out
 
 
-def theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
+def theta_matrix(m1: WeightModule, m2: WeightModule) -> Rows:
     """The quasi-R-matrix on m1 (x) m2 as the ordered product
     Theta = X_N ... X_1, X_k = exp_{q_i^-1}((q_i^-1 - q_i) E_{beta_k} (x)
-    F_{beta_k}) with i = i_k; later roots multiply on the left.  Memoized
-    on m1 per partner module, so R and R-check on one pair share it;
-    callers must not mutate it."""
+    F_{beta_k}) with i = i_k; later roots multiply on the left.  Its rows
+    of nonzero cells {column: value}, memoized on m1 per partner module,
+    so R and R-check on one pair share them; callers must not mutate
+    them."""
     return m1.memo.get(("theta", m2), lambda: _theta_matrix(m1, m2))
 
 
-def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    """Theta with its rows held as {column: value} of nonzero cells: each
-    factor X_k = I + N_k multiplies as P <- P + N_k P, reading only the
-    cells of N_k and of the rows of P they select."""
+def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Rows:
+    """Theta as rows of nonzero cells: each factor X_k = I + N_k multiplies
+    as P <- P + N_k P, reading only the cells of N_k and of the rows of P
+    they select."""
     datum = m1.datum
-    n = m1.dim * m2.dim
     one = datum.one()
-    rows = [{r: one} for r in range(n)]
+    rows = [{r: one} for r in range(m1.dim * m2.dim)]
     for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
                        root_vectors(m2, "f")):
         step = {}   # the new rows; N_k P reads the old ones
@@ -241,11 +248,7 @@ def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
             step[r] = {j: x for j, x in new.items() if x.num}
         for r, new in step.items():
             rows[r] = new
-    out = linalg.zeros(n, n, datum.l0)
-    for orow, row in zip(out, rows):
-        for j, x in row.items():
-            orow[j] = x
-    return out
+    return rows
 
 
 def _series_cells(e: Matrix, f: Matrix, di: int,
@@ -284,15 +287,14 @@ def _series_cells(e: Matrix, f: Matrix, di: int,
 
 
 def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
-                     m2: WeightModule) -> Matrix:
+                     m2: WeightModule) -> Rows:
     """The closed-form inverse: (sum_beta q^{(beta,beta)}(1 (x) k_beta)
-    (S (x) id)(Xi_beta)) o kappa.  A degree of dimension d is summed over
-    the dual basis as sum_a xs[a] (x) D_a, D_a = sum_b C[a][b] ys[b] on m2:
-    d Kronecker products and 2d module actions.  The diagonal kappa is
-    applied as a column scaling, as for R."""
+    (S (x) id)(Xi_beta)) o kappa, as rows of nonzero cells.  A degree of
+    dimension d is summed over the dual basis as sum_a xs[a] (x) D_a,
+    D_a = sum_b C[a][b] ys[b] on m2: d Kronecker products and 2d module
+    actions.  The diagonal kappa scales each row's nonzero cells."""
     datum = pairing.datum
-    n = m1.dim * m2.dim
-    acc = linalg.identity(n, datum.l0)
+    acc = linalg.identity(m1.dim * m2.dim, datum.l0)
     for beta in contributing_degrees(datum, m1, m2):
         if not any(beta):
             continue
@@ -304,14 +306,17 @@ def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
                 if c.num:
                     linalg.add_scaled(dual, act, c)
             linalg.add_kron(acc, m1.act(x), dual)
-    return _scale_columns(acc, _kappa_diagonal(m1, m2))
+    kap = _kappa_diagonal(m1, m2)
+    return [{j: x * kap[j] for j, x in enumerate(row) if x.num}
+            for row in acc]
 
 
-def _r_matrix(m1: WeightModule, m2: WeightModule) -> Matrix:
-    """R = Theta o kappa^-1 on m1 (x) m2; kappa^-1 is diagonal, so it
-    scales the columns of Theta."""
-    return _scale_columns(theta_matrix(m1, m2),
-                          [c.inverse() for c in _kappa_diagonal(m1, m2)])
+def _r_matrix(m1: WeightModule, m2: WeightModule) -> Rows:
+    """R = Theta o kappa^-1 on m1 (x) m2 as new rows; kappa^-1 is
+    diagonal, so it scales the nonzero cells of Theta's rows."""
+    kinv = [c.inverse() for c in _kappa_diagonal(m1, m2)]
+    return [{j: x * kinv[j] for j, x in row.items()}
+            for row in theta_matrix(m1, m2)]
 
 
 def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
@@ -321,34 +326,34 @@ def r_operator(pairing: DrinfeldPairing, m1: WeightModule, m2: WeightModule,
         raise TruncationError("R-operators require exact finite modules")
     if m1.side != "left" or m2.side != "left":
         raise QflagError("R-operators act on left modules")
-    carrier = tensor(m1, m2)
     if flavor == "kappa":
-        return ROperator(carrier, carrier, kappa_matrix(m1, m2), flavor)
-    if flavor == "R":
-        return ROperator(carrier, carrier, _r_matrix(m1, m2), flavor)
-    if flavor == "R-inverse":
-        return ROperator(carrier, carrier,
-                         r_inverse_matrix(pairing, m1, m2), flavor)
-    if flavor == "R-check":
+        rows = [{r: c} for r, c in enumerate(_kappa_diagonal(m1, m2))]
+    elif flavor == "R":
+        rows = _r_matrix(m1, m2)
+    elif flavor == "R-inverse":
+        rows = r_inverse_matrix(pairing, m1, m2)
+    elif flavor == "R-check":
         # the flip v (x) v' -> v' (x) v permutes the rows of R
         r = _r_matrix(m1, m2)
-        mat = [list(r[a * m2.dim + b]) for b in range(m2.dim)
-               for a in range(m1.dim)]
-        return ROperator(carrier, tensor(m2, m1), mat, flavor)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        rows = [r[a * m2.dim + b] for b in range(m2.dim)
+                for a in range(m1.dim)]
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return ROperator(m1, m2, rows, flavor)
 
 
 def hexagon_check(pairing: DrinfeldPairing, m1: WeightModule,
                   m2: WeightModule, m3: WeightModule) -> dict:
     """(Rcheck_{V,V''} (x) id) o (id (x) Rcheck_{V',V''}) == Rcheck_{VxV',V''}.
-    The left side is formed from the nonzero cells of the two R-checks
-    (``_hexagon_lhs``) and compared with the right side on the union of
-    each row's nonzero cells in row-major order, so the first mismatch is
-    the first cell in that order where the sides differ."""
-    r23 = r_operator(pairing, m2, m3, "R-check").matrix
-    r13 = r_operator(pairing, m1, m3, "R-check").matrix
+    The left side is formed from the rows of the two R-checks
+    (``_hexagon_lhs``) and compared with the right side's rows on the
+    union of each row's nonzero cells in row-major order, so the first
+    mismatch is the first cell in that order where the sides differ.  No
+    carrier of m1 (x) m2 (x) m3 and no matrix of its size is built."""
+    r23 = r_operator(pairing, m2, m3, "R-check").rows
+    r13 = r_operator(pairing, m1, m3, "R-check").rows
     lhs = _hexagon_lhs(r13, r23, m2.dim, m3.dim)
-    rhs = r_operator(pairing, tensor(m1, m2), m3, "R-check").matrix
+    rhs = r_operator(pairing, tensor(m1, m2), m3, "R-check").rows
     report = {
         "instance": f"{m1.name} (x) {m2.name} (x) {m3.name}",
         "pass": True,
@@ -356,9 +361,9 @@ def hexagon_check(pairing: DrinfeldPairing, m1: WeightModule,
     zero = pairing.datum.zero()
     for i, (row, rrow) in enumerate(zip(lhs, rhs)):
         cols = {j for j, x in row.items() if x.num}
-        cols.update(j for j, y in enumerate(rrow) if y.num)
+        cols.update(j for j, y in rrow.items() if y.num)
         for j in sorted(cols):
-            a, b = row.get(j, zero), rrow[j]
+            a, b = row.get(j, zero), rrow.get(j, zero)
             if a != b:
                 report["pass"] = False
                 report["counterexample"] = {
@@ -367,8 +372,7 @@ def hexagon_check(pairing: DrinfeldPairing, m1: WeightModule,
     return report
 
 
-def _hexagon_lhs(r13: Matrix, r23: Matrix, n2: int,
-                 n3: int) -> List[Dict[int, QScalar]]:
+def _hexagon_lhs(r13: Rows, r23: Rows, n2: int, n3: int) -> Rows:
     """The rows of (r13 (x) id_{n2}) o (id_{n1} (x) r23) as {column: value},
     with columns on the basis v_a (x) w_b (x) u_c at index
     (a*n2 + b)*n3 + c.  Row u*n2 + b of the product, u a row of r13, is
@@ -376,15 +380,14 @@ def _hexagon_lhs(r13: Matrix, r23: Matrix, n2: int,
     c*n2 + b of r23, placed in the columns of block a (from a*n2*n3 on);
     no carrier-sized identity, kron or product is formed."""
     n23 = n2 * n3
-    cells23 = [[(s, y) for s, y in enumerate(row) if y.num] for row in r23]
-    rows: List[Dict[int, QScalar]] = []
+    rows: Rows = []
     for urow in r13:
-        cells13 = [(divmod(v, n3), x) for v, x in enumerate(urow) if x.num]
+        cells13 = [(divmod(v, n3), x) for v, x in urow.items() if x.num]
         for b in range(n2):
             out: Dict[int, QScalar] = {}
             for (a, c), x in cells13:
                 base = a * n23
-                for s, y in cells23[c * n2 + b]:
+                for s, y in r23[c * n2 + b].items():
                     z = x * y
                     j = base + s
                     out[j] = out[j] + z if j in out else z

@@ -7,12 +7,13 @@ is the Verma module modulo the radical of its contravariant form (the
 anti-automorphism swapping E and F).  One ``SimpleFactory`` per algebra and
 lam builds it weight space by weight space, each from one Gram matrix of
 that form on free words, and the module it builds is the one V(lam) of the
-algebra.
+algebra.  The braid operators T_i^+-1 on an exact module come from
+Lusztig's closed formula, applied to one basis vector at a time through
+the generators' nonzero cells.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -628,12 +629,10 @@ def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
 
 def braid_on_module(mod: WeightModule, i: int,
                     inverse: bool = False) -> Matrix:
-    """The braid operator T_i = exp(c) exp(b) exp(a) H on a
-    finite-dimensional exact module, or T_i^-1 = H^-1 exp(a)^-1 exp(b)^-1
-    exp(c)^-1 with each factor inverted in closed form, exp_t(x)^-1 =
-    exp_{t^-1}(-x) (Lusztig, *Introduction to Quantum Groups*, 37.1.3), so
-    no matrix is inverted.  Memoized on the module per i and direction
-    (the exponentials dominate everything else at larger ranks)."""
+    """The braid operator T_i (or T_i^-1) on a finite-dimensional exact
+    left module, by Lusztig's closed formula (``_braid_operator``), so no
+    matrix is multiplied, exponentiated or inverted.  Memoized on the
+    module per i and direction."""
     if not mod.exact:
         raise TruncationError("braid operators require an exact module")
     if mod.side != "left":
@@ -644,24 +643,69 @@ def braid_on_module(mod: WeightModule, i: int,
 
 
 def _braid_operator(mod: WeightModule, i: int, inverse: bool) -> Matrix:
-    alg = mod.algebra
+    """T_i or T_i^-1 on ``mod``, one basis vector at a time.  For v of
+    weight lam and n = lam[i] = <lam, alpha_i^vee>,
+
+        T_i v    = sum_a (-1)^a q_i^b e^(a) f^(b) v,   b = a + n >= 0,
+        T_i^-1 v = sum_a (-1)^a q_i^-b f^(a) e^(b) v,  b = a - n >= 0,
+
+    with x^(k) = x^k / [k]_i! the divided powers of e_i and f_i.  These
+    are Lusztig's T'_{i,1} and T''_{i,-1} (*Introduction to Quantum
+    Groups*, 5.2.1), each times (-1)^n, with their third index c set to 0:
+    there T_i v sums (-1)^(a+c) q_i^(b-ac) e^(a) f^(b) e^(c) v over
+    b = a + c + n, and on a finite-dimensional module the terms with
+    c >= 1 cancel.  (For v = f^(k) v_0 in V(m), the a-sum at c is one
+    vector times sum_a (-1)^a q_i^(a(1-c)) [k, a]_i [a+m-k, k-c]_i, and
+    sum_a (-1)^a [k, a]_i q_i^(a(1-k+2j)) = 0 for 0 <= j < k.)  The outer
+    letter x is applied by Horner's rule, W_0 + (x/[1])(W_1 + (x/[2])(W_2
+    + ...)) with W_a = (-1)^a q_i^(+-b) y^(b) v, each letter walked
+    through the nonzero cells of its generator (``WeightModule.walk``): no
+    matrix is multiplied, exponentiated or inverted."""
     datum = mod.datum
-    qi = datum.q_power(datum.d(i))
-    di = -datum.d(i) if inverse else datum.d(i)   # negated: H^-1, t^-1
-    # H_i: diagonal q_i^{m(m+1)/2} with m = (weight, alpha_i^vee)
-    h = linalg.diagonal([datum.q_power(Fraction(di * w[i] * (w[i] + 1), 2))
-                         for w in mod.index_weights], datum.l0)
-    e_i, f_i = alg.e(i), alg.f(i)
-    ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
+    l0 = datum.l0
+    di = datum.d(i)
+    x, y = (("f", i), ("e", i)) if inverse else (("e", i), ("f", i))
+    t = -di if inverse else di     # T_i^-1 negates n and the q_i exponent
+    inv_int: List[QScalar] = [datum.one()]    # 1/[k]_i by k
 
-    def exp(x: UElement) -> Matrix:
-        return _exp_matrix(mod.act(-x if inverse else x), -di, datum.l0)
+    def divided(letter, vec: Dict[int, QScalar], k: int) -> Dict[int, QScalar]:
+        # the k-th divided power of the letter on v from the (k-1)-th: one
+        # step of the letter, then 1/[k]_i
+        while len(inv_int) <= k:
+            inv_int.append(quantum_integer(len(inv_int), di, l0).inverse())
+        c = inv_int[k]
+        return {r: z * c for r, z in mod.walk((letter,), vec).items()
+                if z.num}
 
-    # the factors listed from H: T_i multiplies each on the left (H acts
-    # first), T_i^-1 their inverses on the right (exp(c)^-1 acts first)
-    return linalg.ordered_product(
-        (h, exp((kiv * f_i).scale(qi.inverse())), exp(-e_i),
-         exp((ki * f_i).scale(qi))), mod.dim, datum.l0, left=not inverse)
+    res = linalg.zeros(mod.dim, mod.dim, l0)
+    for col, w in enumerate(mod.index_weights):
+        n = -w[i] if inverse else w[i]
+        # ypow[b] = y^(b) v, up to the last nonzero one
+        ypow = [{col: datum.one()}]
+        while ypow[-1]:
+            if len(ypow) > mod.dim + 2:
+                raise TruncationError("divided powers do not vanish; the "
+                                      "module is not nilpotent")
+            ypow.append(divided(y, ypow[-1], len(ypow)))
+        acc: Dict[int, QScalar] = {}
+        for a in range(len(ypow) - 2 - n, -1, -1):
+            acc = divided(x, acc, a + 1)
+            b = a + n
+            if b >= 0:
+                coeff = _lusztig_coefficient(a, b, t, l0)
+                for r, z in ypow[b].items():
+                    z = coeff * z
+                    acc[r] = acc[r] + z if r in acc else z
+        for r, z in acc.items():
+            res[r][col] = z
+    return res
+
+
+def _lusztig_coefficient(a: int, b: int, t: int, l0: int) -> QScalar:
+    """(-1)^a q^(t b), the coefficient of x^(a) y^(b) v in T_i^+-1 v, with
+    t = d_i for T_i and -d_i for T_i^-1."""
+    out = QScalar.q_l0(t * b * l0, l0)
+    return -out if a % 2 else out
 
 
 def braid_word(mod: WeightModule, word: Sequence[int],
@@ -938,7 +982,11 @@ def check_module_relations(mod: WeightModule) -> List[str]:
 
 def module_map_commutes(source: WeightModule, target: WeightModule,
                         matrix: Matrix) -> bool:
-    """Check that a linear map intertwines all generator actions."""
+    """Check that a linear map intertwines all generator actions.  Each
+    k_lam is diagonal, so M k_lam = k_lam M for every fundamental lam
+    exactly when each nonzero cell of M joins two basis vectors of equal
+    weight (the form is nondegenerate); that is read off the cells, with
+    no k matrix formed."""
     datum = source.datum
     gens = [("e", i) for i in range(datum.rank)] + \
            [("f", i) for i in range(datum.rank)]
@@ -947,9 +995,6 @@ def module_map_commutes(source: WeightModule, target: WeightModule,
         rhs = linalg.mat_mul(target.gen[key], matrix)
         if not linalg.mat_eq(lhs, rhs):
             return False
-    for lam in [datum.fundamental(j) for j in range(datum.rank)]:
-        lhs = linalg.mat_mul(matrix, source.k_matrix(lam))
-        rhs = linalg.mat_mul(target.k_matrix(lam), matrix)
-        if not linalg.mat_eq(lhs, rhs):
-            return False
-    return True
+    src, tgt = source.index_weights, target.index_weights
+    return all(tgt[r] == src[c] for r, row in enumerate(matrix)
+               for c, x in enumerate(row) if x.num)

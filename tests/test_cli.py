@@ -452,6 +452,19 @@ def test_console_script_entry_point():
         _run_entry_point([script])
 
 
+def test_cli_import_loads_no_dataclasses():
+    # start-up: RunConfig is a named tuple, so importing the CLI in a
+    # fresh interpreter loads no dataclasses, and with it no inspect or ast
+    src = Path(qflag.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, qflag.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("args, status", [
     (["cartan", "--type", "A1", "--json"], 0),
     (["verify", "pbw", "--type", "A1"], 0),

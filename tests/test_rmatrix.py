@@ -8,9 +8,19 @@ from qflag.cartan import preset
 from qflag.enveloping import UAlgebra
 from qflag.errors import BorelError, TruncationError
 from qflag.rmatrix import (DrinfeldPairing, contributing_degrees,
-                           hexagon_check, kappa_matrix, r_operator)
+                           hexagon_check, r_operator)
 from qflag.weightmod import (_exp_matrix, braid_on_module, braid_word,
                              module_map_commutes, simple, tensor, verma)
+
+
+def kappa_matrix(m1, m2):
+    """The dense diagonal kappa = q^{(mu, nu)} on m1 (x) m2."""
+    return la.diagonal(rmatrix._kappa_diagonal(m1, m2), m1.datum.l0)
+
+
+def dense_rows(rows, l0):
+    """A square matrix given by its rows of nonzero cells, made dense."""
+    return la.from_rows(rows, len(rows), l0)
 
 
 def xi_element(pairing, beta):
@@ -379,8 +389,13 @@ def test_r_reads_no_pairing_table_and_inverts_no_carrier(monkeypatch, a2):
 
 
 def test_r_inverse_and_r_check_build_no_kappa_matrix(monkeypatch, a2):
-    def refuse(m1, m2):
-        raise AssertionError("dense kappa matrix built")
+    diagonal = la.diagonal
+
+    def no_kappa(entries, l0):
+        # the identity R-inverse starts from is allowed, kappa is not
+        if not all(x.is_one() for x in entries):
+            raise AssertionError("dense kappa matrix built")
+        return diagonal(entries, l0)
 
     alg = UAlgebra(a2)
     pairing = DrinfeldPairing(alg)
@@ -388,16 +403,22 @@ def test_r_inverse_and_r_check_build_no_kappa_matrix(monkeypatch, a2):
     # the dense product with kappa, as R-inverse was composed before
     acc = la.mat_mul(r_operator(pairing, v1, v2, "R-inverse").matrix,
                      la.inverse(kappa_matrix(v1, v2)))
-    monkeypatch.setattr(rmatrix, "kappa_matrix", refuse)
-    rinv = r_operator(pairing, v1, v2, "R-inverse").matrix
-    assert la.mat_eq(rinv, la.mat_mul(acc, kappa_matrix(v1, v2)))
-    r = r_operator(pairing, v1, v2, "R").matrix
-    ident = la.identity(v1.dim * v2.dim, a2.l0)
-    assert la.mat_eq(la.mat_mul(r, rinv), ident)
-    rc = r_operator(pairing, v1, v2, "R-check")
+    expected_r = la.mat_mul(dense_theta(v1, v2),
+                            la.inverse(kappa_matrix(v1, v2)))
+    with monkeypatch.context() as mp:
+        mp.setattr(la, "diagonal", no_kappa)
+        rinv = r_operator(pairing, v1, v2, "R-inverse").rows
+        r = r_operator(pairing, v1, v2, "R").rows
+        rc = r_operator(pairing, v1, v2, "R-check")
+        kappa = r_operator(pairing, v1, v2, "kappa").rows
+    l0 = a2.l0
+    assert dense_rows(rinv, l0) == la.mat_mul(acc, kappa_matrix(v1, v2))
+    assert dense_rows(r, l0) == expected_r
+    assert dense_rows(kappa, l0) == kappa_matrix(v1, v2)
+    ident = la.identity(v1.dim * v2.dim, l0)
+    assert la.mat_eq(la.mat_mul(dense_rows(r, l0), dense_rows(rinv, l0)),
+                     ident)
     assert module_map_commutes(rc.source, rc.target, rc.matrix)
-    with pytest.raises(AssertionError, match="kappa"):
-        r_operator(pairing, v1, v2, "kappa")
 
 
 def _is_identity(mat):
@@ -450,7 +471,7 @@ def test_ordered_products_start_at_their_first_factor(monkeypatch):
         "T_w0^-1": braid_word(v1, w0, inverse=True),
         "along": suites._braid_along(v2, (0, 1, 0)),
         "E": rmatrix.root_vectors(v2, "e"),
-        "Theta": rmatrix.theta_matrix(v2, v1),
+        "Theta": dense_rows(rmatrix.theta_matrix(v2, v1), datum.l0),
     }
     assert calls and not [ab for ab in calls if any(map(_is_identity, ab))]
     for key in ("T_w0", "T_w0^-1", "along", "Theta"):
@@ -553,9 +574,12 @@ def test_r_check_builds_each_carrier_once(monkeypatch, a2):
     monkeypatch.setattr(rmatrix, "tensor",
                         lambda m1, m2: built.append((m1, m2)) or real(m1, m2))
     rc = r_operator(pairing, v1, v2, "R-check")
-    assert built == [(v1, v2), (v2, v1)]
+    # the carriers are built when read, once each
+    assert built == []
     assert (rc.source.name, rc.target.name) == \
         (tensor(v1, v2).name, tensor(v2, v1).name)
+    assert rc.source is rc.source and rc.target is rc.target
+    assert built == [(v1, v2), (v2, v1)]
     # the flip permutes the rows of R
     assert rc.matrix == [r[a * v2.dim + b] for b in range(v2.dim)
                          for a in range(v1.dim)]
@@ -614,7 +638,9 @@ def _theta_carriers():
 
 def test_theta_matches_the_dense_route():
     for m1, m2 in _theta_carriers():
-        assert rmatrix.theta_matrix(m1, m2) == dense_theta(m1, m2), \
+        rows = rmatrix.theta_matrix(m1, m2)
+        assert all(x.num for row in rows for x in row.values())
+        assert dense_rows(rows, m1.datum.l0) == dense_theta(m1, m2), \
             (m1.name, m2.name)
 
 
@@ -639,7 +665,7 @@ def test_theta_builds_no_carrier_sized_matrix(monkeypatch):
     monkeypatch.setattr(la, "identity", spy)
     monkeypatch.setattr(la, "kron", refuse)
     monkeypatch.setattr(weightmod, "_exp_matrix", refuse)
-    assert rmatrix.theta_matrix(m1, v2) == expected
+    assert dense_rows(rmatrix.theta_matrix(m1, v2), b2.datum.l0) == expected
     assert n not in sizes
 
 
@@ -708,23 +734,23 @@ def test_hexagon_matches_the_dense_route(monkeypatch):
             assert hexagon_check(pairing, m1, m2, m3) == expected
         assert n not in sizes
 
-        def negate_rhs(mat):
-            r, c = [(r, c) for r, row in enumerate(mat)
-                    for c, x in enumerate(row) if x.num][-1]
-            mat[r][c] = -mat[r][c]
+        def negate_rhs(rows):
+            r = max(k for k, row in enumerate(rows) if row)
+            c = max(rows[r])
+            rows[r][c] = -rows[r][c]
 
-        def fill(mat):
-            r, c = next((r, c) for r, row in enumerate(mat)
-                        for c, x in enumerate(row) if not x.num)
-            mat[r][c] = pairing.datum.q_power(1)
+        def fill(rows):
+            r, c = next((r, c) for r, row in enumerate(rows)
+                        for c in range(len(rows)) if c not in row)
+            rows[r][c] = pairing.datum.q_power(1)
 
         for target, corrupt in ((m1.dim * m2.dim, negate_rhs),
                                 (m1.dim * m2.dim, fill), (m2.dim, fill)):
             def spoiled(p, a, b, flavor="R", target=target, corrupt=corrupt):
                 op = real(p, a, b, flavor)
                 if a.dim == target and b is m3:
-                    op.matrix = [list(row) for row in op.matrix]
-                    corrupt(op.matrix)
+                    op.rows = [dict(row) for row in op.rows]
+                    corrupt(op.rows)
                 return op
 
             with monkeypatch.context() as mp:
@@ -732,3 +758,27 @@ def test_hexagon_matches_the_dense_route(monkeypatch):
                 bad = dense_hexagon_check(pairing, m1, m2, m3)
                 assert not bad["pass"]
                 assert hexagon_check(pairing, m1, m2, m3) == bad
+
+
+def test_hexagon_builds_no_triple_carrier(monkeypatch):
+    """hexagon_check reads the R-checks' rows: it builds no tensor carrier
+    of dim1*dim2*dim3, no matrix of that size, and no dense R-operator."""
+    for pairing, (m1, m2, m3) in _hexagon_cases():
+        n = m1.dim * m2.dim * m3.dim
+        carriers, sizes = [], []
+        real_tensor, zeros = weightmod._tensor, la.zeros
+
+        def refuse(*args):
+            raise AssertionError("carrier-sized route")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(weightmod, "_tensor", lambda a, b: carriers.append(
+                a.dim * b.dim) or real_tensor(a, b))
+            mp.setattr(la, "zeros", lambda r, c, l0: sizes.append(
+                max(r, c)) or zeros(r, c, l0))
+            mp.setattr(la, "from_rows", refuse)
+            mp.setattr(la, "inverse", refuse)
+            mp.setattr(weightmod, "_exp_matrix", refuse)
+            assert hexagon_check(pairing, m1, m2, m3)["pass"]
+        assert carriers and n not in carriers
+        assert sizes and n not in sizes

@@ -10,8 +10,9 @@ from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
 from qflag.scalars import QScalar, exp_t_coefficient
 from qflag.weightmod import (braid_on_module, braid_word,
-                             check_module_relations, restricted_dual, simple,
-                             tensor, transpose_braid, verma)
+                             check_module_relations, module_map_commutes,
+                             restricted_dual, simple, tensor,
+                             transpose_braid, verma)
 
 
 def test_verma_character_and_relations(alg1):
@@ -194,18 +195,18 @@ def _refuse_inverse(monkeypatch):
     monkeypatch.setattr(la, "inverse", refuse)
 
 
-def test_inverse_braid_builds_three_exponentials(monkeypatch, alg2):
+def test_inverse_braid_builds_no_exponential(monkeypatch, alg2):
     _refuse_inverse(monkeypatch)
     exps = _count_calls(monkeypatch, "_exp_matrix")
     builds = _count_calls(monkeypatch, "_braid_operator")
     # a double dual is a fresh left module with an empty memo
     mod = restricted_dual(restricted_dual(simple(alg2, (1, 0))))
     tinv = braid_on_module(mod, 0, inverse=True)
-    assert len(exps) == 3  # its own three factors, no forward operator
+    assert exps == []  # the closed formula, no forward operator
     assert builds == [(mod, 0, True)]
     assert braid_on_module(mod, 0, inverse=True) is tinv
-    assert len(exps) == 3
     t = braid_on_module(mod, 0)
+    assert exps == []
     monkeypatch.undo()
     assert la.mat_eq(tinv, la.inverse(t))
 
@@ -213,8 +214,8 @@ def test_inverse_braid_builds_three_exponentials(monkeypatch, alg2):
 def triple_exponential_forms(mod, i):
     """Both triple-exponential forms of T_i on a left module (Jantzen,
     *Lectures on Quantum Groups*, ch. 8), each as exp(c) exp(b) exp(a) H
-    with H acting first: production builds the first alone and inverts it
-    factor by factor."""
+    with H acting first: the route production replaced by Lusztig's
+    closed formula, kept as its oracle."""
     alg, datum = mod.algebra, mod.datum
     di = datum.d(i)
     qi = datum.q_power(di)
@@ -237,12 +238,16 @@ def triple_exponential_forms(mod, i):
 
 def braid_modules(alg):
     """Every V(lam) with lam in the box of side 2 that fits under the cap,
-    and V (x) V for the first fitting fundamental V."""
+    V (x) V for the first fitting fundamental V, and on B2 the hexagon's
+    carrier V(w2) (x) V(w1)."""
     datum = alg.datum
     mods = [simple(alg, lam) for lam in box((2,) * datum.rank)
             if suites._constructible(datum, lam)]
     v = simple(alg, suites._fitting_fundamental(datum))
-    return mods + [tensor(v, v)]
+    mods.append(tensor(v, v))
+    if datum.name == "B2":
+        mods.append(tensor(simple(alg, (0, 1)), simple(alg, (1, 0))))
+    return mods
 
 
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
@@ -272,10 +277,70 @@ def test_braid_operators_invert_nothing_and_build_one_form(monkeypatch,
         braid_word(v, w0, inverse=inverse)
         transpose_braid(restricted_dual(v), w0, inverse=inverse)
     rmatrix.root_vectors(tensor(v, v), "e")
-    # each operator built once, from three exponentials
+    # each operator built once, by the closed formula
     assert {inverse for _mod, _i, inverse in builds} == {False, True}
     assert len(builds) == len(set(builds))
-    assert len(exps) == 3 * len(builds)
+    assert exps == []
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_braid_operators_form_no_matrix_product(monkeypatch, typ):
+    # a fresh algebra, its modules built before the refusals
+    alg = UAlgebra(preset(typ))
+    mods = braid_modules(alg)
+
+    def refuse(*args):
+        raise AssertionError("a braid operator formed a matrix product")
+
+    for name in ("mat_mul", "inverse", "kron", "running_products"):
+        monkeypatch.setattr(la, name, refuse)
+    monkeypatch.setattr(weightmod, "_exp_matrix", refuse)
+    for mod in mods:
+        for i in range(alg.datum.rank):
+            for inverse in (False, True):
+                braid_on_module(mod, i, inverse=inverse)
+
+
+def _point(alg, weight, gen):
+    """A one-dimensional left module of the given weight whose e and f
+    act by the 1x1 matrix gen."""
+    return weightmod.WeightModule(
+        alg, "left", [weight], {(kind, 0): gen for kind in "ef"},
+        lambda _w: True, exact=True)
+
+
+def test_braid_of_a_non_nilpotent_module_raises(alg1):
+    mod = _point(alg1, (0,), la.identity(1, alg1.datum.l0))
+    for inverse in (False, True):
+        with pytest.raises(TruncationError, match="not nilpotent"):
+            braid_on_module(mod, 0, inverse=inverse)
+
+
+def test_module_map_reads_k_as_weight_equality(monkeypatch, alg1):
+    """M k_lam = k_lam M holds exactly when every nonzero cell of M joins
+    two equal weights; the check reads that off the cells and forms no k
+    matrix.  The modules have e = f = 0, so only the k part can fail."""
+    l0 = alg1.datum.l0
+    zero = la.zeros(1, 1, l0)
+    one = [[alg1.datum.one()]]
+
+    def refuse(self, lam):
+        raise AssertionError("k matrix built")
+
+    monkeypatch.setattr(weightmod.WeightModule, "k_matrix", refuse)
+    at0, at2, other2 = (_point(alg1, w, zero) for w in [(0,), (2,), (2,)])
+    assert module_map_commutes(at2, other2, one)
+    # one cell that crosses weights
+    assert not module_map_commutes(at0, at2, one)
+    assert module_map_commutes(at0, at2, zero)
+    # on V(1): the identity passes, and a cell from the lowest to the
+    # highest weight vector added to it fails
+    v = simple(alg1, (1,))
+    ident = la.identity(v.dim, l0)
+    assert module_map_commutes(v, v, ident)
+    hi, lo = v.weight_indices((1,))[0], v.weight_indices((-1,))[0]
+    ident[hi][lo] = alg1.datum.one()
+    assert not module_map_commutes(v, v, ident)
 
 
 def test_transpose_braid_memoizes_dual(monkeypatch, alg2):
