@@ -2,9 +2,11 @@
 
 The pairing is computed by structural recursion on the plus-side word via
 the coproduct axiom (x1 x2, y) = (x2 (x) x1, Delta(y)); inverting its
-degree tables gives the canonical elements behind R-inverse, summed over
-the dual basis x_a* = sum_b C[a][b] y_b, one Kronecker product per free
-word, with no step shared with R.  R itself is
+degree tables gives the canonical elements behind R-inverse.  R-inverse
+is built on the factor modules from walks of the letters of S(e_w) and
+k_beta f_w, once per free word w, summed over the dual basis
+D_a = sum_b C[a][b] y_b on nonzero cells: no product in U, and no step
+shared with R.  R itself is
 R = Theta o kappa^-1 on the module, with Theta the ordered product of
 q-exponentials of root vectors E_beta (x) F_beta along a reduced word of
 w0 (Kirillov-Reshetikhin 1990, Levendorskii-Soibelman 1991).  Every
@@ -25,9 +27,6 @@ from .linalg import Matrix, Rows
 from .memo import Memo
 from .scalars import QScalar, exp_t_coefficient
 from .weightmod import WeightModule, braid_on_module, tensor
-
-Legs = Tuple[List[UElement], List[UElement], Matrix]
-
 
 class DrinfeldPairing:
     """Pairing tables between U^+ and U^- degree pieces."""
@@ -111,35 +110,25 @@ class DrinfeldPairing:
             raise QflagError(
                 f"pairing matrix singular at degree {beta}") from exc
 
-    def inverse_legs(self, beta: RootSum) -> Legs:
-        """(xs, ys, C) with the degree-beta part of sum_beta q^{(beta,beta)}
-        (1 (x) k_beta)(S (x) id)(Xi_beta) = sum C[a][b] xs[a] (x) ys[b]:
-        xs[a] = q^{(beta,beta)} S(e_{w_a}) and ys[b] = k_beta f_{w_b} on the
-        free words w, C = ``xi_coefficients(beta)``.  Memoized; callers
-        must not mutate them."""
+    def inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
+        """The summands x_p (x) y_p of the degree-beta part of
+        sum_beta q^{(beta,beta)} (1 (x) k_beta)(S (x) id)(Xi_beta): the
+        pairs C[a][b] q^{(beta,beta)} S(e_{w_a}) (x) k_beta f_{w_b} over
+        the free words w, C = ``xi_coefficients(beta)``, one per nonzero
+        C[a][b], row by row.  Memoized; callers must not mutate them."""
         beta = tuple(beta)
-        return self.memo.get(("legs", beta), lambda: self._inverse_legs(beta))
+        return self.memo.get(("inverse", beta),
+                             lambda: self._inverse_components(beta))
 
-    def _inverse_legs(self, beta: RootSum) -> Legs:
+    def _inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
         alg, datum = self.algebra, self.datum
         bw = datum.root_to_weight(beta)
         tw, kbeta = datum.q_pair(bw, bw), alg.k(bw)
         words = alg.basis(beta).free_words
         # Xi_0 = 1 (x) 1: no table to invert
         coeffs = self.xi_coefficients(beta) if any(beta) else [[datum.one()]]
-        return ([alg.antipode(alg.e_word(w)).scale(tw) for w in words],
-                [kbeta * alg.f_word(w) for w in words], coeffs)
-
-    def inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
-        """The summands x_p (x) y_p = C[a][b] xs[a] (x) ys[b] of
-        ``inverse_legs(beta)``, one per nonzero C[a][b], row by row.
-        Memoized; callers must not mutate them."""
-        beta = tuple(beta)
-        return self.memo.get(("inverse", beta),
-                             lambda: self._inverse_components(beta))
-
-    def _inverse_components(self, beta: RootSum) -> List[Tuple[UElement, UElement]]:
-        xs, ys, coeffs = self.inverse_legs(beta)
+        xs = [alg.antipode(alg.e_word(w)).scale(tw) for w in words]
+        ys = [kbeta * alg.f_word(w) for w in words]
         return [(x.scale(c), y) for x, row in zip(xs, coeffs)
                 for y, c in zip(ys, row) if not c.is_zero()]
 
@@ -289,26 +278,60 @@ def _series_cells(e: Matrix, f: Matrix, di: int,
 def r_inverse_matrix(pairing: DrinfeldPairing, m1: WeightModule,
                      m2: WeightModule) -> Rows:
     """The closed-form inverse: (sum_beta q^{(beta,beta)}(1 (x) k_beta)
-    (S (x) id)(Xi_beta)) o kappa, as rows of nonzero cells.  A degree of
-    dimension d is summed over the dual basis as sum_a xs[a] (x) D_a,
-    D_a = sum_b C[a][b] ys[b] on m2: d Kronecker products and 2d module
-    actions.  The diagonal kappa scales each row's nonzero cells."""
+    (S (x) id)(Xi_beta)) o kappa, as rows of nonzero cells, with no product
+    in U.  For each free word w_a = (i_1 ... i_n) of degree beta, the
+    letters of y_a = k_beta f_{w_a} and of x_a = q^{(beta,beta)} S(e_{w_a})
+    = (-1)^n q^{(beta,beta)} k_{-alpha_{i_n}} e_{i_n} ... k_{-alpha_{i_1}}
+    e_{i_1} are walked once, on m2 and m1.  The cells of x_a (x) D_a,
+    D_a = sum_b C[a][b] y_b with C = ``xi_coefficients(beta)``, are added
+    to identity rows, and the diagonal kappa scales their cells."""
     datum = pairing.datum
-    acc = linalg.identity(m1.dim * m2.dim, datum.l0)
+    one, n2 = datum.one(), m2.dim
+    rows: Rows = [{r: one} for r in range(m1.dim * n2)]
     for beta in contributing_degrees(datum, m1, m2):
         if not any(beta):
             continue
-        xs, ys, coeffs = pairing.inverse_legs(beta)
-        acts = [m2.act(y) for y in ys]
-        for x, row in zip(xs, coeffs):
-            dual = linalg.zeros(m2.dim, m2.dim, datum.l0)
-            for act, c in zip(acts, row):
+        bw = datum.root_to_weight(beta)
+        tw = datum.q_pair(bw, bw)
+        tw = -tw if sum(beta) % 2 else tw
+        words = pairing.algebra.basis(beta).free_words
+        ys = [_walked_rows(m2, (("k", bw),) + tuple(("f", i) for i in w))
+              for w in words]
+        for w, crow in zip(words, pairing.xi_coefficients(beta)):
+            dual: Rows = [{} for _ in range(n2)]
+            for y, c in zip(ys, crow):
                 if c.num:
-                    linalg.add_scaled(dual, act, c)
-            linalg.add_kron(acc, m1.act(x), dual)
+                    _add_rows(dual, y, c * tw, 0)
+            x = _walked_rows(m1, tuple(
+                letter for i in reversed(w)
+                for letter in (("k", datum.weight_neg(datum.alpha(i))),
+                               ("e", i))))
+            for r1, xrow in enumerate(x):
+                block = rows[r1 * n2:(r1 + 1) * n2]
+                for c1, v in xrow.items():
+                    _add_rows(block, dual, v, c1 * n2)
     kap = _kappa_diagonal(m1, m2)
-    return [{j: x * kap[j] for j, x in enumerate(row) if x.num}
-            for row in acc]
+    return [{j: x * kap[j] for j, x in row.items() if x.num} for row in rows]
+
+
+def _walked_rows(mod: WeightModule, word) -> Rows:
+    """The rows of nonzero cells of a raw letter word on mod, walked from
+    each basis vector."""
+    one = mod.datum.one()
+    rows: Rows = [{} for _ in range(mod.dim)]
+    for c in range(mod.dim):
+        for r, x in mod.walk(word, {c: one}).items():
+            if x.num:
+                rows[r][c] = x
+    return rows
+
+
+def _add_rows(acc: Rows, rows: Rows, c: QScalar, shift: int) -> None:
+    """acc[r][j + shift] += c * rows[r][j] for every cell of rows."""
+    for row, cells in zip(acc, rows):
+        for j, x in cells.items():
+            j, y = j + shift, c * x
+            row[j] = row[j] + y if j in row else y
 
 
 def _r_matrix(m1: WeightModule, m2: WeightModule) -> Rows:

@@ -125,13 +125,7 @@ class WeightModule:
                 diag = self.k_diagonal(v)
                 vec = {j: diag[j] * x for j, x in vec.items()}
                 continue
-            cols = self._cells(kind, v)
-            out: Dict[int, QScalar] = {}
-            for j, x in vec.items():
-                for r, y in cols[j]:
-                    z = y * x
-                    out[r] = out[r] + z if r in out else z
-            vec = out
+            vec = _image(self._cells(kind, v), vec.items())
         return vec
 
     def act(self, u: UElement) -> Matrix:
@@ -982,19 +976,37 @@ def check_module_relations(mod: WeightModule) -> List[str]:
 
 def module_map_commutes(source: WeightModule, target: WeightModule,
                         matrix: Matrix) -> bool:
-    """Check that a linear map intertwines all generator actions.  Each
+    """Check that a linear map M intertwines all generator actions.  Each
     k_lam is diagonal, so M k_lam = k_lam M for every fundamental lam
     exactly when each nonzero cell of M joins two basis vectors of equal
-    weight (the form is nondegenerate); that is read off the cells, with
-    no k matrix formed."""
-    datum = source.datum
-    gens = [("e", i) for i in range(datum.rank)] + \
-           [("f", i) for i in range(datum.rank)]
-    for key in gens:
-        lhs = linalg.mat_mul(matrix, source.gen[key])
-        rhs = linalg.mat_mul(target.gen[key], matrix)
-        if not linalg.mat_eq(lhs, rhs):
-            return False
-    src, tgt = source.index_weights, target.index_weights
-    return all(tgt[r] == src[c] for r, row in enumerate(matrix)
-               for c, x in enumerate(row) if x.num)
+    weight (the form is nondegenerate).  M e_i = e_i M and M f_i = f_i M
+    are compared column by column from the nonzero cells of M and of the
+    generators, with no product formed."""
+    zero = source.datum.zero()
+    cols: List[List[Tuple[int, QScalar]]] = [[] for _ in range(source.dim)]
+    for r, row in enumerate(matrix):
+        for c, x in enumerate(row):
+            if x.num:
+                if target.index_weights[r] != source.index_weights[c]:
+                    return False
+                cols[c].append((r, x))
+    for key in [(kind, i) for kind in "ef" for i in range(source.datum.rank)]:
+        gs, gt = source._cells(*key), target._cells(*key)
+        for c in range(source.dim):
+            lhs, rhs = _image(cols, gs[c]), _image(gt, cols[c])
+            if any(lhs.get(r, zero) != rhs.get(r, zero)
+                   for r in lhs.keys() | rhs.keys()):
+                return False
+    return True
+
+
+def _image(cols: List[List[Tuple[int, QScalar]]],
+           vec) -> Dict[int, QScalar]:
+    """sum_k x cols[k] over the cells (k, x) of vec, as {row: value}, with
+    cols a matrix's nonzero cells by column."""
+    out: Dict[int, QScalar] = {}
+    for k, x in vec:
+        for r, y in cols[k]:
+            z = y * x
+            out[r] = out[r] + z if r in out else z
+    return out

@@ -50,17 +50,16 @@ def _lusztig_sign_dropped(monkeypatch):
 
 
 def _wrong_dual_row(monkeypatch):
-    """Build the last free word's dual-basis matrix D_a = sum_b C[a][b] ys[b]
-    of R-inverse from the row of the word before it, in degrees of
-    dimension at least 2."""
-    real = DrinfeldPairing._inverse_legs
+    """Replace the last row of C_beta, the inverse transpose of the pairing
+    table from which R-inverse sums its last dual-basis matrix
+    D_a = sum_b C[a][b] y_b, by the row before it, in degrees of dimension
+    at least 2."""
+    real = DrinfeldPairing._xi
 
     def mutant(self, beta):
-        xs, ys, coeffs = real(self, beta)
-        if len(coeffs) < 2:
-            return xs, ys, coeffs
-        return xs, ys, coeffs[:-1] + [coeffs[-2]]
-    monkeypatch.setattr(DrinfeldPairing, "_inverse_legs", mutant)
+        coeffs = real(self, beta)
+        return coeffs if len(coeffs) < 2 else coeffs[:-1] + [coeffs[-2]]
+    monkeypatch.setattr(DrinfeldPairing, "_xi", mutant)
 
 
 def _kostant_off_by_one(monkeypatch):

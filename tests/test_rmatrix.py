@@ -509,41 +509,34 @@ def test_r_inverse_matches_dense_accumulation(typ):
         assert rinv == dense_r_inverse(pairing, a, b), (a.name, b.name)
 
 
-def test_r_inverse_makes_one_kron_per_free_word(monkeypatch):
-    # the dual basis sums each degree's C[a][b] on m2 first, so B2
-    # V(w1) (x) V(w2) makes 12 Kronecker products where its 32 nonzero
-    # pairs made one each; each leg is formed once per word per pairing
-    datum = preset("B2")
-    alg = UAlgebra(datum)
-    pairing = DrinfeldPairing(alg)
-    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
-    calls = Counter()
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_r_inverse_forms_no_product_in_u(monkeypatch, typ):
+    """R-inverse walks the letters of S(e_w) and k_beta f_w on the factor
+    modules and adds the cells of each x_a (x) D_a to identity rows: it
+    forms no antipode, product or normal form in U, no module action and
+    no dense accumulator.  The pairing tables' inverses C_beta are read
+    from the memo the dense oracle filled."""
+    pairing, pairs = _r_inverse_pairs(typ)
+    expected = [dense_r_inverse(pairing, a, b) for a, b in pairs]
 
-    def spy(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
+    def refuse(*args):
+        raise AssertionError("product in U or dense accumulator")
 
-    monkeypatch.setattr(la, "add_kron", spy("add_kron", la.add_kron))
-    monkeypatch.setattr(UAlgebra, "antipode",
-                        spy("antipode", UAlgebra.antipode))
-    monkeypatch.setattr(UAlgebra, "f_word", spy("f_word", UAlgebra.f_word))
-    betas = [b for b in contributing_degrees(datum, v1, v2) if any(b)]
-    words = sum(alg.basis(b).dim for b in betas)
-    pairs = sum(c.num != 0 for b in betas
-                for row in pairing.xi_coefficients(b) for c in row)
-    assert (words, pairs) == (12, 32)
-    calls.clear()
-    first = r_operator(pairing, v1, v2, "R-inverse").matrix
-    assert calls == Counter(add_kron=12, antipode=12, f_word=12)
-    calls.clear()
-    assert r_operator(pairing, v1, v2, "R-inverse").matrix == first
-    for beta in betas:
+    with monkeypatch.context() as mp:
+        for owner, name in [(UAlgebra, "antipode"),
+                            (UAlgebra, "normal_form_word"),
+                            (weightmod.WeightModule, "act"),
+                            (la, "zeros"), (la, "identity"),
+                            (la, "add_kron")]:
+            mp.setattr(owner, name, refuse)
+        got = [rmatrix.r_inverse_matrix(pairing, a, b) for a, b in pairs]
+    for (a, b), rows, dense in zip(pairs, got, expected):
+        assert all(x.num for row in rows for x in row.values())
+        assert dense_rows(rows, a.datum.l0) == dense, (a.name, b.name)
+    # the U-level pairs lemma-rl reads stay memoized per degree
+    beta = max(contributing_degrees(pairing.datum, *pairs[-1]), key=sum)
+    assert pairing.inverse_components(list(beta)) is \
         pairing.inverse_components(beta)
-    assert calls == Counter(add_kron=12)
-    legs = pairing.inverse_legs(list(betas[-1]))
-    assert legs is pairing.inverse_legs(betas[-1])
 
 
 def test_assembly_uses_no_dense_helpers(monkeypatch, a2):
@@ -562,6 +555,54 @@ def test_assembly_uses_no_dense_helpers(monkeypatch, a2):
     got = (weightmod._tensor(v1, v2).gen, v1.act(u),
            r_operator(pairing, v1, v2, "R-inverse").matrix)
     assert got == expected
+
+
+def dense_commutes(source, target, m):
+    """The dense verdict ``module_map_commutes`` replaced: M g = g' M for
+    every e_i and f_i and for k of every fundamental weight."""
+    datum = source.datum
+    gens = [(source.gen[key], target.gen[key]) for key in source.gen]
+    gens += [(source.k_matrix(lam), target.k_matrix(lam))
+             for lam in map(datum.fundamental, range(datum.rank))]
+    return all(la.mat_eq(la.mat_mul(m, g), la.mat_mul(h, m))
+               for g, h in gens)
+
+
+def test_module_map_commutes_matches_dense_products(monkeypatch):
+    """The cellwise verdict equals the dense M g = g' M on the B2 R-check
+    carriers, on a target whose e_0 has one nonzero cell doubled, and on
+    an R-check with one cell added across two weights."""
+    datum = preset("B2")
+    alg = UAlgebra(datum)
+    pairing = DrinfeldPairing(alg)
+    v1, v2 = simple(alg, (1, 0)), simple(alg, (0, 1))
+    cases = []
+    for a, b in [(v1, v1), (v1, v2)]:
+        rc = r_operator(pairing, a, b, "R-check")
+        cases.append((rc.source, rc.target, rc.matrix))
+    src, tgt, m = cases[-1]
+    gen = dict(tgt.gen)
+    e0 = gen[("e", 0)] = [list(row) for row in gen[("e", 0)]]
+    r, c = next((r, c) for r, row in enumerate(e0)
+                for c, x in enumerate(row) if x.num)
+    e0[r][c] = e0[r][c] + e0[r][c]
+    cases.append((src, weightmod.WeightModule(
+        alg, "left", tgt.index_weights, gen, tgt.missing_exact, True), m))
+    crossed = [list(row) for row in m]
+    r, c = next((r, c) for r, w in enumerate(tgt.index_weights)
+                for c, u in enumerate(src.index_weights)
+                if w != u and not m[r][c].num)
+    crossed[r][c] = datum.one()
+    cases.append((src, tgt, crossed))
+    expected = [dense_commutes(*case) for case in cases]
+    assert expected == [True, True, False, False]
+
+    def refuse(*args):
+        raise AssertionError("dense product")
+
+    monkeypatch.setattr(la, "mat_mul", refuse)
+    monkeypatch.setattr(la, "mat_eq", refuse)
+    assert [module_map_commutes(*case) for case in cases] == expected
 
 
 def test_r_check_builds_each_carrier_once(monkeypatch, a2):
