@@ -15,8 +15,10 @@ with no coproduct walked.  Callers that only pair a product against words
 read those as they are; ``mult`` takes them to coordinates through one
 factorization per slice (the inverse of an independent block of rows,
 every row checked).  Each product is computed once per ring: both are
-memoized by the grade, drop and coordinates of the two factors.  On top
-of the ring sit extremal elements, Ore witnesses, stabilized
+memoized by the grade, drop and coordinates of the two factors.  A
+multiplication matrix (l_phi or r_phi on a module or a slice) is built
+once per ray: a multiple c*phi reads phi's matrix and scales it by c.  On
+top of the ring sit extremal elements, Ore witnesses, stabilized
 localizations, the evaluation map onto plus-part functionals, and
 Schubert-cell homomorphisms.
 """
@@ -148,9 +150,14 @@ class LocalizedElement:
         }
 
 
+def _element_key(a: CoordElement) -> tuple:
+    """Memo key of an element: grade, drop and coordinates."""
+    return (a.grade, a.gamma, tuple(a.vec))
+
+
 def _pair_key(a: CoordElement, b: CoordElement) -> tuple:
-    """Memo key of the ordered pair (a, b): grade, drop and coordinates."""
-    return (a.grade, a.gamma, tuple(a.vec), b.grade, b.gamma, tuple(b.vec))
+    """Memo key of the ordered pair (a, b)."""
+    return _element_key(a) + _element_key(b)
 
 
 def _shuffles(word: Tuple[int, ...], need: RootSum, start: Tuple[int, ...],
@@ -382,8 +389,7 @@ class CoordRing:
                     table[u] = v
                 return v
             return value
-        key = ("word_values", a.grade, a.gamma, tuple(a.vec))
-        return self.memo.get(key, build)
+        return self.memo.get(("word_values",) + _element_key(a), build)
 
     def u_action(self, u: UElement, a: CoordElement) -> CoordElement:
         """The left action of u; all monomials of u must shift the weight
@@ -477,8 +483,20 @@ class CoordRing:
     def full_mult_matrix(self, lam: Weight, phi: CoordElement,
                          side: str) -> Matrix:
         """Matrix of x -> phi*x ('left') or x -> x*phi ('right') from the
-        full module of grade lam to that of grade lam + grade(phi)."""
-        src = self.module(tuple(lam))
+        full module of grade lam to that of grade lam + grade(phi): the
+        matrix of phi's ray, built once per ring, times phi's scale (see
+        ``_ray``).  Callers must not mutate it."""
+        lam = tuple(lam)
+        c, ray = self._ray(phi)
+        mat = self.memo.get(("full_mult", lam, side) + _element_key(ray),
+                            lambda: self._full_mult_columns(lam, ray, side))
+        return mat if c is None else linalg.mat_scale(mat, c)
+
+    def _full_mult_columns(self, lam: Weight, phi: CoordElement,
+                           side: str) -> Matrix:
+        """``full_mult_matrix`` column by column: phi times each basis
+        vector of the full module of grade lam."""
+        src = self.module(lam)
         tgt = self.module(self.datum.weight_add(lam, phi.grade))
         return linalg.transpose([
             self.embed_full(tgt, self.side_mult(
@@ -488,9 +506,34 @@ class CoordRing:
     def mult_matrix(self, lam: Weight, gamma: RootSum, s: CoordElement,
                     side: str) -> Matrix:
         """Matrix of phi -> s*phi ('left') or phi -> phi*s ('right') from
-        the (lam, gamma)-slice."""
+        the (lam, gamma)-slice: the matrix of s's ray, built once per ring,
+        times s's scale (see ``_ray``).  Callers must not mutate it."""
+        lam, gamma = tuple(lam), tuple(gamma)
+        c, ray = self._ray(s)
+        mat = self.memo.get(
+            ("slice_mult", lam, gamma, side) + _element_key(ray),
+            lambda: self._slice_mult_columns(lam, gamma, ray, side))
+        return mat if c is None else linalg.mat_scale(mat, c)
+
+    def _slice_mult_columns(self, lam: Weight, gamma: RootSum,
+                            s: CoordElement, side: str) -> Matrix:
+        """``mult_matrix`` column by column: s times each slice basis
+        vector."""
         return linalg.transpose([self.side_mult(s, phi, side).vec
                                  for phi in self.slice_basis(lam, gamma)])
+
+    def _ray(self, phi: CoordElement
+             ) -> Tuple[Optional[QScalar], CoordElement]:
+        """(c, phi/c), c the first nonzero coordinate of phi: products are
+        bilinear, so a multiplication matrix of phi is c times that of the
+        ray phi/c, whose first nonzero coordinate is 1.  (None, phi) when c
+        is 1 or phi is zero."""
+        c = next((x for x in phi.vec if x.num), None)
+        if c is None or c.is_one():
+            return None, phi
+        inv = c.inverse()
+        return c, CoordElement(self, phi.grade, phi.gamma,
+                               [x * inv for x in phi.vec])
 
     def ore_witness(self, phi: CoordElement, word: Sequence[int],
                     s_grade: Weight,

@@ -430,6 +430,13 @@ def _cancel(x: Lp, y: Lp) -> Tuple[Lp, Lp]:
     """x and y divided by their polynomial gcd."""
     # a monomial c*q^k has no nonconstant factor: its gcd with anything is 1
     if len(x) > 1 and len(y) > 1:
+        # y often divides x outright; then one exact division replaces the
+        # gcd, and x/y over 1 is the same pair up to units
+        if max(y) - min(y) <= max(x) - min(x):
+            try:
+                return lp_exact_div(x, y), _ONE
+            except ArithmeticError:
+                pass
         g = lp_gcd(x, y)
         if g != _ONE:
             return lp_exact_div(x, g), lp_exact_div(y, g)

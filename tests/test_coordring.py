@@ -5,7 +5,7 @@ import pytest
 
 from qflag import coordring, suites
 from qflag import linalg as la
-from qflag.cartan import preset, verma_character
+from qflag.cartan import box, by_height, preset, verma_character
 from qflag.config import RunConfig
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
@@ -608,3 +608,101 @@ def test_shuffle_products_match_the_sweedler_walk(monkeypatch, typ, grades,
     assert applied == []
     assert sum(any(not v.is_zero() for v in want[2])
                for want in expected.values()) > len(factors)
+
+
+def columnwise_mult_matrix(ring, lam, phi, side, gamma=None):
+    """The per-column route: phi times each basis vector ('left': phi*x,
+    'right': x*phi) of the full module of grade lam, or of its
+    (lam, gamma)-slice when gamma is given, one product per column."""
+    if gamma is not None:
+        return la.transpose([ring.side_mult(phi, x, side).vec
+                             for x in ring.slice_basis(lam, gamma)])
+    src = ring.module(lam)
+    tgt = ring.module(ring.datum.weight_add(lam, phi.grade))
+    return la.transpose([
+        ring.embed_full(tgt, ring.side_mult(
+            phi, ring.slice_element(src, idx), side))
+        for idx in range(src.dim)])
+
+
+def scaled_factors(ring, lam):
+    """The grade-lam slice-basis elements; the first two of them scaled by
+    q^k, by an integer and by a non-polynomial fraction; and two-coordinate
+    combinations in every slice of dimension at least 2, one with first
+    coordinate 1 and one without."""
+    d = ring.datum
+    q = d.q_power(1)
+    scales = [d.q_power(-2), d.q_power(3), d.scalar(-5),
+              d.scalar(3) / (q + q.inverse())]
+    basis = ring.grade_basis(lam)
+    out = basis + [phi.scale(c) for phi in basis[:2] for c in scales]
+    for g in sorted(ring.factory(lam).drops, key=by_height):
+        dim = ring.factory(lam).slice_dim(g)
+        if dim < 2:
+            continue
+        for first, second in ((d.one(), scales[3]), (d.scalar(2), q)):
+            vec = [first, second] + [d.zero()] * (dim - 2)
+            out.append(ring.element(lam, g, vec))
+    return out
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2"])
+def test_ray_matrices_match_the_columnwise_route(typ):
+    """full_mult_matrix and mult_matrix, read from the ray's matrix and
+    scaled, equal the element's own products column by column, computed
+    on a ring of their own: on the grades of the default window (1, 1),
+    both sides, for basis elements, their multiples and two-coordinate
+    combinations."""
+    alg = UAlgebra(preset(typ))
+    ring, oracle = CoordRing(alg), CoordRing(alg)
+    d = ring.datum
+    window = sorted(box((1, 1)), key=by_height)
+    seen = Counter()
+    for g in window[1:]:
+        for phi in scaled_factors(ring, g):
+            for lam in window:
+                if d.weight_add(lam, g) not in window:
+                    continue
+                for side in ("left", "right"):
+                    assert ring.full_mult_matrix(lam, phi, side) == \
+                        columnwise_mult_matrix(oracle, lam, phi, side)
+                    for gamma in sorted(ring.factory(lam).drops):
+                        assert ring.mult_matrix(lam, gamma, phi, side) == \
+                            columnwise_mult_matrix(oracle, lam, phi, side,
+                                                   gamma)
+                seen[sum(not x.is_zero() for x in phi.vec)] += 1
+    assert seen[1] and seen[2]
+
+
+def test_a_scaled_element_reads_its_rays_matrix(monkeypatch):
+    """Once a ray's matrix is built, a multiple's matrix is that matrix
+    scaled, with no product evaluated or solved again; the ray itself gets
+    the very matrix back."""
+    ring = CoordRing(UAlgebra(preset("A2")))
+    d = ring.datum
+    q = d.q_power(1)
+    lam, gamma = (0, 1), (1, 1)
+    rays = [ring.grade_basis((1, 0))[1],
+            ring.element((1, 1), (1, 1), [d.one(), q])]
+    built = {}
+    for phi in rays:
+        for side in ("left", "right"):
+            built[phi.grade, side] = (
+                ring.full_mult_matrix(lam, phi, side),
+                ring.mult_matrix(lam, gamma, phi, side))
+    calls = []
+    for name in ("_product_evaluations", "from_evaluations"):
+        real = getattr(CoordRing, name)
+        monkeypatch.setattr(CoordRing, name, lambda self, *args, real=real,
+                            name=name: calls.append(name) or real(self, *args))
+    for phi in rays:
+        for side in ("left", "right"):
+            full, part = built[phi.grade, side]
+            assert ring.full_mult_matrix(lam, phi, side) is full
+            assert ring.mult_matrix(lam, gamma, phi, side) is part
+            for c in (q.inverse(), d.scalar(-2), d.scalar(3) / (q + d.one())):
+                assert ring.full_mult_matrix(lam, phi.scale(c), side) == \
+                    la.mat_scale(full, c)
+                assert ring.mult_matrix(lam, gamma, phi.scale(c), side) == \
+                    la.mat_scale(part, c)
+    assert calls == []

@@ -165,17 +165,36 @@ def test_z_conjugate_matches_the_blockwise_loop(request, window):
 
 def test_relations_builds_each_multiplication_once(monkeypatch, ring1,
                                                    pairing1):
-    calls = Counter()
+    """relations asks for each multiplication once; Z_w's expansions ask
+    for many multiples of one element, and on a fresh ring each ray's
+    matrix is built once, some read scaled."""
+    calls, built = Counter(), Counter()
     real = CoordRing.full_mult_matrix
+    real_build = CoordRing._full_mult_columns
 
     def spy(self, lam, phi, side):
         calls[(tuple(lam), phi.grade, phi.gamma, tuple(phi.vec), side)] += 1
         return real(self, lam, phi, side)
 
+    def build(self, lam, phi, side):
+        built[(lam, phi.grade, phi.gamma, tuple(phi.vec), side)] += 1
+        return real_build(self, lam, phi, side)
+
     monkeypatch.setattr(CoordRing, "full_mult_matrix", spy)
+    monkeypatch.setattr(CoordRing, "_full_mult_columns", build)
     win = DWindow(ring1, pairing1, (2,))
     assert relations_check(win)["pass"]
     assert calls and set(calls.values()) == {1}
+    for alg, pairing, cutoff in ((ring1.algebra, pairing1, (2,)),
+                                 (UAlgebra(preset("A2")), None, (1, 1))):
+        calls.clear()
+        built.clear()
+        win = DWindow(CoordRing(alg), pairing or DrinfeldPairing(alg), cutoff)
+        for i in range(alg.datum.rank):
+            assert z_w_check(win, i)["pass"]
+        assert built and set(built.values()) == {1}
+        # more elements than rays: some matrices were read scaled
+        assert len(calls) > len(built)
 
 
 def test_sigma_zero_is_the_unit(w1, ring1):

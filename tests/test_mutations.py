@@ -5,8 +5,9 @@ own, so no defect leaks into the memos other tests share."""
 
 import pytest
 
-from qflag import cartan, linalg, suites, weightmod
+from qflag import cartan, linalg, scalars, suites, weightmod
 from qflag.config import RunConfig
+from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
 from qflag.memo import Memo
 from qflag.rmatrix import DrinfeldPairing
@@ -98,6 +99,27 @@ def _rref_clears_below_only(monkeypatch):
     monkeypatch.setattr(linalg, "rref", mutant)
 
 
+def _ray_scale_inverted(monkeypatch):
+    """A multiplication matrix read from its ray scaled by c^-1 where the
+    element is c times the ray."""
+    real = CoordRing._ray
+
+    def mutant(self, phi):
+        c, ray = real(self, phi)
+        return (None if c is None else c.inverse()), ray
+    monkeypatch.setattr(CoordRing, "_ray", mutant)
+
+
+def _quantum_integer_off_by_one(monkeypatch):
+    """[n] computed as [n + 1], wherever it is read by name."""
+    real = scalars.quantum_integer
+
+    def mutant(n, d, l0):
+        return real(n + 1, d, l0)
+    for module in (scalars, weightmod):
+        monkeypatch.setattr(module, "quantum_integer", mutant)
+
+
 # name: (defect, suite, types where the suite must fail)
 MUTANTS = {
     # T_i^-1(e_i) negated
@@ -133,6 +155,18 @@ MUTANTS = {
     "rref-forward-only-weyl-character": (_rref_clears_below_only,
                                          "weyl-character", ["A2"]),
     "rref-forward-only-ore": (_rref_clears_below_only, "ore", ["G2"]),
+    # a multiple of a ray scaled by the inverse; G2 lemma-rl is blind to
+    # it: its window (0, 1) composes every scaled l_{x_p psi} with a
+    # partial of positive degree on the trivial grade, which is zero
+    "ray-scale-inverted-relations": (_ray_scale_inverted, "relations",
+                                     ["A1", "A2", "B2", "G2"]),
+    "ray-scale-inverted-zw": (_ray_scale_inverted, "zw",
+                              ["A1", "A2", "B2", "G2"]),
+    "ray-scale-inverted-lemma-rl": (_ray_scale_inverted, "lemma-rl",
+                                    ["A1", "A2", "B2"]),
+    # [n] off by one in its argument
+    "quantum-integer-off-by-one": (_quantum_integer_off_by_one,
+                                   "presentation", ["A1", "A2", "B2", "G2"]),
 }
 
 CELLS = [(name, typ) for name, (_, _, types) in MUTANTS.items()

@@ -278,8 +278,9 @@ def test_exact_division_rejects_a_remainder(x, y, e, c):
 
 # -- canonical pairs by construction: each operation against the full route --
 #
-# The oracle cross-multiplies and hands the pair to the public constructor,
-# which cancels the gcd of the whole numerator and denominator.  The
+# The oracle cross-multiplies, cancels the gcd of the whole numerator and
+# denominator, and hands the coprime pair to the public constructor, whose
+# divide-first cancellation then has nothing to divide.  The
 # strategies aim at every shortcut: +-1, +-q^k, c*q^k with |c| >= 2,
 # polynomials, and rationals whose denominators are equal, coprime, share
 # a factor (also to a higher power on one side) or share only an integer.
@@ -316,17 +317,24 @@ def fraction_pairs(draw):
 operand_pairs = st.one_of(st.tuples(operands, operands), fraction_pairs())
 
 
+def _by_the_gcd(num, den):
+    """num/den with their gcd cancelled here, so that the constructor is
+    handed a coprime pair and only normalizes its units."""
+    g = lp_gcd(num, den)
+    return QScalar(lp_exact_div(num, g), lp_exact_div(den, g), L0)
+
+
 def _full_route(op, a, b):
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if op == "+":
-        return QScalar(lp_add(lp_mul(an, bd), lp_mul(bn, ad)),
-                       lp_mul(ad, bd), L0)
+        return _by_the_gcd(lp_add(lp_mul(an, bd), lp_mul(bn, ad)),
+                           lp_mul(ad, bd))
     if op == "-":
-        return QScalar(lp_add(lp_mul(an, bd), lp_neg(lp_mul(bn, ad))),
-                       lp_mul(ad, bd), L0)
+        return _by_the_gcd(lp_add(lp_mul(an, bd), lp_neg(lp_mul(bn, ad))),
+                           lp_mul(ad, bd))
     if op == "*":
-        return QScalar(lp_mul(an, bn), lp_mul(ad, bd), L0)
-    return QScalar(lp_mul(an, bd), lp_mul(ad, bn), L0)
+        return _by_the_gcd(lp_mul(an, bn), lp_mul(ad, bd))
+    return _by_the_gcd(lp_mul(an, bd), lp_mul(ad, bn))
 
 
 _OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
@@ -406,3 +414,42 @@ def test_a_sum_over_coprime_denominators_takes_one_gcd(gcd_calls):
     # the gcd of the two denominators, not of the cross-multiplied pair
     assert gcd_calls == [(b, d)]
     assert s == _full_route("+", x, y)
+
+
+def gcd_route_cancel(x, y):
+    """x and y over their gcd, the cancellation without a division first."""
+    if len(x) > 1 and len(y) > 1:
+        g = lp_gcd(x, y)
+        if g != {0: 1}:
+            return lp_exact_div(x, g), lp_exact_div(y, g)
+    return x, y
+
+
+def test_cancel_divides_first_and_falls_back_to_the_gcd(gcd_calls):
+    f, g, h = _IRREDUCIBLE[0], _IRREDUCIBLE[4], _IRREDUCIBLE[6]
+    cases = [
+        # y divides x over Z: one exact division and no gcd
+        (lp_mul(f, lp_mul(g, h)), lp_mul(f, g), 0),
+        # y divides x over Q only: 2(1+t) does not divide (1+t)^2 over Z
+        (lp_mul(f, f), lp_mul({0: 2}, f), 1),
+        # no division: a common factor is left for the gcd
+        (lp_mul(f, g), lp_mul(f, h), 1),
+        # y spans more exponents than x: no division is tried
+        (lp_mul(f, h), lp_mul(f, g), 1),
+    ]
+    for x, y, gcds in cases:
+        gcd_calls.clear()
+        got = scalars._cancel(x, y)
+        assert len(gcd_calls) == gcds
+        want = gcd_route_cancel(x, y)
+        assert scalars._normalize(*got) == scalars._normalize(*want)
+    assert scalars._cancel(cases[0][0], cases[0][1]) == (h, {0: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent, st.booleans())
+def test_divide_first_cancels_to_the_gcd_routes_pair(x, y, multiple):
+    if multiple:
+        x = lp_mul(x, y)
+    assert scalars._normalize(*scalars._cancel(x, y)) == \
+        scalars._normalize(*gcd_route_cancel(x, y))
