@@ -215,14 +215,10 @@ def test_height_cap_exits_three(monkeypatch, capsys):
     assert "error: height cap:" in capsys.readouterr().err
 
 
-# sha256 of `qflag verify all --type T --json` at QFLAG_MAX_HEIGHT=3: which
-# checks fit under the cap and which are skipped is part of the report
-LOW_CAP_REPORT_SHA256 = {
-    "A1": "4218e547221a5a7aa031b2606a81abc7408d7df5444aaf6e4fead2b17909a226",
-    "A2": "906a438fd740e4d544cb7ebcef118272b3202c1184c1cdf9e8317d93194f313b",
-    "B2": "8b92c5077f79fbf7cf2ac235c7a6803de8655711d167a159fe94ceb95e1b71d2",
-    "G2": "22f11e73888e9ac1acc6d44d594edde14798bc8b11002e225aadde8fb1911e91",
-}
+# sha256 of each report's stdout by "suite/type/cap" (see
+# tests/test_report_pins.py, which checks every key and rewrites the table)
+REPORT_PINS = json.loads(
+    Path(__file__).with_name("report_pins.json").read_text())
 
 
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
@@ -239,49 +235,12 @@ def test_verify_all_reaches_a_verdict_at_a_low_cap(monkeypatch, capsys, typ):
     assert all(r["pass"] is True for r in entries)
     assert any(r.get("note") == "skipped: above height cap" for r in entries)
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        LOW_CAP_REPORT_SHA256[typ]
+        REPORT_PINS[f"all/{typ}/3"]
 
 
-# sha256 of `qflag verify SUITE --type T --json` at the default cap for the
-# suites that read the plus part's layout (theta), walk words on every
+# the suites that read the plus part's layout (theta), walk words on every
 # module (presentation) and solve for central elements by nullspaces
-# (center, annihilator)
-SUITE_REPORT_SHA256 = {
-    ("theta", "A1"):
-        "f3ab7f4ce18b796e9fc8ae5d5da037c5aa7c5a269fbb083af35e71b6fdebbbec",
-    ("theta", "A2"):
-        "1a422e6faa3de90fc88d8b7c31f08c3fe782c03839cebdab55232d9a845809a3",
-    ("theta", "B2"):
-        "085958580fca8638b6f602b4ea11e360bb6009eb8005fd81faf229d6b924b248",
-    ("theta", "G2"):
-        "8dd66fc82455c5c2f4bcd023fdf9118e5830f3d1fc49e606c3b3e859477f0c8c",
-    ("presentation", "A1"):
-        "d0a20e817114f744fd0b5d2dba0c2724b53f8fd519390969d0370a68f5135169",
-    ("presentation", "A2"):
-        "89ccc496294732d411f60406f54cd97143f357c5b73560cf4e5f4213780565d0",
-    ("presentation", "B2"):
-        "654c9d5fb0a471adf2748c64d1ccdbca52f4378fb71fed4e088679b1ec5e27c9",
-    ("presentation", "G2"):
-        "8876511b1e5c78e1c3bbc6f749217b0a9995699e6e3f5ff6870dc88bb334d984",
-    ("center", "A1"):
-        "e57eccb63e905db0d3ed7b780231aca2f4a3739896e2b085c7f1d66644b589cd",
-    ("center", "A2"):
-        "3f6320a51bd48bc18c8e1bca5cb1c619c8f31e534c168776c4f2b1c19e0219ce",
-    ("center", "B2"):
-        "ea48f2c6eda1ff0dd3a2d9fd2febc6c4eedac7c0e0bd750b8d90913b777ec483",
-    ("center", "G2"):
-        "687ff0b0f1b6357265089869ae95478aeb39c5968a78aa3dee0a503931b4f4af",
-    ("annihilator", "A1"):
-        "e7ffb6d6cb3f915edfb88261edd2150917fdbae17ddfa661f08b3b9cddb4fadc",
-    ("annihilator", "A2"):
-        "c5164f42cad0fab798bfbfc80e9b6fe170b4a5e9700195be61f7836d26cf4272",
-    ("annihilator", "B2"):
-        "e14bb7fc5cabc0a96353db17ffe4ae8f6f564b773bb3924a37c9fa407505d64c",
-    ("annihilator", "G2"):
-        "404e7d3c823379d9ae6f6279905ce7a5bb5928697a9ff76f1adc53d5eab727ac",
-}
-
-
+# (center, annihilator), run alone
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
 @pytest.mark.parametrize("suite", ["theta", "presentation", "center",
                                    "annihilator"])
@@ -290,7 +249,7 @@ def test_module_suite_reports_are_pinned(monkeypatch, capsys, suite, typ):
     code, out = run_cli(["verify", suite, "--type", typ, "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        SUITE_REPORT_SHA256[(suite, typ)]
+        REPORT_PINS[f"{suite}/{typ}/default"]
 
 
 # sha256 of `qflag rmatrix --flavor R-inverse --json`: the exact R-inverse
