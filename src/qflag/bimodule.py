@@ -10,7 +10,7 @@ separation checks."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from . import linalg
 from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
@@ -61,15 +61,19 @@ class EBimodule:
         return self.memo.get(("eta", lam), lambda: r_operator(
             self.pairing, self.ring.module(lam), self.vmod, "R-check").matrix)
 
-    def eta_inv(self, lam: Weight) -> Optional[Matrix]:
-        """The inverse of eta(lam), or None where eta(lam) is the identity
-        (as at lam = 0, which ``unit_check`` verifies): decided once per
-        lam, so ``left_action`` multiplies by no identity."""
+    def eta_inv(self, lam: Weight) -> Matrix:
+        """The inverse of eta(lam), V(mu) (x) A(lam) -> A(lam) (x) V(mu):
+        R-inverse on A(lam) (x) V(mu) after the inverse flip, so its column
+        v*n_A + a holds R-inverse's column a*n_V + v.  Memoized per lam."""
         lam = tuple(lam)
 
-        def compute() -> Optional[Matrix]:
-            eta = self.eta(lam)
-            return None if linalg.is_identity(eta) else linalg.inverse(eta)
+        def compute() -> Matrix:
+            amod = self.ring.module(lam)
+            na, nv = amod.dim, self.vmod.dim
+            rows = r_operator(self.pairing, amod, self.vmod, "R-inverse").rows
+            return linalg.from_rows(
+                [{(j % nv) * na + j // nv: x for j, x in row.items()}
+                 for row in rows], na * nv, self.datum.l0)
 
         return self.memo.get(("eta_inv", lam), compute)
 
@@ -79,15 +83,21 @@ class EBimodule:
         return linalg.kron(linalg.identity(self.vmod.dim, self.datum.l0), rm)
 
     def left_action(self, phi: CoordElement, lam: Weight) -> Matrix:
-        """Left multiplication by phi through the eta identification."""
+        """Left multiplication by phi through the eta identification,
+        eta(lam + xi) (l_phi (x) 1) eta(lam)^-1.  Formed once per
+        (phi, lam) on the bimodule; callers must not mutate it."""
         lam = tuple(lam)
-        lm = self.ring.full_mult_matrix(lam, phi, "left")
-        lv = linalg.kron(lm, linalg.identity(self.vmod.dim, self.datum.l0))
-        tgt = self.datum.weight_add(lam, phi.grade)
-        inv = self.eta_inv(lam)
-        if inv is not None:
-            lv = linalg.mat_mul(lv, inv)
-        return linalg.mat_mul(self.eta(tgt), lv)
+
+        def compute() -> Matrix:
+            lm = self.ring.full_mult_matrix(lam, phi, "left")
+            lv = linalg.kron(lm, linalg.identity(self.vmod.dim,
+                                                 self.datum.l0))
+            tgt = self.datum.weight_add(lam, phi.grade)
+            return linalg.mat_mul(self.eta(tgt),
+                                  linalg.mat_mul(lv, self.eta_inv(lam)))
+
+        return self.memo.get(("left", lam, phi.grade, phi.gamma,
+                              tuple(phi.vec)), compute)
 
     # -- checks --------------------------------------------------------------
 
@@ -100,7 +110,7 @@ class EBimodule:
         ident = linalg.identity(n, self.datum.l0)
         return linalg.mat_eq(eta0, ident)
 
-    def bimodule_check(self, grades: Optional[Sequence[Weight]] = None) -> dict:
+    def bimodule_check(self, grades: Sequence[Weight] = ()) -> dict:
         """(phi e) psi = phi (e psi) for basis phi, psi over window grades."""
         datum = self.datum
         failures = []

@@ -16,8 +16,9 @@ read those as they are; ``mult`` takes them to coordinates through one
 factorization per slice (the inverse of an independent block of rows,
 every row checked).  Each product is computed once per ring: both are
 memoized by the grade, drop and coordinates of the two factors.  A
-multiplication matrix (l_phi or r_phi on a module or a slice) is built
-once per ray: a multiple c*phi reads phi's matrix and scales it by c.  On
+slice's multiplication matrix (l_phi or r_phi) is built once per ray: a
+multiple c*phi reads phi's matrix and scales it by c; a full module's is
+those slice matrices placed on its slot layout.  On
 top of the ring sit extremal elements, Ore witnesses, stabilized
 localizations, the evaluation map onto plus-part functionals, and
 Schubert-cell homomorphisms.
@@ -461,14 +462,6 @@ class CoordRing:
             raise QflagError("extremal vector collapsed to zero")
         return out
 
-    def slice_element(self, mod: WeightModule, idx: int) -> CoordElement:
-        """The coordinate-ring element carried by a full-module basis index."""
-        lam = mod.highest_weight
-        g, r = mod.slot_keys[idx]
-        vec = [self.datum.zero()] * self.factory(lam).slice_dim(g)
-        vec[r] = self.datum.one()
-        return CoordElement(self, lam, g, vec)
-
     def embed_full(self, mod: WeightModule, phi: CoordElement) -> Vector:
         out = mod.zero_vector()
         for r, c in enumerate(phi.vec):
@@ -483,25 +476,18 @@ class CoordRing:
     def full_mult_matrix(self, lam: Weight, phi: CoordElement,
                          side: str) -> Matrix:
         """Matrix of x -> phi*x ('left') or x -> x*phi ('right') from the
-        full module of grade lam to that of grade lam + grade(phi): the
-        matrix of phi's ray, built once per ring, times phi's scale (see
-        ``_ray``).  Callers must not mutate it."""
+        full module of grade lam to that of grade lam + grade(phi): each
+        slice's ``mult_matrix`` placed on the two modules' slot layout."""
         lam = tuple(lam)
-        c, ray = self._ray(phi)
-        mat = self.memo.get(("full_mult", lam, side) + _element_key(ray),
-                            lambda: self._full_mult_columns(lam, ray, side))
-        return mat if c is None else linalg.mat_scale(mat, c)
-
-    def _full_mult_columns(self, lam: Weight, phi: CoordElement,
-                           side: str) -> Matrix:
-        """``full_mult_matrix`` column by column: phi times each basis
-        vector of the full module of grade lam."""
         src = self.module(lam)
         tgt = self.module(self.datum.weight_add(lam, phi.grade))
-        return linalg.transpose([
-            self.embed_full(tgt, self.side_mult(
-                phi, self.slice_element(src, idx), side))
-            for idx in range(src.dim)])
+        out = linalg.zeros(tgt.dim, src.dim, self.datum.l0)
+        for (g, r), col in src.slot.items():
+            top = (tuple(x + y for x, y in zip(g, phi.gamma)), 0)
+            if r == 0 and top in tgt.slot:
+                linalg.set_block(out, tgt.slot[top], col,
+                                 self.mult_matrix(lam, g, phi, side))
+        return out
 
     def mult_matrix(self, lam: Weight, gamma: RootSum, s: CoordElement,
                     side: str) -> Matrix:

@@ -2,8 +2,11 @@ import pytest
 
 from qflag import linalg as la
 from qflag.bimodule import EBimodule, key_lemma_characters
-from qflag.cartan import weyl_character
+from qflag.cartan import preset, weyl_character
+from qflag.coordring import CoordRing
+from qflag.enveloping import UAlgebra
 from qflag.errors import QflagError
+from qflag.rmatrix import DrinfeldPairing
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +19,15 @@ def e2(ring2, pairing2):
     return EBimodule(ring2, pairing2, (1, 0), (1, 1))
 
 
-def test_unit_identifications(e1, e2):
+def test_unit_identifications(monkeypatch, e1, e2, ring2, pairing2):
     assert e1.unit_check()
     assert e2.unit_check()
+    # a unit identification that is not the identity is caught
+    real = EBimodule.eta
+    two = ring2.datum.scalar(2)
+    monkeypatch.setattr(EBimodule, "eta", lambda self, lam: la.mat_scale(
+        real(self, lam), two) if not any(lam) else real(self, lam))
+    assert not EBimodule(ring2, pairing2, (1, 0), (1, 1)).unit_check()
 
 
 def test_trivial_coefficient_module(ring1, pairing1):
@@ -156,46 +165,45 @@ def test_trivial_mu_single_layer(ring1, pairing1):
 
 
 def _dense_left_action(e, phi, lam):
-    """left_action with the eta inverse always multiplied in."""
+    """left_action with eta(lam) inverted densely."""
     lm = e.ring.full_mult_matrix(lam, phi, "left")
     lv = la.kron(lm, la.identity(e.vmod.dim, e.datum.l0))
     tgt = e.datum.weight_add(lam, phi.grade)
     return la.mat_mul(e.eta(tgt), la.mat_mul(lv, la.inverse(e.eta(lam))))
 
 
-def test_left_action_at_zero_multiplies_no_identity(monkeypatch, ring2,
-                                                   pairing2):
+@pytest.mark.parametrize("typ, mu, cutoff", [("A1", (1,), (2,)),
+                                             ("A2", (1, 0), (1, 1)),
+                                             ("B2", (1, 0), (1, 1))],
+                         ids=["A1", "A2", "B2"])
+def test_eta_inv_is_the_inverse_of_eta(typ, mu, cutoff):
+    """eta(lam)^-1, read from R-inverse's rows after the flip, is the
+    dense inverse of eta(lam) on every grade of the bimodule suite's
+    window, and eta_inv(lam) eta(lam) = 1."""
+    alg = UAlgebra(preset(typ))
+    e = EBimodule(CoordRing(alg), DrinfeldPairing(alg), mu, cutoff)
+    for lam in e.grades:
+        inv, eta = e.eta_inv(lam), e.eta(lam)
+        assert inv == la.inverse(eta), (typ, lam)
+        assert la.is_identity(la.mat_mul(inv, eta))
+
+
+def test_left_action_is_formed_once_per_pair(monkeypatch, ring2, pairing2):
+    """left_action equals the dense route, and a second read of a
+    (phi, lam) pair forms no product: the first matrix comes back."""
     e = EBimodule(ring2, pairing2, (1, 0), (1, 1))
-    assert e.unit_check()
-    phi = ring2.grade_basis((1, 0))[0]
-    expected = {lam: _dense_left_action(e, phi, lam)
-                for lam in [(0, 0), (1, 0)]}
+    pairs = [(phi, lam) for g in [(1, 0), (0, 1)]
+             for phi in ring2.grade_basis(g) for lam in [(0, 0), g]]
+    first = {}
+    for phi, lam in pairs:
+        first[id(phi), lam] = e.left_action(phi, lam)
+        assert first[id(phi), lam] == _dense_left_action(e, phi, lam)
     calls = []
     real = la.mat_mul
     monkeypatch.setattr(la, "mat_mul",
                         lambda a, b: calls.append((a, b)) or real(a, b))
-    for lam, want in expected.items():
-        assert e.left_action(phi, lam) == want
-    assert len(calls) == 3      # one product at lam = 0, two at (1, 0)
-    assert not any(len(m) > 1 and la.is_identity(m)
-                   for pair in calls for m in pair)
-    assert e.eta_inv((0, 0)) is None and e.eta_inv((1, 0)) is not None
-
-
-def test_identity_skip_is_decided_not_assumed(monkeypatch, ring2, pairing2):
-    """A unit identification that is not the identity is caught by
-    unit_check and inverted by left_action like any other eta."""
-    real = EBimodule.eta
-    two = ring2.datum.one() + ring2.datum.one()
-
-    def doubled_at_zero(self, lam):
-        m = real(self, lam)
-        return la.mat_scale(m, two) if not any(lam) else m
-
-    monkeypatch.setattr(EBimodule, "eta", doubled_at_zero)
-    e = EBimodule(ring2, pairing2, (1, 0), (1, 1))
-    assert not e.unit_check()
-    inv = e.eta_inv((0, 0))
-    assert inv is not None and la.is_identity(la.mat_mul(e.eta((0, 0)), inv))
-    phi = ring2.grade_basis((1, 0))[0]
-    assert e.left_action(phi, (0, 0)) == _dense_left_action(e, phi, (0, 0))
+    for phi, lam in pairs:
+        assert e.left_action(phi, lam) is first[id(phi), lam]
+        assert e.left_action(phi.scale(e.datum.one()), lam) is \
+            first[id(phi), lam]
+    assert calls == []

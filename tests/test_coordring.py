@@ -621,8 +621,8 @@ def columnwise_mult_matrix(ring, lam, phi, side, gamma=None):
     tgt = ring.module(ring.datum.weight_add(lam, phi.grade))
     return la.transpose([
         ring.embed_full(tgt, ring.side_mult(
-            phi, ring.slice_element(src, idx), side))
-        for idx in range(src.dim)])
+            phi, ring.slice_basis(lam, g)[r], side))
+        for g, r in src.slot_keys])
 
 
 def scaled_factors(ring, lam):
@@ -675,9 +675,9 @@ def test_ray_matrices_match_the_columnwise_route(typ):
 
 
 def test_a_scaled_element_reads_its_rays_matrix(monkeypatch):
-    """Once a ray's matrix is built, a multiple's matrix is that matrix
-    scaled, with no product evaluated or solved again; the ray itself gets
-    the very matrix back."""
+    """Once a ray's slice matrices are built, a multiple's matrix is that
+    matrix scaled, with no product evaluated or solved again; the ray
+    itself gets the very slice matrix back, and an equal full matrix."""
     ring = CoordRing(UAlgebra(preset("A2")))
     d = ring.datum
     q = d.q_power(1)
@@ -698,7 +698,7 @@ def test_a_scaled_element_reads_its_rays_matrix(monkeypatch):
     for phi in rays:
         for side in ("left", "right"):
             full, part = built[phi.grade, side]
-            assert ring.full_mult_matrix(lam, phi, side) is full
+            assert ring.full_mult_matrix(lam, phi, side) == full
             assert ring.mult_matrix(lam, gamma, phi, side) is part
             for c in (q.inverse(), d.scalar(-2), d.scalar(3) / (q + d.one())):
                 assert ring.full_mult_matrix(lam, phi.scale(c), side) == \

@@ -6,11 +6,12 @@ own, so no defect leaks into the memos other tests share."""
 import pytest
 
 from qflag import cartan, linalg, scalars, suites, weightmod
+from qflag.bimodule import EBimodule
 from qflag.config import RunConfig
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
 from qflag.memo import Memo
-from qflag.rmatrix import DrinfeldPairing
+from qflag.rmatrix import DrinfeldPairing, r_operator
 
 
 def _flip_braid_inverse(pred):
@@ -110,6 +111,16 @@ def _ray_scale_inverted(monkeypatch):
     monkeypatch.setattr(CoordRing, "_ray", mutant)
 
 
+def _eta_unflipped(monkeypatch):
+    """eta(lam)^-1 read from R-inverse's rows with their columns left on
+    A(lam) (x) V(mu), not flipped onto V(mu) (x) A(lam)."""
+    def mutant(self, lam):
+        rows = r_operator(self.pairing, self.ring.module(tuple(lam)),
+                          self.vmod, "R-inverse").rows
+        return linalg.from_rows(rows, len(rows), self.datum.l0)
+    monkeypatch.setattr(EBimodule, "eta_inv", mutant)
+
+
 def _quantum_integer_off_by_one(monkeypatch):
     """[n] computed as [n + 1], wherever it is read by name."""
     real = scalars.quantum_integer
@@ -164,6 +175,9 @@ MUTANTS = {
                               ["A1", "A2", "B2", "G2"]),
     "ray-scale-inverted-lemma-rl": (_ray_scale_inverted, "lemma-rl",
                                     ["A1", "A2", "B2"]),
+    # the eta flip left out of eta^-1; G2's window (0, 1) holds no sum of
+    # two grades, so its bimodule skips every check that reads eta^-1
+    "eta-unflipped": (_eta_unflipped, "bimodule", ["A1", "A2", "B2"]),
     # [n] off by one in its argument
     "quantum-integer-off-by-one": (_quantum_integer_off_by_one,
                                    "presentation", ["A1", "A2", "B2", "G2"]),

@@ -282,10 +282,9 @@ def test_naturality_under_projection(alg1, ring1, pairing1):
     v2 = simple(alg1, (2,))
     tgt = ring1.module((2,))
     cols = []
-    for a in range(v.dim):
-        for b in range(v.dim):
-            pa = ring1.slice_element(ring1.module((1,)), a)
-            pb = ring1.slice_element(ring1.module((1,)), b)
+    basis = ring1.grade_basis((1,))   # in the slot order of V(w)
+    for pa in basis:
+        for pb in basis:
             cols.append(ring1.embed_full(tgt, ring1.mult(pa, pb)))
     p = la.transpose(cols)
     # p must be a module map before it can be natural
