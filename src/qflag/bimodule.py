@@ -40,6 +40,7 @@ class EBimodule:
         order = sorted(range(self.vmod.dim),
                        key=lambda i: (-sum(self._drop(i)), self._drop(i), i))
         self.layer_order = order
+        self.layer_pos = {v: k for k, v in enumerate(order)}
         self.layer_weights = [self.vmod.index_weights[i] for i in order]
         # distinct weights with the same labeling convention
         self.nu: List[Weight] = []
@@ -148,7 +149,6 @@ class EBimodule:
         datum = self.datum
         na_src = self.ring.module(tuple(lam)).dim
         na_tgt = self.ring.module(datum.weight_add(lam, xi)).dim
-        pos_in_layer = {v: k for k, v in enumerate(self.layer_order)}
         for phi in self.ring.grade_basis(tuple(xi)):
             m = self.left_action(phi, tuple(lam))
             for col in range(len(m[0])):
@@ -157,7 +157,7 @@ class EBimodule:
                     if m[row][col].is_zero():
                         continue
                     vrow = row // na_tgt
-                    if pos_in_layer[vrow] > pos_in_layer[vcol]:
+                    if self.layer_pos[vrow] > self.layer_pos[vcol]:
                         return False
         return True
 
@@ -175,7 +175,6 @@ class EBimodule:
         amod_tgt = self.ring.module(tgt_grade)
         left = self.left_action(phi, tuple(lam))
         lm = self.ring.full_mult_matrix(tuple(lam), phi, "left")
-        pos_in_layer = {v: j for j, v in enumerate(self.layer_order)}
         for a in range(amod_src.dim):
             col = vidx * amod_src.dim + a
             for r in range(len(left)):
@@ -183,7 +182,7 @@ class EBimodule:
                 arow = r % amod_tgt.dim
                 rhs = expected * lm[arow][a] if vrow == vidx else datum.zero()
                 diff = left[r][col] - rhs
-                if not diff.is_zero() and pos_in_layer[vrow] >= k:
+                if not diff.is_zero() and self.layer_pos[vrow] >= k:
                     raise QflagError(
                         f"layer commutation fails at layer {k}, weight "
                         f"{nu_k}: residue outside lower layers")

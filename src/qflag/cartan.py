@@ -78,10 +78,12 @@ class CartanDatum:
 
     def __init__(self, cartan_matrix: Sequence[Sequence[int]],
                  name: str = "custom", max_height: Optional[int] = None):
-        a = tuple(tuple(int(x) for x in row) for row in cartan_matrix)
+        a = tuple(tuple(row) for row in cartan_matrix)
         n = len(a)
-        if any(len(row) != n for row in a):
-            raise ValueError("Cartan matrix must be square")
+        if not n or any(len(row) != n or any(type(x) is not int for x in row)
+                        for row in a):
+            raise ValueError("Cartan matrix must be square, of integers, "
+                             "of rank >= 1")
         for i in range(n):
             if a[i][i] != 2:
                 raise ValueError("diagonal entries must equal 2")

@@ -33,7 +33,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--type", default="A1",
                         help="preset A1, A2, B2/C2 or G2")
         sp.add_argument("--cartan-matrix", default=None,
-                        help="explicit matrix like '[[2,-1],[-1,2]]'")
+                        help="explicit matrix of JSON integers like "
+                             "'[[2,-1],[-1,2]]'")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true", dest="json_sub",
                         help="emit JSON output")
@@ -80,7 +81,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", default=None)
     sp.add_argument("--max", type=int, default=4)
     sp.add_argument("--corrupt", action="store_true",
-                    help="intentionally corrupt the build (negative control)")
+                    help="negative control: twist sigma in relations; "
+                         "other suites refuse it")
     return p
 
 

@@ -22,7 +22,7 @@ from .coordring import CoordRing
 from .diffops import (DWindow, extremal_transport_check, lemma_rl_check,
                       relations_check, z_w_check)
 from .enveloping import UAlgebra
-from .errors import DegreeCapError, QflagError
+from .errors import DegreeCapError, ParseError, QflagError
 from .memo import Memo
 from .rmatrix import DrinfeldPairing, hexagon_check, r_operator
 from .thetarep import theta_build, theta_faithfulness_probe
@@ -673,6 +673,6 @@ def run_suite(name: str, config: RunConfig) -> dict:
             "pass": all(r["pass"] for r in reports),
             "results": reports,
         }
-    if name not in SUITES:
-        raise KeyError(name)
+    if config.corrupt and name != "relations":
+        raise ParseError(f"only relations reads --corrupt, not {name}")
     return SUITES[name](config)

@@ -130,6 +130,23 @@ def test_verify_negative_control(capsys):
     assert bad and "counterexample" in bad[0]
     cex = bad[0]["counterexample"]
     assert {"grade", "input", "output", "lhs", "rhs"} <= set(cex)
+    # all runs the control through relations, and every other suite as is
+    code, out = run_cli(["verify", "all", "--type", "A1", "--corrupt",
+                         "--json"], capsys)
+    assert code == 1
+    assert [rep["suite"] for rep in json.loads(out)["results"]
+            if not rep["pass"]] == ["relations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "braid", "--type", "A2"],
+    *(["verify", suite, "--type", "A1"]
+      for suite in ("rmatrix", "zw", "center", "theta")),
+])
+def test_corrupt_is_refused_where_no_suite_reads_it(argv, capsys):
+    # only relations has a negative control
+    assert main(argv + ["--corrupt"]) == 2
+    assert "only relations reads --corrupt" in capsys.readouterr().err
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -149,6 +166,12 @@ def test_invalid_inputs_exit_2(capsys):
     ["module", "--type", "A2", "--hw", "[0,-1]"],      # not dominant
     ["basis", "--type", "A2", "--degree", "<1,-1>"],   # not in Q^+
     ["cartan", "--cartan-matrix", "[[2,-1],[-1"],       # not JSON
+    ["cartan", "--cartan-matrix", "[]"],                # rank 0
+    ["cartan", "--cartan-matrix", "{}"],                # not a matrix
+    ["cartan", "--cartan-matrix", "2"],                 # not a matrix
+    ["cartan", "--cartan-matrix", "[[2.0,-1],[-1,2]]"],  # not an integer
+    ["cartan", "--cartan-matrix", '[["2",-1],[-1,2]]'],  # not an integer
+    ["cartan", "--cartan-matrix", "[[true,-1],[-1,2]]"],  # not an integer
     ["verify", "no-such-suite", "--type", "A2"],
 ])
 def test_bad_input_exits_2(argv, capsys):
