@@ -16,7 +16,7 @@ from . import linalg
 from .cartan import (CharacterPoly, RootSum, Weight, box, by_height,
                      weyl_character, within)
 from .coordring import CoordElement, CoordRing
-from .errors import QflagError
+from .errors import DegreeCapError, QflagError
 from .linalg import Matrix
 from .memo import Memo
 from .rmatrix import DrinfeldPairing, r_operator
@@ -79,9 +79,13 @@ class EBimodule:
         return self.memo.get(("eta_inv", lam), compute)
 
     def right_action(self, psi: CoordElement, lam: Weight) -> Matrix:
-        """Right multiplication by psi on V (x) A(lam) -> V (x) A(lam+xi)."""
-        rm = self.ring.full_mult_matrix(lam, psi, "right")
-        return linalg.kron(linalg.identity(self.vmod.dim, self.datum.l0), rm)
+        """Right multiplication by psi on V (x) A(lam) -> V (x) A(lam+xi),
+        formed once per (psi, lam) like ``left_action``."""
+        lam = tuple(lam)
+        return self.memo.get(
+            ("right", lam, psi.grade, psi.gamma, tuple(psi.vec)),
+            lambda: linalg.kron(linalg.identity(self.vmod.dim, self.datum.l0),
+                                self.ring.full_mult_matrix(lam, psi, "right")))
 
     def left_action(self, phi: CoordElement, lam: Weight) -> Matrix:
         """Left multiplication by phi through the eta identification,
@@ -145,10 +149,15 @@ class EBimodule:
 
     def flag_stability_check(self, lam: Weight, xi: Weight) -> bool:
         """Left action of A(xi) maps V^k (x) A(lam) into V^k (x) A(lam+xi)
-        for every k: block triangularity in the layer order."""
+        for every k: block triangularity in the layer order.  The cap error
+        comes before any work when V(lam+xi) does not fit."""
         datum = self.datum
+        tgt = datum.weight_add(lam, xi)
+        if not datum.constructible(tgt):
+            raise DegreeCapError(
+                f"V({datum.weight_str(tgt)}) is above the height cap")
         na_src = self.ring.module(tuple(lam)).dim
-        na_tgt = self.ring.module(datum.weight_add(lam, xi)).dim
+        na_tgt = self.ring.module(tgt).dim
         for phi in self.ring.grade_basis(tuple(xi)):
             m = self.left_action(phi, tuple(lam))
             for col in range(len(m[0])):
@@ -165,13 +174,17 @@ class EBimodule:
                            lam: Weight) -> QScalar:
         """The scalar c with phi vbar_k = c vbar_k phi modulo lower layers
         (so phi (vbar_k psi) = c vbar_k (phi psi) for every right cofactor
-        psi), verified against q^{-(nu_k, xi)} with xi the weight of phi."""
+        psi), verified against q^{-(nu_k, xi)} with xi the weight of phi;
+        the cap error comes first when V(lam+xi) does not fit."""
         datum = self.datum
+        tgt_grade = datum.weight_add(lam, phi.grade)
+        if not datum.constructible(tgt_grade):
+            raise DegreeCapError(
+                f"V({datum.weight_str(tgt_grade)}) is above the height cap")
         vidx = self.layer_order[k]
         nu_k = self.layer_weights[k]
         expected = datum.q_pair(tuple(-x for x in nu_k), phi.weight)
         amod_src = self.ring.module(tuple(lam))
-        tgt_grade = datum.weight_add(lam, phi.grade)
         amod_tgt = self.ring.module(tgt_grade)
         left = self.left_action(phi, tuple(lam))
         lm = self.ring.full_mult_matrix(tuple(lam), phi, "left")

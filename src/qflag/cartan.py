@@ -326,6 +326,10 @@ class CartanDatum:
         the lowest weight of V(lam) when lam is dominant."""
         return self.drop(lam, self.weyl_act(self.longest_word(), lam))
 
+    def constructible(self, lam: Sequence[int]) -> bool:
+        """Whether the simple module V(lam) fits under the height cap."""
+        return sum(self.lowest_drop(lam)) <= self.max_height
+
     # -- roots -------------------------------------------------------------
 
     def positive_roots(self) -> List[RootSum]:

@@ -276,17 +276,16 @@ class CoordRing:
                      ) -> Tuple[List[int], Matrix]:
         """(rows, inverse): d independent rows of the evaluation matrix of
         the (lam, gamma)-slice (d > 0) and the inverse of the d x d block
-        they form: every row of an invertible square matrix, else the rows
-        the reduction of its transpose picks.  One per slice, memoized."""
+        they form: every row of a square matrix, else the rows the
+        reduction of its transpose picks.  A square one is invertible: it
+        is the slice's Gram on its d pivot columns, whose rank the factory
+        has checked is d.  One per slice, memoized."""
         key = ("eval_factor", tuple(lam), tuple(gamma))
 
         def factor():
             mat, _words, d = self.eval_solver(lam, gamma)
             if len(mat) == d:
-                try:
-                    return list(range(d)), linalg.inverse(mat)
-                except ArithmeticError:
-                    pass
+                return list(range(d)), linalg.inverse(mat)
             _ech, rows = linalg.rref(linalg.transpose(mat))
             return rows, linalg.inverse([mat[r] for r in rows])
         return self.memo.get(key, factor)

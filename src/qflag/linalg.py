@@ -5,9 +5,9 @@ fraction arithmetic.  Elimination pivots on the sparsest candidate row,
 which changes its work but not its answer (the reduced echelon form is
 unique), and skips zero cells, which are most of them in the sparse
 systems qflag solves.  So does assembly: products read each row of their
-right factor as its list of nonzero cells, and ``add_kron``/``add_scaled``
-add into a matrix in place.  The one elimination is ``rref``; the
-inverse, the nullspace, the rank and solving go through it.  The rank
+right factor as its list of nonzero cells, and ``add_kron`` adds into a
+matrix in place.  The one elimination is ``rref``; the inverse, the
+nullspace, the rank and solving go through it.  The rank
 core mod P (``_independent_mod_p``, on sparse vectors with q^(1/l0)
 evaluated at a fixed point of a prime field) serves the center solve,
 which finds with it which of its blocks have a kernel and on which rows
@@ -170,14 +170,6 @@ def add_kron(acc: Matrix, a: Matrix, b: Matrix) -> None:
                 for l in cols:
                     col = j * mb + l
                     orow[col] = orow[col] + c * brow[l]
-
-
-def add_scaled(acc: Matrix, a: Matrix, c: QScalar) -> None:
-    """acc += c·a in place, on the nonzero cells of a."""
-    for orow, arow in zip(acc, a):
-        for j, x in enumerate(arow):
-            if x.num:
-                orow[j] = orow[j] + c * x
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

@@ -227,8 +227,10 @@ def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Rows:
     rows = [{r: one} for r in range(m1.dim * m2.dim)]
     for i, e, f in zip(datum.longest_word(), root_vectors(m1, "e"),
                        root_vectors(m2, "f")):
+        qi = datum.q_power(datum.d(i))
         step = {}   # the new rows; N_k P reads the old ones
-        for r, cells in _series_cells(e, f, datum.d(i), datum).items():
+        for r, cells in _series_cells(e, f, -datum.d(i), qi.inverse() - qi,
+                                      datum.l0).items():
             new = dict(rows[r])
             for c, v in cells.items():
                 for j, x in rows[c].items():
@@ -240,37 +242,35 @@ def _theta_matrix(m1: WeightModule, m2: WeightModule) -> Rows:
     return rows
 
 
-def _series_cells(e: Matrix, f: Matrix, di: int,
-                  datum) -> Dict[int, Dict[int, QScalar]]:
-    """The nonzero cells of X - I by row, X = exp_t(c E (x) F) with
-    t = q_i^-1 = q^-di and c = q_i^-1 - q_i, on the basis v_a (x) w_b at
-    index a*n2 + b.  By (A (x) B)^n = A^n (x) B^n the n-th term is
-    a_n c^n E^n (x) F^n, so the series stops at the first zero power of E
-    or of F, and no carrier-sized matrix is formed.  Each cell comes from
-    one n (E^n raises the weight by n beta), so it is written once."""
-    l0 = datum.l0
-    qi = datum.q_power(di)
-    c = qi.inverse() - qi
-    n2 = len(f)
+def _series_cells(a: Matrix, b: Matrix, t_scale: int, c: QScalar,
+                  l0: int) -> Dict[int, Dict[int, QScalar]]:
+    """The nonzero cells of X - I by row, X = exp_t(c a (x) b) with
+    t = q^t_scale, on the basis v_x (x) w_y at index x*n2 + y.  By
+    (A (x) B)^n = A^n (x) B^n the n-th term is a_n c^n a^n (x) b^n, so the
+    series stops at the first zero power of a or of b, and no
+    carrier-sized matrix is formed.  a is a weight operator of nonzero
+    degree (a^n moves weights by n times it), so each cell comes from one
+    n and is written once."""
+    n2 = len(b)
     out: Dict[int, Dict[int, QScalar]] = {}
-    ep, fp, cn, n = e, f, c, 1
-    while not (linalg.is_zero_matrix(ep) or linalg.is_zero_matrix(fp)):
-        if n > max(len(e), n2):
+    ap, bp, cn, n = a, b, c, 1
+    while not (linalg.is_zero_matrix(ap) or linalg.is_zero_matrix(bp)):
+        if n > max(len(a), n2):
             raise TruncationError("exponential series does not terminate; "
                                   "the matrix is not nilpotent")
-        coeff = exp_t_coefficient(n, -di, l0) * cn
-        fcells = [[(d, y) for d, y in enumerate(row) if y.num] for row in fp]
-        for a, erow in enumerate(ep):
-            for col, x in enumerate(erow):
-                if not x.num:
+        coeff = exp_t_coefficient(n, t_scale, l0) * cn
+        bcells = [[(d, y) for d, y in enumerate(row) if y.num] for row in bp]
+        for x, arow in enumerate(ap):
+            for col, v in enumerate(arow):
+                if not v.num:
                     continue
-                cx = coeff * x
-                for b, cells in enumerate(fcells):
+                cv = coeff * v
+                for y, cells in enumerate(bcells):
                     if cells:
-                        orow = out.setdefault(a * n2 + b, {})
-                        for d, y in cells:
-                            orow[col * n2 + d] = cx * y
-        ep, fp, cn, n = linalg.mat_mul(e, ep), linalg.mat_mul(f, fp), \
+                        orow = out.setdefault(x * n2 + y, {})
+                        for d, w in cells:
+                            orow[col * n2 + d] = cv * w
+        ap, bp, cn, n = linalg.mat_mul(a, ap), linalg.mat_mul(b, bp), \
             cn * c, n + 1
     return out
 

@@ -24,12 +24,13 @@ from .diffops import (DWindow, extremal_transport_check, lemma_rl_check,
 from .enveloping import UAlgebra
 from .errors import DegreeCapError, ParseError, QflagError
 from .memo import Memo
-from .rmatrix import DrinfeldPairing, hexagon_check, r_operator
+from .rmatrix import (DrinfeldPairing, _series_cells, hexagon_check,
+                      r_operator)
 from .thetarep import theta_build, theta_faithfulness_probe
-from .weightmod import (WeightModule, _exp_matrix, braid_on_module,
-                        braid_word, check_module_relations,
-                        module_map_commutes, restricted_dual, simple, tensor,
-                        transpose_braid, verma)
+from .weightmod import (WeightModule, braid_on_module, braid_word,
+                        check_module_relations, module_map_commutes,
+                        restricted_dual, simple, tensor, transpose_braid,
+                        verma)
 
 
 # Process-wide on purpose: suites run against the same datum share one
@@ -89,7 +90,7 @@ def _window(datum: CartanDatum, config: RunConfig, size: int):
         return config.cutoff
     if datum.rank == 1:
         return (size,)
-    return tuple(int(_constructible(datum, datum.fundamental(i)))
+    return tuple(int(datum.constructible(datum.fundamental(i)))
                  for i in range(datum.rank))
 
 
@@ -119,19 +120,14 @@ def _dominant_weights(datum: CartanDatum, bound: int):
         return box((bound,))
     ht = min(bound, 3)
     return sorted((w for w in box((ht,) * datum.rank, height=ht)
-                   if _constructible(datum, w)), key=by_height)
-
-
-def _constructible(datum: CartanDatum, lam) -> bool:
-    """Whether the full simple module fits under the height cap."""
-    return sum(datum.lowest_drop(lam)) <= datum.max_height
+                   if datum.constructible(w)), key=by_height)
 
 
 def _fitting_fundamental(datum: CartanDatum):
     """The first fundamental weight whose simple module fits under the
     cap (else the first one, whose module then raises DegreeCapError)."""
     fund = [datum.fundamental(i) for i in range(datum.rank)]
-    return next((w for w in fund if _constructible(datum, w)), fund[0])
+    return next((w for w in fund if datum.constructible(w)), fund[0])
 
 
 def _center_at_height_two(datum: CartanDatum) -> bool:
@@ -308,11 +304,15 @@ def _braid_tensor_checks(v: WeightModule) -> List[dict]:
     t_vv = braid_on_module(vv, i)
     tt = linalg.kron(braid_on_module(v, i), braid_on_module(v, i))
     e, f = v.act(alg.e(i)), v.act(alg.f(i))
-    exp1 = _exp_matrix(linalg.mat_scale(linalg.kron(f, e), spread), di, l0)
     eK = linalg.mat_mul(e, v.k_matrix(tuple(-x for x in datum.alpha(i))))
     fK = linalg.mat_mul(f, v.k_matrix(datum.alpha(i)))
-    exp2 = _exp_matrix(linalg.mat_scale(linalg.kron(eK, fK),
-                                        (qi ** -2) * spread), di, l0)
+    # exp_{q_i}(c f (x) e) and exp_{q_i}(c' eK (x) fK): identity rows plus
+    # the series' cells
+    exp1, exp2 = (linalg.from_rows(
+        [{r: datum.one(), **cells.get(r, {})} for r in range(vv.dim)],
+        vv.dim, l0) for cells in (
+            _series_cells(f, e, di, spread, l0),
+            _series_cells(eK, fK, di, (qi ** -2) * spread, l0)))
     results = [{"instance": "tensor factorization (TxT) exp(f(x)e)",
                 "pass": linalg.mat_eq(t_vv, linalg.mat_mul(tt, exp1))},
                {"instance": "tensor factorization exp(ek(x)fk) (TxT)",

@@ -23,7 +23,7 @@ from .enveloping import UAlgebra, UElement, _content
 from .errors import DominanceError, QflagError, SideMismatchError, TruncationError
 from .linalg import Matrix, Vector
 from .memo import Memo
-from .scalars import QScalar, exp_t_coefficient, quantum_integer
+from .scalars import QScalar, quantum_integer
 
 
 class WeightModule:
@@ -603,23 +603,6 @@ def _coproduct_matrix(x1: Matrix, d2: Optional[List[QScalar]],
 # ---------------------------------------------------------------------------
 # braid operators on modules
 # ---------------------------------------------------------------------------
-
-def _exp_matrix(m: Matrix, t_scale: int, l0: int) -> Matrix:
-    """exp_t of a nilpotent matrix, with t = q**t_scale; terminates by
-    nilpotence."""
-    dim = len(m)
-    out = linalg.identity(dim, l0)
-    power = m   # m**n; only read, so m itself is never written to
-    n = 1
-    while not linalg.is_zero_matrix(power):
-        if n > dim + 2:
-            raise TruncationError("exponential series does not terminate; "
-                                  "the matrix is not nilpotent")
-        linalg.add_scaled(out, power, exp_t_coefficient(n, t_scale, l0))
-        n += 1
-        power = linalg.mat_mul(m, power)
-    return out
-
 
 def braid_on_module(mod: WeightModule, i: int,
                     inverse: bool = False) -> Matrix:

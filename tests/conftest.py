@@ -10,7 +10,9 @@ from qflag.center import (CenterElement, _candidate_monomials,
                           _shape_commutator, _solver_generators)
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra, UElement
+from qflag.errors import TruncationError
 from qflag.rmatrix import DrinfeldPairing
+from qflag.scalars import exp_t_coefficient
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -66,6 +68,21 @@ def pairing1(alg1):
 @pytest.fixture(scope="session")
 def pairing2(alg2):
     return DrinfeldPairing(alg2)
+
+
+def exp_matrix(m, t_scale, l0):
+    """Oracle for ``rmatrix._series_cells``: exp_t of a nilpotent matrix,
+    t = q**t_scale, summed densely power by power from the identity."""
+    out = linalg.identity(len(m), l0)
+    power, n = m, 1
+    while not linalg.is_zero_matrix(power):
+        if n > len(m) + 2:
+            raise TruncationError("exponential series does not terminate; "
+                                  "the matrix is not nilpotent")
+        out = linalg.mat_add(out, linalg.mat_scale(
+            power, exp_t_coefficient(n, t_scale, l0)))
+        power, n = linalg.mat_mul(m, power), n + 1
+    return out
 
 
 def dense_center_solve(algebra, max_height):

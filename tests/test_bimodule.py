@@ -5,7 +5,7 @@ from qflag.bimodule import EBimodule, key_lemma_characters
 from qflag.cartan import preset, weyl_character
 from qflag.coordring import CoordRing
 from qflag.enveloping import UAlgebra
-from qflag.errors import QflagError
+from qflag.errors import DegreeCapError, QflagError
 from qflag.rmatrix import DrinfeldPairing
 
 
@@ -207,3 +207,50 @@ def test_left_action_is_formed_once_per_pair(monkeypatch, ring2, pairing2):
         assert e.left_action(phi.scale(e.datum.one()), lam) is \
             first[id(phi), lam]
     assert calls == []
+
+
+def test_right_action_is_formed_once_per_pair(monkeypatch, ring2, pairing2):
+    """right_action is kron(1, r_psi), and a second read of a (psi, lam)
+    pair forms no kron: the first matrix comes back."""
+    e = EBimodule(ring2, pairing2, (1, 0), (1, 1))
+    pairs = [(psi, lam) for g in [(1, 0), (0, 1)]
+             for psi in ring2.grade_basis(g) for lam in [(0, 0), g]]
+    first = {}
+    for psi, lam in pairs:
+        first[id(psi), lam] = e.right_action(psi, lam)
+        assert first[id(psi), lam] == la.kron(
+            la.identity(e.vmod.dim, e.datum.l0),
+            ring2.full_mult_matrix(lam, psi, "right"))
+    calls = []
+    real = la.kron
+    monkeypatch.setattr(la, "kron",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    for psi, lam in pairs:
+        assert e.right_action(psi, lam) is first[id(psi), lam]
+    assert calls == []
+
+
+def test_checks_above_the_cap_skip_before_any_product(monkeypatch):
+    """On G2 the window (0, 1) puts lam + xi = (0, 2) above the cap: flag
+    stability and the layer scalars raise the cap error before they
+    build V(0, 2) or form any product."""
+    alg = UAlgebra(preset("G2"))
+    ring = CoordRing(alg)
+    e = EBimodule(ring, DrinfeldPairing(alg), (0, 1), (0, 1))
+    phi = ring.grade_basis((0, 1))[0]
+    assert not alg.datum.constructible((0, 2))
+    built = []
+    real = CoordRing.module
+
+    def refuse(*args):
+        raise AssertionError("a product above the cap")
+
+    monkeypatch.setattr(CoordRing, "module", lambda self, lam: built.append(
+        tuple(lam)) or real(self, lam))
+    for name in ("mat_mul", "kron"):
+        monkeypatch.setattr(la, name, refuse)
+    with pytest.raises(DegreeCapError):
+        e.flag_stability_check((0, 1), (0, 1))
+    with pytest.raises(DegreeCapError):
+        e.commutation_scalar(0, phi, (0, 1))
+    assert built == []

@@ -524,19 +524,6 @@ def test_kron_and_add_kron_match_naive_loops(na, ma, nb, mb, seed):
     assert (a, b) == before
 
 
-@settings(max_examples=60, deadline=None)
-@given(_DIMS, _DIMS, st.integers(0, 2 ** 32))
-def test_add_scaled_matches_naive_loops(n, m, seed):
-    rnd = random.Random(seed)
-    a, acc = _holey(rnd, n, m), _holey(rnd, n, m)
-    c = rnd.choice(_POOL)
-    want = _naive_add(acc, [[c * x for x in row] for row in a])
-    before = [list(r) for r in a]
-    la.add_scaled(acc, a, c)
-    assert acc == want
-    assert a == before
-
-
 def test_one_by_one_and_cancelling_cells():
     q = QScalar.parse("q^(1/2)", L0)
     r = QScalar.parse("(1 + q^(1/2))/(1 - q)", L0)
@@ -545,9 +532,6 @@ def test_one_by_one_and_cancelling_cells():
     # a cell whose sum cancels to zero is zero, not skipped
     acc = [[-(q * r)]]
     la.add_kron(acc, [[q]], [[r]])
-    assert acc[0][0].is_zero()
-    acc = [[r]]
-    la.add_scaled(acc, [[r]], QScalar.integer(-1, L0))
     assert acc[0][0].is_zero()
 
 

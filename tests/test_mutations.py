@@ -5,7 +5,7 @@ own, so no defect leaks into the memos other tests share."""
 
 import pytest
 
-from qflag import cartan, linalg, scalars, suites, weightmod
+from qflag import cartan, linalg, rmatrix, scalars, suites, weightmod
 from qflag.bimodule import EBimodule
 from qflag.config import RunConfig
 from qflag.coordring import CoordRing
@@ -121,6 +121,20 @@ def _eta_unflipped(monkeypatch):
     monkeypatch.setattr(EBimodule, "eta_inv", mutant)
 
 
+def _series_coefficient_lagging(monkeypatch):
+    """The n-th term of a q-exponential exp_t(c a (x) b) with c^(n-1) in
+    place of c^n: every cell of the series divided by c, in Theta's factors
+    and in the braid suite's tensor factorizations alike."""
+    real = rmatrix._series_cells
+
+    def mutant(a, b, t_scale, c, l0):
+        inv = c.inverse()
+        return {r: {j: x * inv for j, x in cells.items()}
+                for r, cells in real(a, b, t_scale, c, l0).items()}
+    for module in (rmatrix, suites):
+        monkeypatch.setattr(module, "_series_cells", mutant)
+
+
 def _quantum_integer_off_by_one(monkeypatch):
     """[n] computed as [n + 1], wherever it is read by name."""
     real = scalars.quantum_integer
@@ -178,6 +192,11 @@ MUTANTS = {
     # the eta flip left out of eta^-1; G2's window (0, 1) holds no sum of
     # two grades, so its bimodule skips every check that reads eta^-1
     "eta-unflipped": (_eta_unflipped, "bimodule", ["A1", "A2", "B2"]),
+    # the n-th term of a q-exponential with c^(n-1) for c^n
+    "series-coefficient-rmatrix": (_series_coefficient_lagging, "rmatrix",
+                                   ["A1", "A2", "B2", "G2"]),
+    "series-coefficient-braid": (_series_coefficient_lagging, "braid",
+                                 ["A1", "A2", "B2", "G2"]),
     # [n] off by one in its argument
     "quantum-integer-off-by-one": (_quantum_integer_off_by_one,
                                    "presentation", ["A1", "A2", "B2", "G2"]),

@@ -9,8 +9,11 @@ from qflag.enveloping import UAlgebra
 from qflag.errors import BorelError, TruncationError
 from qflag.rmatrix import (DrinfeldPairing, contributing_degrees,
                            hexagon_check, r_operator)
-from qflag.weightmod import (_exp_matrix, braid_on_module, braid_word,
+from qflag.scalars import QScalar
+from qflag.weightmod import (braid_on_module, braid_word,
                              module_map_commutes, simple, tensor, verma)
+
+from conftest import exp_matrix
 
 
 def kappa_matrix(m1, m2):
@@ -74,14 +77,14 @@ def dense_r_inverse(pairing, m1, m2):
 
 def dense_theta(m1, m2, roots=rmatrix.root_vectors):
     """The dense route ``theta_matrix`` replaced: each factor X_k is
-    ``_exp_matrix`` of the carrier-sized kron(c E_k, F_k), and the factors
+    ``exp_matrix`` of the carrier-sized kron(c E_k, F_k), and the factors
     multiply from the identity, later ones on the left."""
     datum = m1.datum
     out = la.identity(m1.dim * m2.dim, datum.l0)
     for i, e, f in zip(datum.longest_word(), roots(m1, "e"), roots(m2, "f")):
         qi = datum.q_power(datum.d(i))
         x = la.kron(la.mat_scale(e, qi.inverse() - qi), f)
-        out = la.mat_mul(_exp_matrix(x, -datum.d(i), datum.l0), out)
+        out = la.mat_mul(exp_matrix(x, -datum.d(i), datum.l0), out)
     return out
 
 
@@ -685,8 +688,8 @@ def test_theta_matches_the_dense_route():
 
 
 def test_theta_builds_no_carrier_sized_matrix(monkeypatch):
-    """Theta on an n-dim carrier calls no identity(n), no kron and no
-    _exp_matrix: the factors are Kronecker sums of small powers."""
+    """Theta on an n-dim carrier calls no identity(n) and no kron: the
+    factors are Kronecker sums of small powers."""
     b2 = UAlgebra(preset("B2"))
     v1, v2 = simple(b2, (1, 0)), simple(b2, (0, 1))
     m1 = tensor(v2, v1)
@@ -704,7 +707,6 @@ def test_theta_builds_no_carrier_sized_matrix(monkeypatch):
 
     monkeypatch.setattr(la, "identity", spy)
     monkeypatch.setattr(la, "kron", refuse)
-    monkeypatch.setattr(weightmod, "_exp_matrix", refuse)
     assert dense_rows(rmatrix.theta_matrix(m1, v2), b2.datum.l0) == expected
     assert n not in sizes
 
@@ -715,6 +717,71 @@ def test_theta_of_a_non_nilpotent_pair_raises(monkeypatch, alg1):
     monkeypatch.setattr(rmatrix, "root_vectors", lambda mod, kind: [ident])
     with pytest.raises(TruncationError, match="not nilpotent"):
         rmatrix._theta_matrix(v, v)
+
+
+def series_matrix(a, b, t_scale, c, l0):
+    """exp_t(c a (x) b) made dense: identity rows plus ``_series_cells``."""
+    one = QScalar.one(l0)
+    rows = [{r: one} for r in range(len(a) * len(b))]
+    for r, cells in rmatrix._series_cells(a, b, t_scale, c, l0).items():
+        rows[r].update(cells)
+    return dense_rows(rows, l0)
+
+
+def series_factors(alg):
+    """(a, b, t_scale, c) for each q-exponential qflag builds on the
+    fitting fundamental V: Theta's factors on V (x) V, and both
+    exponentials of Lusztig's factorization of T_i on V (x) V."""
+    datum = alg.datum
+    v = simple(alg, suites._fitting_fundamental(datum))
+    out = []
+    for i, e, f in zip(datum.longest_word(), rmatrix.root_vectors(v, "e"),
+                       rmatrix.root_vectors(v, "f")):
+        qi = datum.q_power(datum.d(i))
+        out.append((e, f, -datum.d(i), qi.inverse() - qi))
+    for i in range(datum.rank):
+        di = datum.d(i)
+        qi = datum.q_power(di)
+        spread = qi - qi.inverse()
+        e, f = v.act(alg.e(i)), v.act(alg.f(i))
+        ek = la.mat_mul(e, v.k_matrix(tuple(-x for x in datum.alpha(i))))
+        fk = la.mat_mul(f, v.k_matrix(datum.alpha(i)))
+        out += [(f, e, di, spread), (ek, fk, di, qi ** -2 * spread)]
+    return out
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_series_cells_match_the_dense_exponential(typ):
+    alg = UAlgebra(preset(typ))
+    l0 = alg.datum.l0
+    for a, b, t_scale, c in series_factors(alg):
+        want = exp_matrix(la.kron(la.mat_scale(a, c), b), t_scale, l0)
+        assert series_matrix(a, b, t_scale, c, l0) == want
+        cells = rmatrix._series_cells(a, b, t_scale, c, l0)
+        assert all(x.num for row in cells.values() for x in row.values())
+
+
+def test_series_cells_stop_at_the_first_zero_power(monkeypatch, alg1):
+    """f**2 != 0 and f**3 = 0 on V(2): two terms, four products (each
+    factor's square and cube), none with the identity."""
+    l0 = alg1.datum.l0
+    v = simple(alg1, (2,))
+    f, e = v.gen_matrix("f", 0), v.gen_matrix("e", 0)
+    before = ([list(row) for row in f], [list(row) for row in e])
+    qi = alg1.datum.q_power(1)
+    c = qi - qi.inverse()
+    want = exp_matrix(la.kron(la.mat_scale(f, c), e), 1, l0)
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul",
+                        lambda a, b: calls.append(b) or real(a, b))
+    assert series_matrix(f, e, 1, c, l0) == want
+    assert len(calls) == 4 and not any(la.is_identity(b) for b in calls)
+    assert (f, e) == before
+    calls.clear()
+    zero = la.zeros(3, 3, l0)
+    assert rmatrix._series_cells(zero, e, 1, c, l0) == {}
+    assert calls == []
 
 
 def test_inverse_components_are_computed_once(monkeypatch, a2):
@@ -818,7 +885,6 @@ def test_hexagon_builds_no_triple_carrier(monkeypatch):
                 max(r, c)) or zeros(r, c, l0))
             mp.setattr(la, "from_rows", refuse)
             mp.setattr(la, "inverse", refuse)
-            mp.setattr(weightmod, "_exp_matrix", refuse)
             assert hexagon_check(pairing, m1, m2, m3)["pass"]
         assert carriers and n not in carriers
         assert sizes and n not in sizes

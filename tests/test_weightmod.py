@@ -8,11 +8,13 @@ from qflag.cartan import (box, kostant_dim, preset, verma_character,
                           weyl_character)
 from qflag.enveloping import UAlgebra
 from qflag.errors import DominanceError, SideMismatchError, TruncationError
-from qflag.scalars import QScalar, exp_t_coefficient
+from qflag.scalars import QScalar
 from qflag.weightmod import (braid_on_module, braid_word,
                              check_module_relations, module_map_commutes,
                              restricted_dual, simple, tensor,
                              transpose_braid, verma)
+
+from conftest import exp_matrix
 
 
 def test_verma_character_and_relations(alg1):
@@ -197,16 +199,13 @@ def _refuse_inverse(monkeypatch):
 
 def test_inverse_braid_builds_no_exponential(monkeypatch, alg2):
     _refuse_inverse(monkeypatch)
-    exps = _count_calls(monkeypatch, "_exp_matrix")
     builds = _count_calls(monkeypatch, "_braid_operator")
     # a double dual is a fresh left module with an empty memo
     mod = restricted_dual(restricted_dual(simple(alg2, (1, 0))))
     tinv = braid_on_module(mod, 0, inverse=True)
-    assert exps == []  # the closed formula, no forward operator
-    assert builds == [(mod, 0, True)]
+    assert builds == [(mod, 0, True)]  # the closed formula, no forward one
     assert braid_on_module(mod, 0, inverse=True) is tinv
     t = braid_on_module(mod, 0)
-    assert exps == []
     monkeypatch.undo()
     assert la.mat_eq(tinv, la.inverse(t))
 
@@ -225,7 +224,7 @@ def triple_exponential_forms(mod, i):
     ki, kiv = alg.k_alpha(i, 1), alg.k_alpha(i, -1)
 
     def exp(x):
-        return weightmod._exp_matrix(mod.act(x), -di, datum.l0)
+        return exp_matrix(mod.act(x), -di, datum.l0)
 
     form1 = la.ordered_product(
         (h, exp((kiv * f_i).scale(qi.inverse())), exp(-e_i),
@@ -242,7 +241,7 @@ def braid_modules(alg):
     carrier V(w2) (x) V(w1)."""
     datum = alg.datum
     mods = [simple(alg, lam) for lam in box((2,) * datum.rank)
-            if suites._constructible(datum, lam)]
+            if datum.constructible(lam)]
     v = simple(alg, suites._fitting_fundamental(datum))
     mods.append(tensor(v, v))
     if datum.name == "B2":
@@ -266,7 +265,6 @@ def test_braid_matches_both_forms_and_the_matrix_inverse(typ, algebras):
 def test_braid_operators_invert_nothing_and_build_one_form(monkeypatch,
                                                            typ):
     _refuse_inverse(monkeypatch)
-    exps = _count_calls(monkeypatch, "_exp_matrix")
     builds = _count_calls(monkeypatch, "_braid_operator")
     # a fresh algebra: nothing memoized on its modules yet
     alg = UAlgebra(preset(typ))
@@ -280,7 +278,6 @@ def test_braid_operators_invert_nothing_and_build_one_form(monkeypatch,
     # each operator built once, by the closed formula
     assert {inverse for _mod, _i, inverse in builds} == {False, True}
     assert len(builds) == len(set(builds))
-    assert exps == []
 
 
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
@@ -294,11 +291,36 @@ def test_braid_operators_form_no_matrix_product(monkeypatch, typ):
 
     for name in ("mat_mul", "inverse", "kron", "running_products"):
         monkeypatch.setattr(la, name, refuse)
-    monkeypatch.setattr(weightmod, "_exp_matrix", refuse)
     for mod in mods:
         for i in range(alg.datum.rank):
             for inverse in (False, True):
                 braid_on_module(mod, i, inverse=inverse)
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])
+def test_braid_tensor_exponentials_form_no_kron(monkeypatch, typ, algebras):
+    """The braid suite's tensor factorizations read the two exponentials'
+    cells from the small factors: no kron takes e_i, f_i or their
+    k-twisted forms, and no matrix is scaled."""
+    alg = algebras[typ]
+    datum = alg.datum
+    v = simple(alg, suites._fitting_fundamental(datum))
+    gens = [v.act(alg.e(i)) for i in range(datum.rank)] + \
+        [v.act(alg.f(i)) for i in range(datum.rank)]
+    gens += [la.mat_mul(g, v.k_matrix(w)) for g in gens
+             for w in (datum.alpha(0), tuple(-c for c in datum.alpha(0)))]
+    krons, real = [], la.kron
+
+    def refuse(*args):
+        raise AssertionError("an exponential factor was scaled")
+
+    monkeypatch.setattr(la, "kron",
+                        lambda a, b: krons.append((a, b)) or real(a, b))
+    monkeypatch.setattr(la, "mat_scale", refuse)
+    results = suites._braid_tensor_checks(v)
+    assert results and all(r["pass"] for r in results)
+    assert krons and not any(la.mat_eq(a, g) for a, _b in krons
+                             for g in gens)
 
 
 def _point(alg, weight, gen):
@@ -419,30 +441,6 @@ def test_act_multiplies_no_matrices(monkeypatch, alg2):
     one[0][0] = alg2.datum.one()
     assert gen == before
     assert la.mat_eq(mod.act(alg2.one()), la.identity(mod.dim, alg2.datum.l0))
-
-
-def test_exp_matrix_multiplies_no_identity(monkeypatch, alg1):
-    l0 = alg1.datum.l0
-    m = simple(alg1, (2,)).gen_matrix("f", 0)   # f**2 != 0, f**3 = 0
-    before = [list(row) for row in m]
-    # the series summed from the identity power by power
-    expected = la.identity(3, l0)
-    power = la.identity(3, l0)
-    for n in (1, 2):
-        power = la.mat_mul(m, power)
-        expected = la.mat_add(expected, la.mat_scale(
-            power, exp_t_coefficient(n, -1, l0)))
-    calls = []
-    real = la.mat_mul
-    monkeypatch.setattr(la, "mat_mul",
-                        lambda a, b: calls.append(b) or real(a, b))
-    assert la.mat_eq(weightmod._exp_matrix(m, -1, l0), expected)
-    assert len(calls) == 2          # m**2 and m**3 = 0, never m·identity
-    assert m == before
-    calls.clear()
-    zero = la.zeros(3, 3, l0)
-    assert la.mat_eq(weightmod._exp_matrix(zero, -1, l0), la.identity(3, l0))
-    assert calls == []
 
 
 # -- dual routes for assembly -----------------------------------------------
@@ -573,7 +571,7 @@ def relation_modules(alg):
     v = simple(alg, lam)
     mods = [verma(alg, lam, depth), verma(alg, lam, depth, side="right"),
             v, restricted_dual(v)]
-    if suites._constructible(datum, datum.rho):
+    if datum.constructible(datum.rho):
         mods.append(simple(alg, datum.rho))
     return mods + [tensor(v, v),
                    tensor(restricted_dual(v), restricted_dual(v))]
@@ -615,7 +613,7 @@ def test_relation_check_reports_a_corrupted_cell(typ, algebras):
     alg = algebras[typ]
     datum = alg.datum
     depth = (2,) * datum.rank
-    top = datum.rho if suites._constructible(datum, datum.rho) \
+    top = datum.rho if datum.constructible(datum.rho) \
         else suites._fitting_fundamental(datum)
     v = simple(alg, top)
     for mod in (verma(alg, datum.rho, depth),
